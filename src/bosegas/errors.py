@@ -27,3 +27,8 @@ class TuningError(RuntimeError):
 
 class ConfigError(ValueError):
     """Malformed or out-of-range run configuration."""
+
+
+class StabilityError(RuntimeError):
+    """A configuration energy fell below the stability floor -beta B N: the
+    potential's claimed stability constant B is wrong."""

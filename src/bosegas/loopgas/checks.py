@@ -21,7 +21,7 @@ order z^2 against the second expansion coefficient.
 import numpy as np
 
 from ..rng import derive_seed, generator
-from .energy import intra_energy, loop_in_config_energy
+from .energy import interaction_energy, loop_in_config_energy
 from .free import (
     _fill_loop_paths,
     _sample_bases,
@@ -33,7 +33,7 @@ from .free import (
     winding_masses,
     wrap_positions,
 )
-from .loops import BridgeLoop, LoopConfiguration
+from .loops import BridgeLoop
 from .potential import PairPotential
 from .regions import DIRICHLET, PERIODIC, BoxRegion
 
@@ -136,6 +136,13 @@ def _gather_gs(*fns) -> list:
     return gs
 
 
+def gibbs_weights(configs, V: PairPotential | None, beta: float, region: BoxRegion) -> np.ndarray:
+    """exp(-energy) of each configuration (1 at V = None, 0 on a hard-core contact)."""
+    if V is None:
+        return np.ones(len(configs))
+    return np.exp(-np.array([interaction_energy(c, V, beta, region) for c in configs]))
+
+
 def mean_pairing(z, beta, region, f, n_mc, seed, j_max=None) -> tuple:
     """E<phi, f> = sum_j nu_j E_bridge[I_f] by per-winding bridge Monte Carlo."""
     nus, jm = winding_masses(z, beta, region, j_max)
@@ -174,45 +181,31 @@ def integration_by_parts_check(
     gs = _gather_gs(F, G)
     ef, ef_err = mean_pairing(z, beta, region, f, 4 * n_mc, derive_seed(seed, "ef"), j_max)
 
-    def gibbs(config):
-        if V is None:
-            return 1.0
-        e = 0.0
-        for i, lp in enumerate(config.loops):
-            e += intra_energy(lp, V, beta, region)
-            for other in config.loops[i + 1 :]:
-                from .energy import pair_energy
-
-                pe = pair_energy(lp, other, V, beta, region)
-                if np.isinf(pe):
-                    return 0.0
-                e += pe
-            if np.isinf(e):
-                return 0.0
-        return np.exp(-e)
-
     # lhs: E[ (sum_w I_f(w) F(phi - d_w) - E<phi,f> F(phi)) G_eff(phi) ]
     configs = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "lhs"), j_max)
+    weights = gibbs_weights(configs, V, beta, region)
     lhs_vals = np.empty(n_mc, dtype=complex)
     for m, cfg in enumerate(configs):
         cache = _loop_pairings(cfg, gs + [f], beta, region)
         skor = 0.0 + 0.0j
-        for i, lp in enumerate(cfg.loops):
+        for i in range(cfg.loop_count):
             If = cache[(i, id(f))]
-            reduced = LoopConfiguration(loops=[q for k, q in enumerate(cfg.loops) if k != i])
-            skor += If * F.value(reduced, beta, region)
+            skor += If * F.value(cfg.spliced(drop=[i]), beta, region)
         skor -= ef * F.value(cfg, beta, region)
-        lhs_vals[m] = skor * G.value(cfg, beta, region) * gibbs(cfg)
+        lhs_vals[m] = skor * G.value(cfg, beta, region) * weights[m]
     lhs = lhs_vals.mean()
+    k = min(200, n_mc)
     lhs_err = np.sqrt(
         (lhs_vals.real.var(ddof=1) + lhs_vals.imag.var(ddof=1)) / n_mc
-        + (ef_err * abs(np.mean([F.value(c, beta, region) * G.value(c, beta, region) * gibbs(c) for c in configs[: min(200, n_mc)]]))) ** 2
+        + (ef_err * abs(np.mean([F.value(c, beta, region) * G.value(c, beta, region) * w
+                                 for c, w in zip(configs[:k], weights[:k])]))) ** 2
     )
 
     # rhs: sum_j nu_j E_bridge[I_f (F(phi) (G_eff(phi + d_w) - G_eff(phi)))]
     nus, jm = winding_masses(z, beta, region, j_max)
     rngb = generator(derive_seed(seed, "rhs-bridges"))
     configs2 = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "rhs"), j_max)
+    weights2 = gibbs_weights(configs2, V, beta, region)
     rhs = 0.0 + 0.0j
     rhs_var = 0.0
     for j in range(1, jm + 1):
@@ -228,7 +221,7 @@ def integration_by_parts_check(
             )
             If = loop_time_integral(paths[b], f, beta, region)
             extra = {id(g): loop_time_integral(paths[b], g, beta, region) for g in gs}
-            gw = gibbs(cfg)
+            gw = weights2[b]
             g_plain = G.value(cfg, beta, region) * gw
             if V is not None:
                 de = loop_in_config_energy(w_loop, cfg, V, beta, region)
@@ -291,21 +284,7 @@ def trace_identity_check(
     if V is None:
         return rec
     configs = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "ti"), None)
-    w = np.empty(n_mc)
-    for i, cfg in enumerate(configs):
-        e = 0.0
-        for a, lp in enumerate(cfg.loops):
-            e += intra_energy(lp, V, beta, region)
-            for other in cfg.loops[a + 1 :]:
-                from .energy import pair_energy
-
-                pe = pair_energy(lp, other, V, beta, region)
-                e += pe
-                if np.isinf(e):
-                    break
-            if np.isinf(e):
-                break
-        w[i] = 0.0 if np.isinf(e) else np.exp(-e)
+    w = gibbs_weights(configs, V, beta, region)
     mean_w = w.mean()
     correction = float(np.log(mean_w))
     corr_err = float(w.std(ddof=1) / np.sqrt(n_mc) / mean_w)

@@ -18,7 +18,6 @@ import numpy as np
 from ..errors import ActivityError
 from ..rng import derive_seed, generator
 from .loops import (
-    BridgeLoop,
     LoopConfiguration,
     draw_winding_images,
     fill_bridges,
@@ -138,10 +137,12 @@ def sample_free_poisson_batch(
     rng_seed: int,
     j_max: int | None = None,
 ) -> list:
-    """Batch of independent configurations; loops are generated vectorized per winding."""
+    """Batch of independent configurations; loops are generated vectorized per
+    winding, then each configuration is packed from its blocks (windings in
+    increasing order)."""
     nus, jm = winding_masses(z, beta, region, j_max)
     rng = generator(rng_seed)
-    configs = [LoopConfiguration() for _ in range(n_configs)]
+    blocks = [[] for _ in range(n_configs)]  # per config: (j, paths, images) per winding
     for j in range(1, nus.size + 1):
         counts = rng.poisson(nus[j - 1], size=n_configs)
         total = int(counts.sum())
@@ -149,29 +150,35 @@ def sample_free_poisson_batch(
             continue
         bases = _sample_bases(total, j, beta, region, rng)
         paths, images = _fill_loop_paths(bases, j, beta, region, rng)
-        pos = 0
-        for ci, k in enumerate(counts):
-            for _ in range(k):
-                configs[ci].loops.append(
-                    BridgeLoop(
-                        base=bases[pos].copy(),
-                        winding=j,
-                        path=paths[pos],
-                        image=images[pos].copy(),
-                    )
-                )
-                pos += 1
-    return configs
+        ends = np.cumsum(counts)
+        for ci in np.flatnonzero(counts):
+            sl = slice(ends[ci] - counts[ci], ends[ci])
+            blocks[ci].append((j, paths[sl], images[sl]))
+    return [_pack(b, region) for b in blocks]
+
+
+def _pack(blocks, region: BoxRegion) -> LoopConfiguration:
+    """Packed configuration from per-winding blocks of (j, paths, images)."""
+    if not blocks:
+        return LoopConfiguration()
+    windings = np.concatenate([np.full(len(p), j) for j, p, _ in blocks])
+    return LoopConfiguration(
+        knots=np.concatenate([p.reshape(-1, region.d) for _, p, _ in blocks]),
+        offsets=np.concatenate([[0], np.cumsum(windings * region.n_slices + 1)]),
+        windings=windings,
+        images=np.concatenate([im for _, _, im in blocks]),
+    )
 
 
 def pairing(config: LoopConfiguration, f, beta: float, region: BoxRegion) -> float:
     """(phi, f) = sum_loops integral_0^{j beta} f(tau, omega(tau)) dtau (trapezoid)."""
     dtau = beta / region.n_slices
+    knots = wrap_positions(config.knots, region)
     total = 0.0
-    for lp in config.loops:
-        ts = dtau * np.arange(lp.path.shape[0])
-        xs = lp.wrapped(region.L) if region.boundary == PERIODIC else lp.path
-        vals = f(ts, xs)
+    offsets = config.offsets.tolist()
+    for a, b in zip(offsets, offsets[1:]):
+        ts = dtau * np.arange(b - a)
+        vals = f(ts, knots[a:b])
         wgt = np.full(ts.size, dtau)
         wgt[0] = wgt[-1] = dtau / 2
         total += float((vals * wgt).sum())

@@ -22,14 +22,19 @@ stay free.
 
 Every move's acceptance log-ratio is computed by a standalone function of the
 frozen picks, so detailed balance is unit-testable: the forward and reverse
-log-ratios of any proposal pair are exact negatives.
+log-ratios of any proposal pair are exact negatives.  Each move prices only
+the loops it touches against the rest (loop_in_config_energy), and an
+accepted move adds that difference to the chain energy, delete included; the
+full energy is recomputed only when a delete leaves an infinite-energy
+state.  A proposal's builder returns a new packed configuration and never
+edits the current one, so a rejected proposal costs no copy.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import TuningError
+from ..errors import StabilityError, TuningError
 from ..rng import derive_seed, generator
 from .energy import interaction_energy, loop_in_config_energy, pair_energy
 from .free import sample_free_poisson, winding_masses
@@ -46,6 +51,15 @@ def _wrap_loop(path: np.ndarray, region: BoxRegion) -> np.ndarray:
         out[-1] = out[0]
         return out
     return path
+
+
+def _wrap_config(config: LoopConfiguration, region: BoxRegion) -> LoopConfiguration:
+    """_wrap_loop applied to every loop of a configuration."""
+    if region.boundary != PERIODIC:
+        return config
+    knots = wrap(config.knots, region.L)
+    knots[config.offsets[1:] - 1] = knots[config.offsets[:-1]]
+    return LoopConfiguration(knots=knots, offsets=config.offsets, windings=config.windings, images=config.images)
 
 
 def loop_survival_log(loop: BridgeLoop, beta: float, region: BoxRegion) -> float:
@@ -127,9 +141,7 @@ class GibbsChain:
         self.config = LoopConfiguration()
         self.energy = 0.0
         for attempt in range(200):
-            init = sample_free_poisson(z, beta, region, derive_seed(rng_seed, "init", attempt))
-            for lp in init.loops:
-                lp.path = _wrap_loop(lp.path, region)
+            init = _wrap_config(sample_free_poisson(z, beta, region, derive_seed(rng_seed, "init", attempt)), region)
             e = self._total_energy(init)
             if np.isfinite(e):
                 self.config, self.energy = init, e
@@ -172,23 +184,23 @@ class GibbsChain:
         return insert_proposal(self, loop, log_surv)
 
     def propose_delete(self) -> Proposal:
-        if not self.config.loops:
+        if not self.config.loop_count:
             return Proposal("delete", eligible=False)
         idx = int(self.rng.integers(self.config.loop_count))
         return delete_proposal(self, idx)
 
     def propose_shift(self) -> Proposal:
-        if not self.config.loops:
+        if not self.config.loop_count:
             return Proposal("shift", eligible=False)
         idx = int(self.rng.integers(self.config.loop_count))
         delta = self.shift_step * self.rng.standard_normal(self.region.d)
         return shift_proposal(self, idx, delta)
 
     def propose_redraw(self) -> Proposal:
-        if not self.config.loops:
+        if not self.config.loop_count:
             return Proposal("redraw", eligible=False)
         idx = int(self.rng.integers(self.config.loop_count))
-        loop = self.config.loops[idx]
+        loop = self.config.loop(idx)
         n_knots = loop.path.shape[0]
         arc = min(self.region.n_slices, n_knots - 2)
         if arc < 2:
@@ -215,7 +227,7 @@ class GibbsChain:
         if n < 2:
             return Proposal("merge", eligible=False)
         ia, ib = self.rng.choice(n, size=2, replace=False)
-        A, B = self.config.loops[int(ia)], self.config.loops[int(ib)]
+        A, B = self.config.loop(int(ia)), self.config.loop(int(ib))
         alpha = int(self.rng.integers(A.winding))
         gamma = int(self.rng.integers(B.winding))
         ns = self.region.n_slices
@@ -226,12 +238,12 @@ class GibbsChain:
         return merge_proposal(self, int(ia), int(ib), alpha, gamma, T1, T2)
 
     def propose_cut(self) -> Proposal:
-        if not self.config.loops:
+        if not self.config.loop_count:
             return Proposal("cut", eligible=False)
         # uniform over all loops keeps the reverse probability at 1/N: pick any
         # loop, reject ineligible ones
         idx = int(self.rng.integers(self.config.loop_count))
-        loop = self.config.loops[idx]
+        loop = self.config.loop(idx)
         if loop.winding < 2:
             return Proposal("cut", eligible=False)
         jc = loop.winding
@@ -259,7 +271,11 @@ class GibbsChain:
             self.accepts[name] += 1
             if self.V is not None and np.isfinite(self.energy):
                 floor = -self.beta * self.V.stability_B * self.config.particle_number - 1e-9
-                assert self.energy >= floor, "stability floor violated: check the potential's B"
+                if self.energy < floor:
+                    raise StabilityError(
+                        f"energy {self.energy!r} below the stability floor {floor!r} after {name}: "
+                        f"check the potential's B"
+                    )
             return True
         return False
 
@@ -295,15 +311,13 @@ def insert_proposal(chain: GibbsChain, loop: BridgeLoop, log_surv: float) -> Pro
         log_acc = -np.inf
 
     def build():
-        cfg = chain.config.copy()
-        cfg.loops.append(loop)
-        return cfg, chain.energy + dE
+        return chain.config.spliced(add=[loop]), chain.energy + dE
 
     return Proposal("insert", True, float(log_acc), build, {"j": loop.winding})
 
 
 def delete_proposal(chain: GibbsChain, idx: int) -> Proposal:
-    loop = chain.config.loops[idx]
+    loop = chain.config.loop(idx)
     dE = chain._loop_energy(loop, chain.config, skip=idx)
     log_surv = loop_survival_log(loop, chain.beta, chain.region)
     n = chain.config.loop_count
@@ -312,15 +326,16 @@ def delete_proposal(chain: GibbsChain, idx: int) -> Proposal:
         log_acc = np.inf
 
     def build():
-        cfg = chain.config.copy()
-        cfg.loops.pop(idx)
-        return cfg, chain._total_energy(cfg)
+        cfg = chain.config.spliced(drop=[idx])
+        if np.isinf(chain.energy):  # leaving an infinite-energy state: no finite difference
+            return cfg, chain._total_energy(cfg)
+        return cfg, chain.energy - dE
 
     return Proposal("delete", True, float(log_acc), build, {"j": loop.winding})
 
 
 def shift_proposal(chain: GibbsChain, idx: int, delta: np.ndarray) -> Proposal:
-    old = chain.config.loops[idx]
+    old = chain.config.loop(idx)
     new_path = _wrap_loop(old.path + delta, chain.region)
     new = BridgeLoop(base=new_path[0].copy(), winding=old.winding, path=new_path, image=old.image.copy())
     e_old = chain._loop_energy(old, chain.config, skip=idx)
@@ -333,15 +348,13 @@ def shift_proposal(chain: GibbsChain, idx: int, delta: np.ndarray) -> Proposal:
         log_acc = -np.inf
 
     def build():
-        cfg = chain.config.copy()
-        cfg.loops[idx] = new
-        return cfg, chain.energy + (e_new - e_old)
+        return chain.config.replaced(idx, new_path), chain.energy + (e_new - e_old)
 
     return Proposal("shift", True, float(log_acc), build)
 
 
 def redraw_proposal(chain: GibbsChain, idx: int, u: int, new_arc: np.ndarray) -> Proposal:
-    old = chain.config.loops[idx]
+    old = chain.config.loop(idx)
     arc = new_arc.shape[0] - 1
     new_path = old.path.copy()
     new_path[u : u + arc + 1] = new_arc
@@ -359,9 +372,7 @@ def redraw_proposal(chain: GibbsChain, idx: int, u: int, new_arc: np.ndarray) ->
         log_acc = -np.inf
 
     def build():
-        cfg = chain.config.copy()
-        cfg.loops[idx] = new
-        return cfg, chain.energy + (e_new - e_old)
+        return chain.config.replaced(idx, new_path), chain.energy + (e_new - e_old)
 
     return Proposal("redraw", True, float(log_acc), build)
 
@@ -382,7 +393,7 @@ def _assemble(parts, region: BoxRegion) -> np.ndarray:
 def merge_proposal(
     chain: GibbsChain, ia: int, ib: int, alpha: int, gamma: int, T1: np.ndarray, T2: np.ndarray
 ) -> Proposal:
-    A, B = chain.config.loops[ia], chain.config.loops[ib]
+    A, B = chain.config.loop(ia), chain.config.loop(ib)
     ns = chain.region.n_slices
     ja, jb = A.winding, B.winding
     jc = ja + jb
@@ -398,13 +409,9 @@ def merge_proposal(
     path = _assemble(parts, chain.region)
     C = BridgeLoop(base=path[0].copy(), winding=jc, path=path, image=np.zeros(chain.region.d, dtype=int))
 
-    e_old = (
-        chain._loop_energy(A, chain.config, skip=ia)
-        + chain._loop_energy(B, chain.config, skip=ib)
-        - (pair_energy(A, B, chain.V, chain.beta, chain.region) if chain.V else 0.0)
-    )
-    rest = LoopConfiguration(loops=[lp for i, lp in enumerate(chain.config.loops) if i not in (ia, ib)])
-    e_new = chain._loop_energy(C, rest)
+    # A against everything but itself, then B against everything but A and B
+    e_old = chain._loop_energy(A, chain.config, skip=ia) + chain._loop_energy(B, chain.config, skip=(ia, ib))
+    e_new = chain._loop_energy(C, chain.config, skip=(ia, ib))
     dE = e_new - e_old
 
     n = chain.config.loop_count
@@ -425,9 +432,7 @@ def merge_proposal(
         log_acc = -np.inf
 
     def build():
-        keep = [lp for i, lp in enumerate(chain.config.loops) if i not in (ia, ib)]
-        cfg = LoopConfiguration(loops=keep + [C])
-        return cfg, chain.energy + dE
+        return chain.config.spliced(drop=(ia, ib), add=[C]), chain.energy + dE
 
     return Proposal("merge", True, float(log_acc), build, {"ja": ja, "jb": jb})
 
@@ -443,7 +448,7 @@ def _leg_block(loop: BridgeLoop, leg: int, ns: int) -> np.ndarray:
 def cut_proposal(
     chain: GibbsChain, idx: int, s: int, t: int, U1: np.ndarray, U2: np.ndarray
 ) -> Proposal:
-    C = chain.config.loops[idx]
+    C = chain.config.loop(idx)
     ns = chain.region.n_slices
     jc = C.winding
     j1 = (s - t) % jc
@@ -462,10 +467,12 @@ def cut_proposal(
     path2 = _assemble(parts2, chain.region)
     loop2 = BridgeLoop(base=path2[0].copy(), winding=j2, path=path2, image=np.zeros(chain.region.d, dtype=int))
 
-    rest = LoopConfiguration(loops=[lp for i, lp in enumerate(chain.config.loops) if i != idx])
-    e_old = chain._loop_energy(C, rest)
-    with_1 = LoopConfiguration(loops=rest.loops + [loop1])
-    e_new = chain._loop_energy(loop1, rest) + chain._loop_energy(loop2, with_1)
+    e_old = chain._loop_energy(C, chain.config, skip=idx)
+    e_new = (
+        chain._loop_energy(loop1, chain.config, skip=idx)
+        + chain._loop_energy(loop2, chain.config, skip=idx)
+        + (pair_energy(loop1, loop2, chain.V, chain.beta, chain.region) if chain.V else 0.0)
+    )
     dE = e_new - e_old
 
     n_after = chain.config.loop_count + 1
@@ -487,9 +494,7 @@ def cut_proposal(
         log_acc = -np.inf
 
     def build():
-        keep = [lp for i, lp in enumerate(chain.config.loops) if i != idx]
-        cfg = LoopConfiguration(loops=keep + [loop1, loop2])
-        return cfg, chain.energy + dE
+        return chain.config.spliced(drop=[idx], add=[loop1, loop2]), chain.energy + dE
 
     return Proposal("cut", True, float(log_acc), build, {"j1": j1, "j2": j2})
 
@@ -510,21 +515,37 @@ def gibbs_sample(
     checkpoint_every: int = 0,
     resume_chain: "GibbsChain | None" = None,
     first_sweep: int = 0,
+    N_history=(),
 ) -> dict:
     """Run the chain and emit decorrelated configurations with diagnostics.
 
     Returns configs (thinned, post-burn), per-sweep stats rows
     {sweep, N, loop_count, energy}, acceptance rates, and a batch-means
     autocorrelation estimate for the particle number.  With a checkpoint base
-    the full sampler state (loops and RNG) is written every checkpoint_every
-    sweeps, and `resume_gibbs` continues the identical trajectory.
+    the full sampler state (loops, energy, RNG, move counters and the
+    per-sweep particle numbers) is written every checkpoint_every sweeps, and
+    `resume_gibbs` continues the identical trajectory.  N_history holds the
+    particle numbers after the sweeps just before first_sweep, so the N
+    estimates of a resumed run cover the sweeps before the resume too.
     """
     burn = n_sweeps // 5 if burn is None else burn
     chain = resume_chain if resume_chain is not None else GibbsChain(z, beta, region, V, rng_seed)
     configs, rows = [], []
-    N_trace = []
+    N_hist = [int(n) for n in N_history]
+    hist_start = first_sweep - len(N_hist)  # the sweep whose N is N_hist[0]
     for sweep in range(first_sweep, n_sweeps):
         chain.sweep()
+        N_hist.append(chain.config.particle_number)
+        rows.append(
+            {
+                "sweep": sweep,
+                "N": chain.config.particle_number,
+                "loop_count": chain.config.loop_count,
+                "energy": chain.energy,
+            }
+        )
+        if sweep >= burn and (sweep - burn) % thin == 0:
+            configs.append(chain.config.copy())
         if checkpoint_base and checkpoint_every and (sweep + 1) % checkpoint_every == 0:
             from ..records import save_loop_checkpoint
 
@@ -535,23 +556,13 @@ def gibbs_sample(
                 chain.rng.bit_generator.state,
                 checkpoint_base,
                 sweep=sweep + 1,
+                chain_state={"energy": chain.energy, "attempts": chain.attempts, "accepts": chain.accepts},
+                N_history=N_hist,
             )
-        rows.append(
-            {
-                "sweep": sweep,
-                "N": chain.config.particle_number,
-                "loop_count": chain.config.loop_count,
-                "energy": chain.energy,
-            }
-        )
-        if sweep >= burn:
-            N_trace.append(chain.config.particle_number)
-            if (sweep - burn) % thin == 0:
-                configs.append(chain.config.copy())
         if sweep == max(burn, 50):
             chain.check_tuning()
     chain.check_tuning()
-    N_arr = np.array(N_trace, dtype=float)
+    N_arr = np.array(N_hist[max(burn - hist_start, 0) :], dtype=float)
     tau_int = _batch_means_tau(N_arr)
     return {
         "configs": configs,
@@ -577,20 +588,24 @@ def resume_gibbs(
     checkpoint_every: int = 0,
 ) -> dict:
     """Continue a checkpointed chain; the trajectory matches an uninterrupted
-    run exactly (the checkpoint carries the complete RNG state)."""
+    run exactly (the checkpoint carries the complete RNG state), and so do
+    the move counters and the N estimates.  A version-1 checkpoint carries
+    neither, so its counters and N trace restart at the resume."""
     from ..records import load_loop_checkpoint
 
     config, sidecar = load_loop_checkpoint(checkpoint_base)
     chain = GibbsChain(z, beta, region, V, rng_seed=0)
     chain.config = config
-    chain.energy = chain._total_energy(config)
-    state = sidecar["rng_state"]
-    chain.rng.bit_generator.state = state
+    state = sidecar.get("chain", {})
+    chain.energy = state["energy"] if "energy" in state else chain._total_energy(config)
+    chain.attempts.update(state.get("attempts", {}))
+    chain.accepts.update(state.get("accepts", {}))
+    chain.rng.bit_generator.state = sidecar["rng_state"]
     return gibbs_sample(
         z, beta, region, V, n_sweeps, rng_seed=0, thin=thin, burn=burn,
         checkpoint_base=checkpoint_base if checkpoint_every else None,
         checkpoint_every=checkpoint_every,
-        resume_chain=chain, first_sweep=sidecar["sweep"],
+        resume_chain=chain, first_sweep=sidecar["sweep"], N_history=sidecar["N_history"],
     )
 
 

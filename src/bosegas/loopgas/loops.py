@@ -1,9 +1,22 @@
-"""Closed discretized Brownian bridges and loop configurations.
+"""Closed discretized Brownian bridges and packed loop configurations.
 
 A winding-j loop carries j particles: its path visits j beta-legs on a common
-time grid of n_slices knots per leg.  Paths are stored unwrapped; periodic
-loops may close onto a lattice image of their base point (spatial winding), in
-which case the wrapped view satisfies the closure identity modulo L.
+time grid of n_slices knots per leg, so it has j * n_slices + 1 knots and leg
+a is knots a * n_slices .. (a + 1) * n_slices.  Paths are stored unwrapped;
+periodic loops may close onto a lattice image of their base point (spatial
+winding), in which case the wrapped view satisfies the closure identity
+modulo L.
+
+A LoopConfiguration is packed as a struct of arrays: the paths of all its
+loops back to back in one (K, d) `knots` array, loop i occupying knots
+offsets[i] .. offsets[i + 1] - 1, with `windings` (n,) and `images` (n, d).
+Every beta-leg of every loop is read from `knots` through one index array
+(`leg_index`), so the energy layer sees the configuration as a single
+(n_legs, n_slices + 1, d) array of legs.  The arrays are read-only and a
+configuration is never edited in place: `spliced` and `replaced` return new
+configurations, which a Metropolis move can build without touching the
+current state.  `.loops` gives read-only BridgeLoop views for callers that
+work loop by loop.
 
 Bridge interiors are filled by recursive midpoint construction: split the
 knot range at its midpoint, draw the midpoint from the exact Gaussian
@@ -12,7 +25,7 @@ The schedule is deterministic, so a batch of loops fills in lockstep with
 vectorized draws.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,14 +52,6 @@ class BridgeLoop:
     def wrapped(self, L: float) -> np.ndarray:
         return wrap(self.path, L)
 
-    def leg_positions(self, n_slices: int) -> np.ndarray:
-        """Knots regrouped per beta-leg: shape (winding, n_slices + 1, d)."""
-        j, d = self.winding, self.path.shape[1]
-        legs = np.empty((j, n_slices + 1, d))
-        for a in range(j):
-            legs[a] = self.path[a * n_slices : (a + 1) * n_slices + 1]
-        return legs
-
     def validate(self, region: BoxRegion):
         if self.winding < 1:
             raise ValueError("winding must be >= 1")
@@ -66,34 +71,110 @@ class BridgeLoop:
                 raise ValueError("dirichlet loop knots must stay strictly inside the box")
 
 
-@dataclass
-class LoopConfiguration:
-    """Multiset of loops; the particle number is the total winding."""
+def leg_index(windings, n_slices: int) -> np.ndarray:
+    """Knot indices of the beta-legs of paths packed back to back, each of
+    winding * n_slices + 1 knots: row l lists the n_slices + 1 knots of leg
+    l, the legs coming loop by loop.
 
-    loops: list = field(default_factory=list)
+    Leg a of the i-th loop starts after the a * n_slices body knots of its
+    own earlier legs, the body knots of all earlier loops (a multiple of
+    n_slices) and their i closure knots, so the legs' first knots are
+    n_slices * (leg number) + (loop number).
+    """
+    first = np.arange(len(windings)).repeat(windings)
+    first += np.arange(0, n_slices * first.size, n_slices)
+    return first[:, None] + np.arange(n_slices + 1)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _stack(blocks, like: np.ndarray) -> np.ndarray:
+    """Row-wise concatenation that skips empty blocks (an empty configuration
+    does not know its dimension); a fresh empty array like `like` if none."""
+    blocks = [b for b in blocks if len(b)]
+    return np.concatenate(blocks) if blocks else like[:0].copy()
+
+
+class LoopConfiguration:
+    """Multiset of loops, packed; the particle number is the total winding.
+
+    Built either from BridgeLoops, LoopConfiguration(loops=[...]) (each
+    loop's base is taken to be path[0]), or from the packed arrays
+    LoopConfiguration(knots=..., offsets=..., windings=..., images=...).  The
+    arrays are adopted, not copied, and made read-only.
+    """
+
+    __slots__ = ("knots", "offsets", "windings", "images")
+
+    def __init__(self, loops=(), *, knots=None, offsets=None, windings=None, images=None):
+        if knots is None:
+            loops = list(loops)
+            windings = np.array([lp.winding for lp in loops], dtype=int)
+            if loops:
+                knots = np.concatenate([lp.path for lp in loops]).astype(float, copy=False)
+                images = np.array([lp.image for lp in loops], dtype=int)
+            else:
+                knots = np.empty((0, 0))
+                images = np.empty((0, 0), dtype=int)
+            offsets = np.concatenate([[0], np.cumsum([lp.path.shape[0] for lp in loops], dtype=int)])
+        self.knots = _frozen(knots)
+        self.offsets = _frozen(offsets)
+        self.windings = _frozen(windings)
+        self.images = _frozen(images)
 
     @property
     def particle_number(self) -> int:
-        return sum(lp.winding for lp in self.loops)
+        return int(self.windings.sum())
 
     @property
     def loop_count(self) -> int:
-        return len(self.loops)
+        return self.windings.shape[0]
+
+    def loop(self, i: int) -> BridgeLoop:
+        """Read-only view of loop i."""
+        path = self.knots[self.offsets[i] : self.offsets[i + 1]]
+        return BridgeLoop(base=path[0], winding=int(self.windings[i]), path=path, image=self.images[i])
+
+    @property
+    def loops(self) -> tuple:
+        """Read-only views of every loop, in order."""
+        return tuple(self.loop(i) for i in range(self.loop_count))
 
     def winding_histogram(self, j_max: int) -> np.ndarray:
-        h = np.zeros(j_max + 1, dtype=int)
-        for lp in self.loops:
-            if lp.winding <= j_max:
-                h[lp.winding] += 1
-        return h
+        h = np.bincount(self.windings, minlength=j_max + 1)
+        return h[: j_max + 1]
 
     def copy(self) -> "LoopConfiguration":
         return LoopConfiguration(
-            loops=[
-                BridgeLoop(lp.base.copy(), lp.winding, lp.path.copy(), lp.image.copy())
-                for lp in self.loops
-            ]
+            knots=self.knots.copy(),
+            offsets=self.offsets.copy(),
+            windings=self.windings.copy(),
+            images=self.images.copy(),
         )
+
+    def spliced(self, drop=(), add=()) -> "LoopConfiguration":
+        """A new configuration: the loops at indices `drop` removed, the
+        BridgeLoops `add` appended; the others keep their order."""
+        keep = np.ones(self.loop_count, dtype=bool)
+        keep[list(drop)] = False
+        lengths = np.diff(self.offsets)
+        add_lengths = [lp.path.shape[0] for lp in add]
+        return LoopConfiguration(
+            knots=_stack([self.knots[np.repeat(keep, lengths)]] + [lp.path for lp in add], self.knots),
+            offsets=np.concatenate([[0], np.cumsum(np.concatenate([lengths[keep], add_lengths]), dtype=int)]),
+            windings=np.concatenate([self.windings[keep], [lp.winding for lp in add]]).astype(int),
+            images=_stack([self.images[keep]] + [np.asarray(lp.image, dtype=int)[None] for lp in add], self.images),
+        )
+
+    def replaced(self, i: int, path: np.ndarray) -> "LoopConfiguration":
+        """A new configuration with loop i's path replaced by one of the same
+        length (same winding and image); the other arrays are shared."""
+        knots = self.knots.copy()
+        knots[self.offsets[i] : self.offsets[i + 1]] = path
+        return LoopConfiguration(knots=knots, offsets=self.offsets, windings=self.windings, images=self.images)
 
 
 def _midpoint_schedule(n_intervals: int):

@@ -134,5 +134,7 @@ def wrap(x, L: float):
 
 
 def min_image(dx, L: float):
-    """Minimum-image displacement in [-L/2, L/2)."""
-    return np.mod(np.asarray(dx) + L / 2, L) - L / 2
+    """Minimum-image displacement in [-L/2, L/2] (an exact half-box
+    displacement keeps either sign)."""
+    dx = np.asarray(dx)
+    return dx - L * np.rint(dx / L)

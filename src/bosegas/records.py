@@ -105,21 +105,37 @@ def load_field_snapshot(path_base: str):
     return arr, sidecar
 
 
-def save_loop_checkpoint(config, region_meta: dict, rng_state: dict, path_base: str, sweep: int):
-    """Self-describing chain checkpoint: loop arrays in an npz blob plus sidecar."""
-    arrays = {}
-    meta_loops = []
-    for i, lp in enumerate(config.loops):
-        arrays[f"path_{i}"] = lp.path
-        meta_loops.append({"winding": int(lp.winding), "image": [int(v) for v in lp.image]})
-    np.savez_compressed(path_base + ".npz", **arrays)
+def save_loop_checkpoint(
+    config,
+    region_meta: dict,
+    rng_state: dict,
+    path_base: str,
+    sweep: int,
+    chain_state: dict | None = None,
+    N_history=(),
+):
+    """Self-describing chain checkpoint, format version 2.
+
+    The npz blob holds the packed configuration (knots, offsets, windings,
+    images) and the particle number after each recorded sweep (N_history, the
+    last entry being sweep - 1); the JSON sidecar holds the sweep count, the
+    region, the RNG state and chain_state (energy and move counters).
+    """
+    np.savez_compressed(
+        path_base + ".npz",
+        knots=config.knots,
+        offsets=config.offsets,
+        windings=config.windings,
+        images=config.images,
+        N_history=np.asarray(N_history, dtype=np.int64),
+    )
     sidecar = {
         "format": "bosegas-loop-checkpoint",
-        "version": 1,
+        "version": 2,
         "sweep": sweep,
         "region": region_meta,
-        "loops": meta_loops,
         "rng_state": rng_state,
+        "chain": chain_state or {},
         "code_version": __version__,
     }
     with open(path_base + ".json", "w") as fh:
@@ -127,21 +143,29 @@ def save_loop_checkpoint(config, region_meta: dict, rng_state: dict, path_base: 
 
 
 def load_loop_checkpoint(path_base: str):
+    """(configuration, sidecar) of a version 1 or 2 checkpoint; the sidecar's
+    "N_history" is the array from the blob (empty for version 1, which
+    stored one path_i array per loop and no history)."""
     from .loopgas.loops import BridgeLoop, LoopConfiguration
 
     with open(path_base + ".json") as fh:
         sidecar = json.load(fh)
-    blobs = np.load(path_base + ".npz")
-    loops = []
-    for i, meta in enumerate(sidecar["loops"]):
-        path = blobs[f"path_{i}"]
-        loops.append(
-            BridgeLoop(
-                base=path[0].copy(),
-                winding=meta["winding"],
-                path=path,
-                image=np.array(meta["image"], dtype=int),
+    if sidecar.get("version") not in (1, 2):
+        raise ValueError(f"unsupported loop checkpoint version {sidecar.get('version')!r}")
+    with np.load(path_base + ".npz") as blobs:
+        if sidecar["version"] == 1:
+            config = LoopConfiguration(
+                loops=[
+                    BridgeLoop(base=None, winding=meta["winding"], path=blobs[f"path_{i}"],
+                               image=np.array(meta["image"], dtype=int))
+                    for i, meta in enumerate(sidecar["loops"])
+                ]
             )
-        )
-    return LoopConfiguration(loops=loops), sidecar
-
+            sidecar["N_history"] = np.zeros(0, dtype=np.int64)
+        else:
+            config = LoopConfiguration(
+                knots=blobs["knots"], offsets=blobs["offsets"],
+                windings=blobs["windings"], images=blobs["images"],
+            )
+            sidecar["N_history"] = blobs["N_history"]
+    return config, sidecar

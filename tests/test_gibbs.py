@@ -232,3 +232,54 @@ class TestCheckpointResume:
         full_N = [r["N"] for r in full["rows"]]
         res_N = [r["N"] for r in resumed["rows"]]
         assert res_N == full_N[30:]
+
+    def test_resume_restores_counters_and_N_trace(self, tmp_path):
+        from bosegas.loopgas.gibbs import resume_gibbs
+
+        region = BoxRegion(d=2, L=5.0, n_slices=4)
+        V = gaussian_repulsion(2, 0.5)
+        base = str(tmp_path / "ck")
+        full = gibbs_sample(0.4, 1.0, region, V, n_sweeps=100, rng_seed=78)
+        gibbs_sample(0.4, 1.0, region, V, n_sweeps=50, rng_seed=78, checkpoint_base=base, checkpoint_every=50)
+        resumed = resume_gibbs(base, 0.4, 1.0, region, V, n_sweeps=100)
+        assert [r["N"] for r in resumed["rows"]] == [r["N"] for r in full["rows"][50:]]
+        assert resumed["rows"][-1]["energy"] == full["rows"][-1]["energy"]
+        assert resumed["attempts"] == full["attempts"]
+        assert resumed["acceptance"] == full["acceptance"]
+        assert resumed["mean_N"] == full["mean_N"]
+        assert resumed["err_N"] == full["err_N"] and np.isfinite(full["err_N"])
+
+
+STABILITY_SCRIPT = """
+import sys
+import numpy as np
+from bosegas.errors import StabilityError
+from bosegas.loopgas import BoxRegion, GibbsChain, PairPotential
+
+# attractive, stable with B = 2 on every point set the constructor probes;
+# the claim is then understated to B = 0, so any negative energy breaks it
+V = PairPotential(v_of_r=lambda r: -0.5 * np.exp(-np.asarray(r) ** 2), d=2, stability_B=2.0)
+object.__setattr__(V, "stability_B", 0.0)
+chain = GibbsChain(0.5, 1.0, BoxRegion(d=2, L=4.0, n_slices=4), V, rng_seed=3)
+try:
+    for _ in range(5000):
+        chain.step()
+except StabilityError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_stability_floor_raises(flags):
+    # the floor must hold under python -O too, where assert statements vanish
+    import os
+    import subprocess
+    import sys
+
+    import bosegas
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bosegas.__file__)))
+    proc = subprocess.run([sys.executable, *flags, "-c", STABILITY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

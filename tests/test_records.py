@@ -54,3 +54,23 @@ def test_loop_checkpoint_roundtrip(tmp_path):
         assert a.winding == b.winding
     assert sidecar["sweep"] == 12
     assert sidecar["rng_state"]["state"] == 7
+
+
+def test_loop_checkpoint_version_1_still_loads(tmp_path):
+    import json
+
+    region = BoxRegion(d=2, L=5.0, n_slices=4)
+    cfg = sample_free_poisson(0.6, 1.0, region, rng_seed=4)
+    base = str(tmp_path / "v1")
+    np.savez_compressed(base + ".npz", **{f"path_{i}": lp.path for i, lp in enumerate(cfg.loops)})
+    with open(base + ".json", "w") as fh:
+        json.dump({"format": "bosegas-loop-checkpoint", "version": 1, "sweep": 7, "region": {},
+                   "loops": [{"winding": int(lp.winding), "image": [int(v) for v in lp.image]}
+                             for lp in cfg.loops],
+                   "rng_state": {}}, fh)
+    back, sidecar = load_loop_checkpoint(base)
+    assert np.array_equal(back.knots, cfg.knots)
+    assert np.array_equal(back.offsets, cfg.offsets)
+    assert np.array_equal(back.windings, cfg.windings)
+    assert np.array_equal(back.images, cfg.images)
+    assert sidecar["sweep"] == 7 and sidecar["N_history"].size == 0
