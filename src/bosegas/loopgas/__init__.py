@@ -21,6 +21,7 @@ from .free import (
     pairing,
     sample_free_poisson,
     sample_free_poisson_batch,
+    time_integrals,
     winding_masses,
 )
 from .gibbs import GibbsChain, gibbs_sample
@@ -80,6 +81,7 @@ __all__ = [
     "sample_free_poisson_batch",
     "sigma_independence_check",
     "spectral_log_partition",
+    "time_integrals",
     "trace_identity_check",
     "winding_masses",
 ]

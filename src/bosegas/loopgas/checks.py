@@ -25,11 +25,11 @@ from .energy import interaction_energy, loop_in_config_energy
 from .free import (
     _fill_loop_paths,
     _sample_bases,
+    config_pairings,
     free_log_partition,
     free_rdm,
-    loop_time_integral,
-    pairing,
     sample_free_poisson_batch,
+    time_integrals,
     winding_masses,
     wrap_positions,
 )
@@ -42,98 +42,51 @@ from .regions import DIRICHLET, PERIODIC, BoxRegion
 
 
 class CylindricalFunctional:
-    """Functionals of finitely many pairings, evaluable on configs with an
-    added or removed loop (needed by the Charlier-centered product)."""
+    """F(phi) = h((phi, g_1), ..., (phi, g_k)), a function of finitely many
+    pairings.  `of` evaluates h on pairing vectors p of shape (..., k), so the
+    shifted values the identity needs are F(phi -+ d_w) = h(p -+ I(w))."""
 
-    def value(self, config, beta, region):
-        raise NotImplementedError
+    gs = ()
 
-    def value_with_extra(self, config, extra_pairings: dict, beta, region):
-        """Value on config + delta_w given the extra loop's pairing increments."""
+    def of(self, p):
         raise NotImplementedError
 
 
 class One(CylindricalFunctional):
     label = "1"
 
-    def value(self, config, beta, region):
-        return 1.0
-
-    def value_with_extra(self, config, extra, beta, region):
-        return 1.0
-
-    def value_minus_loop(self, config, loop_idx, beta, region, cache):
-        return 1.0
+    def of(self, p):
+        return np.ones(p.shape[:-1])
 
 
 class Pairing(CylindricalFunctional):
     """(phi, g)"""
 
     def __init__(self, g, label="(phi,g)"):
-        self.g, self.label = g, label
+        self.g, self.gs, self.label = g, (g,), label
 
-    def value(self, config, beta, region):
-        return pairing(config, self.g, beta, region)
-
-    def value_with_extra(self, config, extra, beta, region):
-        return self.value(config, beta, region) + extra[id(self.g)]
-
-    def value_minus_loop(self, config, loop_idx, beta, region, cache):
-        return self.value(config, beta, region) - cache[(loop_idx, id(self.g))]
+    def of(self, p):
+        return p[..., 0]
 
 
 class PairingProduct(CylindricalFunctional):
     """(phi, g1)(phi, g2)"""
 
     def __init__(self, g1, g2, label="(phi,g1)(phi,g2)"):
-        self.g1, self.g2, self.label = g1, g2, label
+        self.g1, self.g2, self.gs, self.label = g1, g2, (g1, g2), label
 
-    def value(self, config, beta, region):
-        return pairing(config, self.g1, beta, region) * pairing(config, self.g2, beta, region)
-
-    def value_with_extra(self, config, extra, beta, region):
-        a = pairing(config, self.g1, beta, region) + extra[id(self.g1)]
-        b = pairing(config, self.g2, beta, region) + extra[id(self.g2)]
-        return a * b
-
-    def value_minus_loop(self, config, loop_idx, beta, region, cache):
-        a = pairing(config, self.g1, beta, region) - cache[(loop_idx, id(self.g1))]
-        b = pairing(config, self.g2, beta, region) - cache[(loop_idx, id(self.g2))]
-        return a * b
+    def of(self, p):
+        return p[..., 0] * p[..., 1]
 
 
 class ExpPairing(CylindricalFunctional):
     """exp(i (phi, g)); complex-valued."""
 
     def __init__(self, g, label="e^{i(phi,g)}"):
-        self.g, self.label = g, label
+        self.g, self.gs, self.label = g, (g,), label
 
-    def value(self, config, beta, region):
-        return np.exp(1j * pairing(config, self.g, beta, region))
-
-    def value_with_extra(self, config, extra, beta, region):
-        return self.value(config, beta, region) * np.exp(1j * extra[id(self.g)])
-
-    def value_minus_loop(self, config, loop_idx, beta, region, cache):
-        return self.value(config, beta, region) * np.exp(-1j * cache[(loop_idx, id(self.g))])
-
-
-def _loop_pairings(config, gs, beta, region) -> dict:
-    """cache[(loop_idx, id(g))] = I_g(loop) for every loop and test function."""
-    out = {}
-    for i, lp in enumerate(config.loops):
-        for g in gs:
-            out[(i, id(g))] = loop_time_integral(lp.path, g, beta, region)
-    return out
-
-
-def _gather_gs(*fns) -> list:
-    gs = []
-    for F in fns:
-        for attr in ("g", "g1", "g2"):
-            if hasattr(F, attr):
-                gs.append(getattr(F, attr))
-    return gs
+    def of(self, p):
+        return np.exp(1j * p[..., 0])
 
 
 def gibbs_weights(configs, V: PairPotential | None, beta: float, region: BoxRegion) -> np.ndarray:
@@ -153,7 +106,7 @@ def mean_pairing(z, beta, region, f, n_mc, seed, j_max=None) -> tuple:
             continue
         bases = _sample_bases(n_mc, j, beta, region, rng)
         paths, _ = _fill_loop_paths(bases, j, beta, region, rng)
-        vals = np.array([loop_time_integral(p, f, beta, region) for p in paths])
+        vals = time_integrals(paths, f, beta, region)
         total += nus[j - 1] * vals.mean()
         var += nus[j - 1] ** 2 * vals.var(ddof=1) / n_mc
     return total, np.sqrt(var)
@@ -177,28 +130,30 @@ def integration_by_parts_check(
     G(phi) exp(-energy(phi)), and the added-loop shift includes the loop's
     interaction with the configuration.  Returns lhs, rhs, errors, and the
     sigma-distance between them.
+
+    Every loop is integrated once against the test functions of F, of G and
+    f; F and G then act on pairing vectors, with loops and bridge samples
+    along the leading axis: F(phi - d_w) = F(p - I(w)), G(phi + d_w) =
+    G(p + I(w)).
     """
-    gs = _gather_gs(F, G)
+    kf = len(F.gs)
+    fs = [*F.gs, *G.gs, f]  # pairing columns: F's [:kf], G's [kf:-1], f last
     ef, ef_err = mean_pairing(z, beta, region, f, 4 * n_mc, derive_seed(seed, "ef"), j_max)
 
     # lhs: E[ (sum_w I_f(w) F(phi - d_w) - E<phi,f> F(phi)) G_eff(phi) ]
     configs = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "lhs"), j_max)
     weights = gibbs_weights(configs, V, beta, region)
-    lhs_vals = np.empty(n_mc, dtype=complex)
-    for m, cfg in enumerate(configs):
-        cache = _loop_pairings(cfg, gs + [f], beta, region)
-        skor = 0.0 + 0.0j
-        for i in range(cfg.loop_count):
-            If = cache[(i, id(f))]
-            skor += If * F.value(cfg.spliced(drop=[i]), beta, region)
-        skor -= ef * F.value(cfg, beta, region)
-        lhs_vals[m] = skor * G.value(cfg, beta, region) * weights[m]
+    per_loop, owner, p = config_pairings(configs, fs, beta, region)
+    charlier = per_loop[:, -1] * F.of(p[owner, :kf] - per_loop[:, :kf])
+    skor = np.zeros(n_mc, dtype=charlier.dtype)
+    np.add.at(skor, owner, charlier)
+    f_val, g_val = F.of(p[:, :kf]), G.of(p[:, kf:-1]) * weights
+    lhs_vals = (skor - ef * f_val) * g_val
     lhs = lhs_vals.mean()
     k = min(200, n_mc)
     lhs_err = np.sqrt(
         (lhs_vals.real.var(ddof=1) + lhs_vals.imag.var(ddof=1)) / n_mc
-        + (ef_err * abs(np.mean([F.value(c, beta, region) * G.value(c, beta, region) * w
-                                 for c, w in zip(configs[:k], weights[:k])]))) ** 2
+        + (ef_err * abs(np.mean(f_val[:k] * g_val[:k]))) ** 2
     )
 
     # rhs: sum_j nu_j E_bridge[I_f (F(phi) (G_eff(phi + d_w) - G_eff(phi)))]
@@ -206,6 +161,9 @@ def integration_by_parts_check(
     rngb = generator(derive_seed(seed, "rhs-bridges"))
     configs2 = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "rhs"), j_max)
     weights2 = gibbs_weights(configs2, V, beta, region)
+    p2 = config_pairings(configs2, fs, beta, region)[2]
+    f_plain = F.of(p2[:, :kf])
+    g_plain = G.of(p2[:, kf:-1]) * weights2
     rhs = 0.0 + 0.0j
     rhs_var = 0.0
     for j in range(1, jm + 1):
@@ -213,22 +171,18 @@ def integration_by_parts_check(
             continue
         bases = _sample_bases(n_mc, j, beta, region, rngb)
         paths, images = _fill_loop_paths(bases, j, beta, region, rngb)
-        terms = np.empty(n_mc, dtype=complex)
-        for b in range(n_mc):
-            cfg = configs2[b]
-            w_loop = BridgeLoop(
-                base=paths[b, 0].copy(), winding=j, path=paths[b], image=images[b].copy()
-            )
-            If = loop_time_integral(paths[b], f, beta, region)
-            extra = {id(g): loop_time_integral(paths[b], g, beta, region) for g in gs}
-            gw = weights2[b]
-            g_plain = G.value(cfg, beta, region) * gw
-            if V is not None:
-                de = loop_in_config_energy(w_loop, cfg, V, beta, region)
-                g_shift = 0.0 if np.isinf(de) else G.value_with_extra(cfg, extra, beta, region) * gw * np.exp(-de)
-            else:
-                g_shift = G.value_with_extra(cfg, extra, beta, region) * gw
-            terms[b] = If * F.value(cfg, beta, region) * (g_shift - g_plain)
+        added = np.stack([time_integrals(paths, g, beta, region) for g in fs[kf:]], axis=-1)
+        g_shift = G.of(p2[:, kf:-1] + added[:, :-1]) * weights2
+        if V is not None:
+            de = np.array([
+                loop_in_config_energy(
+                    BridgeLoop(base=paths[b, 0], winding=j, path=paths[b], image=images[b]),
+                    configs2[b], V, beta, region,
+                )
+                for b in range(n_mc)
+            ])
+            g_shift = np.where(np.isinf(de), 0.0, g_shift * np.exp(-de))
+        terms = added[:, -1] * f_plain * (g_shift - g_plain)
         rhs += nus[j - 1] * terms.mean()
         rhs_var += nus[j - 1] ** 2 * (terms.real.var(ddof=1) + terms.imag.var(ddof=1)) / n_mc
     rhs_err = np.sqrt(rhs_var)

@@ -17,10 +17,12 @@ import numpy as np
 
 from ..errors import ActivityError
 from ..rng import derive_seed, generator
+from .energy import _trapezoid_weights
 from .loops import (
     LoopConfiguration,
     draw_winding_images,
     fill_bridges,
+    join,
     segment_survival_log,
 )
 from .regions import PERIODIC, BoxRegion, diagonal_mass, kernel
@@ -170,30 +172,68 @@ def _pack(blocks, region: BoxRegion) -> LoopConfiguration:
     )
 
 
+# Position floats one chunk of time_integrals may hold (2 MB).
+_CHUNK_FLOATS = 1 << 18
+
+
+def time_integrals(paths: np.ndarray, f, beta: float, region: BoxRegion) -> np.ndarray:
+    """Trapezoid integral of f(tau, omega(tau)) over [0, K dtau] along each
+    unwrapped path of a block (..., K + 1, d); returns shape (...).
+
+    f is called on knot times and wrapped positions (rows, knots, d) and must
+    broadcast over the leading axes.  Rows come in chunks, so the temporaries
+    stay bounded whatever the block size, and a test function with a declared
+    time support [0, t_max] is evaluated only at the knots inside it.
+    """
+    paths = np.asarray(paths, dtype=float)
+    n_knots, d = paths.shape[-2:]
+    flat = paths.reshape(-1, n_knots, d)
+    dtau = beta / region.n_slices
+    ts = dtau * np.arange(n_knots)
+    live = int(np.searchsorted(ts, getattr(f, "t_max", np.inf), side="right"))
+    ts, w = ts[:live], _trapezoid_weights(n_knots, dtau)[:live]
+    out = np.empty(flat.shape[0])
+    rows = max(1, _CHUNK_FLOATS // (max(live, 1) * d))
+    for a in range(0, flat.shape[0], rows):
+        xs = wrap_positions(flat[a : a + rows, :live], region)
+        vals = np.broadcast_to(f(ts, xs), xs.shape[:-1])
+        out[a : a + rows] = (vals * w).sum(axis=-1)
+    return out.reshape(paths.shape[:-2])
+
+
+def loop_integrals(config: LoopConfiguration, fs, beta: float, region: BoxRegion) -> np.ndarray:
+    """(loop_count, len(fs)) time integrals I_f(w) of each test function along
+    each loop; the loops of one winding go through one time_integrals call."""
+    out = np.empty((config.loop_count, len(fs)))
+    lengths = np.diff(config.offsets)
+    for n_knots in np.unique(lengths):
+        loops = np.flatnonzero(lengths == n_knots)
+        paths = config.knots[config.offsets[loops, None] + np.arange(n_knots)]
+        for k, f in enumerate(fs):
+            out[loops, k] = time_integrals(paths, f, beta, region)
+    return out
+
+
+def config_pairings(configs, fs, beta: float, region: BoxRegion) -> tuple:
+    """Pairings of a batch of configurations, every loop integrated once:
+    (per-loop integrals (n_loops, len(fs)) of all loops in order, each loop's
+    configuration index (n_loops,), totals (phi, f) (len(configs), len(fs)))."""
+    configs = list(configs)
+    per_loop = loop_integrals(join(configs), fs, beta, region)
+    owner = np.repeat(np.arange(len(configs)), [c.loop_count for c in configs])
+    totals = np.zeros((len(configs), len(fs)))
+    np.add.at(totals, owner, per_loop)
+    return per_loop, owner, totals
+
+
 def pairing(config: LoopConfiguration, f, beta: float, region: BoxRegion) -> float:
     """(phi, f) = sum_loops integral_0^{j beta} f(tau, omega(tau)) dtau (trapezoid)."""
-    dtau = beta / region.n_slices
-    knots = wrap_positions(config.knots, region)
-    total = 0.0
-    offsets = config.offsets.tolist()
-    for a, b in zip(offsets, offsets[1:]):
-        ts = dtau * np.arange(b - a)
-        vals = f(ts, knots[a:b])
-        wgt = np.full(ts.size, dtau)
-        wgt[0] = wgt[-1] = dtau / 2
-        total += float((vals * wgt).sum())
-    return total
+    return float(loop_integrals(config, [f], beta, region).sum())
 
 
 def loop_time_integral(path: np.ndarray, f, beta: float, region: BoxRegion) -> float:
     """Trapezoid integral of f along one unwrapped path."""
-    dtau = beta / region.n_slices
-    ts = dtau * np.arange(path.shape[0])
-    xs = wrap_positions(path, region)
-    vals = f(ts, xs)
-    wgt = np.full(ts.size, dtau)
-    wgt[0] = wgt[-1] = dtau / 2
-    return float((vals * wgt).sum())
+    return float(time_integrals(path, f, beta, region))
 
 
 def wrap_positions(path: np.ndarray, region: BoxRegion) -> np.ndarray:
@@ -227,16 +267,7 @@ def characteristic_functional(
             continue
         bases = _sample_bases(n_mc, j, beta, region, rng_formula)
         paths, _ = _fill_loop_paths(bases, j, beta, region, rng_formula)
-        dtau = beta / region.n_slices
-        ts = dtau * np.arange(paths.shape[1])
-        wgt = np.full(ts.size, dtau)
-        wgt[0] = wgt[-1] = dtau / 2
-        vals = np.array(
-            [
-                (f(ts, wrap_positions(p, region)) * wgt).sum()
-                for p in paths
-            ]
-        )
+        vals = time_integrals(paths, f, beta, region)
         term = np.exp(1j * vals) - 1.0
         log_gamma += nus[j - 1] * term.mean()
         log_var += (nus[j - 1] ** 2) * (term.real.var(ddof=1) + term.imag.var(ddof=1)) / n_mc
@@ -246,7 +277,7 @@ def characteristic_functional(
     configs = sample_free_poisson_batch(
         n_mc, z, beta, region, derive_seed(seed, "cf-empirical"), j_max
     )
-    phases = np.array([np.exp(1j * pairing(c, f, beta, region)) for c in configs])
+    phases = np.exp(1j * config_pairings(configs, [f], beta, region)[2][:, 0])
     empirical = phases.mean()
     emp_err = np.sqrt(
         (phases.real.var(ddof=1) + phases.imag.var(ddof=1)) / n_mc

@@ -40,7 +40,7 @@ from .energy import interaction_energy, loop_in_config_energy, pair_energy
 from .free import sample_free_poisson, winding_masses
 from .loops import BridgeLoop, LoopConfiguration, draw_winding_images, fill_bridges, segment_survival_log
 from .potential import PairPotential
-from .regions import DIRICHLET, PERIODIC, BoxRegion, free_kernel, kernel, wrap
+from .regions import DIRICHLET, PERIODIC, BoxRegion, _image_range, free_kernel, kernel, wrap
 
 MOVES = ("insert", "delete", "shift", "redraw", "merge", "cut")
 
@@ -86,9 +86,9 @@ def _draw_beta_bridge(x, y, beta: float, region: BoxRegion, rng) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if region.boundary == PERIODIC:
         shift = np.empty(region.d)
+        m = _image_range(region.L, beta, tol=1e-16)
+        ws = np.arange(-m, m + 1)
         for k in range(region.d):
-            m = int(np.sqrt(max(-4 * beta * np.log(1e-16), 0.0)) / region.L) + 1
-            ws = np.arange(-m, m + 1)
             p = np.exp(-((y[k] - x[k] + ws * region.L) ** 2) / (4 * beta))
             p = p / p.sum()
             shift[k] = rng.choice(ws, p=p) * region.L

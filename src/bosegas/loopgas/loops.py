@@ -18,18 +18,22 @@ configurations, which a Metropolis move can build without touching the
 current state.  `.loops` gives read-only BridgeLoop views for callers that
 work loop by loop.
 
-Bridge interiors are filled by recursive midpoint construction: split the
-knot range at its midpoint, draw the midpoint from the exact Gaussian
-conditional (variance 2 dt_left dt_right / dt_total per coordinate), recurse.
-The schedule is deterministic, so a batch of loops fills in lockstep with
-vectorized draws.
+Bridge interiors follow recursive midpoint construction: split the knot
+range at its midpoint, draw the midpoint from the exact Gaussian conditional
+(variance 2 dt_left dt_right / dt_total per coordinate), recurse.  The
+schedule is deterministic, so every knot is one fixed linear combination of
+the two endpoints and the scaled normals of the midpoints above it.  That
+map depends only on (n_intervals, dtau) (short bridges' maps are cached), and
+a batch of bridges is one draw of all its normals (in schedule order, as the
+recursion consumed them) and one matrix product.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .regions import PERIODIC, BoxRegion, wrap
+from .regions import PERIODIC, BoxRegion, _image_range, wrap
 
 
 @dataclass
@@ -177,6 +181,20 @@ class LoopConfiguration:
         return LoopConfiguration(knots=knots, offsets=self.offsets, windings=self.windings, images=self.images)
 
 
+def join(configs) -> LoopConfiguration:
+    """One configuration holding the loops of each configuration in turn."""
+    configs = [c for c in configs if c.loop_count]
+    if not configs:
+        return LoopConfiguration()
+    lengths = np.concatenate([np.diff(c.offsets) for c in configs])
+    return LoopConfiguration(
+        knots=np.concatenate([c.knots for c in configs]),
+        offsets=np.concatenate([[0], np.cumsum(lengths)]),
+        windings=np.concatenate([c.windings for c in configs]),
+        images=np.concatenate([c.images for c in configs]),
+    )
+
+
 def _midpoint_schedule(n_intervals: int):
     """Deterministic (a, m, b) splitting order for a bridge over n_intervals steps."""
     out = []
@@ -192,30 +210,64 @@ def _midpoint_schedule(n_intervals: int):
     return out
 
 
+# Maps of up to this many intervals (at most 34 KB each) are cached; a larger
+# one serves a batch whose own cost dwarfs building it.
+_CACHED_INTERVALS = 64
+
+
+def _bridge_map(n_intervals: int, dtau: float) -> np.ndarray:
+    """(n + 1, n + 1) map from (x0, x1, normal of each midpoint in schedule
+    order) to the knots of the midpoint construction.
+
+    Each step interpolates linearly between the ends of its range, so the
+    endpoints enter every knot linearly in time, and the normal drawn at
+    midpoint m of range (a, b) enters with its standard deviation times the
+    hat function that is 1 at m and falls linearly to 0 at a and at b.
+    """
+    a, m, b = np.array(_midpoint_schedule(n_intervals), dtype=int).reshape(-1, 3).T
+    t = dtau * np.arange(n_intervals + 1)
+    ta, tm, tb = t[a], t[m], t[b]
+    sd = np.sqrt(2.0 * (tm - ta) * (tb - tm) / (tb - ta))
+    rise = (t[:, None] - ta) * (sd / (tm - ta))
+    fall = (tb - t[:, None]) * (sd / (tb - tm))
+    coef = np.empty((n_intervals + 1, n_intervals + 1))
+    coef[:, 0] = (t[-1] - t) / t[-1]
+    coef[:, 1] = t / t[-1]
+    np.maximum(np.minimum(rise, fall), 0.0, out=coef[:, 2:])
+    coef.flags.writeable = False
+    return coef
+
+
+_cached_bridge_map = lru_cache(maxsize=64)(_bridge_map)
+
+
 def fill_bridges(x0: np.ndarray, x1: np.ndarray, n_intervals: int, dtau: float, rng) -> np.ndarray:
     """Batch of discrete Brownian bridges between fixed endpoints.
 
     x0, x1: (batch, d) endpoints; returns (batch, n_intervals + 1, d) with the
     exact Gaussian bridge law at the knot times (variance 2 t per coordinate).
+    The generator is advanced by one (n_intervals - 1, batch, d) normal draw,
+    the stream the recursion draws midpoint by midpoint.
     """
     batch, d = x0.shape
-    path = np.empty((batch, n_intervals + 1, d))
-    path[:, 0] = x0
-    path[:, -1] = x1
-    for a, m, b in _midpoint_schedule(n_intervals):
-        ta, tm, tb = a * dtau, m * dtau, b * dtau
-        w = (tb - tm) / (tb - ta)
-        mean = w * path[:, a] + (1 - w) * path[:, b]
-        var = 2.0 * (tm - ta) * (tb - tm) / (tb - ta)
-        path[:, m] = mean + np.sqrt(var) * rng.standard_normal((batch, d))
-    return path
+    n_knots = n_intervals + 1
+    src = np.empty((n_knots, batch, d))
+    src[0] = x0
+    src[1] = x1
+    rng.standard_normal(out=src[2:])
+    small = n_intervals <= _CACHED_INTERVALS
+    bridge_map = (_cached_bridge_map if small else _bridge_map)(n_intervals, dtau)
+    # with the draw transposed, BLAS writes each coordinate's knots in a row,
+    # and only the d coordinates of a bridge remain to be interleaved
+    knots = src.reshape(n_knots, -1).T.dot(bridge_map.T).reshape(batch, d, n_knots)
+    return np.ascontiguousarray(knots.swapaxes(1, 2))
 
 
 def draw_winding_images(count: int, j: int, beta: float, region: BoxRegion, rng) -> np.ndarray:
     """Spatial winding vectors for periodic loops, per coordinate with the
     image weights exp(-(w L)^2 / (4 j beta))."""
     t = j * beta
-    n = int(np.sqrt(max(-4 * t * np.log(1e-16), 0.0)) / region.L) + 1
+    n = _image_range(region.L, t, tol=1e-16)
     w = np.arange(-n, n + 1)
     p = np.exp(-((w * region.L) ** 2) / (4 * t))
     p = p / p.sum()

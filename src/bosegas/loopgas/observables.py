@@ -1,8 +1,9 @@
 """Moment estimation and reduced density matrices for the loop gas.
 
-Test functions on R+ x box are callables f(ts, xs) -> values over a path's
-knot times and positions, wrapped in LoopTestFunction with declared supports
-so disjoint-support products can be flagged.
+Test functions on R+ x box are callables f(ts, xs) -> values over knot
+times ts (K,) and positions xs (..., K, d), broadcasting over the leading
+axes of xs (paths come in blocks), wrapped in LoopTestFunction with declared
+supports so disjoint-support products can be flagged.
 """
 
 from dataclasses import dataclass
@@ -11,10 +12,10 @@ import numpy as np
 
 from ..rng import derive_seed, generator
 from .energy import intra_energy, loop_in_config_energy
-from .free import pairing, winding_masses
+from .free import config_pairings, winding_masses
 from .loops import BridgeLoop, fill_bridges, segment_survival_log
 from .potential import PairPotential
-from .regions import DIRICHLET, PERIODIC, BoxRegion, kernel, wrap
+from .regions import DIRICHLET, PERIODIC, BoxRegion, _image_range, kernel, wrap
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,10 @@ class LoopTestFunction:
     label: str = "f"
 
     def __call__(self, ts, xs):
-        vals = np.asarray(self.fn(ts, xs), dtype=float)
+        """Values at knot times ts (K,) and positions xs (..., K, d), shaped
+        xs.shape[:-1]; fn may return any shape that broadcasts to it."""
+        xs = np.asarray(xs)
+        vals = np.broadcast_to(np.asarray(self.fn(ts, xs), dtype=float), xs.shape[:-1])
         vals = np.where(np.asarray(ts) <= self.t_max, vals, 0.0)
         if self.box is not None:
             inside = np.ones_like(vals, dtype=bool)
@@ -52,9 +56,7 @@ def moment_estimate(configs, fs, beta: float, region: BoxRegion, n_batches: int 
     Pairwise-disjoint declared supports are flagged (the product then
     factorizes for the free measure) but still estimated.
     """
-    vals = np.array(
-        [np.prod([pairing(c, f, beta, region) for f in fs]) for c in configs]
-    )
+    vals = config_pairings(configs, fs, beta, region)[2].prod(axis=1)
     n = vals.size
     b = max(n // n_batches, 1)
     means = vals[: b * (n // b)].reshape(-1, b).mean(axis=1)
@@ -83,9 +85,9 @@ def _open_bridges(x, y, j: int, beta: float, region: BoxRegion, n_mc: int, rng):
     t = j * beta
     if region.boundary == PERIODIC:
         targets = np.empty((n_mc, region.d))
+        m = _image_range(region.L, t, tol=1e-16)
+        ws = np.arange(-m, m + 1)
         for k in range(region.d):
-            m = int(np.sqrt(max(-4 * t * np.log(1e-16), 0.0)) / region.L) + 1
-            ws = np.arange(-m, m + 1)
             p = np.exp(-((y[k] - x[k] + ws * region.L) ** 2) / (4 * t))
             p = p / p.sum()
             targets[:, k] = y[k] + rng.choice(ws, size=n_mc, p=p) * region.L
@@ -132,7 +134,7 @@ def reduced_density_matrix(
                 lp = BridgeLoop(
                     base=paths[b, 0].copy(),
                     winding=j,
-                    path=paths[b] if region.boundary == DIRICHLET else _wrap_path(paths[b], region),
+                    path=paths[b] if region.boundary == DIRICHLET else wrap(paths[b], region.L),
                     image=np.zeros(region.d, dtype=int),
                 )
                 if gibbs_configs is not None:
@@ -154,11 +156,6 @@ def reduced_density_matrix(
     else:
         rec["status"] = "value"
     return rec
-
-
-def _wrap_path(path: np.ndarray, region: BoxRegion) -> np.ndarray:
-    out = wrap(path, region.L)
-    return out
 
 
 def density_from_configs(configs, region: BoxRegion) -> tuple:

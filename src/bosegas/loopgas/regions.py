@@ -102,9 +102,16 @@ def kernel(x, y, region: BoxRegion, t: float):
 
 
 def diagonal_mass(region: BoxRegion, t: float) -> float:
-    """Total diagonal bridge mass integral_box p_t(x, x) dx, by image sums."""
+    """Total diagonal bridge mass integral_box p_t(x, x) dx, by image sums.
+
+    The Dirichlet image form is a difference of two terms that both tend to
+    1/2 as t grows (its value is about exp(-pi^2 t / L^2)), so for t >= L^2
+    the mass is the sine-mode trace, whose terms are all positive.
+    """
     if region.boundary == PERIODIC:
         one_dim = region.L * (4 * pi * t) ** -0.5 * theta_image_sum(region.L, t)
+    elif t >= region.L**2:
+        return dirichlet_mode_trace(region, t)
     else:
         # integral of the alternating image sum: L p_free Theta(images at 2L... ) - 1/2
         n = _image_range(region.L, t) + 1

@@ -114,6 +114,42 @@ class TestIntegrationByParts:
         assert abs(val - sum(ts_weight)) < max(3 * err, 1e-10)
 
 
+# Records of criterion 8's (F, G) pairs at V = 0 and at the hard core, from the
+# loop-by-loop evaluation (each F(phi - d_w) re-paired on the reduced
+# configuration); the pairing-vector evaluation must reproduce them.
+PINNED_IBP = {
+    ("pairing", 0.4): dict(
+        lhs=-0.012464497012229223, rhs=-0.014291698914050136,
+        lhs_err=0.012960278053866545, rhs_err=0.010431734003114831, mean_pairing=0.33849628588108965,
+    ),
+    ("pairing", 0.2): dict(
+        lhs=0.001098422121973633, rhs=0.004247465946914795,
+        lhs_err=0.0023862821314319742, rhs_err=0.004448216483010558, mean_pairing=0.15079427337405923,
+    ),
+    ("exp", 0.4): dict(
+        lhs=-0.1074602444967405 + 0.02892800520960469j, rhs=-0.01915341919431579 - 0.0062071315781898374j,
+        lhs_err=0.07058719227531403, rhs_err=0.02121797207393195, mean_pairing=0.33849628588108965,
+    ),
+    ("exp", 0.2): dict(
+        lhs=-0.0019809554130790527 + 0.014352372983624573j, rhs=-0.032625166557181146 - 0.005520858947090996j,
+        lhs_err=0.04737917489724009, rhs_err=0.012209413066222473, mean_pairing=0.15079427337405923,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,z", list(PINNED_IBP))
+def test_ibp_records_pinned(kind, z):
+    region = BoxRegion(d=1, L=5.0, n_slices=8)
+    f = LoopTestFunction(fn=lambda ts, xs: np.cos(2 * np.pi * xs[..., 0] / 5.0) + 0.5, t_max=1.0)
+    g1 = LoopTestFunction(fn=lambda ts, xs: np.sin(2 * np.pi * xs[..., 0] / 5.0), t_max=2.0)
+    g2 = LoopTestFunction(fn=lambda ts, xs: np.cos(4 * np.pi * xs[..., 0] / 5.0), t_max=2.0)
+    F, G = (Pairing(g1), Pairing(g2)) if kind == "pairing" else (ExpPairing(g1), ExpPairing(g2))
+    V, seed = (None, 801) if z == 0.4 else (hard_core(1, 0.4), 802)
+    rec = integration_by_parts_check(z, 1.0, region, V, f, F, G, n_mc=80, seed=seed)
+    for key, want in PINNED_IBP[(kind, z)].items():
+        assert abs(rec[key] - want) <= 1e-12 * abs(want), key
+
+
 class TestReducedDensityMatrix:
     def test_free_matches_closed_form(self):
         region = BoxRegion(d=3, L=7.0, n_slices=8)

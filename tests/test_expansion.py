@@ -151,6 +151,22 @@ class TestConvergenceRadius:
         assert a.radius_lower_bound > 0
 
 
+class TestPinnedRecords:
+    # values of the one-midpoint-at-a-time bridge construction; the bridge map
+    # draws the same normals, and a hard core turns every energy into 0 or inf,
+    # so the records stay bit-identical
+    def test_mayer_and_radius_records(self):
+        V = hard_core(3, 1.0)
+        b2 = mayer_coefficient(2, 1.0, V, None, n_mc=300, seed=803)
+        b3 = mayer_coefficient(3, 1.0, V, None, n_mc=300, seed=804)
+        r = convergence_radius(0.5, V, n_mc=150, n_ref=2, seed=805)
+        assert (b2.value, b2.error) == (-0.010845269907677441, 0.008479214131160536)
+        assert (b3.value, b3.error) == (0.00036001622674289974, 6.905304341603783e-05)
+        assert (r.radius_lower_bound, r.C_value, r.C_error) == (
+            0.30245018513345856, 1.2163306860239236, 0.6081653430119617
+        )
+
+
 class TestOrderByOrderChainMatch:
     @pytest.mark.slow
     def test_richardson_recovers_b1_b2(self):
