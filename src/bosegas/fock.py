@@ -7,19 +7,36 @@ gauge-invariant interaction enters only through its occupation-diagonal part
     E_int = Vhat(0) (N^2 - N) / (2|box|)
           + (1/(2|box|)) sum_{k != k'} Vhat(k - k') n_k n_k'.
 
-Enumeration is exhaustive and lexicographic (vectorized in fixed-size chunks)
-with compensated accumulation, so results are deterministic bit-for-bit.
+Enumeration is exhaustive and lexicographic, and one pass (`_fock_sums`)
+yields every sum the three traces need.  The state space is a product: the
+head rows (n_1..n_{M-1}) are enumerated in blocks of about _CHUNK states and
+the last mode is a broadcast axis t = 0..n_max, so a block's energies are
+
+    E = A_h + B_t + C_h t,   C_h = 2 sum_{k in head} (Vhat(0) + Vhat(k, M)) n_k / (2|box|),
+
+with A_h the head's free and head-head terms and B_t the tail's.  Of the
+weights w = exp(-beta E) only the row sums r and the column sums c are kept:
+Z is the compensated sum (fsum) of r, <n_k> takes r against the head
+occupations and c against t, and the lowest mode's histogram bins r by its
+occupation (or is c when that mode is the last).  Weights are taken relative
+to the lowest energy met so far, so no sum overflows for any mu.  Every
+state's weight is computed; the closed-form mode product, which the tests
+compare against, is never used.  Results are deterministic bit-for-bit.
 """
 
 from dataclasses import dataclass
-from math import fsum
+from math import exp, fsum, isfinite, log
 
 import numpy as np
 
-from .errors import ResourceBudgetError, TruncationError
+from .errors import CondensationBoundaryError, ResourceBudgetError, TruncationError
 
 STATE_BUDGET = 10_000_000
 _CHUNK = 1 << 16
+_LOG_MAX = float(np.log(np.finfo(float).max))
+# weights below exp(_LOG_TINY) of the largest one are set to zero: they cannot
+# move Z, and exp leaves numpy's vector path near the underflow threshold
+_LOG_TINY = -700.0
 
 
 @dataclass(frozen=True)
@@ -76,29 +93,81 @@ class DiagonalInteraction:
         return float(self.vhat[0, 0])
 
 
-def _occupation_chunks(fock: TruncatedFock):
-    """Yield (chunk_index, occupations (chunk, M)) in lexicographic order."""
-    M, base = fock.n_modes, fock.n_max + 1
-    total = fock.state_count
-    powers = base ** np.arange(M - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        occ = (idx[:, None] // powers[None, :]) % base
-        yield occ
+def _fock_sums(
+    fock: TruncatedFock,
+    beta: float,
+    mu: float,
+    interaction: DiagonalInteraction | None,
+):
+    """One pass over every state: the weight sums behind Z, <n_k> and P(n_0).
 
-
-def _energies(fock: TruncatedFock, mu: float, interaction: DiagonalInteraction | None, occ):
+    Returns (Z, boundary, num, hist, shift).  Every weight is taken relative to
+    the lowest energy met so far (a streaming log-sum-exp), so all four sums
+    are exp(beta * shift) times their true values, with shift <= 0 the lowest
+    energy; shift = 0 when the vacuum is the lowest state.  Z is the
+    compensated sum of all weights, boundary that of the states with some
+    occupation at the cutoff, num[k] the numerator of <n_k> and hist[m] the
+    weight of n_k0 = m for the lowest mode k0.
+    """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    M, n_max = fock.n_modes, fock.n_max
+    base = n_max + 1
     lam = np.asarray(fock.energies, dtype=float)
-    occf = occ.astype(float)
-    N = occf.sum(axis=1)
-    E = occf @ lam + mu * N
+    k0 = int(np.argmin(lam))
+    t = np.arange(base, dtype=float)
+    # E = A_h + B_t + C_h t over head rows h (modes 0..M-2) and tail column t
+    head_lam = lam[:-1] + mu
+    B = (lam[-1] + mu) * t
     if interaction is not None:
-        vol2 = 2.0 * interaction.volume
-        E = E + interaction.vhat0 * (N**2 - N) / vol2
-        # off-diagonal sum_{k != k'} Vhat n_k n_k' = n.Vhat.n - Vhat(0) sum n_k^2
-        quad = np.einsum("ck,kl,cl->c", occf, interaction.vhat, occf)
-        E = E + (quad - interaction.vhat0 * (occf**2).sum(axis=1)) / vol2
-    return E, N
+        v, v0, vol2 = interaction.vhat, interaction.vhat0, 2.0 * interaction.volume
+        head_v = v[:-1, :-1] - v0 * np.eye(M - 1)  # off-diagonal head-head pairs
+        head_tail = 2.0 * (v0 + v[:-1, -1]) / vol2
+        B = B + v0 * (t**2 - t) / vol2
+    powers = base ** np.arange(M - 2, -1, -1, dtype=np.int64)
+    n_head = base ** (M - 1)
+    rows = max(1, _CHUNK // base)
+    z_parts, boundary = [], 0.0
+    num, hist = np.zeros(M), np.zeros(base)
+    shift = 0.0  # the vacuum's energy
+    # fixed block buffers: fresh arrays of this size cost a page fault per use
+    E_buf, w_buf = np.empty((rows, base)), np.empty((rows, base))
+    tiny_buf = np.empty((rows, base), dtype=bool)
+    for start in range(0, n_head, rows):
+        idx = np.arange(start, min(start + rows, n_head), dtype=np.int64)
+        occ = (idx[:, None] // powers) % base
+        occf = occ.astype(float)
+        E, w, tiny = E_buf[: idx.size], w_buf[: idx.size], tiny_buf[: idx.size]
+        A = occf @ head_lam
+        if interaction is None:
+            np.add(A[:, None], B, out=E)
+        else:
+            N = occf.sum(axis=1)
+            A = A + (v0 * (N**2 - N) + ((occf @ head_v) * occf).sum(axis=1)) / vol2
+            np.add(A[:, None], B, out=E)
+            E += np.multiply((occf @ head_tail)[:, None], t, out=w)
+        e_min = float(E.min())
+        if e_min < shift:
+            scale = exp(-beta * (shift - e_min))
+            z_parts = [z * scale for z in z_parts]
+            boundary *= scale
+            num *= scale
+            hist *= scale
+            shift = e_min
+        np.subtract(E, shift, out=w)
+        w *= -beta
+        np.less(w, _LOG_TINY, out=tiny)
+        np.maximum(w, _LOG_TINY, out=w)
+        np.exp(w, out=w)
+        np.putmask(w, tiny, 0.0)
+        r, c = w.sum(axis=1), w.sum(axis=0)
+        z_parts.append(fsum(r))
+        at_cut = (occ == n_max).any(axis=1)
+        boundary += r[at_cut].sum() + w[~at_cut, -1].sum()
+        num[:-1] += r @ occf
+        num[-1] += c @ t
+        hist += c if k0 == M - 1 else np.bincount(occ[:, k0], weights=r, minlength=base)
+    return fsum(z_parts), boundary, num, hist, shift
 
 
 def exact_partition(
@@ -110,25 +179,23 @@ def exact_partition(
 ) -> float:
     """Z as a compensated sum over all occupation tuples.
 
-    Raises TruncationError when states with any occupation at the cutoff carry
-    more than tail_tol of the total weight (cutoff too small).
+    Raises CondensationBoundaryError for a free gas with mu <= -min(energies)
+    (the same domain as the spectral pressure), OverflowError when Z exceeds
+    the double range, and TruncationError when states with any occupation at
+    the cutoff carry more than tail_tol of the total weight (cutoff too small).
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    parts, boundary_parts = [], []
-    for occ in _occupation_chunks(fock):
-        E, _ = _energies(fock, mu, interaction, occ)
-        w = np.exp(-beta * E)
-        parts.append(fsum(w))
-        at_cut = (occ == fock.n_max).any(axis=1)
-        if at_cut.any():
-            boundary_parts.append(fsum(w[at_cut]))
-    Z = fsum(parts)
-    boundary = fsum(boundary_parts)
+    if interaction is None and mu <= -float(np.min(fock.energies)):
+        raise CondensationBoundaryError("condensation boundary crossed: mu <= -min(energies)")
+    Z, boundary, _, _, shift = _fock_sums(fock, beta, mu, interaction)
     if boundary > tail_tol * Z:
         raise TruncationError(
             f"boundary states carry relative weight {boundary / Z:.3e} > {tail_tol:.1e}; raise n_max"
         )
+    log_z = log(Z) - beta * shift
+    if log_z < _LOG_MAX:
+        Z *= exp(-beta * shift)
+    if not (log_z < _LOG_MAX and isfinite(Z)):
+        raise OverflowError(f"Z = exp({log_z:.6g}) exceeds the double range")
     return Z
 
 
@@ -139,16 +206,8 @@ def exact_occupations(
     interaction: DiagonalInteraction | None = None,
 ) -> np.ndarray:
     """Gibbs averages <n_k> over the same enumeration; sums to <N>."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    num = np.zeros(fock.n_modes)
-    Z_parts = []
-    for occ in _occupation_chunks(fock):
-        E, _ = _energies(fock, mu, interaction, occ)
-        w = np.exp(-beta * E)
-        Z_parts.append(fsum(w))
-        num += w @ occ.astype(float)
-    return num / fsum(Z_parts)
+    Z, _, num, _, _ = _fock_sums(fock, beta, mu, interaction)
+    return num / Z
 
 
 def exact_zero_mode_statistics(
@@ -158,14 +217,7 @@ def exact_zero_mode_statistics(
     interaction: DiagonalInteraction | None = None,
 ) -> np.ndarray:
     """Full histogram P(n_0 = m), m = 0..n_max, for the lowest-energy mode."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    k0 = int(np.argmin(fock.energies))
-    hist = np.zeros(fock.n_max + 1)
-    for occ in _occupation_chunks(fock):
-        E, _ = _energies(fock, mu, interaction, occ)
-        w = np.exp(-beta * E)
-        hist += np.bincount(occ[:, k0], weights=w, minlength=fock.n_max + 1)
+    hist = _fock_sums(fock, beta, mu, interaction)[3]
     return hist / hist.sum()
 
 

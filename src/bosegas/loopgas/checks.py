@@ -258,8 +258,7 @@ def _window_density_exact(z, beta, region, window) -> float:
     lo, hi = window
     xs = np.linspace(lo, hi, 9)
     pts = np.stack(np.meshgrid(*([xs] * region.d), indexing="ij"), axis=-1).reshape(-1, region.d)
-    vals = [free_rdm(z, beta, region, p, p) for p in pts]
-    return float(np.mean(vals))
+    return float(np.mean(free_rdm(z, beta, region, pts, pts)))
 
 
 def sigma_independence_check(

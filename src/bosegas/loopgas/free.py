@@ -291,12 +291,17 @@ def characteristic_functional(
     }
 
 
-def free_rdm(z: float, beta: float, region: BoxRegion, x, y, j_max: int | None = None) -> float:
-    """Closed-form noninteracting one-particle kernel sum_j z^j p_{j beta}(x, y)."""
-    nus, jm = winding_masses(z, beta, region, j_max)
+def free_rdm(z: float, beta: float, region: BoxRegion, x, y, j_max: int | None = None):
+    """Closed-form noninteracting one-particle kernel sum_j z^j p_{j beta}(x, y).
+
+    x and y are points (d,) or arrays of points (..., d) that broadcast over
+    their leading axes; a single pair gives a float.
+    """
+    _, jm = winding_masses(z, beta, region, j_max)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     total = 0.0
     for j in range(1, jm + 1):
-        total += z**j * float(kernel(x, y, region, j * beta)[0])
-    return total
+        total = total + z**j * kernel(x, y, region, j * beta)
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    return float(total[0]) if shape == () else total.reshape(shape)

@@ -14,7 +14,9 @@ verifies that identity by direct quadrature.
 Switching on a perturbation reweights the mixture: the renormalized measure is
 dlambda_0 times the normalized partition-function ratio of each component,
 estimated per node by free sampling with common random numbers (components
-share the covariance and differ only in the mean).
+share the covariance and differ only in the mean).  Because a node only adds
+a constant to every sample, all node actions come from one set of power sums
+of the shared samples (`shifted_action_batch`).
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .fields import ThermalFieldParams, sample_fields
-from .perturb import PolynomialPerturbation, mollify, perturbation_action_batch
+from .perturb import PolynomialPerturbation, mollify, shifted_action_batch
 
 
 @dataclass(frozen=True)
@@ -99,31 +101,22 @@ def renormalized_mixing(
     if pert.mollifier_width > 0:
         centered = mollify(centered, grid, pert.mollifier_width)
     m = np.sqrt(params.c * r)[:, None] * np.cos(theta)[None, :]  # node offsets
-    n_r, n_t = m.shape
-    log_znode = np.empty((n_r, n_t))
-    log_w_samples = np.empty((n_r, n_t, n_samples))
-    for i in range(n_r):
-        for j in range(n_t):
-            acts = perturbation_action_batch(centered + m[i, j], grid, pert, premollified=True)
-            log_w_samples[i, j] = acts
-            log_znode[i, j] = logsumexp(acts) - np.log(n_samples)
+    log_w_samples = shifted_action_batch(centered, grid, pert, m.ravel()).reshape(m.shape + (n_samples,))
+    log_znode = logsumexp(log_w_samples, axis=-1) - np.log(n_samples)
     log_z = logsumexp(np.log(w0) + log_znode)
     weights = w0 * np.exp(log_znode - log_z)
     weights = weights / weights.sum()
 
     def var_r(wt):
-        mean_r = (wt * r[:, None]).sum()
-        return ((wt * (r[:, None] ** 2)).sum() - mean_r**2)
+        """Variance of r under the table wt[i, j, ...] (trailing axes are a batch)."""
+        rr = r.reshape((-1,) + (1,) * (wt.ndim - 1))
+        return (wt * rr**2).sum(axis=(0, 1)) - (wt * rr).sum(axis=(0, 1)) ** 2
 
     v_full = var_r(weights)
-    # delete-one jackknife over the shared samples
+    # delete-one jackknife over the shared samples: table s leaves sample s out
     w_lin = np.exp(log_w_samples - log_w_samples.max())
-    tot = w_lin.sum(axis=-1)
-    loo_vars = np.empty(n_samples)
-    for s in range(n_samples):
-        z_loo = w0 * (tot - w_lin[:, :, s]) / (n_samples - 1)
-        z_loo = z_loo / z_loo.sum()
-        loo_vars[s] = var_r(z_loo)
+    z_loo = w0[..., None] * (w_lin.sum(axis=-1, keepdims=True) - w_lin)
+    loo_vars = var_r(z_loo / z_loo.sum(axis=(0, 1)))
     jk_err = float(np.sqrt((n_samples - 1) / n_samples * ((loo_vars - loo_vars.mean()) ** 2).sum()))
     return {
         "r": r,

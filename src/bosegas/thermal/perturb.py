@@ -20,6 +20,7 @@ distribution cannot produce a silently wrong number.
 """
 
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 
@@ -146,6 +147,46 @@ def perturbation_action_batch(
         Pflat = Pm.reshape(Pm.shape[: -grid.d] + (-1,))[..., mask.ravel()]
         quad = np.einsum("...i,ij,...j->...", Pflat, Fsub, Pflat) * grid.cell**2
     return -pert.lam * grid.dtau * quad.sum(axis=-1)
+
+
+def shifted_action_batch(
+    values: np.ndarray,
+    grid: FieldGrid,
+    pert: PolynomialPerturbation,
+    shifts,
+) -> np.ndarray:
+    """perturbation_action_batch(values + m, grid, pert, premollified=True) for
+    every constant shift m: shape (len(shifts), n).
+
+    Taylor expansion gives P(phi + m) = sum_p c_p(m) phi^p with
+    c_p(m) = P^(p)(m) / p!, so the samples enter only through deg + 1 power
+    fields phi^p restricted to the region: their sums S_p for a local P (each
+    action is c(m) . S) or, for a kernel F, the Gram matrix
+    G_pq = <phi^p, F * phi^q> (each action is c(m)^T G c(m)), which takes
+    deg + 1 FFTs whatever the number of shifts.
+    """
+    shifts = np.asarray(shifts, dtype=float)
+    n = values.shape[0]
+    if pert.lam == 0.0:
+        return np.zeros((shifts.size, n))
+    poly = pert.poly()
+    deg = poly.degree()
+    C = np.stack([poly.deriv(p)(shifts) / factorial(p) for p in range(deg + 1)], axis=-1)
+    mask = _region_mask(grid, pert.region)
+    spatial = tuple(range(-grid.d, 0))
+    powers = np.empty((deg + 1,) + values.shape)
+    powers[0] = mask
+    for p in range(1, deg + 1):
+        np.multiply(powers[p - 1], values, out=powers[p])
+    if pert.kernel is None:
+        S = powers.reshape(deg + 1, n, -1).sum(axis=-1) * grid.cell  # (deg + 1, n)
+        return -pert.lam * grid.dtau * (C @ S)
+    # Parseval: sum_x a(x) (F * b)(x) = sum_k conj(a^_k) F^_k b^_k / n_cells
+    spec = np.fft.fftn(powers, axes=spatial)
+    filtered = (spec * np.fft.fftn(_kernel_matrix(grid, pert.kernel))).reshape(deg + 1, n, -1)
+    spec = spec.reshape(deg + 1, n, -1).conj()
+    G = np.einsum("pnk,qnk->npq", spec, filtered).real * grid.cell**2 / mask.size
+    return -pert.lam * grid.dtau * np.einsum("sp,npq,sq->sn", C, G, C)
 
 
 def perturbation_action(sample: FieldSample, pert: PolynomialPerturbation) -> float:

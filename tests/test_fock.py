@@ -1,9 +1,13 @@
 """Exact Fock traces against closed forms and the mode-sum free energy."""
 
+import itertools
+from math import fsum
+
 import numpy as np
 import pytest
 
-from bosegas.errors import ResourceBudgetError, TruncationError
+import bosegas.fock as fock_module
+from bosegas.errors import CondensationBoundaryError, ResourceBudgetError, TruncationError
 from bosegas.fock import (
     DiagonalInteraction,
     TruncatedFock,
@@ -14,6 +18,9 @@ from bosegas.fock import (
     solve_mu_for_number,
 )
 from bosegas.spectral import TorusGeometry, build_torus_spectrum, pressure
+
+# an overflow or invalid value anywhere in the oracle fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def uniform_interaction(n_modes, vhat0, volume):
@@ -176,3 +183,126 @@ class TestSharedModeSetWithSpectralGas:
         lnz = np.log(exact_partition(fock, beta, mu))
         target = shared.volume * pressure(shared, beta, mu)
         assert abs(lnz - target) / abs(target) < 1e-12
+
+
+def brute_force(energies, n_max, beta, mu, interaction=None):
+    """Z, <n_k> and the lowest mode's histogram from itertools.product and fsum."""
+    lam = np.asarray(energies, dtype=float)
+    M, k0 = lam.size, int(np.argmin(lam))
+    states = np.array(list(itertools.product(range(n_max + 1), repeat=M)), dtype=float)
+    N = states.sum(axis=1)
+    E = states @ lam + mu * N
+    if interaction is not None:
+        v, v0, vol2 = interaction.vhat, interaction.vhat0, 2.0 * interaction.volume
+        off = v - v0 * np.eye(M)
+        E = E + (v0 * (N**2 - N) + np.einsum("sk,kl,sl->s", states, off, states)) / vol2
+    w = np.exp(-beta * E)
+    Z = fsum(w)
+    occ = np.array([fsum(w * states[:, k]) for k in range(M)]) / Z
+    hist = np.array([fsum(w[states[:, k0] == m]) for m in range(n_max + 1)]) / Z
+    return Z, occ, hist
+
+
+def random_interaction(M, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.1, 0.6, (M, M))
+    v = 0.5 * (a + a.T)
+    np.fill_diagonal(v, 0.7)
+    return DiagonalInteraction(vhat=v, volume=1.5)
+
+
+class TestAgainstBruteForce:
+    """The one-pass head x tail kernel against a state-by-state sum."""
+
+    CASES = [
+        (np.array([0.4]), 30, 0.3),
+        (np.array([0.0, 0.6]), 14, 0.5),  # lowest mode in the head
+        (np.array([0.9, 0.2]), 14, 0.1),  # lowest mode is the last (tail) mode
+        (np.array([0.5, 0.8, 0.0]), 8, 0.4),  # tail lowest, M = 3
+        (np.array([0.7, 0.0, 1.1]), 8, 0.4),  # head lowest, M = 3
+        (np.array([0.3, 0.0, 0.5]), 8, -0.6),  # vacuum is not the lowest state
+    ]
+
+    @pytest.mark.parametrize("chunk", [None, 8])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("interacting", [False, True])
+    def test_sums_match(self, case, interacting, chunk, monkeypatch):
+        if chunk is not None:  # several blocks, so the running shift moves
+            monkeypatch.setattr(fock_module, "_CHUNK", chunk)
+        lam, n_max, mu = self.CASES[case]
+        beta = 1.3
+        inter = random_interaction(lam.size, case) if interacting else None
+        fock = TruncatedFock(energies=lam, n_max=n_max)
+        Z, occ, hist = brute_force(lam, n_max, beta, mu, inter)
+        if inter is None and mu <= -lam.min():
+            with pytest.raises(CondensationBoundaryError):
+                exact_partition(fock, beta, mu, inter, tail_tol=1.0)
+        else:
+            assert exact_partition(fock, beta, mu, inter, tail_tol=1.0) == pytest.approx(Z, rel=1e-13)
+        np.testing.assert_allclose(exact_occupations(fock, beta, mu, inter), occ, rtol=1e-13)
+        np.testing.assert_allclose(exact_zero_mode_statistics(fock, beta, mu, inter), hist,
+                                   rtol=1e-13, atol=0)
+
+
+class TestBelowLowestMode:
+    """mu below -min(energies): no inf or NaN out of the oracle."""
+
+    fock = TruncatedFock(energies=np.array([0.0, 0.5]), n_max=40)
+
+    def test_free_partition_raises(self):
+        with pytest.raises(CondensationBoundaryError):
+            exact_partition(self.fock, 1.0, -30.0)
+
+    def test_free_occupations_and_histogram_finite(self):
+        occ = exact_occupations(self.fock, 1.0, -30.0)
+        hist = exact_zero_mode_statistics(self.fock, 1.0, -30.0)
+        # the fully occupied state dominates: each mode sits at the cutoff
+        np.testing.assert_allclose(occ, [40.0, 40.0], rtol=1e-11)
+        assert np.all(np.isfinite(hist)) and hist[-1] == pytest.approx(1.0, rel=1e-11)
+
+    def test_interacting_partition_overflow_raises(self):
+        inter = uniform_interaction(2, 0.5, 1.0)
+        with pytest.raises(OverflowError):
+            exact_partition(self.fock, 1.0, -30.0, inter, tail_tol=1.0)
+        occ = exact_occupations(self.fock, 1.0, -30.0, inter)
+        assert np.all(np.isfinite(occ)) and np.all(occ > 0)
+
+    def test_interacting_partition_finite_below_vacuum(self):
+        # lowest state well below the vacuum but Z representable
+        lam = np.array([0.0, 0.5])
+        inter = uniform_interaction(2, 0.5, 1.0)
+        fock = TruncatedFock(energies=lam, n_max=40)
+        Z, occ, _ = brute_force(lam, 40, 1.0, -3.0, inter)
+        assert exact_partition(fock, 1.0, -3.0, inter) == pytest.approx(Z, rel=1e-13)
+        np.testing.assert_allclose(exact_occupations(fock, 1.0, -3.0, inter), occ, rtol=1e-13)
+
+
+class TestPinnedWorkloadOracle:
+    """The benchmark's 4-mode, n_max = 45 oracle (d = 1, L = 6, gauss:0.5,0.5):
+    ln Z, <n_k> and histogram bins as the chunked enumeration gave them."""
+
+    k2 = (2 * np.pi / 6.0) ** 2
+    modes = np.array([0.0, 1.0, -1.0, 2.0])
+    bins = [0, 1, 2, 5, 10, 20, 45]
+    PINNED = {
+        False: (0.9274383835652091,
+                [0.8159662209160868, 0.17657386317885404, 0.17657386317885393, 0.005623035933478121],
+                [0.5506710358827799, 0.2474324461225651, 0.11117856470524295, 0.010085891839714135,
+                 0.000184729552807035, 6.196986123590364e-08, 1.2772940396839835e-16]),
+        True: (0.8534735811266291,
+               [0.6565164263542762, 0.15292597297361663, 0.15294822593158022, 0.005006466855774365],
+               [0.5882583293254557, 0.2526998213782476, 0.10148285484271091, 0.004347761162567224,
+                5.546261325499698e-06, 3.9295097661881215e-14, 1.7461115221613075e-48]),
+    }
+
+    @pytest.mark.parametrize("interacting", [False, True])
+    def test_pinned(self, interacting):
+        dk = np.sqrt(self.k2) * (self.modes[:, None] - self.modes[None, :])
+        vhat = 0.5 * np.sqrt(np.pi) * 0.5 * np.exp(-(0.5 * dk) ** 2 / 4)
+        inter = DiagonalInteraction(vhat=vhat, volume=6.0) if interacting else None
+        fock = TruncatedFock(energies=self.k2 * self.modes**2, n_max=45)
+        lnz, occ, hist = self.PINNED[interacting]
+        assert np.log(exact_partition(fock, 1.0, 0.8, inter)) == pytest.approx(lnz, rel=1e-13)
+        np.testing.assert_allclose(exact_occupations(fock, 1.0, 0.8, inter), occ, rtol=1e-13)
+        got = exact_zero_mode_statistics(fock, 1.0, 0.8, inter)[self.bins]
+        np.testing.assert_allclose(got, hist, rtol=1e-13, atol=0)

@@ -277,6 +277,19 @@ class TestFreeRDM:
             free_rdm(0.5, 1.0, region, x, y), free_rdm(0.5, 1.0, region, y, x), rtol=1e-12
         )
 
+    @pytest.mark.parametrize("boundary", ["periodic", DIRICHLET])
+    def test_point_arrays_match_scalars(self, boundary):
+        # leading point axes broadcast; each entry is the single-pair value
+        region = BoxRegion(d=3, L=6.0, boundary=boundary)
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(0.0, 6.0, (4, 5, 3))
+        ys = rng.uniform(0.0, 6.0, (5, 3))
+        got = free_rdm(0.6, 1.0, region, xs, ys)
+        assert got.shape == (4, 5)
+        ref = [[free_rdm(0.6, 1.0, region, xs[a, b], ys[b]) for b in range(5)] for a in range(4)]
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+        assert isinstance(free_rdm(0.6, 1.0, region, xs[0, 0], ys[0]), float)
+
 
 class TestMoments:
     def test_positive_function_positive_moment(self):

@@ -12,7 +12,9 @@ from bosegas.thermal import (
     mixing_convergence_diagnostic,
     mixing_decomposition_check,
     renormalized_mixing,
+    sample_fields,
 )
+from bosegas.thermal.perturb import mollify, perturbation_action_batch, shifted_action_batch
 
 
 def bessel_oracle(c, f0):
@@ -102,6 +104,57 @@ class TestRenormalizedMixing:
         pert = PolynomialPerturbation(coeffs=(0.0, 0.0, 1.0), lam=0.1, mollifier_width=0.5)
         with pytest.raises(ValueError):
             renormalized_mixing(p, pert, 4, 4, 100)
+
+
+def _gauss(r):
+    return np.exp(-np.asarray(r) ** 2)
+
+
+class TestShiftedActions:
+    """All node actions from one set of power sums, against one
+    perturbation_action_batch call per shifted batch."""
+
+    PERTS = {
+        "local": dict(coeffs=(0.0, 0.0, 1.0, 0.0, 1.0), lam=1e-2),
+        "local-region": dict(coeffs=(0.1, -0.3, 1.0, 0.2, 1.0), lam=1e-2, region=((1.0, 3.0),)),
+        "nonlocal": dict(coeffs=(0.5, 0.0, 1.0), lam=0.2, kernel=_gauss),
+        "nonlocal-region": dict(coeffs=(0.5, 0.0, 1.0, 0.0, 0.3), lam=0.2, kernel=_gauss,
+                                region=((1.0, 3.0),)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PERTS))
+    def test_matches_per_shift_batches(self, name):
+        p = critical_params()
+        pert = PolynomialPerturbation(mollifier_width=0.5, **self.PERTS[name])
+        phi = sample_fields(p, 40, 11)
+        centered = mollify(phi - phi.mean(axis=(1, 2), keepdims=True), p.grid, 0.5)
+        shifts = np.array([0.0, 0.4, -1.3, 3.0, -9.5])
+        got = shifted_action_batch(centered, p.grid, pert, shifts)
+        ref = np.stack([perturbation_action_batch(centered + m, p.grid, pert, premollified=True)
+                        for m in shifts])
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_zero_coupling(self):
+        p = critical_params()
+        pert = PolynomialPerturbation(coeffs=(0.0, 0.0, 1.0), lam=0.0, mollifier_width=0.5)
+        got = shifted_action_batch(sample_fields(p, 5, 1), p.grid, pert, [0.0, 2.0, 3.0])
+        assert got.shape == (3, 5) and not got.any()
+
+
+class TestPinnedMixing:
+    """var_r and its jackknife error as the node-by-node loop gave them."""
+
+    @pytest.mark.parametrize("pert, pinned", [
+        (PolynomialPerturbation(coeffs=(0.0, 0.0, 0.0, 0.0, 1.0), lam=1e-3, mollifier_width=0.5),
+         (12.890323599913328, 0.004775966344283089)),
+        (PolynomialPerturbation(coeffs=(0.5, 0.0, 1.0), lam=1e-2, mollifier_width=0.5,
+                                kernel=_gauss, region=((1.0, 3.0),)),
+         (10.1883336058541, 0.010095509078629975)),
+    ])
+    def test_pinned(self, pert, pinned):
+        rep = renormalized_mixing(critical_params(), pert, 6, 6, n_samples=800, seed=9)
+        assert rep["var_r"] == pytest.approx(pinned[0], rel=1e-10)
+        assert rep["var_r_jackknife_err"] == pytest.approx(pinned[1], rel=1e-10)
 
 
 class TestConvergenceDiagnostic:
