@@ -7,7 +7,9 @@
 Runs are deterministic for a fixed (config, seed): per-point child seeds are
 derived by hashing (seed, kind, point index), so a sweep reproduces stream by
 stream no matter how points are scheduled.  Output collisions are refused
-without --force; sweeps keep a completed-point manifest and resume from it.
+without --force; sweeps keep a manifest of the points that succeeded,
+rewritten atomically after each one, and a re-run resumes from it, running
+only the points not yet done.
 The environment variable BOSE_OUT_ROOT overrides the output root.
 """
 
@@ -15,7 +17,9 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -107,14 +111,13 @@ def _run_gauss(cfg: RunConfig, seed: int):
     n = cfg.get("sampler", "n_samples")
     name = cfg.get("experiment", "name")
     h = config_hash({"kind": "gauss", "seed": seed, **cfg.sections})
-    rows, records = [], []
+    rows, records, snapshot = [], [], None
     if name == "covariance":
         from .thermal import pair_field
 
         phi = sample_fields(params, n, seed)
-        snap = {"beta": grid.beta, "n_tau": grid.n_tau, "d": grid.d, "L": grid.L,
-                "n_x": grid.n_x, "mu": params.mu, "critical": params.critical, "c": params.c}
-        cfg.sections.setdefault("_snapshot", {})["values"] = (phi[0], snap)
+        snapshot = (phi[0], {"beta": grid.beta, "n_tau": grid.n_tau, "d": grid.d, "L": grid.L,
+                             "n_x": grid.n_x, "mu": params.mu, "critical": params.critical, "c": params.c})
         rng = np.random.default_rng(derive_seed(seed, "probes"))
         for i in range(4):
             f = rng.standard_normal(grid.spatial_shape)
@@ -147,7 +150,7 @@ def _run_gauss(cfg: RunConfig, seed: int):
             records.append(ResultRecord(h, "reweighted_re", rec["re"], rec["re_err"], ess=rec["ess"]))
             records.append(ResultRecord(h, "reweighted_im", rec["im"], rec["im_err"], ess=rec["ess"]))
         rows = [rec if rec["estimate"] is None else {k: rec[k] for k in ("re", "re_err", "im", "im_err", "ess")}]
-    return rows, records
+    return rows, records, {}, snapshot
 
 
 def _poly_pert(cfg: RunConfig):
@@ -267,14 +270,14 @@ def run(config_path: str, seed=None, out=None, threads=1, force=False) -> int:
     else:
         runner = {"ideal": _run_ideal, "gauss": _run_gauss, "loops": _run_loops,
                   "expand": _run_expand, "oracle": _run_oracle}[cfg.kind]
-        outcome = runner(cfg, seed)
-        rows, records = outcome[0], outcome[1]
-        extra = outcome[2] if len(outcome) > 2 else {}
-        snap = cfg.sections.pop("_snapshot", None)
-        if snap:
+        # a runner returns rows, records and optionally meta extras and a
+        # field snapshot (values, meta) to save
+        rows, records, *rest = runner(cfg, seed)
+        extra = rest[0] if rest else {}
+        if len(rest) > 1 and rest[1] is not None:
             from .records import save_field_snapshot
 
-            values, meta = snap["values"]
+            values, meta = rest[1]
             save_field_snapshot(values, meta, os.path.join(out_dir, "field-snapshot"))
     wall = time.perf_counter() - t0
     for r in records:
@@ -334,7 +337,16 @@ def sweep(config_path: str, axis: str, values, seed=None, out=None, threads=1, f
             done = json.load(fh)
     import configparser
 
-    statuses = []
+    lock = threading.Lock()
+
+    def mark_done(tag):
+        """Record a successful point: the manifest is replaced whole, never half written."""
+        with lock:
+            done[tag] = True
+            tmp = f"{manifest_path}.tmp"
+            with open(tmp, "w") as fh:
+                json.dump(done, fh, indent=1, sort_keys=True)
+            os.replace(tmp, manifest_path)
 
     def run_point(item):
         idx, val = item
@@ -351,8 +363,16 @@ def sweep(config_path: str, axis: str, values, seed=None, out=None, threads=1, f
         with open(point_cfg, "w") as fh:
             cp.write(fh)
         child_seed = derive_seed(seed, cfg.kind, idx)
-        return run(point_cfg, seed=child_seed, out=os.path.join(base_out, tag),
-                   threads=1, force=force)
+        try:
+            status = run(point_cfg, seed=child_seed, out=os.path.join(base_out, tag), threads=1, force=force)
+        except Exception:  # a failed point must not stop the others or lose the manifest
+            print(f"sweep {tag} ({axis} = {val}) failed:\n{traceback.format_exc()}", file=sys.stderr)
+            return 1
+        if status == 0:
+            mark_done(tag)
+        else:
+            print(f"sweep {tag} ({axis} = {val}) failed with status {status}", file=sys.stderr)
+        return status
 
     items = list(enumerate(values))
     if threads > 1:
@@ -360,11 +380,7 @@ def sweep(config_path: str, axis: str, values, seed=None, out=None, threads=1, f
             statuses = list(pool.map(run_point, items))
     else:
         statuses = [run_point(it) for it in items]
-    for idx, _ in items:
-        done[f"point-{idx:03d}"] = True
-    with open(manifest_path, "w") as fh:
-        json.dump(done, fh, indent=1, sort_keys=True)
-    return max(statuses) if statuses else 0
+    return max(statuses)
 
 
 def main(argv=None) -> int:

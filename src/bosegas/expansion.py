@@ -19,6 +19,13 @@ the potential's range and the thermal spread.
 
 A finite box may be passed for boundary-condition comparisons; the
 thermodynamic-limit default uses free bridges with no images.
+
+Each Monte Carlo sector is sampled as one batch: its bridges come from one
+normal draw and its ball displacements from one rejection pass, and the
+sector's energies are one broadcast (a hard-core contact has energy +inf
+and weight exp(-inf) = 0).  The batches consume the generator
+stream exactly as drawing sample by sample would, so a seed gives the same
+samples either way.
 """
 
 from dataclasses import dataclass
@@ -27,9 +34,9 @@ from math import pi
 
 import numpy as np
 
-from .loopgas.energy import intra_energy, pair_energy
+from .loopgas.energy import intra_energies, pair_energies
 from .loopgas.free import _fill_loop_paths, _sample_bases
-from .loopgas.loops import BridgeLoop, fill_bridges
+from .loopgas.loops import bridges_from_normals
 from .loopgas.potential import PairPotential
 from .loopgas.regions import PERIODIC, BoxRegion, diagonal_mass
 from .rng import derive_seed, generator
@@ -66,23 +73,11 @@ def _mayer_ball_radius(V: PairPotential, beta: float, j_sum: int = 2) -> float:
     return reach + 6.0 * np.sqrt(j_sum * beta)
 
 
-def _free_loop(j: int, beta: float, d: int, n_slices: int, rng, base=None) -> BridgeLoop:
-    x0 = np.zeros(d) if base is None else np.asarray(base, dtype=float)
-    path = fill_bridges(x0[None], x0[None], j * n_slices, beta / n_slices, rng)[0]
-    return BridgeLoop(base=x0, winding=j, path=path, image=np.zeros(d, dtype=int))
-
-
-def _shifted(loop: BridgeLoop, x: np.ndarray) -> BridgeLoop:
-    return BridgeLoop(base=loop.base + x, winding=loop.winding, path=loop.path + x, image=loop.image)
-
-
-def _region_loops(count, j, beta, region, rng):
-    bases = _sample_bases(count, j, beta, region, rng)
-    paths, images = _fill_loop_paths(bases, j, beta, region, rng)
-    return [
-        BridgeLoop(base=bases[i].copy(), winding=j, path=paths[i], image=images[i].copy())
-        for i in range(count)
-    ]
+def _free_paths(count: int, j: int, beta: float, d: int, n_slices: int, rng) -> np.ndarray:
+    """(count, j * n_slices + 1, d) closed free bridges based at the origin."""
+    zero = np.zeros((count, d))
+    normals = rng.standard_normal((count, j * n_slices - 1, d))
+    return bridges_from_normals(zero, zero, normals, beta / n_slices)
 
 
 def mayer_coefficient(
@@ -114,10 +109,10 @@ def mayer_coefficient(
             return (4 * pi * j * beta) ** (-d / 2)
         return diagonal_mass(region, j * beta) / region.volume
 
-    def draw_loops(count, j):
+    def draw_paths(count, j):
         if region is None:
-            return [_free_loop(j, beta, d, n_slices, rng) for _ in range(count)]
-        return _region_loops(count, j, beta, region, rng)
+            return _free_paths(count, j, beta, d, n_slices, rng)
+        return _fill_loop_paths(_sample_bases(count, j, beta, region, rng), j, beta, region, rng)[0]
 
     if n == 1:
         return MayerCoefficients(order=1, value=float(kappa(1)), error=0.0, parts={"j1": float(kappa(1))})
@@ -127,26 +122,20 @@ def mayer_coefficient(
         return MayerCoefficients(order=n, value=float(kappa(n)), error=0.0, parts={f"w{n}": float(kappa(n))})
 
     if n == 2:
-        loops2 = draw_loops(n_mc, 2)
-        w_intra = np.array([np.exp(-_finite(intra_energy(lp, V, beta, geom))) for lp in loops2])
+        w_intra = np.exp(-intra_energies(draw_paths(n_mc, 2), V, beta, geom))
         c2_w = 0.5 * kappa(2) * w_intra.mean()
         c2_w_err = 0.5 * kappa(2) * w_intra.std(ddof=1) / np.sqrt(n_mc)
 
-        a_loops = draw_loops(n_mc, 1)
-        b_loops = draw_loops(n_mc, 1)
-        vals = np.empty(n_mc)
+        a_paths = draw_paths(n_mc, 1)
+        b_paths = draw_paths(n_mc, 1)
         if region is None:
             R = _mayer_ball_radius(V, beta)
             vol = _ball_volume(d, R)
-            for i in range(n_mc):
-                x = _random_ball(rng, d, R)
-                lb = _shifted(b_loops[i], a_loops[i].base + x - b_loops[i].base)
-                vals[i] = np.exp(-_finite(pair_energy(a_loops[i], lb, V, beta, geom))) - 1.0
+            b_paths = b_paths + _random_balls(rng, n_mc, d, R)[:, None]
         else:
             # independent box bases carry the displacement law; weight = |box|
             vol = region.volume
-            for i in range(n_mc):
-                vals[i] = np.exp(-_finite(pair_energy(a_loops[i], b_loops[i], V, beta, geom))) - 1.0
+        vals = np.exp(-pair_energies(a_paths, b_paths, V, beta, geom)) - 1.0
         c2_m = 0.5 * kappa(1) ** 2 * vol * vals.mean()
         c2_m_err = 0.5 * kappa(1) ** 2 * vol * vals.std(ddof=1) / np.sqrt(n_mc)
         b2 = 2 * (c2_w + c2_m)
@@ -158,43 +147,31 @@ def mayer_coefficient(
         )
 
     # n == 3
-    loops3 = draw_loops(n_mc, 3)
-    w3 = np.array([np.exp(-_finite(intra_energy(lp, V, beta, geom))) for lp in loops3])
+    w3 = np.exp(-intra_energies(draw_paths(n_mc, 3), V, beta, geom))
     c3_w = kappa(3) / 3 * w3.mean()
     c3_w_err = kappa(3) / 3 * w3.std(ddof=1) / np.sqrt(n_mc)
 
     R = _mayer_ball_radius(V, beta, j_sum=3)
     vol = _ball_volume(d, R) if region is None else region.volume
-    loops2 = draw_loops(n_mc, 2)
-    ones = draw_loops(n_mc, 1)
-    vals21 = np.empty(n_mc)
-    for i in range(n_mc):
-        if region is None:
-            x = _random_ball(rng, d, R)
-            lb = _shifted(ones[i], loops2[i].base + x - ones[i].base)
-        else:
-            lb = ones[i]
-        wi = np.exp(-_finite(intra_energy(loops2[i], V, beta, geom)))
-        e = pair_energy(loops2[i], lb, V, beta, geom)
-        vals21[i] = wi * (np.exp(-_finite(e)) - 1.0)
+    twos = draw_paths(n_mc, 2)
+    ones = draw_paths(n_mc, 1)
+    if region is None:
+        ones = ones + _random_balls(rng, n_mc, d, R)[:, None]
+    wi = np.exp(-intra_energies(twos, V, beta, geom))
+    vals21 = wi * (np.exp(-pair_energies(twos, ones, V, beta, geom)) - 1.0)
     c3_21 = 0.5 * kappa(2) * kappa(1) * vol * vals21.mean()
     c3_21_err = 0.5 * kappa(2) * kappa(1) * vol * vals21.std(ddof=1) / np.sqrt(n_mc)
 
-    a1 = draw_loops(n_mc, 1)
-    a2 = draw_loops(n_mc, 1)
-    a3 = draw_loops(n_mc, 1)
-    vals111 = np.empty(n_mc)
-    for i in range(n_mc):
-        l1 = a1[i]
-        if region is None:
-            l2 = _shifted(a2[i], l1.base + _random_ball(rng, d, R) - a2[i].base)
-            l3 = _shifted(a3[i], l1.base + _random_ball(rng, d, R) - a3[i].base)
-        else:
-            l2, l3 = a2[i], a3[i]
-        f12 = np.exp(-_finite(pair_energy(l1, l2, V, beta, geom))) - 1.0
-        f13 = np.exp(-_finite(pair_energy(l1, l3, V, beta, geom))) - 1.0
-        f23 = np.exp(-_finite(pair_energy(l2, l3, V, beta, geom))) - 1.0
-        vals111[i] = f12 * f13 + f12 * f23 + f13 * f23 + f12 * f13 * f23
+    l1 = draw_paths(n_mc, 1)
+    l2 = draw_paths(n_mc, 1)
+    l3 = draw_paths(n_mc, 1)
+    if region is None:
+        x = _random_balls(rng, 2 * n_mc, d, R).reshape(n_mc, 2, 1, d)  # per sample: x2, then x3
+        l2, l3 = l2 + x[:, 0], l3 + x[:, 1]
+    f12 = np.exp(-pair_energies(l1, l2, V, beta, geom)) - 1.0
+    f13 = np.exp(-pair_energies(l1, l3, V, beta, geom)) - 1.0
+    f23 = np.exp(-pair_energies(l2, l3, V, beta, geom)) - 1.0
+    vals111 = f12 * f13 + f12 * f23 + f13 * f23 + f12 * f13 * f23
     c3_111 = (1.0 / 6.0) * kappa(1) ** 3 * vol**2 * vals111.mean()
     c3_111_err = (1.0 / 6.0) * kappa(1) ** 3 * vol**2 * vals111.std(ddof=1) / np.sqrt(n_mc)
 
@@ -206,15 +183,30 @@ def mayer_coefficient(
     )
 
 
-def _finite(e: float) -> float:
-    return 1e12 if np.isinf(e) else e  # exp(-1e12) underflows to the hard-core zero
-
-
 def _random_ball(rng, d: int, R: float) -> np.ndarray:
     while True:
         x = rng.uniform(-R, R, size=d)
         if (x**2).sum() <= R**2:
             return x
+
+
+def _random_balls(rng, count: int, d: int, R: float) -> np.ndarray:
+    """(count, d) points of `count` _random_ball calls, leaving rng where
+    they would: candidates are drawn ahead, then the generator is rewound
+    and only the candidates the calls would have used are drawn again."""
+    state = rng.bit_generator.state
+    used, accepted = 0, 0
+    while accepted < count:
+        cand = rng.uniform(-R, R, size=(2 * (count - accepted) + 16, d))
+        hits = np.flatnonzero((cand**2).sum(axis=1) <= R**2)
+        if accepted + hits.size >= count:
+            used += hits[count - accepted - 1] + 1
+            break
+        used += len(cand)
+        accepted += hits.size
+    rng.bit_generator.state = state
+    cand = rng.uniform(-R, R, size=(used, d))
+    return cand[(cand**2).sum(axis=1) <= R**2]
 
 
 def delta_c2(beta: float, V: PairPotential, n_mc: int = 4000, seed: int = 0, n_slices: int = 16) -> dict:
@@ -276,15 +268,18 @@ def convergence_radius(
     R = _mayer_ball_radius(V, beta)
     vol = _ball_volume(d, R)
     kappa1 = (4 * pi * beta) ** (-d / 2)
+    geom = BoxRegion(d=d, L=1e9, n_slices=n_slices)
+    zero = np.zeros((n_mc, d))
     best, best_err = 0.0, 0.0
     for _ in range(n_ref):
-        ref = _free_loop(1, beta, d, n_slices, rng)
-        vals = np.empty(n_mc)
-        for i in range(n_mc):
-            x = _random_ball(rng, d, R)
-            other = _shifted(_free_loop(1, beta, d, n_slices, rng), x)
-            e = pair_energy(ref, other, V, beta, BoxRegion(d=d, L=1e9, n_slices=n_slices))
-            vals[i] = abs(np.exp(-_finite(e)) - 1.0)
+        ref = _free_paths(1, 1, beta, d, n_slices, rng)
+        x = np.empty((n_mc, d))
+        normals = np.empty((n_mc, n_slices - 1, d))
+        for i in range(n_mc):  # each sample draws its displacement, then its bridge
+            x[i] = _random_ball(rng, d, R)
+            normals[i] = rng.standard_normal((n_slices - 1, d))
+        others = bridges_from_normals(zero, zero, normals, beta / n_slices) + x[:, None]
+        vals = np.abs(np.exp(-pair_energies(ref, others, V, beta, geom)) - 1.0)
         C_ref = kappa1 * vol * vals.mean()
         err = kappa1 * vol * vals.std(ddof=1) / np.sqrt(n_mc)
         if C_ref > best:

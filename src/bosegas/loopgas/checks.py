@@ -21,7 +21,7 @@ order z^2 against the second expansion coefficient.
 import numpy as np
 
 from ..rng import derive_seed, generator
-from .energy import interaction_energy, loop_in_config_energy
+from .energy import added_loop_energies, interaction_energies
 from .free import (
     _fill_loop_paths,
     _sample_bases,
@@ -33,7 +33,6 @@ from .free import (
     winding_masses,
     wrap_positions,
 )
-from .loops import BridgeLoop
 from .potential import PairPotential
 from .regions import DIRICHLET, PERIODIC, BoxRegion
 
@@ -93,7 +92,7 @@ def gibbs_weights(configs, V: PairPotential | None, beta: float, region: BoxRegi
     """exp(-energy) of each configuration (1 at V = None, 0 on a hard-core contact)."""
     if V is None:
         return np.ones(len(configs))
-    return np.exp(-np.array([interaction_energy(c, V, beta, region) for c in configs]))
+    return np.exp(-interaction_energies(configs, V, beta, region))
 
 
 def mean_pairing(z, beta, region, f, n_mc, seed, j_max=None) -> tuple:
@@ -170,17 +169,11 @@ def integration_by_parts_check(
         if nus[j - 1] < 1e-14:
             continue
         bases = _sample_bases(n_mc, j, beta, region, rngb)
-        paths, images = _fill_loop_paths(bases, j, beta, region, rngb)
+        paths = _fill_loop_paths(bases, j, beta, region, rngb)[0]
         added = np.stack([time_integrals(paths, g, beta, region) for g in fs[kf:]], axis=-1)
         g_shift = G.of(p2[:, kf:-1] + added[:, :-1]) * weights2
         if V is not None:
-            de = np.array([
-                loop_in_config_energy(
-                    BridgeLoop(base=paths[b, 0], winding=j, path=paths[b], image=images[b]),
-                    configs2[b], V, beta, region,
-                )
-                for b in range(n_mc)
-            ])
+            de = added_loop_energies(paths, configs2, V, beta, region)
             g_shift = np.where(np.isinf(de), 0.0, g_shift * np.exp(-de))
         terms = added[:, -1] * f_plain * (g_shift - g_plain)
         rhs += nus[j - 1] * terms.mean()

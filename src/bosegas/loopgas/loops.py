@@ -25,7 +25,9 @@ schedule is deterministic, so every knot is one fixed linear combination of
 the two endpoints and the scaled normals of the midpoints above it.  That
 map depends only on (n_intervals, dtau) (short bridges' maps are cached), and
 a batch of bridges is one draw of all its normals (in schedule order, as the
-recursion consumed them) and one matrix product.
+recursion consumed them) and one matrix product.  `bridges_from_normals`
+applies the same map to normals drawn bridge by bridge, so a batch can
+reproduce the stream of one-row fill_bridges calls.
 """
 
 from dataclasses import dataclass
@@ -241,6 +243,28 @@ def _bridge_map(n_intervals: int, dtau: float) -> np.ndarray:
 _cached_bridge_map = lru_cache(maxsize=64)(_bridge_map)
 
 
+def _bridge_source(x0: np.ndarray, x1: np.ndarray, n_intervals: int) -> np.ndarray:
+    """(n_intervals + 1, batch, d) input of the bridge map with the endpoints
+    filled in; rows 2.. take the midpoint normals."""
+    src = np.empty((n_intervals + 1, *x0.shape))
+    src[0] = x0
+    src[1] = x1
+    return src
+
+
+def _map_bridges(src: np.ndarray, dtau: float) -> np.ndarray:
+    """Knots (batch, n_intervals + 1, d) of the bridges whose endpoints and
+    midpoint normals are src (n_intervals + 1, batch, d)."""
+    n_knots, batch, d = src.shape
+    n_intervals = n_knots - 1
+    small = n_intervals <= _CACHED_INTERVALS
+    bridge_map = (_cached_bridge_map if small else _bridge_map)(n_intervals, dtau)
+    # with the draw transposed, BLAS writes each coordinate's knots in a row,
+    # and only the d coordinates of a bridge remain to be interleaved
+    knots = src.reshape(n_knots, -1).T.dot(bridge_map.T).reshape(batch, d, n_knots)
+    return np.ascontiguousarray(knots.swapaxes(1, 2))
+
+
 def fill_bridges(x0: np.ndarray, x1: np.ndarray, n_intervals: int, dtau: float, rng) -> np.ndarray:
     """Batch of discrete Brownian bridges between fixed endpoints.
 
@@ -249,18 +273,22 @@ def fill_bridges(x0: np.ndarray, x1: np.ndarray, n_intervals: int, dtau: float, 
     The generator is advanced by one (n_intervals - 1, batch, d) normal draw,
     the stream the recursion draws midpoint by midpoint.
     """
-    batch, d = x0.shape
-    n_knots = n_intervals + 1
-    src = np.empty((n_knots, batch, d))
-    src[0] = x0
-    src[1] = x1
+    src = _bridge_source(x0, x1, n_intervals)
     rng.standard_normal(out=src[2:])
-    small = n_intervals <= _CACHED_INTERVALS
-    bridge_map = (_cached_bridge_map if small else _bridge_map)(n_intervals, dtau)
-    # with the draw transposed, BLAS writes each coordinate's knots in a row,
-    # and only the d coordinates of a bridge remain to be interleaved
-    knots = src.reshape(n_knots, -1).T.dot(bridge_map.T).reshape(batch, d, n_knots)
-    return np.ascontiguousarray(knots.swapaxes(1, 2))
+    return _map_bridges(src, dtau)
+
+
+def bridges_from_normals(x0: np.ndarray, x1: np.ndarray, normals: np.ndarray, dtau: float) -> np.ndarray:
+    """The bridges of fill_bridges from given midpoint normals (batch,
+    n_intervals - 1, d), bridge by bridge.
+
+    With normals = rng.standard_normal((batch, n_intervals - 1, d)) these are
+    the bridges, and rng is left in the state, of `batch` one-row
+    fill_bridges calls, row after row.
+    """
+    src = _bridge_source(x0, x1, normals.shape[1] + 1)
+    src[2:] = normals.swapaxes(0, 1)
+    return _map_bridges(src, dtau)
 
 
 def draw_winding_images(count: int, j: int, beta: float, region: BoxRegion, rng) -> np.ndarray:

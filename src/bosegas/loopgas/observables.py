@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import derive_seed, generator
-from .energy import intra_energy, loop_in_config_energy
+from .energy import added_loop_energies, intra_energies
 from .free import config_pairings, winding_masses
-from .loops import BridgeLoop, fill_bridges, segment_survival_log
+from .loops import fill_bridges, segment_survival_log
 from .potential import PairPotential
 from .regions import DIRICHLET, PERIODIC, BoxRegion, _image_range, kernel, wrap
 
@@ -130,19 +130,13 @@ def reduced_density_matrix(
         if region.boundary == DIRICHLET:
             logw += segment_survival_log(paths, region.L, beta / region.n_slices)
         if V is not None:
-            for b in range(n_mc):
-                lp = BridgeLoop(
-                    base=paths[b, 0].copy(),
-                    winding=j,
-                    path=paths[b] if region.boundary == DIRICHLET else wrap(paths[b], region.L),
-                    image=np.zeros(region.d, dtype=int),
-                )
-                if gibbs_configs is not None:
-                    cfg = gibbs_configs[b % len(gibbs_configs)]
-                    e = loop_in_config_energy(lp, cfg, V, beta, region)
-                else:
-                    e = intra_energy(lp, V, beta, region)
-                logw[b] = -np.inf if np.isinf(e) else logw[b] - e
+            bridges = paths if region.boundary == DIRICHLET else wrap(paths, region.L)
+            if gibbs_configs is not None:
+                cfgs = [gibbs_configs[b % len(gibbs_configs)] for b in range(n_mc)]
+                e = added_loop_energies(bridges, cfgs, V, beta, region)
+            else:
+                e = intra_energies(bridges, V, beta, region)
+            logw = np.where(np.isinf(e), -np.inf, logw - e)
         w = np.exp(logw)
         total += mass * w.mean()
         var_total += mass**2 * w.var(ddof=1) / n_mc

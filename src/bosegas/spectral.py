@@ -18,9 +18,11 @@ from math import pi
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import CondensationBoundaryError, DivergenceError, ResourceBudgetError
+from .errors import CondensationBoundaryError, DivergenceError, ResourceBudgetError, TruncationError
 
 MODE_BUDGET = 20_000_000  # max retained eigenvalues before a resource error
+M_CUTOFF_CAP = 4000  # largest symmetric mode cutoff auto_cutoff tries
+J_SERIES_CAP = 100_000  # most terms continuum_density sums
 
 
 @dataclass(frozen=True)
@@ -75,20 +77,28 @@ def build_torus_spectrum(geom: TorusGeometry, budget: int = MODE_BUDGET) -> Spec
 
 
 def auto_cutoff(d: int, L: float, beta: float, tol: float = 1e-10) -> int:
-    """Smallest symmetric cutoff whose dropped tail of sum(exp(-beta lam)) is < tol."""
+    """Smallest symmetric cutoff whose dropped tail of sum(exp(-beta lam)) is < tol.
+
+    Raises TruncationError when the cutoff would pass M_CUTOFF_CAP.
+    """
+    from scipy.special import erfc
+
     k2 = (2 * pi / L) ** 2
     M = 1
     while True:
         m = np.arange(-M, M + 1)
         total1 = np.exp(-beta * k2 * m.astype(float) ** 2).sum()
         # 1d tail bound: 2 * (integral + endpoint term) beyond M
-        from scipy.special import erfc
-
         tail1 = 2 * np.exp(-beta * k2 * (M + 1) ** 2) + (L / 2) * (pi / beta) ** 0.5 / pi * erfc(
             (M + 1) * (beta * k2) ** 0.5
         )
-        if d * tail1 / total1 < tol or M > 4000:
+        if d * tail1 / total1 < tol:
             return M
+        if M > M_CUTOFF_CAP:
+            raise TruncationError(
+                f"mode cutoff M = {M} passed the cap {M_CUTOFF_CAP} with relative tail "
+                f"{d * tail1 / total1:.3g} >= tol = {tol:g} (d={d}, L={L}, beta={beta})"
+            )
         M = max(M + 1, int(1.3 * M))
 
 
@@ -236,7 +246,10 @@ def condensate_fraction(beta: float, rho: float, dos: DensityOfStates) -> float:
 
 
 def continuum_density(d: int, beta: float, mu: float, tol: float = 1e-16) -> float:
-    """Infinite-volume density sum_j exp(-j beta mu) (4 pi j beta)^(-d/2), mu > 0."""
+    """Infinite-volume density sum_j exp(-j beta mu) (4 pi j beta)^(-d/2), mu > 0.
+
+    Raises TruncationError when the series needs more than J_SERIES_CAP terms.
+    """
     if mu <= 0:
         raise ValueError("mu must be positive for the convergent series")
     z = np.exp(-beta * mu)
@@ -245,6 +258,12 @@ def continuum_density(d: int, beta: float, mu: float, tol: float = 1e-16) -> flo
         term = z**j * (4 * pi * j * beta) ** (-d / 2)
         total += term
         # geometric tail bound for the remaining terms
-        if term * z / (1 - z) < tol * max(total, 1e-300) or j > 100_000:
+        tail = term * z / (1 - z)
+        if tail < tol * max(total, 1e-300):
             return total
+        if j > J_SERIES_CAP:
+            raise TruncationError(
+                f"density series passed the cap of {J_SERIES_CAP} terms with tail bound "
+                f"{tail:.3g} = {tail / total:.3g} of the sum >= tol = {tol:g} (d={d}, beta={beta}, mu={mu})"
+            )
         j += 1

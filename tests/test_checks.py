@@ -22,6 +22,9 @@ from bosegas.loopgas import (
     sigma_independence_check,
 )
 
+# an inf - inf or 0 * inf in the hard-core right-hand side fails here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def f_probe(L):
     return LoopTestFunction(fn=lambda ts, xs: np.cos(2 * np.pi * xs[..., 0] / L) + 0.5, t_max=1.0)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from bosegas.cli import main, run, sweep
+from bosegas.cli import _run_gauss, main, run, sweep
 from bosegas.errors import ConfigError
 from bosegas.runcfg import parse_potential, parse_run_config
 
@@ -164,6 +164,48 @@ class TestSweep:
             assert os.path.getmtime(os.path.join(out, p, "results.csv")) == t
         assert os.path.exists(os.path.join(out, "point-002", "results.csv"))
 
+    def test_failed_point_is_not_marked_done(self, tmp_path, capsys):
+        cfgp = write(tmp_path, "ideal.ini", IDEAL)
+        out = str(tmp_path / "s")
+        # L = -2 fails the range check of the point's config
+        assert sweep(cfgp, "geometry.L", [6.0, -2.0, 10.0], out=out) != 0
+        assert "point-001" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "s" / "sweep-manifest.json").read_text())
+        assert manifest == {"point-000": True, "point-002": True}
+        assert not os.path.exists(os.path.join(out, "sweep-manifest.json.tmp"))
+        mtimes = {p: os.path.getmtime(os.path.join(out, p, "results.csv")) for p in manifest}
+        # the re-run without --force runs only the failed point
+        assert sweep(cfgp, "geometry.L", [6.0, 8.0, 10.0], out=out) == 0
+        for p, t in mtimes.items():
+            assert os.path.getmtime(os.path.join(out, p, "results.csv")) == t
+        assert os.path.exists(os.path.join(out, "point-001", "results.csv"))
+        manifest = json.loads((tmp_path / "s" / "sweep-manifest.json").read_text())
+        assert manifest == {"point-000": True, "point-001": True, "point-002": True}
+
+    def test_failed_point_with_threads(self, tmp_path):
+        cfgp = write(tmp_path, "ideal.ini", IDEAL)
+        out = str(tmp_path / "s")
+        assert sweep(cfgp, "geometry.L", [-1.0, 6.0, -2.0, 8.0], out=out, threads=2) != 0
+        manifest = json.loads((tmp_path / "s" / "sweep-manifest.json").read_text())
+        assert manifest == {"point-001": True, "point-003": True}
+
+    def test_manifest_keeps_every_point_under_thread_switching(self, tmp_path):
+        # more threads than cores and a short switch interval: a lost update
+        # of the shared manifest would drop a point
+        import sys
+
+        cfgp = write(tmp_path, "ideal.ini", IDEAL)
+        out = str(tmp_path / "s")
+        values = [6.0 + i for i in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert sweep(cfgp, "geometry.L", values, out=out, threads=6) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        manifest = json.loads((tmp_path / "s" / "sweep-manifest.json").read_text())
+        assert manifest == {f"point-{i:03d}": True for i in range(len(values))}
+
     def test_per_point_seeds_differ(self, tmp_path):
         cfgp = write(tmp_path, "loops.ini", LOOPS)
         out = str(tmp_path / "s2")
@@ -171,6 +213,27 @@ class TestSweep:
         a = json.loads((tmp_path / "s2" / "point-000" / "meta.json").read_text())
         b = json.loads((tmp_path / "s2" / "point-001" / "meta.json").read_text())
         assert a["seed"] != b["seed"]
+
+
+class TestGaussSnapshot:
+    CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "gauss-covariance.ini")
+
+    def test_covariance_writes_field_snapshot(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["gauss", "--config", self.CONFIG, "--out", str(out)]) == 0
+        from bosegas.records import load_field_snapshot
+
+        values, sidecar = load_field_snapshot(str(out / "field-snapshot"))
+        assert values.shape == (8, 16)
+        assert sidecar["grid"]["n_x"] == 16
+        assert "_snapshot" not in (out / "meta.json").read_text()
+
+    def test_snapshot_travels_in_the_outcome(self):
+        cfg = parse_run_config(self.CONFIG)
+        rows, records, extra, snapshot = _run_gauss(cfg, 11)
+        assert "_snapshot" not in cfg.sections
+        values, meta = snapshot
+        assert values.shape == (8, 16) and meta["n_tau"] == 8
 
 
 class TestCheckKind:

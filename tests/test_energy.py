@@ -19,10 +19,19 @@ from bosegas.loopgas import (
     intra_energy,
     pair_energy,
 )
-from bosegas.loopgas.energy import loop_in_config_energy
+from bosegas.loopgas.energy import (
+    added_loop_energies,
+    interaction_energies,
+    intra_energies,
+    loop_in_config_energy,
+    pair_energies,
+)
 from bosegas.loopgas.loops import fill_bridges
 from bosegas.loopgas.gibbs import MOVES
 from bosegas.rng import generator
+
+# an inf - inf or 0 * inf in the hard-core paths fails here, not silently
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 BETA = 1.0
 
@@ -180,3 +189,87 @@ def test_builders_leave_the_chain_untouched(move):
     assert config is not chain.config
     assert not np.shares_memory(config.knots, chain.config.knots)
     assert config.offsets[-1] == config.knots.shape[0]
+
+
+# -- batched energies against the scalar functions --------------------------------
+
+
+def _stack(loops):
+    return np.stack([lp.path for lp in loops])
+
+
+def _batch_cases(region, V):
+    """Loops of windings 1-3 (four of each) and configurations, two of them empty."""
+    loops = {j: random_config(region, seed=50 + j, windings=(j,) * 4).loops for j in (1, 2, 3)}
+    configs = [random_config(region, seed=60), LoopConfiguration(), random_config(region, seed=61, windings=(2, 1)),
+               LoopConfiguration(), random_config(region, seed=62, windings=(3,))]
+    return loops, configs
+
+
+def _assert_batched_match(region, V, compare):
+    loops, configs = _batch_cases(region, V)
+    for ja in (1, 2, 3):
+        a = loops[ja]
+        compare(intra_energies(_stack(a), V, BETA, region), [intra_energy(lp, V, BETA, region) for lp in a])
+        for jb in (1, 2, 3):
+            b = loops[jb][::-1]
+            compare(pair_energies(_stack(a), _stack(b), V, BETA, region),
+                    [pair_energy(x, y, V, BETA, region) for x, y in zip(a, b)])
+        # one loop against each configuration, a single stacked loop broadcasting
+        cfgs = configs[:4]
+        compare(added_loop_energies(_stack(a), cfgs, V, BETA, region),
+                [loop_in_config_energy(lp, c, V, BETA, region) for lp, c in zip(a, cfgs)])
+        compare(pair_energies(_stack(a[:1]), _stack(a), V, BETA, region),
+                [pair_energy(a[0], y, V, BETA, region) for y in a])
+    compare(interaction_energies(configs, V, BETA, region),
+            [interaction_energy(c, V, BETA, region) for c in configs])
+    empty = [LoopConfiguration(), LoopConfiguration()]
+    compare(interaction_energies(empty, V, BETA, region), [0.0, 0.0])
+    compare(added_loop_energies(_stack(loops[2][:2]), empty, V, BETA, region),
+            [intra_energy(lp, V, BETA, region) for lp in loops[2][:2]])
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+def test_batched_energies_match_scalar(boundary):
+    region = BoxRegion(d=3, L=4.0, boundary=boundary, n_slices=4)
+    V = gaussian_repulsion(3, 0.7, width=1.0)
+
+    def compare(got, want):
+        want = np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    _assert_batched_match(region, V, compare)
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+def test_batched_hard_core_same_contacts(boundary):
+    # a core of 1.2 in a box of 4 gives both contacts (+inf) and zeros
+    region = BoxRegion(d=3, L=4.0, boundary=boundary, n_slices=4)
+    V = hard_core(3, 1.2)
+    seen = []
+
+    def compare(got, want):
+        want = np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        np.testing.assert_array_equal(got[np.isfinite(want)], 0.0)
+        seen.extend(np.isinf(want))
+
+    _assert_batched_match(region, V, compare)
+    assert any(seen) and not all(seen)
+
+
+def test_batched_energies_in_blocks(monkeypatch):
+    # one leg per block: added loops go leg by leg, and every configuration
+    # goes to interaction_energy's blocked sum
+    from bosegas.loopgas import energy
+
+    region = BoxRegion(d=3, L=4.0, n_slices=4)
+    V = gaussian_repulsion(3, 0.7, width=1.0)
+    loops, configs = _batch_cases(region, V)
+    paths = _stack(loops[2])
+    whole = (added_loop_energies(paths, configs[:4], V, BETA, region), interaction_energies(configs, V, BETA, region))
+    monkeypatch.setattr(energy, "_BROADCAST_FLOATS", 1)
+    np.testing.assert_allclose(added_loop_energies(paths, configs[:4], V, BETA, region), whole[0], rtol=1e-12)
+    np.testing.assert_allclose(interaction_energies(configs, V, BETA, region), whole[1], rtol=1e-12)

@@ -5,6 +5,9 @@ import pytest
 
 from bosegas.expansion import (
     ConvergenceEstimate,
+    _free_paths,
+    _random_ball,
+    _random_balls,
     convergence_radius,
     delta_c2,
     mayer_coefficient,
@@ -19,6 +22,11 @@ from bosegas.loopgas import (
     gibbs_sample,
     hard_core,
 )
+from bosegas.loopgas.loops import bridges_from_normals, fill_bridges
+from bosegas.rng import generator
+
+# an inf - inf or 0 * inf in the batched hard-core sectors fails here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestCoefficients:
@@ -165,6 +173,48 @@ class TestPinnedRecords:
         assert (r.radius_lower_bound, r.C_value, r.C_error) == (
             0.30245018513345856, 1.2163306860239236, 0.6081653430119617
         )
+
+
+    def test_finite_box_records(self):
+        # values of the sample-by-sample construction; a hard core keeps them bit-identical
+        V = hard_core(3, 1.0)
+        region = BoxRegion(d=3, L=6.0, n_slices=8)
+        b2 = mayer_coefficient(2, 1.0, V, region=region, n_mc=300, seed=806)
+        b3 = mayer_coefficient(3, 1.0, V, region=region, n_mc=300, seed=807)
+        assert (b2.value, b2.error) == (-0.006682210371512901, 0.0017563454607597794)
+        assert (b3.value, b3.error) == (0.005473767105460775, 0.0027058095968655596)
+
+
+class TestBatchedDraws:
+    """A sector's batch consumes the generator as its per-sample draws do."""
+
+    @pytest.mark.parametrize("count, d, R", [(0, 3, 2.0), (1, 3, 2.0), (700, 3, 4.5), (50, 1, 1.0), (300, 5, 1.5)])
+    def test_random_balls_match_per_sample_draws(self, count, d, R):
+        one, batch = generator(11), generator(11)
+        want = np.array([_random_ball(one, d, R) for _ in range(count)]).reshape(count, d)
+        got = _random_balls(batch, count, d, R)
+        assert np.array_equal(got, want)
+        assert batch.bit_generator.state == one.bit_generator.state
+
+    @pytest.mark.parametrize("j, n_slices, d", [(1, 16, 3), (2, 8, 3), (3, 4, 1), (1, 1, 2)])
+    def test_batched_bridges_match_one_row_fills(self, j, n_slices, d):
+        one, batch = generator(12), generator(12)
+        n = j * n_slices
+        zero = np.zeros((1, d))
+        want = np.stack([fill_bridges(zero, zero, n, 0.25, one)[0] for _ in range(40)])
+        got = _free_paths(40, j, 0.25 * n_slices, d, n_slices, batch)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert batch.bit_generator.state == one.bit_generator.state
+
+    def test_bridges_from_normals_with_endpoints(self):
+        one, batch = generator(13), generator(13)
+        x0 = np.random.default_rng(1).uniform(0, 5, size=(30, 3))
+        x1 = x0 + np.random.default_rng(2).integers(-1, 2, size=(30, 3)) * 5.0
+        want = np.stack([fill_bridges(x0[b : b + 1], x1[b : b + 1], 24, 0.125, one)[0] for b in range(30)])
+        got = bridges_from_normals(x0, x1, batch.standard_normal((30, 23, 3)), 0.125)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.array_equal(got[:, 0], x0) and np.array_equal(got[:, -1], x1)
+        assert batch.bit_generator.state == one.bit_generator.state
 
 
 class TestOrderByOrderChainMatch:

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from bosegas.errors import CondensationBoundaryError, DivergenceError, ResourceBudgetError
+from bosegas.errors import CondensationBoundaryError, DivergenceError, ResourceBudgetError, TruncationError
 from bosegas.spectral import (
+    J_SERIES_CAP,
+    M_CUTOFF_CAP,
     DensityOfStates,
     Spectrum,
     TorusGeometry,
     admissibility_phi,
     admissibility_report,
     analytic_dos,
+    auto_cutoff,
     auto_torus_spectrum,
     build_torus_spectrum,
     condensate_fraction,
@@ -58,6 +61,24 @@ class TestTorusSpectrum:
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):
             build_torus_spectrum(TorusGeometry(d=3, L=10.0, mode_cutoff=200), budget=10**6)
+
+
+class TestTruncationCaps:
+    """Caps that stop a sum short of its tolerance raise instead of returning."""
+
+    def test_cutoff_cap_raises(self):
+        with pytest.raises(TruncationError, match=f"cap {M_CUTOFF_CAP}.*tail"):
+            auto_cutoff(3, 1e5, 1e-6)
+
+    def test_series_cap_raises(self):
+        with pytest.raises(TruncationError, match=f"cap of {J_SERIES_CAP} terms.*tail"):
+            continuum_density(3, 1.0, 1e-9)
+
+    def test_shipped_sizes_stay_inside_the_caps(self):
+        # the benchmark's torus, the ideal-sweep config and the acceptance box
+        for d, L, beta in [(3, 24.0, 1.0), (3, 8.0, 0.5), (3, 16.0, 1.0), (3, 40.0, 0.25)]:
+            assert auto_cutoff(d, L, beta) < M_CUTOFF_CAP / 10
+        assert np.isfinite(continuum_density(3, 1.0, 0.5))
 
 
 class TestAdmissibility:
