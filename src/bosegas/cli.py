@@ -280,8 +280,6 @@ def run(config_path: str, seed=None, out=None, threads=1, force=False) -> int:
             values, meta = rest[1]
             save_field_snapshot(values, meta, os.path.join(out_dir, "field-snapshot"))
     wall = time.perf_counter() - t0
-    for r in records:
-        r.wall_time = wall
     _write_rows_csv(rows, os.path.join(out_dir, "table.csv"))
     write_records_csv(records, os.path.join(out_dir, "results.csv"))
     write_records_json(records, os.path.join(out_dir, "results.json"))

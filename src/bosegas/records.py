@@ -23,7 +23,6 @@ class ResultRecord:
     value: float
     std_error: float | None = None  # None means exact
     ess: float | None = None
-    wall_time: float = 0.0
     code_version: str = __version__
 
     def __post_init__(self):
@@ -39,7 +38,7 @@ def config_hash(payload) -> str:
     return hashlib.sha256(canon).hexdigest()[:16]
 
 
-CSV_FIELDS = ["config_hash", "observable", "value", "std_error", "tag", "ess", "wall_time", "code_version"]
+CSV_FIELDS = ["config_hash", "observable", "value", "std_error", "tag", "ess", "code_version"]
 
 
 def write_records_csv(records, path):
@@ -63,22 +62,6 @@ def write_records_json(records, path):
         out.append(d)
     with open(path, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
-
-
-def numerics_only(records) -> bytes:
-    """Canonical byte serialization of the numbers (wall time excluded), used
-    by the determinism contract."""
-    rows = [
-        {
-            "config_hash": r.config_hash,
-            "observable": r.observable,
-            "value": repr(r.value),
-            "std_error": None if r.std_error is None else repr(r.std_error),
-            "ess": None if r.ess is None else repr(r.ess),
-        }
-        for r in records
-    ]
-    return json.dumps(rows, sort_keys=True).encode()
 
 
 def save_field_snapshot(values: np.ndarray, grid_meta: dict, path_base: str):

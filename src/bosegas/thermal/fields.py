@@ -15,7 +15,10 @@ Sampling is exact on the discrete lattice: the space-time covariance is
 diagonal in the full discrete Fourier basis, so filtering white noise with the
 square root of that spectrum reproduces the covariance with no time-stepping
 bias.  The empirical covariance of the sampler therefore estimates the same
-kernel that `covariance` evaluates analytically.
+kernel that `covariance` evaluates analytically.  The spectrum is even in the
+space-time momentum, so the filtered noise is real and the filter is applied
+by real-to-complex transforms over half the spectrum (the last axis keeps
+n_x // 2 + 1 bins).
 
 The Weyl-state value exp(-1/4 <f coth(beta h/2) f>) and the measure's own
 characteristic functional exp(-1/2 Cov(f,f)) are both exposed; they differ by
@@ -25,6 +28,7 @@ the documented factor of two in the exponent and are not forced to coincide.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 
 from ..rng import generator
 
@@ -183,8 +187,9 @@ def sample_fields(params: ThermalFieldParams, n: int, seed: int) -> np.ndarray:
     rng = generator(seed)
     S = _spectral_density(params)
     axes = tuple(range(1, g.d + 2))
-    eta = rng.standard_normal((n, g.n_tau) + g.spatial_shape)
-    phi = np.fft.ifftn(np.fft.fftn(eta, axes=axes) * np.sqrt(S)[None], axes=axes).real
+    spec = sfft.rfftn(rng.standard_normal((n, g.n_tau) + g.spatial_shape), axes=axes)
+    spec *= np.sqrt(S[..., : g.n_x // 2 + 1])
+    phi = sfft.irfftn(spec, s=(g.n_tau,) + g.spatial_shape, axes=axes)
     if params.critical:
         offset = np.sqrt(params.c) * rng.standard_normal(n)
         phi += offset.reshape((n,) + (1,) * (g.d + 1))
@@ -199,9 +204,10 @@ def sample_field(params: ThermalFieldParams, rng_seed: int) -> FieldSample:
 def pair_field(values: np.ndarray, grid: FieldGrid, f, tau_index: int = 0) -> np.ndarray:
     """phi(f (x) delta_tau) = cell * sum_x f(x) phi(tau, x); vectorized over leading axes."""
     fa = np.asarray(f, dtype=float)
-    slice_vals = np.take(values, tau_index, axis=-1 - grid.d)
-    spatial = list(range(-grid.d, 0))
-    return grid.cell * np.tensordot(slice_vals, fa, axes=(spatial, spatial))
+    if fa.shape != grid.spatial_shape:
+        raise ValueError(f"test vector must have shape {grid.spatial_shape}")
+    slice_vals = values[(..., tau_index) + (slice(None),) * grid.d]  # a view, not a copy
+    return grid.cell * (slice_vals.reshape(slice_vals.shape[: -grid.d] + (-1,)) @ fa.ravel())
 
 
 def weyl_expectation(params: ThermalFieldParams, f) -> float:

@@ -14,6 +14,10 @@ integrable and positive definite on the grid, and there P is additionally
 required to be pointwise nonnegative.  phi_eps is the field smoothed by a
 spectral Gaussian mollifier of width eps >= 2 grid spacings.
 
+Every filter here (the mollifier, the periodized kernel F) is even in k and
+acts on real fields, so the transforms are real-to-complex ones over half the
+spectrum: the last spatial axis keeps n_x // 2 + 1 bins.
+
 Perturbed expectations are importance-sampling estimates from the free
 measure, guarded by an effective-sample-size floor so a collapsing weight
 distribution cannot produce a silently wrong number.
@@ -23,6 +27,7 @@ from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
+from scipy import fft as sfft
 
 from .fields import FieldGrid, FieldSample, ThermalFieldParams, pair_field, sample_fields
 
@@ -76,9 +81,11 @@ def mollify(values: np.ndarray, grid: FieldGrid, eps: float) -> np.ndarray:
     """
     if eps < 2 * grid.a:
         raise ValueError("mollifier width must be at least 2 grid spacings")
-    filt = np.exp(-0.5 * eps**2 * grid.ksq())
+    filt = np.exp(-0.5 * eps**2 * grid.ksq()[..., : grid.n_x // 2 + 1])
     axes = tuple(range(-grid.d, 0))
-    return np.fft.ifftn(np.fft.fftn(values, axes=axes) * filt, axes=axes).real
+    spec = sfft.rfftn(values, axes=axes)
+    spec *= filt
+    return sfft.irfftn(spec, s=grid.spatial_shape, axes=axes)
 
 
 def _region_mask(grid: FieldGrid, region) -> np.ndarray:
@@ -134,9 +141,9 @@ def perturbation_action_batch(
     Pm = P * mask
     if pert.region is None:
         # periodic convolution via FFT: sum_xy P(x) F(x-y) P(y)
-        conv = np.fft.ifftn(
-            np.fft.fftn(Pm, axes=spatial) * np.fft.fftn(Fm), axes=spatial
-        ).real
+        spec = sfft.rfftn(Pm, axes=spatial)
+        spec *= sfft.rfftn(Fm)
+        conv = sfft.irfftn(spec, s=grid.spatial_shape, axes=spatial)
         quad = (Pm * conv).sum(axis=spatial) * grid.cell**2
     else:
         pts = np.argwhere(mask)
@@ -181,9 +188,17 @@ def shifted_action_batch(
     if pert.kernel is None:
         S = powers.reshape(deg + 1, n, -1).sum(axis=-1) * grid.cell  # (deg + 1, n)
         return -pert.lam * grid.dtau * (C @ S)
-    # Parseval: sum_x a(x) (F * b)(x) = sum_k conj(a^_k) F^_k b^_k / n_cells
-    spec = np.fft.fftn(powers, axes=spatial)
-    filtered = (spec * np.fft.fftn(_kernel_matrix(grid, pert.kernel))).reshape(deg + 1, n, -1)
+    # Parseval: sum_x a(x) (F * b)(x) = sum_k conj(a^_k) F^_k b^_k / n_cells.
+    # For real a, b, F the k and -k terms are conjugate, so the sum is the real
+    # part of the half-spectrum sum with weight 2 on every bin of the last axis
+    # but the DC bin and (for even n_x) the Nyquist bin.
+    hermitian = np.full(grid.n_x // 2 + 1, 2.0)
+    hermitian[0] = 1.0
+    if grid.n_x % 2 == 0:
+        hermitian[-1] = 1.0
+    weighted_kernel = sfft.rfftn(_kernel_matrix(grid, pert.kernel)) * hermitian
+    spec = sfft.rfftn(powers, axes=spatial)
+    filtered = (spec * weighted_kernel).reshape(deg + 1, n, -1)
     spec = spec.reshape(deg + 1, n, -1).conj()
     G = np.einsum("pnk,qnk->npq", spec, filtered).real * grid.cell**2 / mask.size
     return -pert.lam * grid.dtau * np.einsum("sp,npq,sq->sn", C, G, C)

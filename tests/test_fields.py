@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import bosegas.thermal.fields as fields_mod
+from bosegas.rng import generator
 from bosegas.thermal import (
     FieldGrid,
     ThermalFieldParams,
@@ -15,6 +17,8 @@ from bosegas.thermal import (
     sample_fields,
     weyl_expectation,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def small_params(critical=False, c=1.0, mu=0.7, n_x=16, L=4.0, n_tau=8, d=1, beta=1.0):
@@ -201,3 +205,74 @@ class TestErgodicity:
         p = small_params(mu=0.5, n_x=8, L=2.0)
         rep = ergodicity_diagnostic(p, 8, volumes=[2.0, 4.0], seed=24)
         assert rep["status"] == "inconclusive"
+
+
+# (d, n_x, n_tau): every d with an odd and an even n_x, both n_tau parities
+SHAPES = [(1, 7, 5), (1, 8, 4), (2, 5, 4), (2, 6, 3), (3, 4, 3), (3, 5, 2)]
+
+
+def reference_sample_fields(params, n, seed):
+    """Full complex-FFT sampler (the real-to-complex one must agree to rounding);
+    returns the fields and the generator after its draws."""
+    g = params.grid
+    rng = generator(seed)
+    S = fields_mod._spectral_density(params)
+    axes = tuple(range(1, g.d + 2))
+    eta = rng.standard_normal((n, g.n_tau) + g.spatial_shape)
+    phi = np.fft.ifftn(np.fft.fftn(eta, axes=axes) * np.sqrt(S)[None], axes=axes).real
+    if params.critical:
+        phi += (np.sqrt(params.c) * rng.standard_normal(n)).reshape((n,) + (1,) * (g.d + 1))
+    return phi, rng
+
+
+class TestRealTransformSampler:
+    @pytest.mark.parametrize("critical", [False, True])
+    @pytest.mark.parametrize("d, n_x, n_tau", SHAPES)
+    def test_matches_complex_reference(self, d, n_x, n_tau, critical, monkeypatch):
+        p = small_params(critical=critical, d=d, n_x=n_x, n_tau=n_tau, L=3.0)
+        made = []
+
+        def spy(seed):
+            made.append(generator(seed))
+            return made[-1]
+
+        monkeypatch.setattr(fields_mod, "generator", spy)
+        got = sample_fields(p, 6, 41)
+        ref, ref_rng = reference_sample_fields(p, 6, 41)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert made[0].bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_pair_field(values, grid, f, tau_index=0):
+    slice_vals = np.take(values, tau_index, axis=-1 - grid.d)
+    spatial = list(range(-grid.d, 0))
+    return grid.cell * np.tensordot(slice_vals, np.asarray(f, dtype=float), axes=(spatial, spatial))
+
+
+class TestPairFieldView:
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+    def test_matches_take_tensordot(self, lead):
+        p = small_params(d=2, n_x=5, n_tau=4)
+        rng = np.random.default_rng(42)
+        values = rng.standard_normal(lead + (4, 5, 5))
+        f = rng.standard_normal((5, 5))
+        for tau_index in (0, 3, -1):
+            got = pair_field(values, p.grid, f, tau_index)
+            ref = reference_pair_field(values, p.grid, f, tau_index)
+            assert np.shape(got) == np.shape(ref)
+            np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+    def test_non_contiguous_input(self):
+        p = small_params(d=2, n_x=6, n_tau=4)
+        rng = np.random.default_rng(43)
+        # reversed sample axis and transposed spatial axes: no C-order view
+        values = rng.standard_normal((8, 4, 6, 6))[::-2].swapaxes(-1, -2)
+        assert not values.flags.c_contiguous
+        f = rng.standard_normal((6, 6))
+        np.testing.assert_allclose(pair_field(values, p.grid, f, 2),
+                                   reference_pair_field(values, p.grid, f, 2), rtol=1e-12)
+
+    def test_wrong_shape_rejected(self):
+        p = small_params(d=2, n_x=4, n_tau=4)
+        with pytest.raises(ValueError):
+            pair_field(np.zeros((2, 4, 4, 4)), p.grid, np.ones(16))

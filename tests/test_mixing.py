@@ -16,6 +16,8 @@ from bosegas.thermal import (
 )
 from bosegas.thermal.perturb import mollify, perturbation_action_batch, shifted_action_batch
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def bessel_oracle(c, f0):
     """Independent oracle: integral (1/4) e^{-r/4} J0(sqrt(c r) f0) dr."""

@@ -1,5 +1,7 @@
 """Polynomial perturbations: action, reweighting, first-order response."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,15 @@ from bosegas.thermal import (
     sample_field,
     sample_fields,
 )
-from bosegas.thermal.perturb import perturbation_action, perturbation_action_batch
+from bosegas.thermal.perturb import (
+    _kernel_matrix,
+    _region_mask,
+    perturbation_action,
+    perturbation_action_batch,
+    shifted_action_batch,
+)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def params_1d(mu=0.7, n_x=16, L=4.0, n_tau=8):
@@ -217,3 +227,84 @@ class TestReweightingExactConsistency:
         assert len(rec["component_weights"]) == 16
         pt, wt = rec["component_weights"][0]
         assert isinstance(pt, PureStatePoint) and wt > 0
+
+
+# Full complex-FFT forms of the filters; the real-to-complex ones must agree
+# with them to rounding.
+
+
+def reference_mollify(values, grid, eps):
+    axes = tuple(range(-grid.d, 0))
+    filt = np.exp(-0.5 * eps**2 * grid.ksq())
+    return np.fft.ifftn(np.fft.fftn(values, axes=axes) * filt, axes=axes).real
+
+
+def reference_nonlocal_action(phi, grid, pert):
+    """Whole-torus nonlocal action of premollified fields."""
+    spatial = tuple(range(-grid.d, 0))
+    P = pert.poly()(phi)
+    conv = np.fft.ifftn(
+        np.fft.fftn(P, axes=spatial) * np.fft.fftn(_kernel_matrix(grid, pert.kernel)), axes=spatial
+    ).real
+    return -pert.lam * grid.dtau * ((P * conv).sum(axis=spatial) * grid.cell**2).sum(axis=-1)
+
+
+def reference_gram_actions(values, grid, pert, shifts):
+    """Nonlocal shifted actions from the full-spectrum Gram matrix of the power fields."""
+    poly, deg, n = pert.poly(), pert.poly().degree(), values.shape[0]
+    C = np.stack([poly.deriv(q)(shifts) / factorial(q) for q in range(deg + 1)], axis=-1)
+    mask = _region_mask(grid, pert.region)
+    spatial = tuple(range(-grid.d, 0))
+    powers = np.stack([mask * values**q for q in range(deg + 1)])
+    spec = np.fft.fftn(powers, axes=spatial)
+    filtered = (spec * np.fft.fftn(_kernel_matrix(grid, pert.kernel))).reshape(deg + 1, n, -1)
+    spec = spec.reshape(deg + 1, n, -1).conj()
+    G = np.einsum("pnk,qnk->npq", spec, filtered).real * grid.cell**2 / mask.size
+    return -pert.lam * grid.dtau * np.einsum("sp,npq,sq->sn", C, G, C)
+
+
+# (d, n_x, n_tau): every d with an odd and an even n_x, both n_tau parities
+SHAPES = [(1, 7, 5), (1, 8, 4), (2, 5, 4), (2, 6, 3), (3, 4, 3), (3, 5, 2)]
+
+
+def shaped_fields(d, n_x, n_tau, critical, n=5, seed=51):
+    grid = FieldGrid(beta=1.0, n_tau=n_tau, d=d, L=3.0, n_x=n_x)
+    if critical:
+        p = ThermalFieldParams(grid=grid, mu=0.0, critical=True, c=1.0)
+    else:
+        p = ThermalFieldParams(grid=grid, mu=0.6)
+    return grid, sample_fields(p, n, seed)
+
+
+@pytest.mark.parametrize("critical", [False, True])
+@pytest.mark.parametrize("d, n_x, n_tau", SHAPES)
+class TestRealTransforms:
+    def test_mollify(self, d, n_x, n_tau, critical):
+        grid, phi = shaped_fields(d, n_x, n_tau, critical)
+        eps = 2.5 * grid.a
+        np.testing.assert_allclose(mollify(phi, grid, eps), reference_mollify(phi, grid, eps),
+                                   rtol=1e-12, atol=1e-12 * np.abs(phi).max())
+
+    def test_nonlocal_action(self, d, n_x, n_tau, critical):
+        grid, phi = shaped_fields(d, n_x, n_tau, critical)
+        eps = 2.5 * grid.a
+        kern = lambda r: np.exp(-(r**2))
+        full = PolynomialPerturbation(coeffs=(0.5, 0.0, 1.0), lam=0.2, mollifier_width=eps, kernel=kern)
+        ref = reference_nonlocal_action(reference_mollify(phi, grid, eps), grid, full)
+        np.testing.assert_allclose(perturbation_action_batch(phi, grid, full), ref, rtol=1e-12)
+        # a sub-region takes the direct double sum over the mollified fields
+        boxed = PolynomialPerturbation(coeffs=(0.5, 0.0, 1.0), lam=0.2, mollifier_width=eps,
+                                       kernel=kern, region=((0.0, 1.6),) * d)
+        ref = perturbation_action_batch(reference_mollify(phi, grid, eps), grid, boxed,
+                                        premollified=True)
+        np.testing.assert_allclose(perturbation_action_batch(phi, grid, boxed), ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("region", [None, "box"])
+    def test_shifted_gram(self, d, n_x, n_tau, critical, region):
+        grid, phi = shaped_fields(d, n_x, n_tau, critical)
+        pert = PolynomialPerturbation(coeffs=(0.5, 0.0, 1.0, 0.0, 0.3), lam=0.2,
+                                      kernel=lambda r: np.exp(-(r**2)),
+                                      region=None if region is None else ((0.0, 1.6),) * d)
+        shifts = np.array([0.0, 0.4, -1.3])
+        np.testing.assert_allclose(shifted_action_batch(phi, grid, pert, shifts),
+                                   reference_gram_actions(phi, grid, pert, shifts), rtol=1e-12)

@@ -1,5 +1,8 @@
 """Record writers and binary snapshot round trips."""
 
+import csv
+import json
+
 import numpy as np
 
 from bosegas.loopgas import BoxRegion, sample_free_poisson
@@ -7,7 +10,6 @@ from bosegas.records import (
     ResultRecord,
     load_field_snapshot,
     load_loop_checkpoint,
-    numerics_only,
     save_field_snapshot,
     save_loop_checkpoint,
     write_records_csv,
@@ -28,10 +30,15 @@ def test_exact_tag(tmp_path):
     assert "exact" in text and "estimated" in text
 
 
-def test_numerics_exclude_wall_time():
-    a = ResultRecord("h", "x", 1.5, None, wall_time=1.0)
-    b = ResultRecord("h", "x", 1.5, None, wall_time=99.0)
-    assert numerics_only([a]) == numerics_only([b])
+def test_numerics_exclude_wall_time(tmp_path):
+    # wall time lives in meta.json only, so the result files are byte-deterministic
+    recs = [ResultRecord("h", "x", 1.5, None), ResultRecord("h", "y", 2.5, 0.1, ess=50.0)]
+    write_records_csv(recs, tmp_path / "r.csv")
+    write_records_json(recs, tmp_path / "r.json")
+    with open(tmp_path / "r.csv") as fh:
+        header = next(csv.reader(fh))
+    assert "wall_time" not in header
+    assert all("wall_time" not in row for row in json.loads((tmp_path / "r.json").read_text()))
 
 
 def test_field_snapshot_roundtrip(tmp_path):
@@ -57,8 +64,6 @@ def test_loop_checkpoint_roundtrip(tmp_path):
 
 
 def test_loop_checkpoint_version_1_still_loads(tmp_path):
-    import json
-
     region = BoxRegion(d=2, L=5.0, n_slices=4)
     cfg = sample_free_poisson(0.6, 1.0, region, rng_seed=4)
     base = str(tmp_path / "v1")
