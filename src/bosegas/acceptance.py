@@ -77,7 +77,7 @@ def check_2_fugacity_duality(seed=BASE_SEED) -> CheckResult:
         rho_spec = density(spec, beta, -np.log(z) / beta)
         rels[z] = abs(rho_loop - rho_spec) / rho_spec
     configs = sample_free_poisson_batch(10_000, 0.3, beta, region, derive_seed(seed, "duality"))
-    N = np.array([c.particle_number for c in configs], dtype=float)
+    N = configs.particle_numbers.astype(float)
     target = free_density(0.3, beta, region) * region.volume
     zscore = abs(N.mean() - target) / (N.std(ddof=1) / np.sqrt(N.size))
     ok = max(rels.values()) < 0.005 and zscore < 3.0
@@ -263,7 +263,7 @@ def check_9_gibbs_validity(seed=BASE_SEED) -> CheckResult:
     run = gibbs_sample(z, 1.0, region, None, n_sweeps=4000, rng_seed=derive_seed(seed, "chain"), thin=8)
     counts_chain = np.array([c.loop_count for c in run["configs"]])
     direct = sample_free_poisson_batch(counts_chain.size, z, 1.0, region, derive_seed(seed, "direct"))
-    counts_direct = np.array([c.loop_count for c in direct])
+    counts_direct = direct.loop_counts
     top = int(max(counts_chain.max(), counts_direct.max()))
     bins = np.arange(0, top + 2)
     h1, _ = np.histogram(counts_chain, bins=bins)
@@ -406,7 +406,7 @@ def _numerics_payload(seed: int, threads: int) -> bytes:
     def t_loops(_):
         region = BoxRegion(d=3, L=4.0, n_slices=4)
         cfgs = sample_free_poisson_batch(300, 0.4, 1.0, region, derive_seed(seed, "det-loops"))
-        return repr(sorted(c.particle_number for c in cfgs))
+        return repr(sorted(cfgs.particle_numbers.tolist()))
 
     tasks = [t_rho, t_trace, t_field, t_loops]
     with ThreadPoolExecutor(max_workers=threads) as pool:

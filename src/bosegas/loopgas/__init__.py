@@ -25,7 +25,7 @@ from .free import (
     winding_masses,
 )
 from .gibbs import GibbsChain, gibbs_sample
-from .loops import BridgeLoop, LoopConfiguration, fill_bridges
+from .loops import BridgeLoop, LoopBatch, LoopConfiguration, fill_bridges
 from .observables import (
     LoopTestFunction,
     density_from_configs,
@@ -50,6 +50,7 @@ __all__ = [
     "DIRICHLET",
     "ExpPairing",
     "GibbsChain",
+    "LoopBatch",
     "LoopConfiguration",
     "LoopTestFunction",
     "One",

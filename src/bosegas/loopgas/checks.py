@@ -24,6 +24,7 @@ from ..rng import derive_seed, generator
 from .energy import added_loop_energies, interaction_energies
 from .free import (
     _fill_loop_paths,
+    _live_knots,
     _sample_bases,
     config_pairings,
     free_log_partition,
@@ -96,16 +97,21 @@ def gibbs_weights(configs, V: PairPotential | None, beta: float, region: BoxRegi
 
 
 def mean_pairing(z, beta, region, f, n_mc, seed, j_max=None) -> tuple:
-    """E<phi, f> = sum_j nu_j E_bridge[I_f] by per-winding bridge Monte Carlo."""
+    """E<phi, f> = sum_j nu_j E_bridge[I_f] by per-winding bridge Monte Carlo.
+
+    Periodic bridges are filled only up to the knots f reads (its t_max).
+    """
     nus, jm = winding_masses(z, beta, region, j_max)
     rng = generator(derive_seed(seed, "mean-pairing"))
+    dtau = beta / region.n_slices
     total, var = 0.0, 0.0
     for j in range(1, jm + 1):
         if nus[j - 1] < 1e-14:
             continue
+        n_knots = j * region.n_slices + 1
         bases = _sample_bases(n_mc, j, beta, region, rng)
-        paths, _ = _fill_loop_paths(bases, j, beta, region, rng)
-        vals = time_integrals(paths, f, beta, region)
+        paths, _ = _fill_loop_paths(bases, j, beta, region, rng, _live_knots([f], n_knots, dtau))
+        vals = time_integrals(paths, f, beta, region, n_knots)
         total += nus[j - 1] * vals.mean()
         var += nus[j - 1] ** 2 * vals.var(ddof=1) / n_mc
     return total, np.sqrt(var)
@@ -133,7 +139,8 @@ def integration_by_parts_check(
     Every loop is integrated once against the test functions of F, of G and
     f; F and G then act on pairing vectors, with loops and bridge samples
     along the leading axis: F(phi - d_w) = F(p - I(w)), G(phi + d_w) =
-    G(p + I(w)).
+    G(p + I(w)).  At V = None the right-hand side's periodic bridges are
+    filled only up to the knots the test functions of G and f read.
     """
     kf = len(F.gs)
     fs = [*F.gs, *G.gs, f]  # pairing columns: F's [:kf], G's [kf:-1], f last
@@ -168,9 +175,12 @@ def integration_by_parts_check(
     for j in range(1, jm + 1):
         if nus[j - 1] < 1e-14:
             continue
+        n_knots = j * region.n_slices + 1
+        # the added loop's energy reads its whole path
+        knots = None if V is not None else _live_knots(fs[kf:], n_knots, beta / region.n_slices)
         bases = _sample_bases(n_mc, j, beta, region, rngb)
-        paths = _fill_loop_paths(bases, j, beta, region, rngb)[0]
-        added = np.stack([time_integrals(paths, g, beta, region) for g in fs[kf:]], axis=-1)
+        paths = _fill_loop_paths(bases, j, beta, region, rngb, knots)[0]
+        added = np.stack([time_integrals(paths, g, beta, region, n_knots) for g in fs[kf:]], axis=-1)
         g_shift = G.of(p2[:, kf:-1] + added[:, :-1]) * weights2
         if V is not None:
             de = added_loop_energies(paths, configs2, V, beta, region)

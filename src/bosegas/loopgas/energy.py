@@ -28,6 +28,9 @@ batched energies sum it per sample:
                                    loop's own intra term (bincount per owner);
     interaction_energies           interaction_energy of each configuration.
 
+The batched energies take a LoopBatch, or a list of configurations that
+`as_batch` packs the same way, and read its arrays directly.
+
 The batched energies sum leg pairs in the order of the scalar functions, so
 pair_energies, intra_energies and interaction_energies give their bits.
 
@@ -38,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .loops import BridgeLoop, LoopConfiguration, join, leg_index
+from .loops import BridgeLoop, LoopConfiguration, as_batch, leg_index
 from .potential import PairPotential
 from .regions import PERIODIC, BoxRegion, min_image
 
@@ -204,17 +207,17 @@ def added_loop_energies(paths: np.ndarray, configs, V: PairPotential, beta: floa
     of one winding, against configs[b], including the loop's intra term."""
     legs = _stacked_legs(paths, region)
     total = _distinct_per_row(legs, V, beta, region)
-    joined = join(configs)
-    if not joined.loop_count:
+    batch = as_batch(configs)
+    if not batch.windings.size:
         return total
-    others = joined.knots.take(leg_index(joined.windings, region.n_slices), axis=0)
-    owner = np.repeat(np.arange(len(configs)), [c.particle_number for c in configs])
+    others = batch.knots.take(leg_index(batch.windings, region.n_slices), axis=0)
+    owner = np.repeat(np.arange(len(batch)), batch.particle_numbers)
     block = max(1, _BROADCAST_FLOATS // legs[0].size)
     e = np.empty(len(others))
     for a in range(0, len(others), block):
         diff = legs[owner[a : a + block]] - others[a : a + block, None]
         e[a : a + block] = _leg_pair_energies(diff, V, beta, region).sum(axis=1)
-    return total + np.bincount(owner, weights=e, minlength=len(configs))
+    return total + np.bincount(owner, weights=e, minlength=len(batch))
 
 
 def interaction_energies(configs, V: PairPotential, beta: float, region: BoxRegion) -> np.ndarray:
@@ -223,17 +226,17 @@ def interaction_energies(configs, V: PairPotential, beta: float, region: BoxRegi
     Configurations of equal leg count are stacked and summed together; one
     that interaction_energy sums in blocks goes to it.
     """
-    out = np.zeros(len(configs))
-    joined = join(configs)
-    if not joined.loop_count:
+    batch = as_batch(configs)
+    out = np.zeros(len(batch))
+    if not batch.windings.size:
         return out
-    legs = joined.knots.take(leg_index(joined.windings, region.n_slices), axis=0)
-    counts = np.array([c.particle_number for c in configs])
+    legs = batch.knots.take(leg_index(batch.windings, region.n_slices), axis=0)
+    counts = batch.particle_numbers
     starts = np.cumsum(counts) - counts
     for m in np.unique(counts[counts > 1]):
         members = np.flatnonzero(counts == m)
         if m * m * legs[0].size > _BROADCAST_FLOATS:
-            out[members] = [interaction_energy(configs[c], V, beta, region) for c in members]
+            out[members] = [interaction_energy(batch[c], V, beta, region) for c in members]
         else:
             out[members] = _distinct_per_row(legs[starts[members, None] + np.arange(m)], V, beta, region)
     return out

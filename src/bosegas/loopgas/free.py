@@ -11,18 +11,34 @@ Dirichlet sampling draws free bridges and accepts them with the per-segment
 continuum survival probability, which defines the discrete absorbing-wall
 model; loop counts use the exact continuum masses so the count-level
 observables stay closed-form.
+
+A batch of samples is drawn winding by winding, one normal draw per winding,
+and returned as one packed LoopBatch (loops.py): sample-major, each sample's
+loops in increasing winding, with per-sample loop offsets.  The pairings of
+a batch (config_pairings) read its arrays directly, so no configuration is
+built per sample.  Bridge maps of up to 256 intervals are cached in
+loops.py, which covers every winding the identity checks reach.
+
+A test function with a declared support [0, t_max] reads only the knots
+with t <= t_max.  Where a periodic path serves nothing else, its caller fills
+only that prefix (`_fill_loop_paths(..., knots=k)`, see `_live_knots`); every
+normal is still drawn, so the generator stream does not change, and
+time_integrals takes the full knot count so the trapezoid weights are those
+of the whole path.  Dirichlet paths are always filled whole: the survival
+test reads every knot.
 """
 
 import numpy as np
 
-from ..errors import ActivityError
+from ..errors import ActivityError, TruncationError
 from ..rng import derive_seed, generator
 from .energy import _trapezoid_weights
 from .loops import (
+    LoopBatch,
     LoopConfiguration,
+    as_batch,
     draw_winding_images,
     fill_bridges,
-    join,
     segment_survival_log,
 )
 from .regions import PERIODIC, BoxRegion, diagonal_mass, kernel
@@ -32,7 +48,11 @@ TAIL_TOL = 1e-10
 
 
 def winding_masses(z: float, beta: float, region: BoxRegion, j_max: int | None = None):
-    """Poisson means nu_j = (z^j / j) M_j(box) with the adaptive winding cutoff."""
+    """Poisson means nu_j = (z^j / j) M_j(box) with the adaptive winding cutoff.
+
+    Without j_max the sum stops once the tail bound drops below TAIL_TOL, and
+    raises TruncationError if that takes more than J_MAX_CAP windings.
+    """
     if not (0 <= z < 1):
         raise ActivityError(f"activity z = {z} outside [0, 1): winding sum diverges")
     if z == 0:
@@ -48,8 +68,13 @@ def winding_masses(z: float, beta: float, region: BoxRegion, j_max: int | None =
         tail = mass_sup * z ** (j + 1) / ((j + 1) * (1 - z))
         if j_max is not None and j >= j_max:
             break
-        if j_max is None and (tail < TAIL_TOL or j >= J_MAX_CAP):
+        if j_max is None and tail < TAIL_TOL:
             break
+        if j_max is None and j >= J_MAX_CAP:
+            raise TruncationError(
+                f"winding cutoff reached the cap J_MAX_CAP = {J_MAX_CAP} with tail bound "
+                f"{tail:.3g} >= {TAIL_TOL:g} (z={z}, beta={beta}, d={region.d}, L={region.L})"
+            )
         j += 1
     return np.array(nus), j
 
@@ -97,16 +122,20 @@ def _sample_bases(count: int, j: int, beta: float, region: BoxRegion, rng) -> np
     return out
 
 
-def _fill_loop_paths(bases: np.ndarray, j: int, beta: float, region: BoxRegion, rng):
+def _fill_loop_paths(bases: np.ndarray, j: int, beta: float, region: BoxRegion, rng, knots: int | None = None):
     """Paths for a batch of j-loops; returns (paths, images) with survival applied
-    for Dirichlet walls (resampling rejected paths)."""
+    for Dirichlet walls (resampling rejected paths).
+
+    With `knots` given, periodic paths hold only their first `knots` knots
+    (the generator advances as for whole paths); Dirichlet paths stay whole.
+    """
     count = bases.shape[0]
     n_int = j * region.n_slices
     dtau = beta / region.n_slices
     if region.boundary == PERIODIC:
         images = draw_winding_images(count, j, beta, region, rng)
         ends = bases + images * region.L
-        paths = fill_bridges(bases, ends, n_int, dtau, rng)
+        paths = fill_bridges(bases, ends, n_int, dtau, rng, knots)
         return paths, images
     images = np.zeros((count, region.d), dtype=int)
     paths = np.empty((count, n_int + 1, region.d))
@@ -138,37 +167,35 @@ def sample_free_poisson_batch(
     region: BoxRegion,
     rng_seed: int,
     j_max: int | None = None,
-) -> list:
-    """Batch of independent configurations; loops are generated vectorized per
-    winding, then each configuration is packed from its blocks (windings in
-    increasing order)."""
-    nus, jm = winding_masses(z, beta, region, j_max)
+) -> LoopBatch:
+    """Batch of independent configurations as one LoopBatch.  Loops are
+    generated vectorized per winding, then scattered into sample-major order,
+    each sample's loops in increasing winding."""
+    nus, _ = winding_masses(z, beta, region, j_max)
     rng = generator(rng_seed)
-    blocks = [[] for _ in range(n_configs)]  # per config: (j, paths, images) per winding
+    counts = np.zeros((n_configs, nus.size), dtype=int)  # loops per sample and winding
+    blocks = []  # (j, paths, images) of each winding that has loops, rows in sample order
     for j in range(1, nus.size + 1):
-        counts = rng.poisson(nus[j - 1], size=n_configs)
-        total = int(counts.sum())
+        counts[:, j - 1] = rng.poisson(nus[j - 1], size=n_configs)
+        total = int(counts[:, j - 1].sum())
         if total == 0:
             continue
         bases = _sample_bases(total, j, beta, region, rng)
-        paths, images = _fill_loop_paths(bases, j, beta, region, rng)
-        ends = np.cumsum(counts)
-        for ci in np.flatnonzero(counts):
-            sl = slice(ends[ci] - counts[ci], ends[ci])
-            blocks[ci].append((j, paths[sl], images[sl]))
-    return [_pack(b, region) for b in blocks]
-
-
-def _pack(blocks, region: BoxRegion) -> LoopConfiguration:
-    """Packed configuration from per-winding blocks of (j, paths, images)."""
-    if not blocks:
-        return LoopConfiguration()
-    windings = np.concatenate([np.full(len(p), j) for j, p, _ in blocks])
-    return LoopConfiguration(
-        knots=np.concatenate([p.reshape(-1, region.d) for _, p, _ in blocks]),
-        offsets=np.concatenate([[0], np.cumsum(windings * region.n_slices + 1)]),
+        blocks.append((j, *_fill_loop_paths(bases, j, beta, region, rng)))
+    windings = np.repeat(np.tile(np.arange(1, nus.size + 1), n_configs), counts.ravel())
+    offsets = np.concatenate([[0], np.cumsum(windings * region.n_slices + 1)])
+    knots = np.empty((offsets[-1], region.d))
+    images = np.empty((windings.size, region.d), dtype=int)
+    for j, paths, imgs in blocks:
+        rows = np.flatnonzero(windings == j)
+        knots[offsets[rows, None] + np.arange(paths.shape[1])] = paths
+        images[rows] = imgs
+    return LoopBatch(
+        knots=knots,
+        offsets=offsets,
         windings=windings,
-        images=np.concatenate([im for _, _, im in blocks]),
+        images=images,
+        loop_starts=np.concatenate([[0], np.cumsum(counts.sum(axis=1))]),
     )
 
 
@@ -176,22 +203,34 @@ def _pack(blocks, region: BoxRegion) -> LoopConfiguration:
 _CHUNK_FLOATS = 1 << 18
 
 
-def time_integrals(paths: np.ndarray, f, beta: float, region: BoxRegion) -> np.ndarray:
+def _live_knots(fs, n_knots: int, dtau: float) -> int:
+    """How many leading knots of a path of n_knots the test functions fs read:
+    those with t <= t_max of the latest-ending one (all of them for a test
+    function without a declared support)."""
+    ts = dtau * np.arange(n_knots)
+    return max(int(np.searchsorted(ts, getattr(f, "t_max", np.inf), side="right")) for f in fs)
+
+
+def time_integrals(paths: np.ndarray, f, beta: float, region: BoxRegion, n_knots: int | None = None) -> np.ndarray:
     """Trapezoid integral of f(tau, omega(tau)) over [0, K dtau] along each
     unwrapped path of a block (..., K + 1, d); returns shape (...).
 
     f is called on knot times and wrapped positions (rows, knots, d) and must
     broadcast over the leading axes.  Rows come in chunks, so the temporaries
     stay bounded whatever the block size, and a test function with a declared
-    time support [0, t_max] is evaluated only at the knots inside it.
+    time support [0, t_max] is evaluated only at the knots inside it.  The
+    paths may be prefixes of paths of n_knots knots that hold every knot f
+    reads; the integral is then that of the whole paths, bit for bit.
     """
     paths = np.asarray(paths, dtype=float)
-    n_knots, d = paths.shape[-2:]
-    flat = paths.reshape(-1, n_knots, d)
+    given, d = paths.shape[-2:]
+    n_knots = given if n_knots is None else n_knots
+    flat = paths.reshape(-1, given, d)
     dtau = beta / region.n_slices
-    ts = dtau * np.arange(n_knots)
-    live = int(np.searchsorted(ts, getattr(f, "t_max", np.inf), side="right"))
-    ts, w = ts[:live], _trapezoid_weights(n_knots, dtau)[:live]
+    live = _live_knots([f], n_knots, dtau)
+    if live > given:
+        raise ValueError(f"paths hold {given} knots, but f reads {live} of {n_knots}")
+    ts, w = dtau * np.arange(live), _trapezoid_weights(n_knots, dtau)[:live]
     out = np.empty(flat.shape[0])
     rows = max(1, _CHUNK_FLOATS // (max(live, 1) * d))
     for a in range(0, flat.shape[0], rows):
@@ -201,10 +240,11 @@ def time_integrals(paths: np.ndarray, f, beta: float, region: BoxRegion) -> np.n
     return out.reshape(paths.shape[:-2])
 
 
-def loop_integrals(config: LoopConfiguration, fs, beta: float, region: BoxRegion) -> np.ndarray:
-    """(loop_count, len(fs)) time integrals I_f(w) of each test function along
-    each loop; the loops of one winding go through one time_integrals call."""
-    out = np.empty((config.loop_count, len(fs)))
+def loop_integrals(config: LoopConfiguration | LoopBatch, fs, beta: float, region: BoxRegion) -> np.ndarray:
+    """(n_loops, len(fs)) time integrals I_f(w) of each test function along
+    each loop of a configuration or a batch; the loops of one winding go
+    through one time_integrals call."""
+    out = np.empty((config.windings.size, len(fs)))
     lengths = np.diff(config.offsets)
     for n_knots in np.unique(lengths):
         loops = np.flatnonzero(lengths == n_knots)
@@ -215,13 +255,14 @@ def loop_integrals(config: LoopConfiguration, fs, beta: float, region: BoxRegion
 
 
 def config_pairings(configs, fs, beta: float, region: BoxRegion) -> tuple:
-    """Pairings of a batch of configurations, every loop integrated once:
-    (per-loop integrals (n_loops, len(fs)) of all loops in order, each loop's
-    configuration index (n_loops,), totals (phi, f) (len(configs), len(fs)))."""
-    configs = list(configs)
-    per_loop = loop_integrals(join(configs), fs, beta, region)
-    owner = np.repeat(np.arange(len(configs)), [c.loop_count for c in configs])
-    totals = np.zeros((len(configs), len(fs)))
+    """Pairings of a batch of configurations (a LoopBatch or a list), every
+    loop integrated once: (per-loop integrals (n_loops, len(fs)) of all loops
+    in order, each loop's configuration index (n_loops,), totals (phi, f)
+    (len(configs), len(fs)))."""
+    batch = as_batch(configs)
+    per_loop = loop_integrals(batch, fs, beta, region)
+    owner = batch.owner
+    totals = np.zeros((len(batch), len(fs)))
     np.add.at(totals, owner, per_loop)
     return per_loop, owner, totals
 

@@ -18,18 +18,32 @@ configurations, which a Metropolis move can build without touching the
 current state.  `.loops` gives read-only BridgeLoop views for callers that
 work loop by loop.
 
+A LoopBatch packs many configurations the same way, sample after sample,
+with per-sample loop offsets `loop_starts`: the free sampler returns one, and
+the batched consumers (pairings, batched energies, Gibbs weights, densities)
+read its arrays directly through `as_batch`, which packs a list of
+configurations into the same arrays.  `batch[s]` is a read-only
+LoopConfiguration view of sample s, and slicing, iteration and `[cfg] +
+batch` keep working for callers that expect a list.
+
 Bridge interiors follow recursive midpoint construction: split the knot
 range at its midpoint, draw the midpoint from the exact Gaussian conditional
 (variance 2 dt_left dt_right / dt_total per coordinate), recurse.  The
 schedule is deterministic, so every knot is one fixed linear combination of
 the two endpoints and the scaled normals of the midpoints above it.  That
-map depends only on (n_intervals, dtau) (short bridges' maps are cached), and
-a batch of bridges is one draw of all its normals (in schedule order, as the
-recursion consumed them) and one matrix product.  `bridges_from_normals`
-applies the same map to normals drawn bridge by bridge, so a batch can
-reproduce the stream of one-row fill_bridges calls.
+map depends only on (n_intervals, dtau), and a batch of bridges is one draw
+of all its normals (in schedule order, as the recursion consumed them) and
+one matrix product.  Maps of up to _CACHED_INTERVALS = 256 intervals (about
+0.5 MB each) are cached, which covers every winding the samplers reuse.  A
+caller that reads only the first k knots (a test function that vanishes
+after t_max) asks fill_bridges for knots=k: every normal is still drawn, so
+the generator stream is the same, and only the map's first k rows are
+applied.  `bridges_from_normals` applies the same map to normals drawn
+bridge by bridge, so a batch can reproduce the stream of one-row
+fill_bridges calls.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -183,17 +197,104 @@ class LoopConfiguration:
         return LoopConfiguration(knots=knots, offsets=self.offsets, windings=self.windings, images=self.images)
 
 
-def join(configs) -> LoopConfiguration:
-    """One configuration holding the loops of each configuration in turn."""
-    configs = [c for c in configs if c.loop_count]
-    if not configs:
-        return LoopConfiguration()
-    lengths = np.concatenate([np.diff(c.offsets) for c in configs])
-    return LoopConfiguration(
-        knots=np.concatenate([c.knots for c in configs]),
+class LoopBatch:
+    """Read-only packed batch of configurations (samples).
+
+    The LoopConfiguration arrays of every sample back to back, sample after
+    sample: `knots` (K, d), `offsets` (n_loops + 1,), `windings` (n_loops,)
+    and `images` (n_loops, d), plus `loop_starts` (n_samples + 1,), so that
+    sample s holds loops loop_starts[s] .. loop_starts[s + 1] - 1.  The
+    arrays are adopted, not copied, and made read-only.
+
+    len(batch) counts samples; batch[s] is a read-only LoopConfiguration
+    view of sample s (an empty one for a sample without loops), a slice is a
+    LoopBatch, and iteration and `+` with a list give configurations.
+    """
+
+    __slots__ = ("knots", "offsets", "windings", "images", "loop_starts")
+
+    def __init__(self, *, knots, offsets, windings, images, loop_starts):
+        self.knots = _frozen(knots)
+        self.offsets = _frozen(offsets)
+        self.windings = _frozen(windings)
+        self.images = _frozen(images)
+        self.loop_starts = _frozen(loop_starts)
+
+    def __len__(self) -> int:
+        return self.loop_starts.size - 1
+
+    @property
+    def loop_counts(self) -> np.ndarray:
+        return np.diff(self.loop_starts)
+
+    @property
+    def owner(self) -> np.ndarray:
+        """Sample index of each loop."""
+        return np.repeat(np.arange(len(self)), self.loop_counts)
+
+    @property
+    def particle_numbers(self) -> np.ndarray:
+        """Total winding of each sample."""
+        summed = np.concatenate([[0], np.cumsum(self.windings)])
+        return np.diff(summed[self.loop_starts])
+
+    def _arrays(self, first: int, last: int) -> dict:
+        """The packed arrays of samples first .. last - 1 (views)."""
+        a, b = self.loop_starts[first], self.loop_starts[last]
+        k0 = self.offsets[a]
+        return dict(
+            knots=self.knots[k0 : self.offsets[b]],
+            offsets=self.offsets[a : b + 1] - k0,
+            windings=self.windings[a:b],
+            images=self.images[a:b],
+        )
+
+    def __getitem__(self, s):
+        if isinstance(s, slice):
+            first, last, step = s.indices(len(self))
+            if step != 1:
+                return as_batch([self[i] for i in range(first, last, step)])
+            last = max(first, last)
+            starts = self.loop_starts[first : last + 1] - self.loop_starts[first]
+            return LoopBatch(**self._arrays(first, last), loop_starts=starts)
+        s = operator.index(s)
+        if s < 0:
+            s += len(self)
+        if not 0 <= s < len(self):
+            raise IndexError("sample index out of range")
+        if self.loop_starts[s] == self.loop_starts[s + 1]:
+            return LoopConfiguration()
+        return LoopConfiguration(**self._arrays(s, s + 1))
+
+    def __iter__(self):
+        return (self[s] for s in range(len(self)))
+
+    def __add__(self, other) -> list:
+        return list(self) + list(other)
+
+    def __radd__(self, other) -> list:
+        return list(other) + list(self)
+
+
+def as_batch(configs) -> LoopBatch:
+    """The packed arrays of a batch of configurations: a LoopBatch as it is,
+    a sequence of LoopConfigurations packed into one."""
+    if isinstance(configs, LoopBatch):
+        return configs
+    configs = list(configs)
+    loop_starts = np.concatenate([[0], np.cumsum([c.loop_count for c in configs], dtype=int)])
+    full = [c for c in configs if c.loop_count]
+    if not full:
+        empty = LoopConfiguration()
+        return LoopBatch(knots=empty.knots, offsets=empty.offsets, windings=empty.windings,
+                         images=empty.images, loop_starts=loop_starts)
+    lengths = np.concatenate([np.diff(c.offsets) for c in full])
+    return LoopBatch(
+        knots=np.concatenate([c.knots for c in full]),
         offsets=np.concatenate([[0], np.cumsum(lengths)]),
-        windings=np.concatenate([c.windings for c in configs]),
-        images=np.concatenate([c.images for c in configs]),
+        windings=np.concatenate([c.windings for c in full]),
+        images=np.concatenate([c.images for c in full]),
+        loop_starts=loop_starts,
     )
 
 
@@ -212,9 +313,10 @@ def _midpoint_schedule(n_intervals: int):
     return out
 
 
-# Maps of up to this many intervals (at most 34 KB each) are cached; a larger
-# one serves a batch whose own cost dwarfs building it.
-_CACHED_INTERVALS = 64
+# Maps of up to this many intervals (at most 0.5 MB each) are cached: the
+# identity checks reuse windings up to 22 at 8 slices, 176 intervals.  A
+# longer bridge serves a batch whose own cost dwarfs building its map.
+_CACHED_INTERVALS = 256
 
 
 def _bridge_map(n_intervals: int, dtau: float) -> np.ndarray:
@@ -252,30 +354,40 @@ def _bridge_source(x0: np.ndarray, x1: np.ndarray, n_intervals: int) -> np.ndarr
     return src
 
 
-def _map_bridges(src: np.ndarray, dtau: float) -> np.ndarray:
-    """Knots (batch, n_intervals + 1, d) of the bridges whose endpoints and
-    midpoint normals are src (n_intervals + 1, batch, d)."""
+def _map_bridges(src: np.ndarray, dtau: float, knots: int | None = None) -> np.ndarray:
+    """The first `knots` knots (all by default), (batch, knots, d), of the
+    bridges whose endpoints and midpoint normals are src (n_intervals + 1,
+    batch, d)."""
     n_knots, batch, d = src.shape
     n_intervals = n_knots - 1
     small = n_intervals <= _CACHED_INTERVALS
     bridge_map = (_cached_bridge_map if small else _bridge_map)(n_intervals, dtau)
+    rows = n_knots if knots is None else knots
     # with the draw transposed, BLAS writes each coordinate's knots in a row,
     # and only the d coordinates of a bridge remain to be interleaved
-    knots = src.reshape(n_knots, -1).T.dot(bridge_map.T).reshape(batch, d, n_knots)
-    return np.ascontiguousarray(knots.swapaxes(1, 2))
+    out = src.reshape(n_knots, -1).T.dot(bridge_map[:rows].T).reshape(batch, d, rows)
+    return np.ascontiguousarray(out.swapaxes(1, 2))
 
 
-def fill_bridges(x0: np.ndarray, x1: np.ndarray, n_intervals: int, dtau: float, rng) -> np.ndarray:
+def fill_bridges(
+    x0: np.ndarray, x1: np.ndarray, n_intervals: int, dtau: float, rng, knots: int | None = None
+) -> np.ndarray:
     """Batch of discrete Brownian bridges between fixed endpoints.
 
     x0, x1: (batch, d) endpoints; returns (batch, n_intervals + 1, d) with the
     exact Gaussian bridge law at the knot times (variance 2 t per coordinate).
     The generator is advanced by one (n_intervals - 1, batch, d) normal draw,
-    the stream the recursion draws midpoint by midpoint.
+    the stream the recursion draws midpoint by midpoint.  With `knots` given,
+    only the first `knots` knots are filled and returned, (batch, knots, d),
+    from the same draw.  They equal the whole bridges' first knots bit for
+    bit when BLAS sums each column of the narrower product as it does in the
+    full one; with OpenBLAS that held at every size the identity checks use,
+    while a one-row product (a matrix-vector call), and with two BLAS threads
+    some prefixes of over 100 knots, differed by rounding (at most 4e-15).
     """
     src = _bridge_source(x0, x1, n_intervals)
     rng.standard_normal(out=src[2:])
-    return _map_bridges(src, dtau)
+    return _map_bridges(src, dtau, knots)
 
 
 def bridges_from_normals(x0: np.ndarray, x1: np.ndarray, normals: np.ndarray, dtau: float) -> np.ndarray:
@@ -291,14 +403,20 @@ def bridges_from_normals(x0: np.ndarray, x1: np.ndarray, normals: np.ndarray, dt
     return _map_bridges(src, dtau)
 
 
+@lru_cache(maxsize=256)
+def _image_weights(j: int, beta: float, L: float) -> tuple:
+    """(images w, probabilities p) of one coordinate's winding over j beta."""
+    t = j * beta
+    n = _image_range(L, t, tol=1e-16)
+    w = np.arange(-n, n + 1)
+    p = np.exp(-((w * L) ** 2) / (4 * t))
+    return _frozen(w), _frozen(p / p.sum())
+
+
 def draw_winding_images(count: int, j: int, beta: float, region: BoxRegion, rng) -> np.ndarray:
     """Spatial winding vectors for periodic loops, per coordinate with the
     image weights exp(-(w L)^2 / (4 j beta))."""
-    t = j * beta
-    n = _image_range(region.L, t, tol=1e-16)
-    w = np.arange(-n, n + 1)
-    p = np.exp(-((w * region.L) ** 2) / (4 * t))
-    p = p / p.sum()
+    w, p = _image_weights(j, beta, region.L)
     return rng.choice(w, size=(count, region.d), p=p)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from ..rng import derive_seed, generator
 from .energy import added_loop_energies, intra_energies
 from .free import config_pairings, winding_masses
-from .loops import fill_bridges, segment_survival_log
+from .loops import as_batch, fill_bridges, segment_survival_log
 from .potential import PairPotential
 from .regions import DIRICHLET, PERIODIC, BoxRegion, _image_range, kernel, wrap
 
@@ -121,6 +121,9 @@ def reduced_density_matrix(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     total, var_total = 0.0, 0.0
+    if V is not None and gibbs_configs is not None:
+        # bridge b meets configuration b mod len, in every winding: pack once
+        partners = as_batch([gibbs_configs[b % len(gibbs_configs)] for b in range(n_mc)])
     for j in range(1, jm + 1):
         mass = z**j * float(kernel(x, y, region, j * beta)[0])
         if mass < 1e-16 * max(abs(total), 1.0):
@@ -132,8 +135,7 @@ def reduced_density_matrix(
         if V is not None:
             bridges = paths if region.boundary == DIRICHLET else wrap(paths, region.L)
             if gibbs_configs is not None:
-                cfgs = [gibbs_configs[b % len(gibbs_configs)] for b in range(n_mc)]
-                e = added_loop_energies(bridges, cfgs, V, beta, region)
+                e = added_loop_energies(bridges, partners, V, beta, region)
             else:
                 e = intra_energies(bridges, V, beta, region)
             logw = np.where(np.isinf(e), -np.inf, logw - e)
@@ -154,7 +156,7 @@ def reduced_density_matrix(
 
 def density_from_configs(configs, region: BoxRegion) -> tuple:
     """Mean particle density over a configuration stream, with the batch error."""
-    N = np.array([c.particle_number for c in configs], dtype=float)
+    N = as_batch(configs).particle_numbers.astype(float)
     b = max(N.size // 16, 1)
     means = N[: b * (N.size // b)].reshape(-1, b).mean(axis=1)
     err = means.std(ddof=1) / np.sqrt(means.size) if means.size > 1 else np.inf

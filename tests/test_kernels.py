@@ -1,6 +1,6 @@
 """Batched kernels against the per-path code they replace: the time-integral
-kernel, the bridge map, test-function broadcasting, and the Dirichlet masses
-at large j beta."""
+kernel, the bridge map and its prefix fills, the packed sample batch,
+test-function broadcasting, and the Dirichlet masses at large j beta."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,11 @@ from bosegas.loopgas import (
     PERIODIC,
     BoxRegion,
     LoopTestFunction,
+    density_from_configs,
     diagonal_mass,
     dirichlet_mode_trace,
+    gaussian_repulsion,
+    moment_estimate,
     sample_free_poisson,
     sample_free_poisson_batch,
     winding_masses,
@@ -25,7 +28,18 @@ from bosegas.loopgas.free import (
     pairing,
     time_integrals,
 )
-from bosegas.loopgas.loops import _midpoint_schedule, fill_bridges
+from bosegas.loopgas.checks import gibbs_weights
+from bosegas.loopgas.energy import added_loop_energies, interaction_energies
+from bosegas.loopgas.loops import (
+    _CACHED_INTERVALS,
+    LoopBatch,
+    LoopConfiguration,
+    _bridge_map,
+    _cached_bridge_map,
+    _midpoint_schedule,
+    as_batch,
+    fill_bridges,
+)
 from bosegas.rng import generator
 
 BETA = 1.0
@@ -176,3 +190,169 @@ class TestDirichletMassesLargeTime:
         configs = [cfg] + sample_free_poisson_batch(20, 0.9, BETA, region, rng_seed=10)
         knots = np.concatenate([c.knots for c in configs if c.loop_count])
         assert len(knots) and ((knots > 0) & (knots < region.L)).all()
+
+
+class TestPrefixFills:
+    @pytest.mark.parametrize("j", [1, 2, 9, 13, 22])
+    @pytest.mark.parametrize("batch,d", [(300, 1), (1200, 1), (40, 3)])
+    def test_prefix_equals_whole_bridges(self, j, batch, d):
+        # the checks' sizes: 8 slices, t_max = 1 or 2 (9 or 17 knots)
+        n = 8 * j
+        x0 = generator(j).uniform(0, 5, (batch, d))
+        x1 = x0 + 5.0 * generator(j + 1).integers(-1, 2, (batch, d))
+        whole_rng = generator(3)
+        whole = fill_bridges(x0, x1, n, 0.125, whole_rng)
+        for k in sorted({1, min(9, n + 1), min(17, n + 1), n + 1}):
+            rng = generator(3)
+            part = fill_bridges(x0, x1, n, 0.125, rng, knots=k)
+            assert part.shape == (batch, k, d)
+            np.testing.assert_array_equal(part, whole[:, :k])
+            assert rng.bit_generator.state == whole_rng.bit_generator.state
+
+    def test_single_row_prefix_within_rounding(self):
+        # a one-row product is a BLAS matrix-vector call, whose kernel may sum
+        # a narrower product in another order
+        x0 = np.array([[1.0]])
+        whole = fill_bridges(x0, x0 + 5.0, 100, 0.125, generator(3))
+        for k in (2, 17, 51):
+            part = fill_bridges(x0, x0 + 5.0, 100, 0.125, generator(3), knots=k)
+            np.testing.assert_allclose(part, whole[:, :k], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("j", [1, 3, 22])
+    def test_time_integral_of_prefix_is_whole_integral(self, j):
+        region = BoxRegion(d=2, L=4.0, n_slices=8)
+        paths = _paths(region, j, 50, seed=40 + j)
+        n_knots = paths.shape[1]
+        for f in TEST_FUNCTIONS:
+            live = int(np.searchsorted(0.125 * np.arange(n_knots), f.t_max, side="right"))
+            whole = time_integrals(paths, f, BETA, region)
+            for k in {live, min(live + 3, n_knots), n_knots}:
+                got = time_integrals(paths[:, :k], f, BETA, region, n_knots)
+                np.testing.assert_array_equal(got, whole)
+            if live > 1:
+                with pytest.raises(ValueError, match="knots"):
+                    time_integrals(paths[:, : live - 1], f, BETA, region, n_knots)
+
+    def test_long_bridge_maps_are_cached(self):
+        assert _CACHED_INTERVALS >= 176  # windings up to 22 at 8 slices
+        for n in (65, 100, 176, _CACHED_INTERVALS):
+            cached = _cached_bridge_map(n, 0.125)
+            np.testing.assert_array_equal(cached, _bridge_map(n, 0.125))
+            assert not cached.flags.writeable
+        hits = _cached_bridge_map.cache_info().hits
+        fill_bridges(np.zeros((4, 1)), np.zeros((4, 1)), 176, 0.125, generator(1))
+        assert _cached_bridge_map.cache_info().hits == hits + 1
+
+
+def packed_per_sample(n_configs, z, beta, region, seed):
+    """The sampler's generator stream, packed into one configuration per sample
+    (each sample's loops in increasing winding)."""
+    nus, _ = winding_masses(z, beta, region)
+    rng = generator(seed)
+    blocks = [[] for _ in range(n_configs)]
+    for j in range(1, nus.size + 1):
+        counts = rng.poisson(nus[j - 1], size=n_configs)
+        if not counts.sum():
+            continue
+        bases = _sample_bases(int(counts.sum()), j, beta, region, rng)
+        paths, images = _fill_loop_paths(bases, j, beta, region, rng)
+        ends = np.cumsum(counts)
+        for c in np.flatnonzero(counts):
+            rows = slice(ends[c] - counts[c], ends[c])
+            blocks[c].append((j, paths[rows], images[rows]))
+    out = []
+    for b in blocks:
+        if not b:
+            out.append(LoopConfiguration())
+            continue
+        windings = np.concatenate([np.full(len(p), j) for j, p, _ in b])
+        out.append(LoopConfiguration(
+            knots=np.concatenate([p.reshape(-1, region.d) for _, p, _ in b]),
+            offsets=np.concatenate([[0], np.cumsum(windings * region.n_slices + 1)]),
+            windings=windings,
+            images=np.concatenate([im for _, _, im in b]),
+        ))
+    return out
+
+
+def assert_same_arrays(a, b):
+    for name in ("knots", "offsets", "windings", "images"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        np.testing.assert_array_equal(x, y)
+
+
+class TestLoopBatch:
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    def test_matches_per_sample_packing(self, boundary):
+        region = BoxRegion(d=2, L=5.0, boundary=boundary, n_slices=6)
+        batch = sample_free_poisson_batch(60, 0.7, BETA, region, rng_seed=21)
+        want = packed_per_sample(60, 0.7, BETA, region, seed=21)
+        assert isinstance(batch, LoopBatch) and len(batch) == 60
+        assert len({int(w) for w in batch.windings}) > 1
+        for s, cfg in enumerate(want):
+            assert_same_arrays(batch[s], cfg)
+            assert not batch[s].knots.flags.writeable
+        assert_same_arrays(batch, as_batch(want))
+        np.testing.assert_array_equal(batch.loop_starts, as_batch(want).loop_starts)
+        np.testing.assert_array_equal(batch.particle_numbers, [c.particle_number for c in want])
+        np.testing.assert_array_equal(batch.loop_counts, [c.loop_count for c in want])
+        for name in ("knots", "offsets", "windings", "images", "loop_starts"):
+            assert not getattr(batch, name).flags.writeable
+
+    def test_empty_samples(self):
+        region = BoxRegion(d=1, L=2.0, n_slices=4)
+        batch = sample_free_poisson_batch(40, 0.1, BETA, region, rng_seed=3)
+        want = packed_per_sample(40, 0.1, BETA, region, seed=3)
+        empty = [s for s in range(40) if not want[s].loop_count]
+        assert empty and len(empty) < 40
+        for s in range(40):
+            assert_same_arrays(batch[s], want[s])
+        assert (batch.particle_numbers[empty] == 0).all()
+        f = TEST_FUNCTIONS[0]
+        V = gaussian_repulsion(1, 0.5, 0.5)
+        for configs in (batch, sample_free_poisson_batch(5, 0.0, BETA, region, rng_seed=3)):
+            as_list = list(configs)
+            np.testing.assert_array_equal(config_pairings(configs, [f], BETA, region)[2],
+                                          config_pairings(as_list, [f], BETA, region)[2])
+            np.testing.assert_array_equal(interaction_energies(configs, V, BETA, region),
+                                          interaction_energies(as_list, V, BETA, region))
+            assert density_from_configs(configs, region)[0] == density_from_configs(as_list, region)[0]
+
+    def test_single_draw_is_first_sample(self):
+        region = BoxRegion(d=3, L=5.0, n_slices=8)
+        assert_same_arrays(sample_free_poisson(0.6, BETA, region, rng_seed=9),
+                           sample_free_poisson_batch(1, 0.6, BETA, region, rng_seed=9)[0])
+
+    def test_slicing_iteration_and_list_concatenation(self):
+        region = BoxRegion(d=2, L=5.0, n_slices=4)
+        batch = sample_free_poisson_batch(12, 0.6, BETA, region, rng_seed=14)
+        configs = list(batch)
+        assert len(configs) == 12
+        for sub, idx in ((batch[3:8], range(3, 8)), (batch[::3], range(0, 12, 3)), (batch[8:3], ())):
+            assert isinstance(sub, LoopBatch) and len(sub) == len(idx)
+            for got, s in zip(sub, idx):
+                assert_same_arrays(got, configs[s])
+        assert_same_arrays(batch[-1], configs[11])
+        with pytest.raises(IndexError):
+            batch[12]
+        cfg = sample_free_poisson(0.6, BETA, region, rng_seed=1)
+        joined = [cfg] + batch
+        assert isinstance(joined, list) and len(joined) == 13 and joined[0] is cfg
+        assert_same_arrays(joined[5], configs[4])
+        assert len(batch + [cfg]) == 13
+
+    def test_consumers_read_batch_as_list(self):
+        region = BoxRegion(d=2, L=4.0, n_slices=4)
+        batch = sample_free_poisson_batch(30, 0.6, BETA, region, rng_seed=5)
+        configs = list(batch)
+        V = gaussian_repulsion(2, 0.5, 0.5)
+        np.testing.assert_array_equal(gibbs_weights(batch, V, BETA, region), gibbs_weights(configs, V, BETA, region))
+        paths = _paths(region, 2, 30, seed=6)
+        np.testing.assert_array_equal(added_loop_energies(paths, batch, V, BETA, region),
+                                      added_loop_energies(paths, configs, V, BETA, region))
+        for a, b in zip(config_pairings(batch, TEST_FUNCTIONS, BETA, region),
+                        config_pairings(configs, TEST_FUNCTIONS, BETA, region)):
+            np.testing.assert_array_equal(a, b)
+        assert moment_estimate(batch, TEST_FUNCTIONS[:2], BETA, region) == \
+            moment_estimate(configs, TEST_FUNCTIONS[:2], BETA, region)

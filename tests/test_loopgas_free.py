@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bosegas.errors import ActivityError
+from bosegas.errors import ActivityError, TruncationError
 from bosegas.loopgas import (
     BoxRegion,
     DIRICHLET,
@@ -56,6 +56,18 @@ class TestMassesAndActivity:
             dir_ = BoxRegion(d=2, L=L, boundary=DIRICHLET)
             assert np.isclose(diagonal_mass(per, t), periodic_mode_trace(per, t), rtol=1e-12)
             assert np.isclose(diagonal_mass(dir_, t), dirichlet_mode_trace(dir_, t), rtol=1e-12)
+
+    def test_winding_cap_raises(self):
+        # the tail bound is still far above the tolerance at J_MAX_CAP windings
+        region = BoxRegion(d=3, L=6.0)
+        with pytest.raises(TruncationError, match="J_MAX_CAP.*tail"):
+            winding_masses(0.999, 1.0, region)
+        nus, j = winding_masses(0.999, 1.0, region, j_max=500)  # an explicit cutoff is the caller's
+        assert j == 500 and nus.size == 500
+
+    def test_below_the_cap_returns(self):
+        nus, j = winding_masses(0.9, 1.0, BoxRegion(d=3, L=6.0))
+        assert j < 400 and nus.size == j
 
     def test_mean_one_loop_count(self):
         # z L^3 (4 pi)^(-3/2) at z=0.3, L=8: about 3.448
