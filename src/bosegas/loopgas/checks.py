@@ -20,16 +20,15 @@ order z^2 against the second expansion coefficient.
 
 import numpy as np
 
+from ..diagnostics import stratified_mean
 from ..rng import derive_seed, generator
 from .energy import added_loop_energies, interaction_energies
 from .free import (
-    _fill_loop_paths,
-    _live_knots,
-    _sample_bases,
     config_pairings,
     free_log_partition,
     free_rdm,
     sample_free_poisson_batch,
+    sector_bridges,
     time_integrals,
     winding_masses,
     wrap_positions,
@@ -101,20 +100,12 @@ def mean_pairing(z, beta, region, f, n_mc, seed, j_max=None) -> tuple:
 
     Periodic bridges are filled only up to the knots f reads (its t_max).
     """
-    nus, jm = winding_masses(z, beta, region, j_max)
+    nus, _ = winding_masses(z, beta, region, j_max)
     rng = generator(derive_seed(seed, "mean-pairing"))
-    dtau = beta / region.n_slices
-    total, var = 0.0, 0.0
-    for j in range(1, jm + 1):
-        if nus[j - 1] < 1e-14:
-            continue
-        n_knots = j * region.n_slices + 1
-        bases = _sample_bases(n_mc, j, beta, region, rng)
-        paths, _ = _fill_loop_paths(bases, j, beta, region, rng, _live_knots([f], n_knots, dtau))
-        vals = time_integrals(paths, f, beta, region, n_knots)
-        total += nus[j - 1] * vals.mean()
-        var += nus[j - 1] ** 2 * vals.var(ddof=1) / n_mc
-    return total, np.sqrt(var)
+    return stratified_mean(
+        (nu, time_integrals(paths, f, beta, region, n_knots))
+        for nu, paths, n_knots in sector_bridges(nus, n_mc, beta, region, rng, [f])
+    )
 
 
 def integration_by_parts_check(
@@ -163,32 +154,25 @@ def integration_by_parts_check(
     )
 
     # rhs: sum_j nu_j E_bridge[I_f (F(phi) (G_eff(phi + d_w) - G_eff(phi)))]
-    nus, jm = winding_masses(z, beta, region, j_max)
+    nus, _ = winding_masses(z, beta, region, j_max)
     rngb = generator(derive_seed(seed, "rhs-bridges"))
     configs2 = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "rhs"), j_max)
     weights2 = gibbs_weights(configs2, V, beta, region)
     p2 = config_pairings(configs2, fs, beta, region)[2]
     f_plain = F.of(p2[:, :kf])
     g_plain = G.of(p2[:, kf:-1]) * weights2
-    rhs = 0.0 + 0.0j
-    rhs_var = 0.0
-    for j in range(1, jm + 1):
-        if nus[j - 1] < 1e-14:
-            continue
-        n_knots = j * region.n_slices + 1
-        # the added loop's energy reads its whole path
-        knots = None if V is not None else _live_knots(fs[kf:], n_knots, beta / region.n_slices)
-        bases = _sample_bases(n_mc, j, beta, region, rngb)
-        paths = _fill_loop_paths(bases, j, beta, region, rngb, knots)[0]
+
+    def rhs_terms(paths, n_knots):
         added = np.stack([time_integrals(paths, g, beta, region, n_knots) for g in fs[kf:]], axis=-1)
         g_shift = G.of(p2[:, kf:-1] + added[:, :-1]) * weights2
         if V is not None:
             de = added_loop_energies(paths, configs2, V, beta, region)
             g_shift = np.where(np.isinf(de), 0.0, g_shift * np.exp(-de))
-        terms = added[:, -1] * f_plain * (g_shift - g_plain)
-        rhs += nus[j - 1] * terms.mean()
-        rhs_var += nus[j - 1] ** 2 * (terms.real.var(ddof=1) + terms.imag.var(ddof=1)) / n_mc
-    rhs_err = np.sqrt(rhs_var)
+        return added[:, -1] * f_plain * (g_shift - g_plain)
+
+    # the added loop's energy reads its whole path
+    bridges = sector_bridges(nus, n_mc, beta, region, rngb, None if V is not None else fs[kf:])
+    rhs, rhs_err = stratified_mean((nu, rhs_terms(paths, n_knots)) for nu, paths, n_knots in bridges)
     diff = abs(lhs - rhs)
     sigma = diff / max(np.hypot(lhs_err, rhs_err), 1e-300)
     return {

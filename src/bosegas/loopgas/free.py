@@ -30,6 +30,7 @@ test reads every knot.
 
 import numpy as np
 
+from ..diagnostics import stratified_mean
 from ..errors import ActivityError, TruncationError
 from ..rng import derive_seed, generator
 from .energy import _trapezoid_weights
@@ -147,6 +148,22 @@ def _fill_loop_paths(bases: np.ndarray, j: int, beta: float, region: BoxRegion, 
         paths[todo[acc]] = cand[acc]
         todo = todo[~acc]
     return paths, images
+
+
+def sector_bridges(nus, n_mc: int, beta: float, region: BoxRegion, rng, fs=None):
+    """Bridge samples of each winding sector: for every j with nu_j >= 1e-14
+    (a lighter sector is dropped), yields (nu_j, paths, n_knots) with n_mc
+    j-loops drawn by _sample_bases and _fill_loop_paths.  Given test
+    functions fs, periodic paths hold only the knots fs read (_live_knots);
+    n_knots is the whole path's knot count, which time_integrals needs for
+    its weights."""
+    for j, nu in enumerate(nus, start=1):
+        if nu < 1e-14:
+            continue
+        n_knots = j * region.n_slices + 1
+        knots = None if fs is None else _live_knots(fs, n_knots, beta / region.n_slices)
+        bases = _sample_bases(n_mc, j, beta, region, rng)
+        yield nu, _fill_loop_paths(bases, j, beta, region, rng, knots)[0], n_knots
 
 
 def sample_free_poisson(
@@ -301,28 +318,18 @@ def characteristic_functional(
     """
     nus, jm = winding_masses(z, beta, region, j_max)
     rng_formula = generator(derive_seed(seed, "cf-formula"))
-    log_gamma = 0.0 + 0.0j
-    log_var = 0.0
-    for j in range(1, nus.size + 1):
-        if nus[j - 1] < 1e-14:
-            continue
-        bases = _sample_bases(n_mc, j, beta, region, rng_formula)
-        paths, _ = _fill_loop_paths(bases, j, beta, region, rng_formula)
-        vals = time_integrals(paths, f, beta, region)
-        term = np.exp(1j * vals) - 1.0
-        log_gamma += nus[j - 1] * term.mean()
-        log_var += (nus[j - 1] ** 2) * (term.real.var(ddof=1) + term.imag.var(ddof=1)) / n_mc
+    log_gamma, log_err = stratified_mean(
+        (nu, np.exp(1j * time_integrals(paths, f, beta, region, n_knots)) - 1.0)
+        for nu, paths, n_knots in sector_bridges(nus, n_mc, beta, region, rng_formula)
+    )
     formula = np.exp(log_gamma)
-    formula_err = abs(formula) * np.sqrt(log_var)
+    formula_err = abs(formula) * log_err
 
     configs = sample_free_poisson_batch(
         n_mc, z, beta, region, derive_seed(seed, "cf-empirical"), j_max
     )
     phases = np.exp(1j * config_pairings(configs, [f], beta, region)[2][:, 0])
-    empirical = phases.mean()
-    emp_err = np.sqrt(
-        (phases.real.var(ddof=1) + phases.imag.var(ddof=1)) / n_mc
-    )
+    empirical, emp_err = stratified_mean([(1.0, phases)])
     return {
         "formula": complex(formula),
         "formula_err": float(formula_err),

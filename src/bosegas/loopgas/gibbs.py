@@ -34,13 +34,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..diagnostics import batch_means
 from ..errors import StabilityError, TuningError
 from ..rng import derive_seed, generator
 from .energy import interaction_energy, loop_in_config_energy, pair_energy
 from .free import sample_free_poisson, winding_masses
-from .loops import BridgeLoop, LoopConfiguration, draw_winding_images, fill_bridges, segment_survival_log
+from .loops import BridgeLoop, LoopConfiguration, draw_open_images, draw_winding_images, fill_bridges, segment_survival_log
 from .potential import PairPotential
-from .regions import DIRICHLET, PERIODIC, BoxRegion, _image_range, free_kernel, kernel, wrap
+from .regions import DIRICHLET, PERIODIC, BoxRegion, free_kernel, kernel, wrap
 
 MOVES = ("insert", "delete", "shift", "redraw", "merge", "cut")
 
@@ -81,24 +82,13 @@ def _draw_beta_bridge(x, y, beta: float, region: BoxRegion, rng) -> np.ndarray:
     """A one-beta bridge between wrapped knots; periodic targets pick a winding
     image with the exact kernel weights."""
     n = region.n_slices
-    dtau = beta / n
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if region.boundary == PERIODIC:
-        shift = np.empty(region.d)
-        m = _image_range(region.L, beta, tol=1e-16)
-        ws = np.arange(-m, m + 1)
-        for k in range(region.d):
-            p = np.exp(-((y[k] - x[k] + ws * region.L) ** 2) / (4 * beta))
-            p = p / p.sum()
-            shift[k] = rng.choice(ws, p=p) * region.L
-        target = y + shift
-    else:
-        target = y
-    path = fill_bridges(x[None], target[None], n, dtau, rng)[0]
-    if region.boundary == PERIODIC:
-        path = wrap(path, region.L)
-        path[0], path[-1] = x, y
+    if region.boundary != PERIODIC:
+        return fill_bridges(x[None], y[None], n, beta / n, rng)[0]
+    target = y + draw_open_images(x, y, 1, beta, region.L, rng)[0] * region.L
+    path = wrap(fill_bridges(x[None], target[None], n, beta / n, rng)[0], region.L)
+    path[0], path[-1] = x, y
     return path
 
 
@@ -563,7 +553,7 @@ def gibbs_sample(
             chain.check_tuning()
     chain.check_tuning()
     N_arr = np.array(N_hist[max(burn - hist_start, 0) :], dtype=float)
-    tau_int = _batch_means_tau(N_arr)
+    err_N, tau_int = batch_means(N_arr, 20)
     return {
         "configs": configs,
         "rows": rows,
@@ -571,7 +561,7 @@ def gibbs_sample(
         "attempts": dict(chain.attempts),
         "tau_int_N": tau_int,
         "mean_N": float(N_arr.mean()) if N_arr.size else 0.0,
-        "err_N": _batch_means_err(N_arr),
+        "err_N": err_N,
         "chain": chain,
     }
 
@@ -607,23 +597,3 @@ def resume_gibbs(
         checkpoint_every=checkpoint_every,
         resume_chain=chain, first_sweep=sidecar["sweep"], N_history=sidecar["N_history"],
     )
-
-
-def _batch_means_tau(x: np.ndarray, n_batches: int = 20) -> float:
-    if x.size < 2 * n_batches:
-        return np.nan
-    b = x.size // n_batches
-    means = x[: b * n_batches].reshape(n_batches, b).mean(axis=1)
-    var_b = means.var(ddof=1)
-    var_x = x.var(ddof=1)
-    if var_x == 0:
-        return 0.0
-    return float(max(b * var_b / var_x / 2, 0.0))
-
-
-def _batch_means_err(x: np.ndarray, n_batches: int = 20) -> float:
-    if x.size < 2 * n_batches:
-        return np.nan
-    b = x.size // n_batches
-    means = x[: b * n_batches].reshape(n_batches, b).mean(axis=1)
-    return float(means.std(ddof=1) / np.sqrt(n_batches))

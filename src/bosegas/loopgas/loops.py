@@ -420,6 +420,19 @@ def draw_winding_images(count: int, j: int, beta: float, region: BoxRegion, rng)
     return rng.choice(w, size=(count, region.d), p=p)
 
 
+def draw_open_images(x: np.ndarray, y: np.ndarray, count: int, t: float, L: float, rng) -> np.ndarray:
+    """Winding images w (count, d) of open periodic bridges x -> y + w L over
+    time t, coordinate by coordinate (one rng.choice each) with the kernel
+    weights exp(-(y - x + w L)^2 / (4 t))."""
+    n = _image_range(L, t, tol=1e-16)
+    ws = np.arange(-n, n + 1)
+    images = np.empty((count, x.size), dtype=int)
+    for k in range(x.size):
+        p = np.exp(-((y[k] - x[k] + ws * L) ** 2) / (4 * t))
+        images[:, k] = rng.choice(ws, size=count, p=p / p.sum())
+    return images
+
+
 def segment_survival_log(path: np.ndarray, L: float, dtau: float) -> np.ndarray:
     """Log-probability that each discrete segment's continuum excursion stays in (0, L).
 

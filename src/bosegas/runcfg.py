@@ -126,7 +126,8 @@ SCHEMAS = {
             "boundary": (_str_enum("periodic", "dirichlet"), False),
             "n_slices": (_int(lo=2), False),
         },
-        "sampler": {"n_sweeps": (_int(lo=10), True), "thin": (_int(lo=1), False)},
+        # >= 40 sweeps after the n_sweeps // 5 burn-in: batch-means batches of >= 2
+        "sampler": {"n_sweeps": (_int(lo=50), True), "thin": (_int(lo=1), False)},
     },
     "expand": {
         **_COMMON,

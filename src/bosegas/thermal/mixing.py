@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from ..diagnostics import jackknife_error
 from .fields import ThermalFieldParams, sample_fields
 from .perturb import PolynomialPerturbation, mollify, shifted_action_batch
 
@@ -116,8 +117,7 @@ def renormalized_mixing(
     # delete-one jackknife over the shared samples: table s leaves sample s out
     w_lin = np.exp(log_w_samples - log_w_samples.max())
     z_loo = w0[..., None] * (w_lin.sum(axis=-1, keepdims=True) - w_lin)
-    loo_vars = var_r(z_loo / z_loo.sum(axis=(0, 1)))
-    jk_err = float(np.sqrt((n_samples - 1) / n_samples * ((loo_vars - loo_vars.mean()) ** 2).sum()))
+    jk_err = jackknife_error(var_r(z_loo / z_loo.sum(axis=(0, 1))))
     return {
         "r": r,
         "theta": theta,

@@ -29,6 +29,7 @@ from math import factorial
 import numpy as np
 from scipy import fft as sfft
 
+from ..diagnostics import jackknife_error
 from .fields import FieldGrid, FieldSample, ThermalFieldParams, pair_field, sample_fields
 
 ESS_FLOOR = 100.0
@@ -211,13 +212,9 @@ def perturbation_action(sample: FieldSample, pert: PolynomialPerturbation) -> fl
 
 
 def _jackknife_ratio(num: np.ndarray, den: np.ndarray):
-    """Delete-1 jackknife mean and error of sum(num)/sum(den)."""
-    n = num.size
+    """sum(num)/sum(den) and its delete-one jackknife error."""
     Sn, Sd = num.sum(), den.sum()
-    full = Sn / Sd
-    loo = (Sn - num) / (Sd - den)
-    err = np.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum())
-    return float(full), float(err)
+    return float(Sn / Sd), jackknife_error((Sn - num) / (Sd - den))
 
 
 def reweighted_state(

@@ -241,3 +241,21 @@ class TestCheckKind:
         recs = json.loads((tmp_path / "out" / "results.json").read_text())
         assert len(recs) == 5
         assert all(r["value"] == 1.0 for r in recs)
+
+
+class TestLoopsDiagnostics:
+    def test_tau_int_goes_to_meta_not_results(self, tmp_path):
+        cfgp = write(tmp_path, "loops.ini", LOOPS.replace("n_sweeps = 200", "n_sweeps = 50"))
+        assert run(cfgp, out=str(tmp_path / "out")) == 0
+        text = (tmp_path / "out" / "results.csv").read_text()
+        assert "exact" not in text and "tau_int_N" not in text and "nan" not in text
+        json.loads((tmp_path / "out" / "results.json").read_text(),
+                   parse_constant=lambda c: pytest.fail(f"{c} in results.json"))
+        tau = json.loads((tmp_path / "out" / "meta.json").read_text())["extra"]["tau_int_N"]
+        assert np.isfinite(tau) and tau >= 0
+
+    def test_sweep_floor(self, tmp_path):
+        with pytest.raises(ConfigError, match="n_sweeps"):
+            parse_run_config(write(tmp_path, "a.ini", LOOPS.replace("n_sweeps = 200", "n_sweeps = 49")))
+        cfg = parse_run_config(write(tmp_path, "b.ini", LOOPS.replace("n_sweeps = 200", "n_sweeps = 50")))
+        assert cfg.get("sampler", "n_sweeps") == 50

@@ -26,6 +26,8 @@ from bosegas.loopgas.gibbs import (
 )
 from bosegas.rng import generator
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def make_chain(seed, boundary="periodic", z=0.5, V=None, L=6.0, n_slices=4, d=2):
     region = BoxRegion(d=d, L=L, boundary=boundary, n_slices=n_slices)

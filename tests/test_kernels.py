@@ -29,6 +29,7 @@ from bosegas.loopgas.free import (
     time_integrals,
 )
 from bosegas.loopgas.checks import gibbs_weights
+from bosegas.loopgas.regions import _image_range
 from bosegas.loopgas.energy import added_loop_energies, interaction_energies
 from bosegas.loopgas.loops import (
     _CACHED_INTERVALS,
@@ -38,9 +39,12 @@ from bosegas.loopgas.loops import (
     _cached_bridge_map,
     _midpoint_schedule,
     as_batch,
+    draw_open_images,
     fill_bridges,
 )
 from bosegas.rng import generator
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 BETA = 1.0
 
@@ -356,3 +360,29 @@ class TestLoopBatch:
             np.testing.assert_array_equal(a, b)
         assert moment_estimate(batch, TEST_FUNCTIONS[:2], BETA, region) == \
             moment_estimate(configs, TEST_FUNCTIONS[:2], BETA, region)
+
+
+class TestOpenImages:
+    """draw_open_images against the per-coordinate draws it replaced: the
+    chain's one-bridge draw (a scalar rng.choice per coordinate) and the
+    density matrix's batch draw (rng.choice of size n per coordinate)."""
+
+    @staticmethod
+    def reference(x, y, count, t, L, rng, scalar):
+        m = _image_range(L, t, tol=1e-16)
+        ws = np.arange(-m, m + 1)
+        out = np.empty((count, x.size))
+        for k in range(x.size):
+            p = np.exp(-((y[k] - x[k] + ws * L) ** 2) / (4 * t))
+            p = p / p.sum()
+            out[:, k] = rng.choice(ws, p=p) if scalar else rng.choice(ws, size=count, p=p)
+        return out
+
+    @pytest.mark.parametrize("count,t", [(1, 1.0), (1, 3.0), (300, 2.0)])
+    def test_same_images_and_stream(self, count, t):
+        x, y, L = np.array([0.3, 3.9, 2.0]), np.array([3.7, 0.2, 2.5]), 4.0
+        a, b = generator(9), generator(9)
+        got = draw_open_images(x, y, count, t, L, a)
+        want = self.reference(x, y, count, t, L, b, scalar=count == 1)
+        assert np.array_equal(got, want)
+        assert a.bit_generator.state == b.bit_generator.state

@@ -30,6 +30,7 @@ from bosegas.loopgas.loops import BridgeLoop, LoopConfiguration
 from bosegas.loopgas.potential import gaussian_repulsion, hard_core
 from bosegas.spectral import auto_torus_spectrum, density
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 
