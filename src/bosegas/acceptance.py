@@ -7,6 +7,7 @@ one pass/fail line per criterion.  Tolerances are fixed here, not tunable.
 """
 
 import json
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ class CheckResult:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
+    wall_s: float = field(default=float("nan"), compare=False)  # set by run_acceptance
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -439,8 +441,16 @@ CHECKS = {
 }
 
 
+def _timed(cid, seed) -> CheckResult:
+    t0 = time.perf_counter()
+    result = CHECKS[cid](seed)
+    result.wall_s = time.perf_counter() - t0
+    return result
+
+
 def run_acceptance(criteria=None, seed=BASE_SEED, threads=1, verbose=True):
-    """Run the selected criteria (all by default); returns the CheckResults.
+    """Run the selected criteria (all by default); returns the CheckResults,
+    each with the wall time of its criterion in `wall_s`.
 
     Criteria are independent; with threads > 1 they run on a pool but are
     reported in order, so output is reproducible for any worker count.
@@ -448,9 +458,9 @@ def run_acceptance(criteria=None, seed=BASE_SEED, threads=1, verbose=True):
     ids = sorted(CHECKS) if criteria is None else sorted(criteria)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: CHECKS[i](seed), ids))
+            results = list(pool.map(lambda i: _timed(i, seed), ids))
     else:
-        results = [CHECKS[i](seed) for i in ids]
+        results = [_timed(i, seed) for i in ids]
     if verbose:
         for r in results:
             print(r.line())

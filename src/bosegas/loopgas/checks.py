@@ -22,8 +22,10 @@ import numpy as np
 
 from ..diagnostics import stratified_mean
 from ..rng import derive_seed, generator
-from .energy import added_loop_energies, interaction_energies
+from .energy import _trapezoid_weights, added_loop_energies, interaction_energies
 from .free import (
+    _CHUNK_FLOATS,
+    _live_knots,
     config_pairings,
     free_log_partition,
     free_rdm,
@@ -95,16 +97,70 @@ def gibbs_weights(configs, V: PairPotential | None, beta: float, region: BoxRegi
     return np.exp(-interaction_energies(configs, V, beta, region))
 
 
-def mean_pairing(z, beta, region, f, n_mc, seed, j_max=None) -> tuple:
-    """E<phi, f> = sum_j nu_j E_bridge[I_f] by per-winding bridge Monte Carlo.
+# Points of the coarse midpoint grid of the exact periodic mean (per axis:
+# the d-th root, rounded).
+_MEAN_GRID_POINTS = 1 << 12
 
-    Periodic bridges are filled only up to the knots f reads (its t_max).
+
+def _knot_means(f, ts, region, m) -> np.ndarray:
+    """|box|^-1 int f(t_k, x) dx at each knot time t_k, by the midpoint rule on
+    the periodic grid of m points per axis (exact for trigonometric
+    polynomials of degree < m).  f sees the grid broadcast over the knots,
+    in chunks of at most _CHUNK_FLOATS positions."""
+    axis = (np.arange(m) + 0.5) * (region.L / m)
+    grid = np.stack(np.meshgrid(*[axis] * region.d, indexing="ij"), axis=-1).reshape(-1, 1, region.d)
+    sums = np.zeros(ts.size)
+    rows = max(1, _CHUNK_FLOATS // (max(ts.size, 1) * region.d))
+    for a in range(0, grid.shape[0], rows):
+        block = grid[a : a + rows]
+        xs = np.broadcast_to(block, (block.shape[0], ts.size, region.d))
+        sums += np.broadcast_to(f(ts, xs), xs.shape[:-1]).sum(axis=0)
+    return sums / grid.shape[0]
+
+
+def _campbell_mean(nus, beta, region, f) -> tuple:
+    """Periodic E<phi, f> = sum_j nu_j sum_k w_k |box|^-1 int f(t_k, x) dx
+    over the knots f reads, on the coarse and on the fine grid."""
+    if nus.size == 0:
+        return 0.0, 0.0
+    dtau = beta / region.n_slices
+    n_knots = np.arange(1, nus.size + 1) * region.n_slices + 1
+    live = np.minimum(n_knots, _live_knots([f], n_knots[-1], dtau))
+    ts = dtau * np.arange(live.max())
+    m = round(_MEAN_GRID_POINTS ** (1 / region.d))
+    weights = [_trapezoid_weights(n, dtau)[:k] for n, k in zip(n_knots, live)]
+    return tuple(
+        float(sum(nu * (w @ means[: w.size]) for nu, w in zip(nus, weights)))
+        for means in (_knot_means(f, ts, region, k) for k in (m, 2 * m + 1))
+    )
+
+
+def mean_pairing(z, beta, region, f, n_mc, seed, j_max=None) -> tuple:
+    """E<phi, f> = sum_j nu_j E_j[I_f] and its error: exact in periodic boxes,
+    Monte Carlo in Dirichlet boxes.
+
+    Periodic: a loop's base point is uniform, so each of its wrapped knots is
+    uniform on the torus whatever the bridge, and (Campbell's formula)
+    E<phi, f> = sum_j nu_j sum_k w_k |box|^-1 int f(t_k, x) dx, with w_k the
+    trapezoid weights of a j-loop cut to the knots f reads.  The spatial
+    means are midpoint sums on a grid of m points per axis (about
+    _MEAN_GRID_POINTS in all) and on one of 2m + 1, about twice as fine; the
+    value is the fine one, the error the gap between them.  (With 2m, every
+    coarse cell edge is a fine one too, and a jump of f near such an edge
+    errs alike on both grids.)  The error is an estimate, not a bound:
+    rounding-small for a smooth f, of the cell size for a box indicator.
+    n_mc and seed are not used.
+
+    Dirichlet: the base points are not uniform, so each winding draws n_mc
+    bridges (seeded by seed) and the sectors are summed by stratified_mean.
     """
     nus, _ = winding_masses(z, beta, region, j_max)
+    if region.boundary == PERIODIC:
+        coarse, fine = _campbell_mean(nus, beta, region, f)
+        return fine, abs(fine - coarse)
     rng = generator(derive_seed(seed, "mean-pairing"))
     return stratified_mean(
-        (nu, time_integrals(paths, f, beta, region, n_knots))
-        for nu, paths, n_knots in sector_bridges(nus, n_mc, beta, region, rng, [f])
+        (nu, time_integrals(paths, f, beta, region)) for nu, paths, _ in sector_bridges(nus, n_mc, beta, region, rng)
     )
 
 
@@ -132,6 +188,10 @@ def integration_by_parts_check(
     along the leading axis: F(phi - d_w) = F(p - I(w)), G(phi + d_w) =
     G(p + I(w)).  At V = None the right-hand side's periodic bridges are
     filled only up to the knots the test functions of G and f read.
+
+    The Charlier centring E<phi, f> is mean_pairing's: exact in periodic
+    boxes, Monte Carlo in Dirichlet boxes (4 n_mc bridges per winding); its
+    error enters lhs_err.
     """
     kf = len(F.gs)
     fs = [*F.gs, *G.gs, f]  # pairing columns: F's [:kf], G's [kf:-1], f last

@@ -560,7 +560,7 @@ def gibbs_sample(
         "acceptance": chain.acceptance_rates(),
         "attempts": dict(chain.attempts),
         "tau_int_N": tau_int,
-        "mean_N": float(N_arr.mean()) if N_arr.size else 0.0,
+        "mean_N": float(N_arr.mean()) if N_arr.size else np.nan,  # no sweep after burn-in
         "err_N": err_N,
         "chain": chain,
     }

@@ -20,6 +20,7 @@ from bosegas.loopgas import (
     reduced_density_matrix,
     sample_free_poisson_batch,
     sigma_independence_check,
+    winding_masses,
 )
 
 # an inf - inf or 0 * inf in the hard-core right-hand side fails here
@@ -99,43 +100,75 @@ class TestIntegrationByParts:
         assert rec["sigma_distance"] < 3.5
 
     def test_mean_pairing_closed_form(self):
-        # periodic box + time-window profile: E<phi, f> is exact up to the
-        # trapezoid weight of the window
+        # periodic box + time-window profile: E<phi, f> is the trapezoid
+        # weight of the window, exactly
         region = BoxRegion(d=1, L=5.0, n_slices=8)
-        z = 0.4
         f = LoopTestFunction(fn=lambda ts, xs: np.ones_like(ts), t_max=0.5)
-        val, err = mean_pairing(z, 1.0, region, f, n_mc=2000, seed=46)
-        from bosegas.loopgas import winding_masses
+        val, err = mean_pairing(0.4, 1.0, region, f, n_mc=2000, seed=46)
+        want = window_mean(0.4, region, t_max=0.5)
+        assert abs(val - want) < 1e-12 and err < 1e-12
 
-        nus, jm = winding_masses(z, 1.0, region)
-        ts_weight = []
-        for j in range(1, jm + 1):
-            ts = 0.125 * np.arange(j * 8 + 1)
-            w = np.full(ts.size, 0.125)
-            w[0] = w[-1] = 0.0625
-            ts_weight.append(nus[j - 1] * w[ts <= 0.5].sum())
-        assert abs(val - sum(ts_weight)) < max(3 * err, 1e-10)
+    def test_mean_pairing_within_old_monte_carlo_pin(self):
+        # the Monte Carlo estimate this exact value replaced, with its error
+        region = BoxRegion(d=1, L=5.0, n_slices=8)
+        val, err = mean_pairing(0.4, 1.0, region, f_probe(5.0), n_mc=300, seed=11)
+        assert abs(val - 0.5 * window_mean(0.4, region, t_max=1.0)) < 1e-12
+        assert abs(val - 0.3457742087396881) < 3 * 0.020957185323339605
+
+    def test_mean_pairing_box_indicator(self):
+        # a discontinuous f: the grid error is not rounding-small, and the
+        # reported error covers it
+        region = BoxRegion(d=2, L=5.0, n_slices=8)
+        box = ((0.3, 2.1), (1.7, 4.4))
+        f = LoopTestFunction(fn=lambda ts, xs: np.ones(xs.shape[:-1]), t_max=1.0, box=box)
+        val, err = mean_pairing(0.4, 1.0, region, f, n_mc=0, seed=0)
+        want = window_mean(0.4, region, t_max=1.0) * (1.8 * 2.7) / 25.0
+        assert 0 < abs(val - want) <= err < 0.02 * want
+
+    def test_mean_pairing_honours_j_max(self):
+        region = BoxRegion(d=1, L=5.0, n_slices=8)
+        f = LoopTestFunction(fn=lambda ts, xs: np.ones_like(ts), t_max=0.5)
+        val, _ = mean_pairing(0.4, 1.0, region, f, n_mc=10, seed=1, j_max=3)
+        assert abs(val - window_mean(0.4, region, t_max=0.5, j_max=3)) < 1e-12
+        assert val < mean_pairing(0.4, 1.0, region, f, n_mc=10, seed=1)[0]
+        assert mean_pairing(0.0, 1.0, region, f, n_mc=10, seed=1) == (0.0, 0.0)
+
+
+def window_mean(z, region, t_max, j_max=None):
+    """sum_j nu_j times the trapezoid weight of the knots with t <= t_max (beta = 1)."""
+    nus, _ = winding_masses(z, 1.0, region, j_max)
+    dtau = 1.0 / region.n_slices
+    total = 0.0
+    for j, nu in enumerate(nus, start=1):
+        ts = dtau * np.arange(j * region.n_slices + 1)
+        w = np.full(ts.size, dtau)
+        w[0] = w[-1] = dtau / 2
+        total += nu * w[ts <= t_max].sum()
+    return total
 
 
 # Records of criterion 8's (F, G) pairs at V = 0 and at the hard core, from the
 # loop-by-loop evaluation (each F(phi - d_w) re-paired on the reduced
-# configuration); the pairing-vector evaluation must reproduce them.
+# configuration); the pairing-vector evaluation must reproduce them.  lhs,
+# lhs_err and mean_pairing hold the exact periodic E<phi,f>: each lhs moved
+# from the Monte Carlo one by -(its change in E<phi,f>) * mean(F G), the
+# samples being the same.
 PINNED_IBP = {
     ("pairing", 0.4): dict(
-        lhs=-0.012464497012229223, rhs=-0.014291698914050136,
-        lhs_err=0.012960278053866545, rhs_err=0.010431734003114831, mean_pairing=0.33849628588108965,
+        lhs=-0.012739127532952524, rhs=-0.014291698914050136,
+        lhs_err=0.013022188335445843, rhs_err=0.010431734003114831, mean_pairing=0.3458844854458552,
     ),
     ("pairing", 0.2): dict(
-        lhs=0.001098422121973633, rhs=0.004247465946914795,
-        lhs_err=0.0023862821314319742, rhs_err=0.004448216483010558, mean_pairing=0.15079427337405923,
+        lhs=0.0011277156833905534, rhs=0.004247465946914795,
+        lhs_err=0.002448798547300321, rhs_err=0.004448216483010558, mean_pairing=0.1548157704106137,
     ),
     ("exp", 0.4): dict(
-        lhs=-0.1074602444967405 + 0.02892800520960469j, rhs=-0.01915341919431579 - 0.0062071315781898374j,
-        lhs_err=0.07058719227531403, rhs_err=0.02121797207393195, mean_pairing=0.33849628588108965,
+        lhs=-0.11373343841458304 + 0.028219535308678108j, rhs=-0.01915341919431579 - 0.0062071315781898374j,
+        lhs_err=0.0685893298637612, rhs_err=0.02121797207393195, mean_pairing=0.3458844854458552,
     ),
     ("exp", 0.2): dict(
-        lhs=-0.0019809554130790527 + 0.014352372983624573j, rhs=-0.032625166557181146 - 0.005520858947090996j,
-        lhs_err=0.04737917489724009, rhs_err=0.012209413066222473, mean_pairing=0.15079427337405923,
+        lhs=-0.005658260951871563 + 0.014344850051046465j, rhs=-0.032625166557181146 - 0.005520858947090996j,
+        lhs_err=0.04652768841205929, rhs_err=0.012209413066222473, mean_pairing=0.1548157704106137,
     ),
 }
 

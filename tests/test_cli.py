@@ -242,6 +242,19 @@ class TestCheckKind:
         assert len(recs) == 5
         assert all(r["value"] == 1.0 for r in recs)
 
+    def test_criterion_times_go_to_meta_only(self, tmp_path):
+        cfgp = write(tmp_path, "check.ini", "[run]\nkind = check\nseed = 1\n\n[check]\ncriteria = 3,5,12\n")
+        for out in ("a", "b"):
+            assert run(cfgp, out=str(tmp_path / out)) == 0
+        for out in ("a", "b"):
+            times = json.loads((tmp_path / out / "meta.json").read_text())["extra"]["criterion_wall_s"]
+            assert sorted(times) == ["12", "3", "5"]
+            assert all(isinstance(t, float) and t > 0 for t in times.values())
+        for name in ("table.csv", "results.csv", "results.json"):
+            text = (tmp_path / "a" / name).read_bytes()
+            assert text == (tmp_path / "b" / name).read_bytes()
+            assert b"wall" not in text
+
 
 class TestLoopsDiagnostics:
     def test_tau_int_goes_to_meta_not_results(self, tmp_path):

@@ -193,7 +193,9 @@ def test_integration_by_parts_at_zero_activity():
 
 
 def test_mean_pairing_pinned():
-    assert mean_pairing(0.4, 1.0, REGION, F, 300, 11) == (0.3457742087396881, 0.020957185323339605)
+    # exact in a periodic box: the value and its grid error (the Monte Carlo pin
+    # this replaced, 0.3457742087396881 +- 0.020957185323339605, lies within 1 sigma)
+    assert mean_pairing(0.4, 1.0, REGION, F, 300, 11) == (0.3458844854458552, 1.1102230246251565e-15)
     dreg = BoxRegion(d=1, L=5.0, n_slices=8, boundary=DIRICHLET)
     assert mean_pairing(0.3, 1.0, dreg, F, 100, 12) == (0.045526050512503156, 0.012644174168536347)
 

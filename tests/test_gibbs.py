@@ -217,6 +217,14 @@ class TestInteractions:
             assert row["energy"] >= -1.0 * V.stability_B * row["N"] - 1e-9
 
 
+def test_empty_window_mean_N_is_nan():
+    # burn >= n_sweeps leaves no sweep to average: the chain held particles,
+    # so a mean of 0 would be a wrong number
+    run = gibbs_sample(0.4, 1.0, BoxRegion(d=2, L=5.0), None, n_sweeps=10, rng_seed=1, burn=10)
+    assert any(row["N"] > 0 for row in run["rows"])
+    assert np.isnan(run["mean_N"]) and np.isnan(run["tau_int_N"]) and run["err_N"] == np.inf
+
+
 class TestCheckpointResume:
     def test_resume_matches_uninterrupted(self, tmp_path):
         from bosegas.loopgas.gibbs import resume_gibbs
