@@ -274,7 +274,7 @@ def check_9_gibbs_validity(seed=BASE_SEED) -> CheckResult:
     _, pval, _, _ = stats.chi2_contingency(np.stack([h1[keep], h2[keep]]))
 
     # detailed balance: forward and reverse log ratios are exact negatives
-    V = gaussian_repulsion(2, 1.0)
+    V = gaussian_repulsion(2, 1.0, width=0.5)  # range 3 = L/2
     region2 = BoxRegion(d=2, L=6.0, n_slices=4)
     chain = GibbsChain(0.55, 1.0, region2, V, rng_seed=derive_seed(seed, "db"))
     guard = 0

@@ -219,7 +219,7 @@ def _run_expand(cfg: RunConfig, seed: int):
 
 
 def _run_oracle(cfg: RunConfig, seed: int):
-    from .fock import DiagonalInteraction, TruncatedFock, exact_occupations, exact_partition, exact_zero_mode_statistics
+    from .fock import DiagonalInteraction, TruncatedFock, exact_traces
 
     energies = np.array(cfg.get("modes", "energies"))
     fock = TruncatedFock(energies=energies, n_max=cfg.get("modes", "n_max"))
@@ -231,9 +231,7 @@ def _run_oracle(cfg: RunConfig, seed: int):
             vhat=np.full((len(energies), len(energies)), vhat0),
             volume=cfg.get("physics", "volume", 1.0),
         )
-    Z = exact_partition(fock, beta, mu, inter)
-    occ = exact_occupations(fock, beta, mu, inter)
-    hist = exact_zero_mode_statistics(fock, beta, mu, inter)
+    Z, occ, hist = exact_traces(fock, beta, mu, inter)
     h = config_hash({"kind": "oracle", "seed": seed, **cfg.sections})
     payload = {"Z": Z, "logZ": float(np.log(Z)), "occupations": occ.tolist(),
                "n0_histogram": hist.tolist()}

@@ -8,7 +8,8 @@ gauge-invariant interaction enters only through its occupation-diagonal part
           + (1/(2|box|)) sum_{k != k'} Vhat(k - k') n_k n_k'.
 
 Enumeration is exhaustive and lexicographic, and one pass (`_fock_sums`)
-yields every sum the three traces need.  The state space is a product: the
+yields every sum the three traces need; `exact_traces` returns all three
+from it.  The state space is a product: the
 head rows (n_1..n_{M-1}) are enumerated in blocks of about _CHUNK states and
 the last mode is a broadcast axis t = 0..n_max, so a block's energies are
 
@@ -130,22 +131,24 @@ def _fock_sums(
     z_parts, boundary = [], 0.0
     num, hist = np.zeros(M), np.zeros(base)
     shift = 0.0  # the vacuum's energy
-    # fixed block buffers: fresh arrays of this size cost a page fault per use
-    E_buf, w_buf = np.empty((rows, base)), np.empty((rows, base))
-    tiny_buf = np.empty((rows, base), dtype=bool)
+    # fixed block buffers, tail-major (t, h): fresh arrays of this size cost a
+    # page fault per use, and the row sums r add the base rows elementwise,
+    # with no BLAS call whose rounding could follow its thread count
+    E_buf, w_buf = np.empty((base, rows)), np.empty((base, rows))
+    keep_buf = np.empty((base, rows), dtype=bool)
     for start in range(0, n_head, rows):
         idx = np.arange(start, min(start + rows, n_head), dtype=np.int64)
         occ = (idx[:, None] // powers) % base
         occf = occ.astype(float)
-        E, w, tiny = E_buf[: idx.size], w_buf[: idx.size], tiny_buf[: idx.size]
+        E, w, keep = E_buf[:, : idx.size], w_buf[:, : idx.size], keep_buf[:, : idx.size]
         A = occf @ head_lam
         if interaction is None:
-            np.add(A[:, None], B, out=E)
+            np.add(B[:, None], A, out=E)
         else:
             N = occf.sum(axis=1)
             A = A + (v0 * (N**2 - N) + ((occf @ head_v) * occf).sum(axis=1)) / vol2
-            np.add(A[:, None], B, out=E)
-            E += np.multiply((occf @ head_tail)[:, None], t, out=w)
+            np.add(B[:, None], A, out=E)
+            E += np.multiply(t[:, None], occf @ head_tail, out=w)
         e_min = float(E.min())
         if e_min < shift:
             scale = exp(-beta * (shift - e_min))
@@ -156,18 +159,48 @@ def _fock_sums(
             shift = e_min
         np.subtract(E, shift, out=w)
         w *= -beta
-        np.less(w, _LOG_TINY, out=tiny)
+        np.greater_equal(w, _LOG_TINY, out=keep)
         np.maximum(w, _LOG_TINY, out=w)
         np.exp(w, out=w)
-        np.putmask(w, tiny, 0.0)
-        r, c = w.sum(axis=1), w.sum(axis=0)
-        z_parts.append(fsum(r))
+        w *= keep
+        r, c = w.sum(axis=0), w.sum(axis=1)
+        z_parts.append(fsum(r.tolist()))
+        # a head at the cutoff puts its whole row there, any other head only t = n_max
         at_cut = (occ == n_max).any(axis=1)
-        boundary += r[at_cut].sum() + w[~at_cut, -1].sum()
+        boundary += float(np.where(at_cut, r, w[-1]).sum())
         num[:-1] += r @ occf
         num[-1] += c @ t
         hist += c if k0 == M - 1 else np.bincount(occ[:, k0], weights=r, minlength=base)
     return fsum(z_parts), boundary, num, hist, shift
+
+
+def exact_traces(
+    fock: TruncatedFock,
+    beta: float,
+    mu: float,
+    interaction: DiagonalInteraction | None = None,
+    tail_tol: float = 1e-12,
+) -> tuple:
+    """(Z, <n_k>, P(n_0 = m)) from one enumeration, with exact_partition's refusals.
+
+    The three values equal those of exact_partition, exact_occupations and
+    exact_zero_mode_statistics bit for bit; the refusals come in the order
+    CondensationBoundaryError, TruncationError, OverflowError.
+    """
+    if interaction is None and mu <= -float(np.min(fock.energies)):
+        raise CondensationBoundaryError("condensation boundary crossed: mu <= -min(energies)")
+    Z, boundary, num, hist, shift = _fock_sums(fock, beta, mu, interaction)
+    if boundary > tail_tol * Z:
+        raise TruncationError(
+            f"boundary states carry relative weight {boundary / Z:.3e} > {tail_tol:.1e}; raise n_max"
+        )
+    occupations = num / Z
+    log_z = log(Z) - beta * shift
+    if log_z < _LOG_MAX:
+        Z *= exp(-beta * shift)
+    if not (log_z < _LOG_MAX and isfinite(Z)):
+        raise OverflowError(f"Z = exp({log_z:.6g}) exceeds the double range")
+    return Z, occupations, hist / hist.sum()
 
 
 def exact_partition(
@@ -184,19 +217,7 @@ def exact_partition(
     the double range, and TruncationError when states with any occupation at
     the cutoff carry more than tail_tol of the total weight (cutoff too small).
     """
-    if interaction is None and mu <= -float(np.min(fock.energies)):
-        raise CondensationBoundaryError("condensation boundary crossed: mu <= -min(energies)")
-    Z, boundary, _, _, shift = _fock_sums(fock, beta, mu, interaction)
-    if boundary > tail_tol * Z:
-        raise TruncationError(
-            f"boundary states carry relative weight {boundary / Z:.3e} > {tail_tol:.1e}; raise n_max"
-        )
-    log_z = log(Z) - beta * shift
-    if log_z < _LOG_MAX:
-        Z *= exp(-beta * shift)
-    if not (log_z < _LOG_MAX and isfinite(Z)):
-        raise OverflowError(f"Z = exp({log_z:.6g}) exceeds the double range")
-    return Z
+    return exact_traces(fock, beta, mu, interaction, tail_tol)[0]
 
 
 def exact_occupations(

@@ -35,12 +35,17 @@ The batched energies sum leg pairs in the order of the scalar functions, so
 pair_energies, intra_energies and interaction_energies give their bits.
 
 A hard-core contact returns +inf, which the Gibbs weight turns into zero.
+Periodic boxes take each displacement at its minimum image, so the trapezoid
+kernel refuses a potential whose finite range_hint exceeds L/2
+(`check_image_range`, which GibbsChain also runs at set-up).
 """
 
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
+from ..errors import TruncationError
 from .loops import BridgeLoop, LoopConfiguration, as_batch, leg_index
 from .potential import PairPotential
 from .regions import PERIODIC, BoxRegion, min_image
@@ -91,10 +96,26 @@ def _stacked_legs(paths: np.ndarray, region: BoxRegion) -> np.ndarray:
     return paths.take(_loop_leg_index(winding, region.n_slices), axis=1)
 
 
+def check_image_range(V: PairPotential | None, region: BoxRegion) -> None:
+    """Refuse a periodic box that V's finite range reaches across.
+
+    Periodic energies count each pair at its minimum image, which holds every
+    image within reach only while V.range_hint <= L/2; past that the further
+    images would be dropped without a word.  An infinite range_hint claims no
+    range and is not refused.
+    """
+    if V is not None and region.boundary == PERIODIC and isfinite(V.range_hint) and V.range_hint > region.L / 2:
+        raise TruncationError(
+            f"potential range {V.range_hint:g} exceeds half the box side {region.L / 2:g}: "
+            "minimum-image energies would drop image pairs"
+        )
+
+
 def _leg_pair_energies(diff: np.ndarray, V: PairPotential, beta: float, region: BoxRegion) -> np.ndarray:
     """Trapezoid energy of each leg pair: displacements diff (..., n_slices + 1, d)
     give energies (...), +inf on any hard-core contact."""
     if region.boundary == PERIODIC:
+        check_image_range(V, region)
         diff = min_image(diff, region.L)
     r = np.sqrt(np.einsum("...k,...k->...", diff, diff))
     w = _trapezoid_weights(region.n_slices + 1, beta / region.n_slices)

@@ -37,7 +37,7 @@ import numpy as np
 from ..diagnostics import batch_means
 from ..errors import StabilityError, TuningError
 from ..rng import derive_seed, generator
-from .energy import interaction_energy, loop_in_config_energy, pair_energy
+from .energy import check_image_range, interaction_energy, loop_in_config_energy, pair_energy
 from .free import sample_free_poisson, winding_masses
 from .loops import BridgeLoop, LoopConfiguration, draw_open_images, draw_winding_images, fill_bridges, segment_survival_log
 from .potential import PairPotential
@@ -114,6 +114,7 @@ class GibbsChain:
         shift_step: float | None = None,
         move_weights: dict | None = None,
     ):
+        check_image_range(V, region)
         self.z, self.beta, self.region, self.V = z, beta, region, V
         self.rng = generator(rng_seed)
         nus, self.j_max = winding_masses(z, beta, region)

@@ -18,7 +18,9 @@ bias.  The empirical covariance of the sampler therefore estimates the same
 kernel that `covariance` evaluates analytically.  The spectrum is even in the
 space-time momentum, so the filtered noise is real and the filter is applied
 by real-to-complex transforms over half the spectrum (the last axis keeps
-n_x // 2 + 1 bins).
+n_x // 2 + 1 bins).  The filtered spectrum itself (`_field_spectrum`) is what
+the perturbation and mixing estimators start from: they filter it further and
+invert once, on the same random stream as `sample_fields`.
 
 The Weyl-state value exp(-1/4 <f coth(beta h/2) f>) and the measure's own
 characteristic functional exp(-1/2 Cov(f,f)) are both exposed; they differ by
@@ -181,17 +183,31 @@ def _spectral_density(params: ThermalFieldParams) -> np.ndarray:
     return (g.n_x**g.d / g.volume) * S
 
 
-def sample_fields(params: ThermalFieldParams, n: int, seed: int) -> np.ndarray:
-    """n independent field realizations, shape (n, n_tau, *spatial); deterministic in seed."""
+def _field_spectrum(params: ThermalFieldParams, n: int, seed: int):
+    """Half spectrum of n filtered noise fields, shape (n, n_tau, *spatial[:-1],
+    n_x // 2 + 1), and their condensate offsets (shape (n,), None when not
+    critical).
+
+    The noise normals are drawn first and the offsets second, so every caller
+    that starts from this spectrum sees the same samples as `sample_fields`.
+    Consumers that filter further (a spatial mollifier) multiply this spectrum
+    and make one inverse transform instead of transforming a field twice.
+    """
     g = params.grid
     rng = generator(seed)
     S = _spectral_density(params)
-    axes = tuple(range(1, g.d + 2))
-    spec = sfft.rfftn(rng.standard_normal((n, g.n_tau) + g.spatial_shape), axes=axes)
+    spec = sfft.rfftn(rng.standard_normal((n, g.n_tau) + g.spatial_shape), axes=tuple(range(1, g.d + 2)))
     spec *= np.sqrt(S[..., : g.n_x // 2 + 1])
-    phi = sfft.irfftn(spec, s=(g.n_tau,) + g.spatial_shape, axes=axes)
-    if params.critical:
-        offset = np.sqrt(params.c) * rng.standard_normal(n)
+    offset = np.sqrt(params.c) * rng.standard_normal(n) if params.critical else None
+    return spec, offset
+
+
+def sample_fields(params: ThermalFieldParams, n: int, seed: int) -> np.ndarray:
+    """n independent field realizations, shape (n, n_tau, *spatial); deterministic in seed."""
+    g = params.grid
+    spec, offset = _field_spectrum(params, n, seed)
+    phi = sfft.irfftn(spec, s=(g.n_tau,) + g.spatial_shape, axes=tuple(range(1, g.d + 2)))
+    if offset is not None:
         phi += offset.reshape((n,) + (1,) * (g.d + 1))
     return phi
 

@@ -16,17 +16,21 @@ dlambda_0 times the normalized partition-function ratio of each component,
 estimated per node by free sampling with common random numbers (components
 share the covariance and differ only in the mean).  Because a node only adds
 a constant to every sample, all node actions come from one set of power sums
-of the shared samples (`shifted_action_batch`).
+of the shared samples (`shifted_action_batch`).  The shared samples are the
+critical fields without their condensate offsets, mollified in the sampler's
+spectrum and inverted once; the critical spectrum vanishes at spatial k = 0,
+so they are centered with no mean subtracted.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 from scipy.special import logsumexp
 
 from ..diagnostics import jackknife_error
-from .fields import ThermalFieldParams, sample_fields
-from .perturb import PolynomialPerturbation, mollify, shifted_action_batch
+from .fields import ThermalFieldParams, _field_spectrum
+from .perturb import PolynomialPerturbation, _mollifier, shifted_action_batch
 
 
 @dataclass(frozen=True)
@@ -95,12 +99,13 @@ def renormalized_mixing(
     grid = params.grid
     r, theta, w0 = mixing_nodes(n_grid_r, n_grid_theta)
     base = ThermalFieldParams(grid=grid, mu=0.0, critical=True, c=params.c)
-    phi = sample_fields(base, n_samples, seed)
-    # subtract each sample's global mean: nonzero modes average to zero on the
-    # torus, so this removes exactly the sampled condensate offset
-    centered = phi - phi.mean(axis=tuple(range(1, phi.ndim)), keepdims=True)
-    if pert.mollifier_width > 0:
-        centered = mollify(centered, grid, pert.mollifier_width)
+    spec, _ = _field_spectrum(base, n_samples, seed)
+    # the critical spectrum vanishes at spatial k = 0, so the fields without
+    # their condensate offsets are centered: each node adds its own offset
+    if pert.mollifier_width:
+        spec *= _mollifier(grid, pert.mollifier_width)
+    centered = sfft.irfftn(spec, s=(grid.n_tau,) + grid.spatial_shape, axes=tuple(range(1, grid.d + 2)))
+    del spec
     m = np.sqrt(params.c * r)[:, None] * np.cos(theta)[None, :]  # node offsets
     log_w_samples = shifted_action_batch(centered, grid, pert, m.ravel()).reshape(m.shape + (n_samples,))
     log_znode = logsumexp(log_w_samples, axis=-1) - np.log(n_samples)

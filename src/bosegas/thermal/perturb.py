@@ -16,7 +16,11 @@ spectral Gaussian mollifier of width eps >= 2 grid spacings.
 
 Every filter here (the mollifier, the periodized kernel F) is even in k and
 acts on real fields, so the transforms are real-to-complex ones over half the
-spectrum: the last spatial axis keeps n_x // 2 + 1 bins.
+spectrum: the last spatial axis keeps n_x // 2 + 1 bins.  The nonlocal double
+sum is priced by Parseval, sum_k |P^_k|^2 F^_k, with one forward transform of
+P and no inverse.  `reweighted_state` starts from the sampler's spectrum: it
+multiplies it by the mollifier and makes one inverse transform, so a sample is
+never transformed back and forth to be smoothed.
 
 Perturbed expectations are importance-sampling estimates from the free
 measure, guarded by an effective-sample-size floor so a collapsing weight
@@ -30,7 +34,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from ..diagnostics import jackknife_error
-from .fields import FieldGrid, FieldSample, ThermalFieldParams, pair_field, sample_fields
+from .fields import FieldGrid, FieldSample, ThermalFieldParams, _field_spectrum, pair_field
 
 ESS_FLOOR = 100.0
 
@@ -74,15 +78,24 @@ class PolynomialPerturbation:
         return float(vals.min())
 
 
+def _mollifier(grid: FieldGrid, eps: float) -> np.ndarray:
+    """Half-spectrum factor exp(-eps^2 k^2 / 2) of the Gaussian mollifier of width eps.
+
+    eps must resolve on the grid (>= 2 spacings).  The factor is 1 at k = 0, so
+    constants (the condensate offset) pass through unchanged.
+    """
+    if eps < 2 * grid.a:
+        raise ValueError("mollifier width must be at least 2 grid spacings")
+    return np.exp(-0.5 * eps**2 * grid.ksq()[..., : grid.n_x // 2 + 1])
+
+
 def mollify(values: np.ndarray, grid: FieldGrid, eps: float) -> np.ndarray:
     """Spatial Gaussian smoothing exp(-eps^2 k^2 / 2) applied spectrally.
 
     eps must resolve on the grid (>= 2 spacings); constants pass through
     unchanged, so the condensate offset is preserved.
     """
-    if eps < 2 * grid.a:
-        raise ValueError("mollifier width must be at least 2 grid spacings")
-    filt = np.exp(-0.5 * eps**2 * grid.ksq()[..., : grid.n_x // 2 + 1])
+    filt = _mollifier(grid, eps)
     axes = tuple(range(-grid.d, 0))
     spec = sfft.rfftn(values, axes=axes)
     spec *= filt
@@ -115,6 +128,39 @@ def _kernel_matrix(grid: FieldGrid, kernel) -> np.ndarray:
     return Fv
 
 
+def _parseval_kernel(grid: FieldGrid, kernel) -> np.ndarray:
+    """Real half-spectrum weights K with cell^2 sum_xy a(x) F(x - y) b(y) =
+    Re sum_k conj(a^_k) K_k b^_k for real fields a, b and their rfftn a^, b^.
+
+    Parseval gives sum_x a(x) (F * b)(x) = sum_k conj(a^_k) F^_k b^_k / n_cells
+    over the full spectrum.  For real a, b, F the k and -k terms are conjugate,
+    so the sum is the real part of the half-spectrum sum with weight 2 on every
+    bin of the last axis but the DC bin and (for even n_x) the Nyquist bin.  In
+    any form symmetric in a and b only Re F^ survives, so K is real.
+    """
+    hermitian = np.full(grid.n_x // 2 + 1, 2.0)
+    hermitian[0] = 1.0
+    if grid.n_x % 2 == 0:
+        hermitian[-1] = 1.0
+    spec = sfft.rfftn(_kernel_matrix(grid, kernel)).real
+    return spec * hermitian * (grid.cell**2 / grid.n_x**grid.d)
+
+
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    """P(x) for coefficients low-to-high, by Horner's rule on one output array.
+
+    The products and sums are numpy's polyval ones, so the values are bitwise
+    those of Polynomial(coeffs)(x); zero coefficients are skipped.
+    """
+    out = x * coeffs[-1]
+    for i, c in enumerate(coeffs[-2::-1]):
+        if i:
+            out *= x
+        if c:
+            out += c
+    return out
+
+
 def perturbation_action_batch(
     values: np.ndarray,
     grid: FieldGrid,
@@ -125,35 +171,25 @@ def perturbation_action_batch(
 
     premollified skips the smoothing step when the caller already applied it
     (the mollifier is linear and preserves constants, so shifted-mean batches
-    can smooth once and add offsets afterwards).
+    can smooth once and add offsets afterwards).  The nonlocal double sum is
+    priced by Parseval on the spectrum of P restricted to the region.
     """
     if pert.lam == 0.0:
         lead = values.shape[: values.ndim - (grid.d + 1)]
         return np.zeros(lead) if lead else 0.0
     eps = pert.mollifier_width
     phi = values if (premollified or eps == 0) else mollify(values, grid, eps)
-    P = pert.poly()(phi)
-    mask = _region_mask(grid, pert.region)
+    P = _horner(pert.coeffs, phi)
+    if pert.region is not None:
+        P *= _region_mask(grid, pert.region)
     spatial = tuple(range(-grid.d, 0))
     if pert.kernel is None:
-        dens = (P * mask).sum(axis=spatial) * grid.cell
+        dens = P.sum(axis=spatial) * grid.cell
         return -pert.lam * grid.dtau * dens.sum(axis=-1)
-    Fm = _kernel_matrix(grid, pert.kernel)
-    Pm = P * mask
-    if pert.region is None:
-        # periodic convolution via FFT: sum_xy P(x) F(x-y) P(y)
-        spec = sfft.rfftn(Pm, axes=spatial)
-        spec *= sfft.rfftn(Fm)
-        conv = sfft.irfftn(spec, s=grid.spatial_shape, axes=spatial)
-        quad = (Pm * conv).sum(axis=spatial) * grid.cell**2
-    else:
-        pts = np.argwhere(mask)
-        diffs = (pts[:, None, :] - pts[None, :, :]) % grid.n_x
-        flatF = Fm.reshape(-1)
-        idx = np.ravel_multi_index(np.moveaxis(diffs, -1, 0), grid.spatial_shape)
-        Fsub = flatF[idx]
-        Pflat = Pm.reshape(Pm.shape[: -grid.d] + (-1,))[..., mask.ravel()]
-        quad = np.einsum("...i,ij,...j->...", Pflat, Fsub, Pflat) * grid.cell**2
+    spec = sfft.rfftn(P, axes=spatial)
+    # |P^_k|^2 K_k summed over k, reading each (re, im) pair in place
+    pairs = spec.view(np.float64).reshape(spec.shape[: -grid.d] + (-1, 2))
+    quad = np.einsum("...kc,...kc,k->...", pairs, pairs, _parseval_kernel(grid, pert.kernel).ravel())
     return -pert.lam * grid.dtau * quad.sum(axis=-1)
 
 
@@ -189,19 +225,10 @@ def shifted_action_batch(
     if pert.kernel is None:
         S = powers.reshape(deg + 1, n, -1).sum(axis=-1) * grid.cell  # (deg + 1, n)
         return -pert.lam * grid.dtau * (C @ S)
-    # Parseval: sum_x a(x) (F * b)(x) = sum_k conj(a^_k) F^_k b^_k / n_cells.
-    # For real a, b, F the k and -k terms are conjugate, so the sum is the real
-    # part of the half-spectrum sum with weight 2 on every bin of the last axis
-    # but the DC bin and (for even n_x) the Nyquist bin.
-    hermitian = np.full(grid.n_x // 2 + 1, 2.0)
-    hermitian[0] = 1.0
-    if grid.n_x % 2 == 0:
-        hermitian[-1] = 1.0
-    weighted_kernel = sfft.rfftn(_kernel_matrix(grid, pert.kernel)) * hermitian
     spec = sfft.rfftn(powers, axes=spatial)
-    filtered = (spec * weighted_kernel).reshape(deg + 1, n, -1)
+    filtered = (spec * _parseval_kernel(grid, pert.kernel)).reshape(deg + 1, n, -1)
     spec = spec.reshape(deg + 1, n, -1).conj()
-    G = np.einsum("pnk,qnk->npq", spec, filtered).real * grid.cell**2 / mask.size
+    G = np.einsum("pnk,qnk->npq", spec, filtered).real
     return -pert.lam * grid.dtau * np.einsum("sp,npq,sq->sn", C, G, C)
 
 
@@ -236,8 +263,26 @@ def reweighted_state(
     per-component partition-ratio weights of the condensate mixing measure.
     """
     grid = params.grid
-    phi = sample_fields(params, n_samples, seed)
-    logw = perturbation_action_batch(phi, grid, pert)
+    filt = _mollifier(grid, pert.mollifier_width) if pert.mollifier_width else 1.0
+    spec, offset = _field_spectrum(params, n_samples, seed)
+    # The inverse of sample_fields' transform, in two steps: the time pass over
+    # the whole spectrum, then the spatial passes.  The mollifier acts on the
+    # spatial modes only, so it multiplies the spectrum between the two; the
+    # time pass's tau = 0 row, inverted alone, is the slice that pair_field
+    # reads, bitwise as sample_fields gives it (same passes, and the same
+    # single 1/N factor, which pocketfft takes as 1/N in long double).
+    spec = sfft.ifft(spec, axis=1, norm="forward", overwrite_x=True)
+    tau0 = spec[:, 0].copy()
+    inv_n = np.float64(1 / np.longdouble(grid.n_tau * grid.n_x**grid.d))
+    spec *= filt * inv_n
+    spatial = tuple(range(2, grid.d + 2))
+    lead = (n_samples,) + (1,) * (grid.d + 1)
+    phi_eps = sfft.irfftn(spec, s=grid.spatial_shape, axes=spatial, norm="forward")
+    del spec
+    if offset is not None:
+        phi_eps += offset.reshape(lead)
+    logw = perturbation_action_batch(phi_eps, grid, pert, premollified=True)
+    del phi_eps
     logw = logw - logw.max()  # overflow guard; ratios are shift invariant
     w = np.exp(logw)
     ess = float(w.sum() ** 2 / (w**2).sum())
@@ -245,7 +290,11 @@ def reweighted_state(
     if ess < ESS_FLOOR:
         record.update(estimate=None, diagnostic=f"effective sample size {ess:.1f} < {ESS_FLOOR}")
         return record
-    fv = pair_field(phi, grid, np.asarray(f, dtype=float), tau_index=0)
+    phi0 = sfft.irfftn(tau0, s=grid.spatial_shape, axes=tuple(range(1, grid.d + 1)), norm="forward")
+    phi0 *= inv_n
+    if offset is not None:
+        phi0 += offset.reshape(lead[:-1])
+    fv = pair_field(phi0[:, None], grid, np.asarray(f, dtype=float), tau_index=0)
     re, re_err = _jackknife_ratio(np.cos(fv) * w, w)
     im, im_err = _jackknife_ratio(np.sin(fv) * w, w)
     record.update(estimate=complex(re, im), re=re, re_err=re_err, im=im, im_err=im_err,

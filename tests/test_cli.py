@@ -67,6 +67,32 @@ n_max = 40
 """
 
 
+def three_trace_oracle(cfg, seed):
+    """Reference `bose oracle` runner: one enumeration per trace."""
+    from bosegas.records import ResultRecord, config_hash
+    from bosegas.fock import (DiagonalInteraction, TruncatedFock, exact_occupations, exact_partition,
+                              exact_zero_mode_statistics)
+
+    energies = np.array(cfg.get("modes", "energies"))
+    fock = TruncatedFock(energies=energies, n_max=cfg.get("modes", "n_max"))
+    beta, mu = cfg.get("physics", "beta"), cfg.get("physics", "mu")
+    vhat0 = cfg.get("physics", "vhat0")
+    inter = None
+    if vhat0 is not None:
+        inter = DiagonalInteraction(vhat=np.full((len(energies), len(energies)), vhat0),
+                                    volume=cfg.get("physics", "volume", 1.0))
+    Z = exact_partition(fock, beta, mu, inter)
+    occ = exact_occupations(fock, beta, mu, inter)
+    hist = exact_zero_mode_statistics(fock, beta, mu, inter)
+    h = config_hash({"kind": "oracle", "seed": seed, **cfg.sections})
+    payload = {"Z": Z, "logZ": float(np.log(Z)), "occupations": occ.tolist(),
+               "n0_histogram": hist.tolist()}
+    records = [ResultRecord(h, "logZ", float(np.log(Z)), None),
+               ResultRecord(h, "mean_N", float(occ.sum()), None)]
+    summary = {"Z": Z, "logZ": float(np.log(Z)), "mean_N": float(occ.sum())}
+    return [summary], records, {"oracle": payload}
+
+
 class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path):
         bad = IDEAL.replace("d = 3", "d = 3\nwhatever = 1")
@@ -133,6 +159,26 @@ class TestRun:
         names = {r["observable"] for r in recs}
         assert "logZ" in names and "mean_N" in names
         assert all(r["tag"] == "exact" for r in recs)
+
+    @pytest.mark.parametrize("interaction", ["", "vhat0 = 0.3\nvolume = 2.0\n"])
+    def test_oracle_one_enumeration(self, tmp_path, monkeypatch, interaction):
+        """The oracle's files equal those of three separate traces, from one pass."""
+        import bosegas.cli as cli
+        import bosegas.fock as fock
+
+        cfgp = write(tmp_path, "oracle.ini", ORACLE.replace("mu = 0.8\n", "mu = 0.8\n" + interaction))
+        passes = []
+        sums = fock._fock_sums
+        monkeypatch.setattr(fock, "_fock_sums", lambda *a: passes.append(a) or sums(*a))
+        run(cfgp, out=str(tmp_path / "new"))
+        assert len(passes) == 1
+        monkeypatch.setattr(cli, "_run_oracle", three_trace_oracle)
+        run(cfgp, out=str(tmp_path / "ref"))
+        assert len(passes) == 4
+        for name in ("table.csv", "results.csv", "results.json"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+        extra = [json.loads((tmp_path / d / "meta.json").read_text())["extra"] for d in ("new", "ref")]
+        assert extra[0] == extra[1]
 
     def test_kind_mismatch(self, tmp_path):
         cfgp = write(tmp_path, "ideal.ini", IDEAL)

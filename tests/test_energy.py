@@ -13,6 +13,7 @@ from bosegas.loopgas import (
     BridgeLoop,
     GibbsChain,
     LoopConfiguration,
+    PairPotential,
     gaussian_repulsion,
     hard_core,
     interaction_energy,
@@ -26,6 +27,7 @@ from bosegas.loopgas.energy import (
     loop_in_config_energy,
     pair_energies,
 )
+from bosegas.errors import TruncationError
 from bosegas.loopgas.loops import fill_bridges
 from bosegas.loopgas.gibbs import MOVES
 from bosegas.rng import generator
@@ -85,7 +87,7 @@ def brute_total(loops, V, region):
 @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
 def test_engine_matches_brute_force(boundary):
     region = BoxRegion(d=3, L=4.0, boundary=boundary, n_slices=4)
-    V = gaussian_repulsion(3, 0.7, width=1.0)
+    V = gaussian_repulsion(3, 0.7, width=1 / 3)
     cfg = random_config(region, seed=31)
     loops = cfg.loops
     ns = region.n_slices
@@ -116,11 +118,29 @@ def test_engine_matches_brute_force(boundary):
     assert loop_in_config_energy(extra, cfg, V, BETA, region, skip=(0, 3)) == pytest.approx(expect, rel=1e-12)
 
 
+def test_range_beyond_half_box_refused():
+    # gaussian_repulsion's range_hint is 6 widths: 6 > L/2 = 3 would leave the
+    # second image of a pair, at distance >= 3, out of every periodic energy
+    region = BoxRegion(d=2, L=6.0, n_slices=4)
+    V = gaussian_repulsion(2, 1.0)
+    cfg = random_config(region, seed=34)
+    with pytest.raises(TruncationError, match="half the box"):
+        interaction_energy(cfg, V, BETA, region)
+    with pytest.raises(TruncationError, match="half the box"):
+        added_loop_energies(_stack(cfg.loops[:1]), [cfg], V, BETA, region)
+    with pytest.raises(TruncationError, match="half the box"):
+        GibbsChain(0.5, BETA, region, V, rng_seed=1)
+    # a range of exactly L/2, a Dirichlet box and an unclaimed range all pass
+    interaction_energy(cfg, gaussian_repulsion(2, 1.0, width=0.5), BETA, region)
+    GibbsChain(0.5, BETA, BoxRegion(d=2, L=6.0, boundary=DIRICHLET, n_slices=4), V, rng_seed=1)
+    GibbsChain(0.5, BETA, region, PairPotential(v_of_r=V.v_of_r, d=2), rng_seed=1)
+
+
 def test_blocked_sum_matches_one_broadcast(monkeypatch):
     from bosegas.loopgas import energy
 
     region = BoxRegion(d=3, L=4.0, n_slices=4)
-    V = gaussian_repulsion(3, 0.7, width=1.0)
+    V = gaussian_repulsion(3, 0.7, width=1 / 3)
     cfg = random_config(region, seed=33)
     whole = interaction_energy(cfg, V, BETA, region)
     monkeypatch.setattr(energy, "_BROADCAST_FLOATS", 1)  # one leg per block
@@ -154,7 +174,8 @@ def test_hard_core_contact_is_infinite():
 
 
 @pytest.mark.parametrize(
-    "V, z", [(gaussian_repulsion(2, 1.0), 0.6), (hard_core(2, 0.3), 0.5)], ids=["gauss", "hard-core"]
+    "V, z", [(gaussian_repulsion(2, 1.0, width=5 / 12), 0.6), (hard_core(2, 0.3), 0.5)],
+    ids=["gauss", "hard-core"],
 )
 def test_incremental_energy_tracks_full_energy(V, z):
     region = BoxRegion(d=2, L=5.0, n_slices=4)
@@ -176,7 +197,7 @@ def snapshot(config):
 @pytest.mark.parametrize("move", MOVES)
 def test_builders_leave_the_chain_untouched(move):
     region = BoxRegion(d=2, L=5.0, n_slices=4)
-    chain = GibbsChain(0.6, BETA, region, gaussian_repulsion(2, 1.0), rng_seed=42)
+    chain = GibbsChain(0.6, BETA, region, gaussian_repulsion(2, 1.0, width=5 / 12), rng_seed=42)
     for _ in range(500):
         prop = getattr(chain, f"propose_{move}")()
         if prop.eligible and chain.config.loop_count >= 2:
@@ -232,7 +253,7 @@ def _assert_batched_match(region, V, compare):
 @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
 def test_batched_energies_match_scalar(boundary):
     region = BoxRegion(d=3, L=4.0, boundary=boundary, n_slices=4)
-    V = gaussian_repulsion(3, 0.7, width=1.0)
+    V = gaussian_repulsion(3, 0.7, width=1 / 3)
 
     def compare(got, want):
         want = np.asarray(want, dtype=float)
@@ -266,7 +287,7 @@ def test_batched_energies_in_blocks(monkeypatch):
     from bosegas.loopgas import energy
 
     region = BoxRegion(d=3, L=4.0, n_slices=4)
-    V = gaussian_repulsion(3, 0.7, width=1.0)
+    V = gaussian_repulsion(3, 0.7, width=1 / 3)
     loops, configs = _batch_cases(region, V)
     paths = _stack(loops[2])
     whole = (added_loop_energies(paths, configs[:4], V, BETA, region), interaction_energies(configs, V, BETA, region))

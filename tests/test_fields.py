@@ -276,3 +276,26 @@ class TestPairFieldView:
         p = small_params(d=2, n_x=4, n_tau=4)
         with pytest.raises(ValueError):
             pair_field(np.zeros((2, 4, 4, 4)), p.grid, np.ones(16))
+
+
+class TestSampleFieldsBytes:
+    """sample_fields output bytes, as recorded before the sampler's spectrum
+    was shared with the perturbation and mixing estimators (7 samples, seed 123)."""
+
+    DIGESTS = {
+        (1, 16, 8, False): "0d3e626f85915505b4a029ba8ae6fd7bbc9650b032f10400510f3a0063cbfdbd",
+        (1, 7, 5, True): "d3906495c46f75aa64581bf0b18d2bd82df40a32562fc04fd13e71b6fe830f9c",
+        (2, 16, 8, True): "88e9321bdd700ab4feeceff86ad34b21886a7163c5b4675d0f5e4657765c8ed4",
+        (2, 6, 3, False): "396dee33b820b8a82c656640ceafc93cc1747fe316f3f60b16e5db9c91dd49ab",
+        (3, 5, 2, True): "6e3483236c7ffc4b8bcefc0faca520ef428d03cd63db44c05e198e60efef0a51",
+    }
+
+    @pytest.mark.parametrize("d, n_x, n_tau, critical", sorted(DIGESTS))
+    def test_bytes_unchanged(self, d, n_x, n_tau, critical):
+        import hashlib
+
+        grid = FieldGrid(beta=1.0, n_tau=n_tau, d=d, L=4.0, n_x=n_x)
+        p = (ThermalFieldParams(grid=grid, mu=0.0, critical=True, c=1.0) if critical
+             else ThermalFieldParams(grid=grid, mu=0.7))
+        digest = hashlib.sha256(sample_fields(p, 7, 123).tobytes()).hexdigest()
+        assert digest == self.DIGESTS[(d, n_x, n_tau, critical)]

@@ -13,6 +13,7 @@ from bosegas.fock import (
     TruncatedFock,
     exact_occupations,
     exact_partition,
+    exact_traces,
     exact_zero_mode_statistics,
     mean_particle_number,
     solve_mu_for_number,
@@ -306,3 +307,36 @@ class TestPinnedWorkloadOracle:
         np.testing.assert_allclose(exact_occupations(fock, 1.0, 0.8, inter), occ, rtol=1e-13)
         got = exact_zero_mode_statistics(fock, 1.0, 0.8, inter)[self.bins]
         np.testing.assert_allclose(got, hist, rtol=1e-13, atol=0)
+
+
+class TestExactTraces:
+    """One enumeration for all three traces, with exact_partition's refusals."""
+
+    fock = TruncatedFock(energies=np.array([0.0, 0.4, 0.9]), n_max=40)
+
+    @pytest.mark.parametrize("interacting", [False, True])
+    def test_bitwise_equal_to_the_three_calls(self, interacting, monkeypatch):
+        inter = uniform_interaction(3, 0.3, 2.0) if interacting else None
+        args = (self.fock, 1.0, 1.0, inter)
+        separate = (exact_partition(*args), exact_occupations(*args), exact_zero_mode_statistics(*args))
+        calls = []
+        sums = fock_module._fock_sums
+        monkeypatch.setattr(fock_module, "_fock_sums", lambda *a: calls.append(a) or sums(*a))
+        Z, occ, hist = exact_traces(*args)
+        assert len(calls) == 1
+        assert Z == separate[0]
+        assert np.array_equal(occ, separate[1]) and np.array_equal(hist, separate[2])
+
+    def test_refusal_order(self):
+        # below the lowest mode with a cutoff far too small: the boundary comes first
+        small = TruncatedFock(energies=np.array([0.0, 0.5]), n_max=2)
+        with pytest.raises(CondensationBoundaryError):
+            exact_traces(small, 1.0, -30.0)
+        # interacting, far below the vacuum: heavy at the cutoff and beyond the
+        # double range; the truncation is reported before the overflow
+        inter = uniform_interaction(2, 0.5, 1.0)
+        fock = TruncatedFock(energies=np.array([0.0, 0.5]), n_max=40)
+        with pytest.raises(TruncationError):
+            exact_traces(fock, 1.0, -30.0, inter)
+        with pytest.raises(OverflowError):
+            exact_traces(fock, 1.0, -30.0, inter, tail_tol=1.0)

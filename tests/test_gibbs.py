@@ -63,7 +63,7 @@ class TestDetailedBalanceExact:
 
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
     def test_insert_delete(self, boundary):
-        V = gaussian_repulsion(2, 1.0)
+        V = gaussian_repulsion(2, 1.0, width=0.5)
         chain = grown_chain(11, boundary=boundary, V=V)
         prop = chain.propose_insert()
         Y, eY = prop.builder()
@@ -72,7 +72,7 @@ class TestDetailedBalanceExact:
 
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
     def test_shift(self, boundary):
-        V = gaussian_repulsion(2, 1.0)
+        V = gaussian_repulsion(2, 1.0, width=0.5)
         chain = grown_chain(12, boundary=boundary, V=V)
         rng = generator(5)
         delta = 0.4 * rng.standard_normal(2)
@@ -85,7 +85,7 @@ class TestDetailedBalanceExact:
     def test_redraw(self, boundary):
         from bosegas.loopgas.loops import fill_bridges
 
-        V = gaussian_repulsion(2, 1.0)
+        V = gaussian_repulsion(2, 1.0, width=0.5)
         chain = grown_chain(13, boundary=boundary, V=V)
         loop = chain.config.loops[0]
         u, arc = 1, 2
@@ -99,7 +99,7 @@ class TestDetailedBalanceExact:
 
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
     def test_merge_cut(self, boundary):
-        V = gaussian_repulsion(2, 1.0)
+        V = gaussian_repulsion(2, 1.0, width=0.5)
         chain = grown_chain(14, boundary=boundary, V=V, z=0.6)
         rng = generator(7)
         A, B = chain.config.loops[0], chain.config.loops[1]
@@ -128,7 +128,7 @@ class TestDetailedBalanceEmpirical:
     """Frozen 2-configuration toy: empirical transition frequencies obey balance."""
 
     def test_two_state_frequencies(self):
-        chain = grown_chain(15, V=gaussian_repulsion(2, 1.0))
+        chain = grown_chain(15, V=gaussian_repulsion(2, 1.0, width=0.5))
         rng = generator(8)
         delta = np.array([0.8, -0.4])
         fwd = shift_proposal(chain, 0, delta)
@@ -197,7 +197,9 @@ class TestInteractions:
         # weak coupling: <N>_V - <N>_0 ~ -Cov_free(N, energy)
         region = BoxRegion(d=3, L=4.0, n_slices=4)
         z = 0.4
-        V = gaussian_repulsion(3, 0.15, width=1.0)
+        # amplitude 0.15 at width 1 narrowed to width 1/3, whose range fits
+        # half the box, at the same integral of V
+        V = gaussian_repulsion(3, 4.05, width=1 / 3)
         run = gibbs_sample(z, 1.0, region, V, n_sweeps=6000, rng_seed=21, thin=5)
         free_cfgs = sample_free_poisson_batch(4000, z, 1.0, region, rng_seed=22)
         from bosegas.loopgas import interaction_energy
@@ -211,7 +213,7 @@ class TestInteractions:
 
     def test_stability_guard_active(self):
         region = BoxRegion(d=2, L=5.0, n_slices=4)
-        V = gaussian_repulsion(2, 0.5)
+        V = gaussian_repulsion(2, 0.5, width=5 / 12)
         run = gibbs_sample(0.4, 1.0, region, V, n_sweeps=400, rng_seed=23)
         for row in run["rows"]:
             assert row["energy"] >= -1.0 * V.stability_B * row["N"] - 1e-9
@@ -230,7 +232,7 @@ class TestCheckpointResume:
         from bosegas.loopgas.gibbs import resume_gibbs
 
         region = BoxRegion(d=2, L=5.0, n_slices=4)
-        V = gaussian_repulsion(2, 0.5)
+        V = gaussian_repulsion(2, 0.5, width=5 / 12)
         base = str(tmp_path / "ck")
         full = gibbs_sample(0.4, 1.0, region, V, n_sweeps=60, rng_seed=77,
                             checkpoint_base=base, checkpoint_every=30)
@@ -247,7 +249,7 @@ class TestCheckpointResume:
         from bosegas.loopgas.gibbs import resume_gibbs
 
         region = BoxRegion(d=2, L=5.0, n_slices=4)
-        V = gaussian_repulsion(2, 0.5)
+        V = gaussian_repulsion(2, 0.5, width=5 / 12)
         base = str(tmp_path / "ck")
         full = gibbs_sample(0.4, 1.0, region, V, n_sweeps=100, rng_seed=78)
         gibbs_sample(0.4, 1.0, region, V, n_sweeps=50, rng_seed=78, checkpoint_base=base, checkpoint_every=50)

@@ -314,7 +314,7 @@ class TestLoopBatch:
             assert_same_arrays(batch[s], want[s])
         assert (batch.particle_numbers[empty] == 0).all()
         f = TEST_FUNCTIONS[0]
-        V = gaussian_repulsion(1, 0.5, 0.5)
+        V = gaussian_repulsion(1, 0.5, 1 / 6)
         for configs in (batch, sample_free_poisson_batch(5, 0.0, BETA, region, rng_seed=3)):
             as_list = list(configs)
             np.testing.assert_array_equal(config_pairings(configs, [f], BETA, region)[2],
@@ -350,7 +350,7 @@ class TestLoopBatch:
         region = BoxRegion(d=2, L=4.0, n_slices=4)
         batch = sample_free_poisson_batch(30, 0.6, BETA, region, rng_seed=5)
         configs = list(batch)
-        V = gaussian_repulsion(2, 0.5, 0.5)
+        V = gaussian_repulsion(2, 0.5, 1 / 3)
         np.testing.assert_array_equal(gibbs_weights(batch, V, BETA, region), gibbs_weights(configs, V, BETA, region))
         paths = _paths(region, 2, 30, seed=6)
         np.testing.assert_array_equal(added_loop_energies(paths, batch, V, BETA, region),

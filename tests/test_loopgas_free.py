@@ -181,7 +181,7 @@ class TestInteractionEnergy:
                           image=np.zeros(region.d, dtype=int))
 
     def test_single_one_loop_is_free(self):
-        region = BoxRegion(d=3, L=6.0)
+        region = BoxRegion(d=3, L=12.0)
         V = gaussian_repulsion(3, 2.0)
         cfg = LoopConfiguration(loops=[self.static_loop([1.0, 1.0, 1.0], region)])
         assert interaction_energy(cfg, V, 1.0, region) == 0.0
@@ -194,7 +194,7 @@ class TestInteractionEnergy:
         assert interaction_energy(LoopConfiguration(loops=[a, b]), V, 1.0, region) == 0.0
 
     def test_static_pair_collapses_to_beta_V(self):
-        region = BoxRegion(d=3, L=12.0)
+        region = BoxRegion(d=3, L=24.0)
         beta = 1.3
         V = gaussian_repulsion(3, 2.0, width=2.0)
         a = self.static_loop([2.0, 2.0, 2.0], region)
@@ -212,7 +212,7 @@ class TestInteractionEnergy:
     def test_intra_loop_legs(self):
         # a static winding-2 loop has one distinct-leg pair at distance 0...
         # displace the second leg by hand to get a clean value
-        region = BoxRegion(d=1, L=12.0, n_slices=4)
+        region = BoxRegion(d=1, L=24.0, n_slices=4)
         V = gaussian_repulsion(1, 1.5, width=2.0)
         n = region.n_slices
         path = np.concatenate([np.full((n, 1), 3.0), np.full((n + 1, 1), 5.0)])

@@ -14,7 +14,10 @@ from bosegas.thermal import (
     renormalized_mixing,
     sample_fields,
 )
+from bosegas.diagnostics import jackknife_error
+from bosegas.thermal.mixing import mixing_nodes
 from bosegas.thermal.perturb import mollify, perturbation_action_batch, shifted_action_batch
+from test_perturb import fused_case, reference_action, reference_mollify
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -166,3 +169,49 @@ class TestConvergenceDiagnostic:
         rep = mixing_convergence_diagnostic(ps, pert, 6, 6, n_samples=800, seed=5)
         assert len(rep["tv_increments"]) == 2
         assert all(v >= 0 for v in rep["tv_increments"])
+
+
+def reference_mixing(params, pert, n_r, n_theta, n_samples, seed):
+    """renormalized_mixing composed from its parts: sample_fields, each
+    sample's mean subtracted, the complex-FFT mollifier and one reference
+    action per node."""
+    grid = params.grid
+    r, theta, w0 = mixing_nodes(n_r, n_theta)
+    phi = sample_fields(params, n_samples, seed)
+    centered = phi - phi.mean(axis=tuple(range(1, phi.ndim)), keepdims=True)
+    if pert.mollifier_width:
+        centered = reference_mollify(centered, grid, pert.mollifier_width)
+    m = np.sqrt(params.c * r)[:, None] * np.cos(theta)[None, :]
+    logw = np.stack([reference_action(centered + mi, grid, pert) for mi in m.ravel()])
+    logw = logw.reshape(m.shape + (n_samples,))
+    w = np.exp(logw - logw.max())
+    z = w0 * w.sum(axis=-1)
+    z_loo = w0[..., None] * (w.sum(axis=-1, keepdims=True) - w)
+
+    def var_r(wt):
+        rr = r.reshape((-1,) + (1,) * (wt.ndim - 1))
+        return (wt * rr**2).sum(axis=(0, 1)) - (wt * rr).sum(axis=(0, 1)) ** 2
+
+    return float(var_r(z / z.sum())), jackknife_error(var_r(z_loo / z_loo.sum(axis=(0, 1))))
+
+
+class TestFusedMixing:
+    """renormalized_mixing against its composition from the separate steps."""
+
+    @pytest.mark.parametrize("width, lam", [(2.5, 1e-2), (0.0, 1e-3), (2.5, 0.0)])
+    @pytest.mark.parametrize("region", [False, True])
+    @pytest.mark.parametrize("kernel", [False, True])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_composition(self, d, kernel, region, width, lam):
+        params, pert = fused_case(d, True, kernel, region, width, lam)
+        rep = renormalized_mixing(params, pert, 5, 4, n_samples=200, seed=62)
+        var_r, err = reference_mixing(params, pert, 5, 4, 200, 62)
+        assert rep["var_r"] == pytest.approx(var_r, rel=1e-12)
+        # the error is a spread of leave-one-out values of var_r, each exact to
+        # rounding: it agrees to 1e-12 of var_r
+        assert rep["var_r_jackknife_err"] == pytest.approx(err, rel=0, abs=1e-12 * var_r)
+
+    def test_narrow_mollifier_refused(self):
+        pert = PolynomialPerturbation(coeffs=(0.0, 0.0, 1.0), lam=1e-2, mollifier_width=0.3)
+        with pytest.raises(ValueError, match="mollifier width"):
+            renormalized_mixing(critical_params(), pert, 4, 4, n_samples=100, seed=1)

@@ -5,6 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from bosegas.diagnostics import jackknife_error
 from bosegas.thermal import (
     FieldGrid,
     PolynomialPerturbation,
@@ -249,6 +250,32 @@ def reference_nonlocal_action(phi, grid, pert):
     return -pert.lam * grid.dtau * ((P * conv).sum(axis=spatial) * grid.cell**2).sum(axis=-1)
 
 
+def reference_region_action(phi, grid, pert):
+    """Nonlocal action of premollified fields over a region, as the direct
+    double sum sum_ij P(x_i) F(x_i - x_j) P(x_j) over the region's points."""
+    mask = _region_mask(grid, pert.region)
+    pts = np.argwhere(mask)
+    diffs = (pts[:, None, :] - pts[None, :, :]) % grid.n_x
+    idx = np.ravel_multi_index(np.moveaxis(diffs, -1, 0), grid.spatial_shape)
+    Fsub = _kernel_matrix(grid, pert.kernel).reshape(-1)[idx]
+    P = pert.poly()(phi).reshape(phi.shape[: -grid.d] + (-1,))[..., mask.ravel()]
+    quad = np.einsum("...i,ij,...j->...", P, Fsub, P) * grid.cell**2
+    return -pert.lam * grid.dtau * quad.sum(axis=-1)
+
+
+def reference_action(phi, grid, pert):
+    """Gibbs log-weights of premollified fields from the forms above: the local
+    sum, the whole-torus convolution by complex FFTs, or the region double sum."""
+    if pert.lam == 0.0:
+        return np.zeros(phi.shape[0])
+    if pert.kernel is None:
+        P = pert.poly()(phi) * _region_mask(grid, pert.region)
+        return -pert.lam * grid.dtau * grid.cell * P.reshape(phi.shape[0], -1).sum(axis=-1)
+    if pert.region is None:
+        return reference_nonlocal_action(phi, grid, pert)
+    return reference_region_action(phi, grid, pert)
+
+
 def reference_gram_actions(values, grid, pert, shifts):
     """Nonlocal shifted actions from the full-spectrum Gram matrix of the power fields."""
     poly, deg, n = pert.poly(), pert.poly().degree(), values.shape[0]
@@ -292,11 +319,10 @@ class TestRealTransforms:
         full = PolynomialPerturbation(coeffs=(0.5, 0.0, 1.0), lam=0.2, mollifier_width=eps, kernel=kern)
         ref = reference_nonlocal_action(reference_mollify(phi, grid, eps), grid, full)
         np.testing.assert_allclose(perturbation_action_batch(phi, grid, full), ref, rtol=1e-12)
-        # a sub-region takes the direct double sum over the mollified fields
+        # a sub-region against the direct double sum over the mollified fields
         boxed = PolynomialPerturbation(coeffs=(0.5, 0.0, 1.0), lam=0.2, mollifier_width=eps,
                                        kernel=kern, region=((0.0, 1.6),) * d)
-        ref = perturbation_action_batch(reference_mollify(phi, grid, eps), grid, boxed,
-                                        premollified=True)
+        ref = reference_region_action(reference_mollify(phi, grid, eps), grid, boxed)
         np.testing.assert_allclose(perturbation_action_batch(phi, grid, boxed), ref, rtol=1e-12)
 
     @pytest.mark.parametrize("region", [None, "box"])
@@ -308,3 +334,103 @@ class TestRealTransforms:
         shifts = np.array([0.0, 0.4, -1.3])
         np.testing.assert_allclose(shifted_action_batch(phi, grid, pert, shifts),
                                    reference_gram_actions(phi, grid, pert, shifts), rtol=1e-12)
+
+
+def reference_reweighted_state(params, pert, f, n_samples, seed):
+    """reweighted_state composed from its parts: sample_fields, the complex-FFT
+    mollifier and the reference actions."""
+    grid = params.grid
+    phi = sample_fields(params, n_samples, seed)
+    eps = pert.mollifier_width
+    logw = reference_action(phi if eps == 0 else reference_mollify(phi, grid, eps), grid, pert)
+    w = np.exp(logw - logw.max())
+    fv = pair_field(phi, grid, f, 0)
+    out = {"ess": w.sum() ** 2 / (w**2).sum()}
+    for key, g in (("re", np.cos), ("im", np.sin)):
+        num = g(fv) * w
+        out[key] = num.sum() / w.sum()
+        out[key + "_err"] = jackknife_error((num.sum() - num) / (w.sum() - w))
+    return out
+
+
+def fused_case(d, critical, kernel, region, width, lam):
+    """Field parameters and a perturbation for one combination of the fused paths."""
+    grid = (FieldGrid(beta=1.0, n_tau=8, d=1, L=4.0, n_x=16) if d == 1
+            else FieldGrid(beta=1.0, n_tau=4, d=2, L=4.0, n_x=8))
+    params = (ThermalFieldParams(grid=grid, mu=0.0, critical=True, c=1.0) if critical
+              else ThermalFieldParams(grid=grid, mu=0.6))
+    pert = PolynomialPerturbation(
+        coeffs=(0.5, 0.0, 1.0) if kernel else (0.0, 0.3, 1.0, 0.0, 1.0), lam=lam,
+        kernel=(lambda r: np.exp(-(r**2))) if kernel else None,
+        mollifier_width=width * grid.a, region=((1.0, 3.0),) * d if region else None,
+    )
+    return params, pert
+
+
+# d, critical, nonlocal P, region, mollifier width in grid spacings, lambda
+FUSED_CASES = [
+    (d, crit, kern, reg, width, lam)
+    for d in (1, 2) for crit in (False, True) for kern in (False, True) for reg in (False, True)
+    for width, lam in ((2.5, 1e-2), (0.0, 1e-3), (2.5, 0.0))
+]
+
+
+class TestFusedReweighting:
+    """reweighted_state against its composition from the separate steps."""
+
+    @pytest.mark.parametrize("d, critical, kernel, region, width, lam", FUSED_CASES)
+    def test_matches_composition(self, d, critical, kernel, region, width, lam):
+        params, pert = fused_case(d, critical, kernel, region, width, lam)
+        f = 0.3 * np.random.default_rng(d).standard_normal(params.grid.spatial_shape)
+        got = reweighted_state(params, pert, f, n_samples=300, seed=61)
+        ref = reference_reweighted_state(params, pert, f, 300, 61)
+        assert got["estimate"] is not None
+        for key in ("ess", "re", "im", "re_err", "im_err"):
+            assert got[key] == pytest.approx(ref[key], rel=1e-12, abs=1e-15), key
+
+    def test_narrow_mollifier_refused(self):
+        p = params_1d()
+        with pytest.raises(ValueError, match="mollifier width"):
+            reweighted_state(p, quadratic(1e-2, width=0.1), np.ones(16), n_samples=200, seed=1)
+
+
+def counted_transforms(monkeypatch):
+    """Patch the scipy transforms; returns the list of (name, input shape) calls."""
+    from scipy import fft as sfft
+
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        def spy(x, *args, _name=name, _fn=getattr(sfft, name), **kwargs):
+            calls.append((_name, np.shape(x)))
+            return _fn(x, *args, **kwargs)
+
+        monkeypatch.setattr(sfft, name, spy)
+    return calls
+
+
+class TestTransformCounts:
+    """Guard: each estimator transforms its sample batch a fixed number of times."""
+
+    def test_reweighted_state(self, monkeypatch):
+        grid = FieldGrid(beta=1.0, n_tau=4, d=2, L=4.0, n_x=8)
+        params = ThermalFieldParams(grid=grid, mu=0.0, critical=True, c=1.0)
+        pert = PolynomialPerturbation(coeffs=(0.0, 0.0, 1.0), lam=1e-3, kernel=lambda r: np.exp(-(r**2)),
+                                      mollifier_width=1.0)
+        calls = counted_transforms(monkeypatch)
+        reweighted_state(params, pert, np.ones((8, 8)), n_samples=150, seed=2)
+        batch = [c for c in calls if c[1][0] == 150]
+        # forward over (tau, x, y); the inverse as its time pass and spatial
+        # passes; the P transform; the tau = 0 slice's spatial inverse
+        assert batch == [("rfftn", (150, 4, 8, 8)), ("ifft", (150, 4, 8, 5)), ("irfftn", (150, 4, 8, 5)),
+                         ("rfftn", (150, 4, 8, 8)), ("irfftn", (150, 8, 5))]
+        assert [c for c in calls if c[1][0] != 150] == [("rfftn", (8, 8))]  # the kernel
+
+    def test_renormalized_mixing(self, monkeypatch):
+        from bosegas.thermal import renormalized_mixing
+
+        grid = FieldGrid(beta=1.0, n_tau=4, d=2, L=4.0, n_x=8)
+        params = ThermalFieldParams(grid=grid, mu=0.0, critical=True, c=1.0)
+        pert = PolynomialPerturbation(coeffs=(0.0, 0.0, 1.0, 0.0, 1.0), lam=1e-2, mollifier_width=1.0)
+        calls = counted_transforms(monkeypatch)
+        renormalized_mixing(params, pert, 4, 4, n_samples=150, seed=3)
+        assert calls == [("rfftn", (150, 4, 8, 8)), ("irfftn", (150, 4, 8, 5))]
