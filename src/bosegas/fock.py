@@ -102,6 +102,9 @@ def _fock_sums(
 ):
     """One pass over every state: the weight sums behind Z, <n_k> and P(n_0).
 
+    Raises CondensationBoundaryError for a free gas with mu <= -min(energies),
+    so every trace shares the domain of the spectral pressure.
+
     Returns (Z, boundary, num, hist, shift).  Every weight is taken relative to
     the lowest energy met so far (a streaming log-sum-exp), so all four sums
     are exp(beta * shift) times their true values, with shift <= 0 the lowest
@@ -110,6 +113,8 @@ def _fock_sums(
     occupation at the cutoff, num[k] the numerator of <n_k> and hist[m] the
     weight of n_k0 = m for the lowest mode k0.
     """
+    if interaction is None and mu <= -float(np.min(fock.energies)):
+        raise CondensationBoundaryError("condensation boundary crossed: mu <= -min(energies)")
     if beta <= 0:
         raise ValueError("beta must be positive")
     M, n_max = fock.n_modes, fock.n_max
@@ -187,8 +192,6 @@ def exact_traces(
     exact_zero_mode_statistics bit for bit; the refusals come in the order
     CondensationBoundaryError, TruncationError, OverflowError.
     """
-    if interaction is None and mu <= -float(np.min(fock.energies)):
-        raise CondensationBoundaryError("condensation boundary crossed: mu <= -min(energies)")
     Z, boundary, num, hist, shift = _fock_sums(fock, beta, mu, interaction)
     if boundary > tail_tol * Z:
         raise TruncationError(
@@ -258,8 +261,23 @@ def solve_mu_for_number(
     interaction: DiagonalInteraction | None = None,
     bracket=(-50.0, 50.0),
 ) -> float:
-    """mu with <N>(mu) = n_target under the exact trace (for fixed-density studies)."""
+    """mu with <N>(mu) = n_target under the exact trace (for fixed-density studies).
+
+    For a free gas the bracket starts no lower than just above the
+    condensation boundary, at -min(energies) + 1e-14 as in spectral.solve_mu;
+    a target above the <N> that the truncated free gas holds there raises
+    CondensationBoundaryError.
+    """
     from scipy.optimize import brentq
 
     f = lambda mu: mean_particle_number(fock, beta, mu, interaction) - n_target
-    return float(brentq(f, bracket[0], bracket[1], rtol=1e-12))
+    lo, hi = bracket
+    edge = -float(np.min(fock.energies)) + 1e-14
+    if interaction is None and lo < edge:
+        lo = edge
+        n_edge = mean_particle_number(fock, beta, lo)
+        if n_edge < n_target:
+            raise CondensationBoundaryError(
+                f"n_target = {n_target} exceeds <N> = {n_edge:.6g} at the condensation boundary"
+            )
+    return float(brentq(f, lo, hi, rtol=1e-12))

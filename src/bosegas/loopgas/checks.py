@@ -313,7 +313,6 @@ def sigma_independence_check(
     beta: float,
     V: PairPotential | None,
     L_list,
-    observable: str = "density",
     window_frac: float = 0.2,
     boundary_window: bool = False,
     n_mc: int = 2000,
@@ -321,8 +320,8 @@ def sigma_independence_check(
     seed: int = 0,
     d: int = 3,
 ) -> dict:
-    """Gap between periodic and absorbing-wall runs of one observable over
-    growing boxes.
+    """Gap between periodic and absorbing-wall window densities over growing
+    boxes: exact for V = None, from two Gibbs chains otherwise.
 
     Pass: the relative gap shrinks monotonically (within error) and ends below
     1 percent.  A window touching the wall is the negative control: its gap
@@ -336,7 +335,7 @@ def sigma_independence_check(
             window = (0.02 * L, 0.02 * L + window_frac * L)
         else:
             window = (L * (0.5 - window_frac / 2), L * (0.5 + window_frac / 2))
-        if V is None and observable == "density":
+        if V is None:
             a = _window_density_exact(z, beta, per, window)
             b = _window_density_exact(z, beta, dir_, window)
             err = 0.0

@@ -14,6 +14,13 @@ measure, using a grand-canonical move set:
           N j_a j_b / (j_c (j_c - 1)) and the beta-step kernel ratio.
   cut     the inverse split, with the reciprocal factor.
 
+The move mix is the module table MOVE_WEIGHTS (MOVES lists its names).  Merge
+and cut are one reconnection seen from either side: two beta-legs p -> p' and
+q -> q' are replaced by crossing bridges p -> q' and q -> p', so both price
+their proposal with one function (_reconnection_log_accept): the combinatorial
+factor, the kernel ratio k(p, q') k(q, p') / (k(p, p') k(q, q')) and, in
+Dirichlet boxes, the survival of the two bridges over that of the two legs.
+
 Chain state stores wrapped coordinates (periodic) or in-box coordinates
 (dirichlet); step densities use the minimum-image Gaussian increments, valid
 for sqrt(beta) well below L.  Dirichlet targets include per-segment continuum
@@ -30,7 +37,7 @@ state.  A proposal's builder returns a new packed configuration and never
 edits the current one, so a rejected proposal costs no copy.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,12 +45,15 @@ from ..diagnostics import batch_means
 from ..errors import StabilityError, TuningError
 from ..rng import derive_seed, generator
 from .energy import check_image_range, interaction_energy, loop_in_config_energy, pair_energy
-from .free import sample_free_poisson, winding_masses
-from .loops import BridgeLoop, LoopConfiguration, draw_open_images, draw_winding_images, fill_bridges, segment_survival_log
+from .free import _fill_loop_paths, _sample_bases, sample_free_poisson, winding_masses
+from .loops import BridgeLoop, LoopConfiguration, draw_open_images, fill_bridges, segment_survival_log
 from .potential import PairPotential
-from .regions import DIRICHLET, PERIODIC, BoxRegion, free_kernel, kernel, wrap
+from .regions import DIRICHLET, PERIODIC, BoxRegion, free_kernel, kernel, min_image, wrap
 
-MOVES = ("insert", "delete", "shift", "redraw", "merge", "cut")
+MOVE_WEIGHTS = {"insert": 0.22, "delete": 0.22, "shift": 0.2, "redraw": 0.2, "merge": 0.08, "cut": 0.08}
+MOVES = tuple(MOVE_WEIGHTS)
+_MOVE_PROBS = np.array(list(MOVE_WEIGHTS.values()))
+_MOVE_PROBS /= _MOVE_PROBS.sum()
 
 
 def _wrap_loop(path: np.ndarray, region: BoxRegion) -> np.ndarray:
@@ -98,36 +108,18 @@ class Proposal:
     eligible: bool
     log_accept: float = -np.inf
     builder: object = None  # () -> (new_config, new_energy)
-    details: dict = field(default_factory=dict)
 
 
 class GibbsChain:
     """Single-stream Metropolis chain; strictly sequential within one instance."""
 
-    def __init__(
-        self,
-        z: float,
-        beta: float,
-        region: BoxRegion,
-        V: PairPotential | None,
-        rng_seed: int,
-        shift_step: float | None = None,
-        move_weights: dict | None = None,
-    ):
+    def __init__(self, z: float, beta: float, region: BoxRegion, V: PairPotential | None, rng_seed: int):
         check_image_range(V, region)
         self.z, self.beta, self.region, self.V = z, beta, region, V
         self.rng = generator(rng_seed)
         nus, self.j_max = winding_masses(z, beta, region)
         self.nus = nus
         self.nu_tot = float(nus.sum())
-        self.shift_step = shift_step if shift_step is not None else 0.5 * np.sqrt(2 * beta)
-        weights = move_weights or {
-            "insert": 0.22, "delete": 0.22, "shift": 0.2, "redraw": 0.2,
-            "merge": 0.08, "cut": 0.08,
-        }
-        self.move_names = list(weights)
-        self.move_probs = np.array([weights[m] for m in self.move_names], dtype=float)
-        self.move_probs /= self.move_probs.sum()
         # a free draw can overlap a hard core; retry, then fall back to empty
         self.config = LoopConfiguration()
         self.energy = 0.0
@@ -137,8 +129,8 @@ class GibbsChain:
             if np.isfinite(e):
                 self.config, self.energy = init, e
                 break
-        self.attempts = {m: 0 for m in self.move_names}
-        self.accepts = {m: 0 for m in self.move_names}
+        self.attempts = {m: 0 for m in MOVES}
+        self.accepts = {m: 0 for m in MOVES}
 
     # -- energies ------------------------------------------------------------
 
@@ -154,43 +146,41 @@ class GibbsChain:
 
     # -- proposals -------------------------------------------------------------
 
+    def _pick(self) -> int | None:
+        """A uniform loop index, or None for an empty configuration."""
+        n = self.config.loop_count
+        return int(self.rng.integers(n)) if n else None
+
     def propose_insert(self) -> Proposal:
         j = 1 + int(self.rng.choice(len(self.nus), p=self.nus / self.nu_tot))
-        t = j * self.beta
-        n_int = j * self.region.n_slices
-        dtau = self.beta / self.region.n_slices
+        base = _sample_bases(1, j, self.beta, self.region, self.rng)
         if self.region.boundary == PERIODIC:
-            base = self.rng.uniform(0, self.region.L, size=self.region.d)
-            image = draw_winding_images(1, j, self.beta, self.region, self.rng)[0]
-            path = fill_bridges(base[None], (base + image * self.region.L)[None], n_int, dtau, self.rng)[0]
-            loop = BridgeLoop(base=base, winding=j, path=_wrap_loop(path, self.region), image=image)
-            log_surv = 0.0
-        else:
-            from .free import _sample_bases
-
-            base = _sample_bases(1, j, self.beta, self.region, self.rng)[0]
-            path = fill_bridges(base[None], base[None], n_int, dtau, self.rng)[0]
-            loop = BridgeLoop(base=base, winding=j, path=path, image=np.zeros(self.region.d, dtype=int))
-            log_surv = loop_survival_log(loop, self.beta, self.region)
-        return insert_proposal(self, loop, log_surv)
+            paths, images = _fill_loop_paths(base, j, self.beta, self.region, self.rng)
+            loop = BridgeLoop(base=base[0], winding=j, path=_wrap_loop(paths[0], self.region), image=images[0])
+            return insert_proposal(self, loop, 0.0)
+        # an unconditioned bridge: its wall survival enters the acceptance
+        ns = self.region.n_slices
+        path = fill_bridges(base, base, j * ns, self.beta / ns, self.rng)[0]
+        loop = BridgeLoop(base=base[0], winding=j, path=path, image=np.zeros(self.region.d, dtype=int))
+        return insert_proposal(self, loop, loop_survival_log(loop, self.beta, self.region))
 
     def propose_delete(self) -> Proposal:
-        if not self.config.loop_count:
+        idx = self._pick()
+        if idx is None:
             return Proposal("delete", eligible=False)
-        idx = int(self.rng.integers(self.config.loop_count))
         return delete_proposal(self, idx)
 
     def propose_shift(self) -> Proposal:
-        if not self.config.loop_count:
+        idx = self._pick()
+        if idx is None:
             return Proposal("shift", eligible=False)
-        idx = int(self.rng.integers(self.config.loop_count))
-        delta = self.shift_step * self.rng.standard_normal(self.region.d)
+        delta = 0.5 * np.sqrt(2 * self.beta) * self.rng.standard_normal(self.region.d)
         return shift_proposal(self, idx, delta)
 
     def propose_redraw(self) -> Proposal:
-        if not self.config.loop_count:
+        idx = self._pick()
+        if idx is None:
             return Proposal("redraw", eligible=False)
-        idx = int(self.rng.integers(self.config.loop_count))
         loop = self.config.loop(idx)
         n_knots = loop.path.shape[0]
         arc = min(self.region.n_slices, n_knots - 2)
@@ -198,19 +188,15 @@ class GibbsChain:
             return Proposal("redraw", eligible=False)
         u = int(self.rng.integers(0, n_knots - arc - 1))
         dtau = self.beta / self.region.n_slices
+        a, b = loop.path[u], loop.path[u + arc]
         if self.region.boundary == PERIODIC:
-            # bridge between images: unwrap the arc endpoints through min-image steps
-            a = loop.path[u]
-            b_wrapped = loop.path[u + arc]
-            from .regions import min_image
-
-            # draw in a frame where the endpoint is the nearest image of b
-            disp = min_image(b_wrapped - a, self.region.L)
+            # draw towards the nearest image of b, then wrap back
+            disp = min_image(b - a, self.region.L)
             new_arc = fill_bridges(a[None], (a + disp)[None], arc, dtau, self.rng)[0]
             new_arc = wrap(new_arc, self.region.L)
-            new_arc[0], new_arc[-1] = a, b_wrapped
+            new_arc[0], new_arc[-1] = a, b
         else:
-            new_arc = fill_bridges(loop.path[u][None], loop.path[u + arc][None], arc, dtau, self.rng)[0]
+            new_arc = fill_bridges(a[None], b[None], arc, dtau, self.rng)[0]
         return redraw_proposal(self, idx, u, new_arc)
 
     def propose_merge(self) -> Proposal:
@@ -221,30 +207,26 @@ class GibbsChain:
         A, B = self.config.loop(int(ia)), self.config.loop(int(ib))
         alpha = int(self.rng.integers(A.winding))
         gamma = int(self.rng.integers(B.winding))
-        ns = self.region.n_slices
-        a0, a1 = A.path[alpha * ns], A.path[(alpha + 1) * ns]
-        b0, b1 = B.path[gamma * ns], B.path[(gamma + 1) * ns]
+        a0, a1 = _leg_ends(A, alpha, self.region.n_slices)
+        b0, b1 = _leg_ends(B, gamma, self.region.n_slices)
         T1 = _draw_beta_bridge(a0, b1, self.beta, self.region, self.rng)
         T2 = _draw_beta_bridge(b0, a1, self.beta, self.region, self.rng)
         return merge_proposal(self, int(ia), int(ib), alpha, gamma, T1, T2)
 
     def propose_cut(self) -> Proposal:
-        if not self.config.loop_count:
-            return Proposal("cut", eligible=False)
         # uniform over all loops keeps the reverse probability at 1/N: pick any
         # loop, reject ineligible ones
-        idx = int(self.rng.integers(self.config.loop_count))
-        loop = self.config.loop(idx)
-        if loop.winding < 2:
+        idx = self._pick()
+        if idx is None or self.config.windings[idx] < 2:
             return Proposal("cut", eligible=False)
+        loop = self.config.loop(idx)
         jc = loop.winding
         s = int(self.rng.integers(jc))
         t = int(self.rng.integers(jc - 1))
         if t >= s:
             t += 1
-        ns = self.region.n_slices
-        cs, cs1 = loop.path[s * ns], loop.path[((s + 1) % jc) * ns]
-        ct, ct1 = loop.path[t * ns], loop.path[((t + 1) % jc) * ns]
+        cs, cs1 = _leg_ends(loop, s, self.region.n_slices)
+        ct, ct1 = _leg_ends(loop, t, self.region.n_slices)
         U1 = _draw_beta_bridge(cs, ct1, self.beta, self.region, self.rng)
         U2 = _draw_beta_bridge(ct, cs1, self.beta, self.region, self.rng)
         return cut_proposal(self, idx, s, t, U1, U2)
@@ -252,7 +234,7 @@ class GibbsChain:
     # -- driver ----------------------------------------------------------------
 
     def step(self):
-        name = self.move_names[int(self.rng.choice(len(self.move_names), p=self.move_probs))]
+        name = MOVES[int(self.rng.choice(len(MOVES), p=_MOVE_PROBS))]
         prop = getattr(self, f"propose_{name}")()
         if not prop.eligible:
             return False
@@ -277,11 +259,11 @@ class GibbsChain:
     def acceptance_rates(self) -> dict:
         return {
             m: (self.accepts[m] / self.attempts[m]) if self.attempts[m] else np.nan
-            for m in self.move_names
+            for m in MOVES
         }
 
     def check_tuning(self, min_attempts: int = 500):
-        for m in self.move_names:
+        for m in MOVES:
             if self.attempts[m] >= min_attempts:
                 rate = self.accepts[m] / self.attempts[m]
                 if rate < 0.01:
@@ -304,7 +286,7 @@ def insert_proposal(chain: GibbsChain, loop: BridgeLoop, log_surv: float) -> Pro
     def build():
         return chain.config.spliced(add=[loop]), chain.energy + dE
 
-    return Proposal("insert", True, float(log_acc), build, {"j": loop.winding})
+    return Proposal("insert", True, float(log_acc), build)
 
 
 def delete_proposal(chain: GibbsChain, idx: int) -> Proposal:
@@ -322,7 +304,7 @@ def delete_proposal(chain: GibbsChain, idx: int) -> Proposal:
             return cfg, chain._total_energy(cfg)
         return cfg, chain.energy - dE
 
-    return Proposal("delete", True, float(log_acc), build, {"j": loop.winding})
+    return Proposal("delete", True, float(log_acc), build)
 
 
 def shift_proposal(chain: GibbsChain, idx: int, delta: np.ndarray) -> Proposal:
@@ -375,10 +357,50 @@ def _cyclic_knots(loop: BridgeLoop, start_knot: int, count: int) -> np.ndarray:
     return body[idx]
 
 
-def _assemble(parts, region: BoxRegion) -> np.ndarray:
-    """Concatenate knot blocks and append the closure knot."""
+def _leg_block(loop: BridgeLoop, leg: int, ns: int) -> np.ndarray:
+    """Knots of one beta-leg including both boundary knots (cyclic read)."""
+    return _cyclic_knots(loop, leg * ns, ns + 1)
+
+
+def _leg_ends(loop: BridgeLoop, leg: int, ns: int):
+    """First and last knot of one beta-leg (the last read cyclically)."""
+    return loop.path[leg * ns], loop.path[((leg + 1) % loop.winding) * ns]
+
+
+def _closed_loop(parts, winding: int, d: int) -> BridgeLoop:
+    """The loop whose body is the knot blocks `parts` in order, closed onto its
+    first knot.  A reconnected loop keeps its knots wrapped, so it carries no
+    image."""
     body = np.concatenate(parts, axis=0)
-    return np.concatenate([body, body[:1]], axis=0)
+    path = np.concatenate([body, body[:1]], axis=0)
+    return BridgeLoop(base=path[0].copy(), winding=winding, path=path, image=np.zeros(d, dtype=int))
+
+
+def _reconnection_log_accept(
+    chain: GibbsChain, dE: float, e_new: float, log_comb: float, legs, bridges
+) -> float:
+    """Log acceptance of merge and cut.  legs = ((loop, leg), (loop, leg)) are
+    the beta-legs p -> p' and q -> q' that the move removes, bridges the
+    paths p -> q' and q -> p' that replace them: -dE + log_comb plus the log
+    kernel ratio k(p, q') k(q, p') / (k(p, p') k(q, q')) and, in Dirichlet
+    boxes, the survival of the bridges minus that of the legs; -inf when the
+    new state has infinite energy or the ratio is not finite."""
+    ns = chain.region.n_slices
+    (p, p1), (q, q1) = (_leg_ends(loop, leg, ns) for loop, leg in legs)
+    k = lambda x, y: beta_step_kernel(x, y, chain.beta, chain.region)
+    log_kernels = np.log(k(p, q1)) + np.log(k(q, p1)) - np.log(k(p, p1)) - np.log(k(q, q1))
+    log_acc = -dE + log_comb + log_kernels
+    if chain.region.boundary == DIRICHLET:
+        survival = lambda path: segment_survival_log(path, chain.region.L, chain.beta / ns)
+        log_acc += float(
+            survival(bridges[0])
+            + survival(bridges[1])
+            - survival(_leg_block(*legs[0], ns))
+            - survival(_leg_block(*legs[1], ns))
+        )
+    if np.isinf(e_new) or not np.isfinite(log_acc):
+        log_acc = -np.inf
+    return float(log_acc)
 
 
 def merge_proposal(
@@ -388,52 +410,22 @@ def merge_proposal(
     ns = chain.region.n_slices
     ja, jb = A.winding, B.winding
     jc = ja + jb
-    a0, a1 = A.path[alpha * ns], A.path[((alpha + 1) % ja) * ns]
-    b0, b1 = B.path[gamma * ns], B.path[((gamma + 1) % jb) * ns]
     # C = T1 + B's remaining legs + T2 + A's remaining legs
-    parts = [T1[:-1]]
-    if jb > 1:
-        parts.append(_cyclic_knots(B, ((gamma + 1) % jb) * ns, (jb - 1) * ns))
-    parts.append(T2[:-1])
-    if ja > 1:
-        parts.append(_cyclic_knots(A, ((alpha + 1) % ja) * ns, (ja - 1) * ns))
-    path = _assemble(parts, chain.region)
-    C = BridgeLoop(base=path[0].copy(), winding=jc, path=path, image=np.zeros(chain.region.d, dtype=int))
+    rest_B = _cyclic_knots(B, ((gamma + 1) % jb) * ns, (jb - 1) * ns)
+    rest_A = _cyclic_knots(A, ((alpha + 1) % ja) * ns, (ja - 1) * ns)
+    C = _closed_loop([T1[:-1], rest_B, T2[:-1], rest_A], jc, chain.region.d)
 
     # A against everything but itself, then B against everything but A and B
     e_old = chain._loop_energy(A, chain.config, skip=ia) + chain._loop_energy(B, chain.config, skip=(ia, ib))
     e_new = chain._loop_energy(C, chain.config, skip=(ia, ib))
     dE = e_new - e_old
-
-    n = chain.config.loop_count
-    k = lambda x, y: beta_step_kernel(x, y, chain.beta, chain.region)
-    log_kernels = np.log(k(a0, b1)) + np.log(k(b0, a1)) - np.log(k(a0, a1)) - np.log(k(b0, b1))
-    log_comb = np.log(n * ja * jb / (jc * (jc - 1)))
-    log_acc = -dE + log_comb + log_kernels
-    if chain.region.boundary == DIRICHLET:
-        dtau = chain.beta / ns
-        Lbox = chain.region.L
-        log_acc += float(
-            segment_survival_log(T1, Lbox, dtau)
-            + segment_survival_log(T2, Lbox, dtau)
-            - segment_survival_log(_leg_block(A, alpha, ns), Lbox, dtau)
-            - segment_survival_log(_leg_block(B, gamma, ns), Lbox, dtau)
-        )
-    if np.isinf(e_new) or not np.isfinite(log_acc):
-        log_acc = -np.inf
+    log_comb = np.log(chain.config.loop_count * ja * jb / (jc * (jc - 1)))
+    log_acc = _reconnection_log_accept(chain, dE, e_new, log_comb, ((A, alpha), (B, gamma)), (T1, T2))
 
     def build():
         return chain.config.spliced(drop=(ia, ib), add=[C]), chain.energy + dE
 
-    return Proposal("merge", True, float(log_acc), build, {"ja": ja, "jb": jb})
-
-
-def _leg_block(loop: BridgeLoop, leg: int, ns: int) -> np.ndarray:
-    """Knots of one beta-leg including both boundary knots (cyclic read)."""
-    j = loop.winding
-    body = loop.path[:-1]
-    idx = (leg * ns + np.arange(ns + 1)) % body.shape[0]
-    return body[idx]
+    return Proposal("merge", True, log_acc, build)
 
 
 def cut_proposal(
@@ -444,19 +436,11 @@ def cut_proposal(
     jc = C.winding
     j1 = (s - t) % jc
     j2 = (t - s) % jc
-    cs, cs1 = C.path[s * ns], C.path[((s + 1) % jc) * ns]
-    ct, ct1 = C.path[t * ns], C.path[((t + 1) % jc) * ns]
-    # loop 1: U1 (cs -> ct1) followed by legs t+1 .. s-1
-    parts1 = [U1[:-1]]
-    if j1 > 1:
-        parts1.append(_cyclic_knots(C, ((t + 1) % jc) * ns, (j1 - 1) * ns))
-    path1 = _assemble(parts1, chain.region)
-    loop1 = BridgeLoop(base=path1[0].copy(), winding=j1, path=path1, image=np.zeros(chain.region.d, dtype=int))
-    parts2 = [U2[:-1]]
-    if j2 > 1:
-        parts2.append(_cyclic_knots(C, ((s + 1) % jc) * ns, (j2 - 1) * ns))
-    path2 = _assemble(parts2, chain.region)
-    loop2 = BridgeLoop(base=path2[0].copy(), winding=j2, path=path2, image=np.zeros(chain.region.d, dtype=int))
+    # loop 1: U1 (cs -> ct1) followed by legs t+1 .. s-1; loop 2: U2 (ct -> cs1), legs s+1 .. t-1
+    rest1 = _cyclic_knots(C, ((t + 1) % jc) * ns, (j1 - 1) * ns)
+    rest2 = _cyclic_knots(C, ((s + 1) % jc) * ns, (j2 - 1) * ns)
+    loop1 = _closed_loop([U1[:-1], rest1], j1, chain.region.d)
+    loop2 = _closed_loop([U2[:-1], rest2], j2, chain.region.d)
 
     e_old = chain._loop_energy(C, chain.config, skip=idx)
     e_new = (
@@ -465,29 +449,13 @@ def cut_proposal(
         + (pair_energy(loop1, loop2, chain.V, chain.beta, chain.region) if chain.V else 0.0)
     )
     dE = e_new - e_old
-
-    n_after = chain.config.loop_count + 1
-    k = lambda x, y: beta_step_kernel(x, y, chain.beta, chain.region)
-    # new crossing bridges (cs -> ct1), (ct -> cs1) enter the numerator
-    log_kernels = np.log(k(cs, ct1)) + np.log(k(ct, cs1)) - np.log(k(cs, cs1)) - np.log(k(ct, ct1))
-    log_comb = np.log(jc * (jc - 1) / (n_after * j1 * j2))
-    log_acc = -dE + log_comb + log_kernels
-    if chain.region.boundary == DIRICHLET:
-        dtau = chain.beta / ns
-        Lbox = chain.region.L
-        log_acc += float(
-            segment_survival_log(U1, Lbox, dtau)
-            + segment_survival_log(U2, Lbox, dtau)
-            - segment_survival_log(_leg_block(C, s, ns), Lbox, dtau)
-            - segment_survival_log(_leg_block(C, t, ns), Lbox, dtau)
-        )
-    if np.isinf(e_new) or not np.isfinite(log_acc):
-        log_acc = -np.inf
+    log_comb = np.log(jc * (jc - 1) / ((chain.config.loop_count + 1) * j1 * j2))
+    log_acc = _reconnection_log_accept(chain, dE, e_new, log_comb, ((C, s), (C, t)), (U1, U2))
 
     def build():
         return chain.config.spliced(drop=[idx], add=[loop1, loop2]), chain.energy + dE
 
-    return Proposal("cut", True, float(log_acc), build, {"j1": j1, "j2": j2})
+    return Proposal("cut", True, log_acc, build)
 
 
 # -- run driver ------------------------------------------------------------------

@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .regions import PERIODIC, BoxRegion, _image_range, wrap
+from .regions import PERIODIC, BoxRegion, _image_range
 
 
 @dataclass
@@ -65,12 +65,6 @@ class BridgeLoop:
     winding: int
     path: np.ndarray
     image: np.ndarray
-
-    def n_knots(self) -> int:
-        return self.path.shape[0]
-
-    def wrapped(self, L: float) -> np.ndarray:
-        return wrap(self.path, L)
 
     def validate(self, region: BoxRegion):
         if self.winding < 1:

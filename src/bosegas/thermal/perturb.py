@@ -250,7 +250,6 @@ def reweighted_state(
     f,
     n_samples: int,
     seed: int = 0,
-    stratify: tuple | None = None,
 ) -> dict:
     """Importance-sampling estimate of E[exp(i phi(f)) w] / E[w], w = exp(action).
 
@@ -258,9 +257,6 @@ def reweighted_state(
     quadratures, and the effective sample size; refuses to quote a number when
     ESS < 100.  At lambda = 0 the weights are identically 1 and the estimate
     is the plain free-measure characteristic functional.
-
-    For critical parameters, stratify = (n_r, n_theta) additionally emits the
-    per-component partition-ratio weights of the condensate mixing measure.
     """
     grid = params.grid
     filt = _mollifier(grid, pert.mollifier_width) if pert.mollifier_width else 1.0
@@ -299,14 +295,4 @@ def reweighted_state(
     im, im_err = _jackknife_ratio(np.sin(fv) * w, w)
     record.update(estimate=complex(re, im), re=re, re_err=re_err, im=im, im_err=im_err,
                   diagnostic=None)
-    if stratify is not None and params.critical:
-        from .mixing import PureStatePoint, renormalized_mixing
-
-        n_r, n_theta = stratify
-        mix = renormalized_mixing(params, pert, n_r, n_theta, n_samples, seed)
-        record["component_weights"] = [
-            (PureStatePoint(r=float(r), theta=float(t)), float(mix["weight_ratio"][i, j]))
-            for i, r in enumerate(mix["r"])
-            for j, t in enumerate(mix["theta"])
-        ]
     return record

@@ -235,18 +235,20 @@ class TestAgainstBruteForce:
         inter = random_interaction(lam.size, case) if interacting else None
         fock = TruncatedFock(energies=lam, n_max=n_max)
         Z, occ, hist = brute_force(lam, n_max, beta, mu, inter)
-        if inter is None and mu <= -lam.min():
-            with pytest.raises(CondensationBoundaryError):
-                exact_partition(fock, beta, mu, inter, tail_tol=1.0)
-        else:
-            assert exact_partition(fock, beta, mu, inter, tail_tol=1.0) == pytest.approx(Z, rel=1e-13)
+        if inter is None and mu <= -lam.min():  # every trace refuses a free gas there
+            for trace in (exact_partition, exact_occupations, exact_zero_mode_statistics):
+                with pytest.raises(CondensationBoundaryError):
+                    trace(fock, beta, mu, inter)
+            return
+        assert exact_partition(fock, beta, mu, inter, tail_tol=1.0) == pytest.approx(Z, rel=1e-13)
         np.testing.assert_allclose(exact_occupations(fock, beta, mu, inter), occ, rtol=1e-13)
         np.testing.assert_allclose(exact_zero_mode_statistics(fock, beta, mu, inter), hist,
                                    rtol=1e-13, atol=0)
 
 
 class TestBelowLowestMode:
-    """mu below -min(energies): no inf or NaN out of the oracle."""
+    """mu below -min(energies): a free gas is refused, an interacting one
+    gives no inf or NaN."""
 
     fock = TruncatedFock(energies=np.array([0.0, 0.5]), n_max=40)
 
@@ -254,12 +256,25 @@ class TestBelowLowestMode:
         with pytest.raises(CondensationBoundaryError):
             exact_partition(self.fock, 1.0, -30.0)
 
-    def test_free_occupations_and_histogram_finite(self):
-        occ = exact_occupations(self.fock, 1.0, -30.0)
-        hist = exact_zero_mode_statistics(self.fock, 1.0, -30.0)
-        # the fully occupied state dominates: each mode sits at the cutoff
-        np.testing.assert_allclose(occ, [40.0, 40.0], rtol=1e-11)
-        assert np.all(np.isfinite(hist)) and hist[-1] == pytest.approx(1.0, rel=1e-11)
+    def test_free_occupations_and_histogram_raise(self):
+        for trace in (exact_occupations, exact_zero_mode_statistics, mean_particle_number):
+            with pytest.raises(CondensationBoundaryError):
+                trace(self.fock, 1.0, -30.0)
+
+    def test_free_occupations_refused_just_beyond_boundary(self):
+        # the truncated sum is finite here ([1.747, 1.134, 0.646]), but a free
+        # gas beyond the boundary has no grand-canonical state
+        fock = TruncatedFock(energies=np.array([0.0, 0.5, 1.0]), n_max=3)
+        with pytest.raises(CondensationBoundaryError):
+            exact_occupations(fock, 1.0, -0.2)
+
+    def test_free_solve_mu_refuses_beyond_boundary(self):
+        # <N> = 5 needs mu = -0.652 < -min(energies); the root search stays
+        # above the boundary, where the truncated free gas holds <N> < 3
+        fock = TruncatedFock(energies=np.array([0.0, 0.5, 1.0]), n_max=3)
+        with pytest.raises(CondensationBoundaryError):
+            solve_mu_for_number(fock, 1.0, 5.0)
+        assert mean_particle_number(fock, 1.0, solve_mu_for_number(fock, 1.0, 2.0)) == pytest.approx(2.0)
 
     def test_interacting_partition_overflow_raises(self):
         inter = uniform_interaction(2, 0.5, 1.0)

@@ -121,7 +121,8 @@ class TestDetailedBalanceExact:
             _leg_block(B, gamma, ns),
         )
         assert prop.log_accept == pytest.approx(-rev.log_accept, abs=1e-9)
-        assert rev.details == {"j1": ja, "j2": jb}
+        # the cut gives back loops of A's and B's windings
+        assert rev.builder()[0].windings[-2:].tolist() == [ja, jb]
 
 
 class TestDetailedBalanceEmpirical:
@@ -225,6 +226,58 @@ def test_empty_window_mean_N_is_nan():
     run = gibbs_sample(0.4, 1.0, BoxRegion(d=2, L=5.0), None, n_sweeps=10, rng_seed=1, burn=10)
     assert any(row["N"] > 0 for row in run["rows"])
     assert np.isnan(run["mean_N"]) and np.isnan(run["tau_int_N"]) and run["err_N"] == np.inf
+
+
+class TestTrajectoryPins:
+    """Two short chains from fixed seeds, pinned to the numbers they gave when
+    recorded: move counts exactly, mean_N and the final energy to rel 1e-12,
+    and the log-ratios of a frozen merge on the final state and of its
+    reverse cut.  A refactor of the move layer must leave all of them."""
+
+    CASES = {
+        "periodic-gauss": dict(
+            region=BoxRegion(d=2, L=5.0, n_slices=4), z=0.6,
+            V=gaussian_repulsion(2, 0.5, width=5 / 12), seed=101, n_sweeps=300,
+            attempts={"insert": 287, "delete": 208, "shift": 200, "redraw": 202, "merge": 56, "cut": 20},
+            accepts={"insert": 177, "delete": 173, "shift": 200, "redraw": 200, "merge": 20, "cut": 18},
+            mean_N=2.2, energy=0.12630094447001092,
+            merge=-0.7304481951544656, cut=0.730448195154466,
+        ),
+        "dirichlet-hard-core": dict(
+            region=BoxRegion(d=2, L=7.0, boundary=DIRICHLET, n_slices=4), z=0.8,
+            V=hard_core(2, 0.3), seed=202, n_sweeps=200,
+            attempts={"insert": 205, "delete": 139, "shift": 112, "redraw": 128, "merge": 31, "cut": 7},
+            accepts={"insert": 116, "delete": 114, "shift": 93, "redraw": 113, "merge": 6, "cut": 6},
+            mean_N=1.69375, energy=0.0,
+            merge=0.2341604100400733, cut=-0.2341604100400733,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_pinned(self, case):
+        c = self.CASES[case]
+        run = gibbs_sample(c["z"], 1.0, c["region"], c["V"], n_sweeps=c["n_sweeps"], rng_seed=c["seed"])
+        chain = run["chain"]
+        assert chain.attempts == c["attempts"]
+        assert chain.accepts == c["accepts"]
+        assert run["mean_N"] == pytest.approx(c["mean_N"], rel=1e-12)
+        assert chain.energy == pytest.approx(c["energy"], rel=1e-12)
+        # a frozen merge of the first two loops and the cut that undoes it
+        rng = generator(7)
+        A, B = chain.config.loop(0), chain.config.loop(1)
+        ja, jb = A.winding, B.winding
+        ns = chain.region.n_slices
+        alpha, gamma = int(rng.integers(ja)), int(rng.integers(jb))
+        a0, a1 = A.path[alpha * ns], A.path[((alpha + 1) % ja) * ns]
+        b0, b1 = B.path[gamma * ns], B.path[((gamma + 1) % jb) * ns]
+        T1 = _draw_beta_bridge(a0, b1, 1.0, chain.region, rng)
+        T2 = _draw_beta_bridge(b0, a1, 1.0, chain.region, rng)
+        merge = merge_proposal(chain, 0, 1, alpha, gamma, T1, T2)
+        Y, eY = merge.builder()
+        cut = cut_proposal(clone_state(chain, Y, eY), Y.loop_count - 1, 0, jb,
+                           _leg_block(A, alpha, ns), _leg_block(B, gamma, ns))
+        assert merge.log_accept == pytest.approx(c["merge"], rel=1e-12)
+        assert cut.log_accept == pytest.approx(c["cut"], rel=1e-12)
 
 
 class TestCheckpointResume:

@@ -217,18 +217,6 @@ class TestReweightingExactConsistency:
         rec = reweighted_state(p, quadratic(1e-3), np.zeros(16), n_samples=500, seed=72)
         assert rec["re"] == 1.0 and rec["im"] == 0.0
 
-    def test_stratified_component_weights(self):
-        from bosegas.thermal import FieldGrid, ThermalFieldParams
-        from bosegas.thermal.mixing import PureStatePoint
-
-        grid = FieldGrid(beta=1.0, n_tau=8, d=1, L=4.0, n_x=16)
-        p = ThermalFieldParams(grid=grid, mu=0.0, critical=True, c=1.0)
-        rec = reweighted_state(p, quadratic(1e-3), np.ones(16), n_samples=400, seed=73,
-                               stratify=(4, 4))
-        assert len(rec["component_weights"]) == 16
-        pt, wt = rec["component_weights"][0]
-        assert isinstance(pt, PureStatePoint) and wt > 0
-
 
 # Full complex-FFT forms of the filters; the real-to-complex ones must agree
 # with them to rounding.
