@@ -9,20 +9,26 @@ gauge-invariant interaction enters only through its occupation-diagonal part
 
 Enumeration is exhaustive and lexicographic, and one pass (`_fock_sums`)
 yields every sum the three traces need; `exact_traces` returns all three
-from it.  The state space is a product: the
-head rows (n_1..n_{M-1}) are enumerated in blocks of about _CHUNK states and
-the last mode is a broadcast axis t = 0..n_max, so a block's energies are
+from it.  The state space is a product: every head row (n_1..n_{M-1}) is
+enumerated, in blocks of whole runs of the last head mode, and the last mode
+is an axis t = 0..n_max, so a block's energies are
 
     E = A_h + B_t + C_h t,   C_h = 2 sum_{k in head} (Vhat(0) + Vhat(k, M)) n_k / (2|box|),
 
 with A_h the head's free and head-head terms and B_t the tail's.  Of the
 weights w = exp(-beta E) only the row sums r and the column sums c are kept:
-Z is the compensated sum (fsum) of r, <n_k> takes r against the head
-occupations and c against t, and the lowest mode's histogram bins r by its
-occupation (or is c when that mode is the last).  Weights are taken relative
-to the lowest energy met so far, so no sum overflows for any mu.  Every
-state's weight is computed; the closed-form mode product, which the tests
-compare against, is never used.  Results are deterministic bit-for-bit.
+<n_k> takes r against the head occupations and c against t, and the lowest
+mode's histogram bins r by its occupation (or is c when that mode is the
+last).  Z is the compensated sum (fsum) of one part per block.
+
+A free gas has C = 0, so w[t, h] = a_h b_t: the tail vector b is built and
+summed once per call, and a block is its head row a alone (r = a sum(b),
+c = b sum(a), Z's part sum(a) sum(b)).  An interacting gas computes each
+block's (t, h) weights, relative to the lowest energy met so far, so no sum
+overflows for any mu; Z's part is the fsum of the block's column sums.  The
+closed-form mode product, which the tests compare against, is never used.
+No sum over rows goes through BLAS, so results are deterministic
+bit-for-bit whatever the thread count.
 """
 
 from dataclasses import dataclass
@@ -35,8 +41,9 @@ from .errors import CondensationBoundaryError, ResourceBudgetError, TruncationEr
 STATE_BUDGET = 10_000_000
 _CHUNK = 1 << 16
 _LOG_MAX = float(np.log(np.finfo(float).max))
-# weights below exp(_LOG_TINY) of the largest one are set to zero: they cannot
-# move Z, and exp leaves numpy's vector path near the underflow threshold
+# weights (a free gas's head and tail factors) below exp(_LOG_TINY) of the
+# largest one are set to zero: they cannot move Z, and exp leaves numpy's
+# vector path near the underflow threshold
 _LOG_TINY = -700.0
 
 
@@ -94,13 +101,46 @@ class DiagonalInteraction:
         return float(self.vhat[0, 0])
 
 
+def _head_blocks(n_modes: int, base: int, rows: int):
+    """The head rows (modes 0..M-2) in lexicographic blocks of about `rows` rows.
+
+    Yields (occ, cut): occ is the block's (M-1, rows) integer occupations, cut
+    marks the rows with some head mode at the cutoff.  A block is whole runs
+    of the last head mode, which is a fixed tile of 0..n_max; only the run
+    index is decoded into the leading digits, once per run.
+    """
+    if n_modes == 1:  # no head modes: the empty head, once
+        yield np.zeros((0, 1), dtype=np.intp), np.zeros(1, dtype=bool)
+        return
+    n_lead, n_max = n_modes - 2, base - 1
+    powers = base ** np.arange(n_lead - 1, -1, -1, dtype=np.intp)
+    runs = max(1, rows // base)
+    tile = np.arange(base, dtype=np.intp)
+    for start in range(0, base**n_lead, runs):
+        lead = (np.arange(start, min(start + runs, base**n_lead), dtype=np.intp)[:, None] // powers) % base
+        occ = np.empty((n_modes - 1, len(lead), base), dtype=np.intp)
+        occ[:-1] = lead.T[:, :, None]
+        occ[-1] = tile
+        cut = (lead == n_max).any(axis=1)[:, None] | (tile == n_max)
+        yield occ.reshape(n_modes - 1, -1), cut.ravel()
+
+
+def _cut_exp(x: np.ndarray) -> np.ndarray:
+    """exp(x) in place, with 0 where x < _LOG_TINY."""
+    keep = x >= _LOG_TINY
+    np.maximum(x, _LOG_TINY, out=x)
+    np.exp(x, out=x)
+    x *= keep
+    return x
+
+
 def _fock_sums(
     fock: TruncatedFock,
     beta: float,
     mu: float,
     interaction: DiagonalInteraction | None,
 ):
-    """One pass over every state: the weight sums behind Z, <n_k> and P(n_0).
+    """One pass over every head row: the weight sums behind Z, <n_k> and P(n_0).
 
     Raises CondensationBoundaryError for a free gas with mu <= -min(energies),
     so every trace shares the domain of the spectral pressure.
@@ -108,8 +148,8 @@ def _fock_sums(
     Returns (Z, boundary, num, hist, shift).  Every weight is taken relative to
     the lowest energy met so far (a streaming log-sum-exp), so all four sums
     are exp(beta * shift) times their true values, with shift <= 0 the lowest
-    energy; shift = 0 when the vacuum is the lowest state.  Z is the
-    compensated sum of all weights, boundary that of the states with some
+    energy; shift = 0 when the vacuum is the lowest state, as in every free
+    gas.  Z is the sum of all weights, boundary that of the states with some
     occupation at the cutoff, num[k] the numerator of <n_k> and hist[m] the
     weight of n_k0 = m for the lowest mode k0.
     """
@@ -123,59 +163,59 @@ def _fock_sums(
     k0 = int(np.argmin(lam))
     t = np.arange(base, dtype=float)
     # E = A_h + B_t + C_h t over head rows h (modes 0..M-2) and tail column t
-    head_lam = lam[:-1] + mu
+    head_lam = (lam[:-1] + mu)[:, None]
     B = (lam[-1] + mu) * t
-    if interaction is not None:
-        v, v0, vol2 = interaction.vhat, interaction.vhat0, 2.0 * interaction.volume
-        head_v = v[:-1, :-1] - v0 * np.eye(M - 1)  # off-diagonal head-head pairs
-        head_tail = 2.0 * (v0 + v[:-1, -1]) / vol2
-        B = B + v0 * (t**2 - t) / vol2
-    powers = base ** np.arange(M - 2, -1, -1, dtype=np.int64)
-    n_head = base ** (M - 1)
-    rows = max(1, _CHUNK // base)
     z_parts, boundary = [], 0.0
     num, hist = np.zeros(M), np.zeros(base)
     shift = 0.0  # the vacuum's energy
-    # fixed block buffers, tail-major (t, h): fresh arrays of this size cost a
-    # page fault per use, and the row sums r add the base rows elementwise,
-    # with no BLAS call whose rounding could follow its thread count
-    E_buf, w_buf = np.empty((base, rows)), np.empty((base, rows))
-    keep_buf = np.empty((base, rows), dtype=bool)
-    for start in range(0, n_head, rows):
-        idx = np.arange(start, min(start + rows, n_head), dtype=np.int64)
-        occ = (idx[:, None] // powers) % base
+    if interaction is None:
+        # every lam_k + mu > 0, so the vacuum is the lowest state and no
+        # factor exceeds 1; a block holds about _CHUNK head rows
+        b = _cut_exp(-beta * B)
+        sum_b = fsum(b.tolist())
+        rows = _CHUNK
+    else:
+        v, v0, vol2 = interaction.vhat, interaction.vhat0, 2.0 * interaction.volume
+        head_v = v[:-1, :-1] - v0 * np.eye(M - 1)  # off-diagonal head-head pairs
+        head_tail = (2.0 * (v0 + v[:-1, -1]) / vol2)[:, None]
+        xb = -beta * (B + v0 * (t**2 - t) / vol2)
+        # a block holds about _CHUNK weights, in fixed tail-major (t, h)
+        # buffers: fresh arrays of this size cost a page fault per use
+        rows = max(1, _CHUNK // base)
+        x_buf, tc_buf = np.empty(base * max(rows, base)), np.empty(base * max(rows, base))
+    for occ, cut in _head_blocks(M, base, rows):
         occf = occ.astype(float)
-        E, w, keep = E_buf[:, : idx.size], w_buf[:, : idx.size], keep_buf[:, : idx.size]
-        A = occf @ head_lam
+        A = (occf * head_lam).sum(axis=0)
         if interaction is None:
-            np.add(B[:, None], A, out=E)
+            a = _cut_exp(-beta * A)
+            sum_a = float(a.sum())
+            r, c, last = a * sum_b, b * sum_a, a * b[-1]
+            z_parts.append(sum_a * sum_b)
         else:
-            N = occf.sum(axis=1)
-            A = A + (v0 * (N**2 - N) + ((occf @ head_v) * occf).sum(axis=1)) / vol2
-            np.add(B[:, None], A, out=E)
-            E += np.multiply(t[:, None], occf @ head_tail, out=w)
-        e_min = float(E.min())
-        if e_min < shift:
-            scale = exp(-beta * (shift - e_min))
-            z_parts = [z * scale for z in z_parts]
-            boundary *= scale
-            num *= scale
-            hist *= scale
-            shift = e_min
-        np.subtract(E, shift, out=w)
-        w *= -beta
-        np.greater_equal(w, _LOG_TINY, out=keep)
-        np.maximum(w, _LOG_TINY, out=w)
-        np.exp(w, out=w)
-        w *= keep
-        r, c = w.sum(axis=0), w.sum(axis=1)
-        z_parts.append(fsum(r.tolist()))
+            N = occf.sum(axis=0)
+            A += (v0 * (N**2 - N) + ((head_v @ occf) * occf).sum(axis=0)) / vol2
+            C = (occf * head_tail).sum(axis=0)
+            # x = -beta (E - shift)
+            x = x_buf[: base * A.size].reshape(base, -1)
+            np.add(xb[:, None], -beta * (A - shift), out=x)
+            x += np.multiply(t[:, None], -beta * C, out=tc_buf[: x.size].reshape(x.shape))
+            x_max = float(x.max())
+            if x_max > 0:  # a state below the running shift: it becomes the shift
+                scale = exp(-x_max)
+                z_parts = [z * scale for z in z_parts]
+                boundary *= scale
+                num *= scale
+                hist *= scale
+                shift -= x_max / beta
+                x -= x_max
+            w = _cut_exp(x)
+            r, c, last = w.sum(axis=0), w.sum(axis=1), w[-1]
+            z_parts.append(fsum(c.tolist()))
         # a head at the cutoff puts its whole row there, any other head only t = n_max
-        at_cut = (occ == n_max).any(axis=1)
-        boundary += float(np.where(at_cut, r, w[-1]).sum())
-        num[:-1] += r @ occf
-        num[-1] += c @ t
-        hist += c if k0 == M - 1 else np.bincount(occ[:, k0], weights=r, minlength=base)
+        boundary += float(np.where(cut, r, last).sum())
+        num[:-1] += (occf * r).sum(axis=1)
+        num[-1] += float((c * t).sum())
+        hist += c if k0 == M - 1 else np.bincount(occ[k0], weights=r, minlength=base)
     return fsum(z_parts), boundary, num, hist, shift
 
 

@@ -14,7 +14,6 @@ from .fields import (
     weyl_expectation,
 )
 from .mixing import (
-    PureStatePoint,
     mixing_convergence_diagnostic,
     mixing_decomposition_check,
     mixing_nodes,
@@ -39,7 +38,6 @@ __all__ = [
     "sample_field",
     "sample_fields",
     "weyl_expectation",
-    "PureStatePoint",
     "mixing_convergence_diagnostic",
     "mixing_decomposition_check",
     "mixing_nodes",

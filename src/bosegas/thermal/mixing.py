@@ -22,8 +22,6 @@ spectrum and inverted once; the critical spectrum vanishes at spatial k = 0,
 so they are centered with no mean subtracted.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import fft as sfft
 from scipy.special import logsumexp
@@ -31,23 +29,6 @@ from scipy.special import logsumexp
 from ..diagnostics import jackknife_error
 from .fields import ThermalFieldParams, _field_spectrum
 from .perturb import PolynomialPerturbation, _mollifier, shifted_action_batch
-
-
-@dataclass(frozen=True)
-class PureStatePoint:
-    """Condensate amplitude-phase label of one pure component."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("r must be >= 0")
-        if not (0 <= self.theta < 2 * np.pi):
-            raise ValueError("theta must lie in [0, 2 pi)")
-
-    def offset(self, c: float) -> float:
-        return float(np.sqrt(c * self.r) * np.cos(self.theta))
 
 
 def mixing_nodes(n_r: int, n_theta: int):

@@ -1,6 +1,9 @@
 """Exact Fock traces against closed forms and the mode-sum free energy."""
 
 import itertools
+import os
+import subprocess
+import sys
 from math import fsum
 
 import numpy as np
@@ -204,9 +207,10 @@ def brute_force(energies, n_max, beta, mu, interaction=None):
     return Z, occ, hist
 
 
-def random_interaction(M, seed):
+def random_interaction(M, seed, off):
+    """Symmetric Vhat with Vhat(0) = 0.7 and off-diagonal entries drawn from `off`."""
     rng = np.random.default_rng(seed)
-    a = rng.uniform(0.1, 0.6, (M, M))
+    a = rng.uniform(*off, (M, M))
     v = 0.5 * (a + a.T)
     np.fill_diagonal(v, 0.7)
     return DiagonalInteraction(vhat=v, volume=1.5)
@@ -215,24 +219,40 @@ def random_interaction(M, seed):
 class TestAgainstBruteForce:
     """The one-pass head x tail kernel against a state-by-state sum."""
 
-    CASES = [
-        (np.array([0.4]), 30, 0.3),
-        (np.array([0.0, 0.6]), 14, 0.5),  # lowest mode in the head
-        (np.array([0.9, 0.2]), 14, 0.1),  # lowest mode is the last (tail) mode
-        (np.array([0.5, 0.8, 0.0]), 8, 0.4),  # tail lowest, M = 3
-        (np.array([0.7, 0.0, 1.1]), 8, 0.4),  # head lowest, M = 3
-        (np.array([0.3, 0.0, 0.5]), 8, -0.6),  # vacuum is not the lowest state
+    REPULSIVE, ATTRACTIVE = (0.1, 0.6), (-2.0, -1.6)
+    CASES = [  # energies, n_max, mu, range of the off-diagonal Vhat
+        (np.array([0.4]), 30, 0.3, REPULSIVE),
+        (np.array([0.0, 0.6]), 14, 0.5, REPULSIVE),  # lowest mode in the head
+        (np.array([0.9, 0.2]), 14, 0.1, REPULSIVE),  # lowest mode is the last (tail) mode
+        (np.array([0.5, 0.8, 0.0]), 8, 0.4, REPULSIVE),  # tail lowest, M = 3
+        (np.array([0.7, 0.0, 1.1]), 8, 0.4, REPULSIVE),  # head lowest, M = 3
+        (np.array([0.3, 0.0, 0.5]), 8, -0.6, REPULSIVE),  # vacuum is not the lowest state
+        # Vhat(0) + Vhat(k, M) < 0: the tail coupling C_h of every occupied head is negative
+        (np.array([0.6, 0.0, 0.9]), 8, 0.2, ATTRACTIVE),
+        (np.array([0.5, 0.0, 0.8, 0.3]), 5, 0.3, REPULSIVE),  # M = 4
     ]
 
     @pytest.mark.parametrize("chunk", [None, 8])
     @pytest.mark.parametrize("case", range(len(CASES)))
     @pytest.mark.parametrize("interacting", [False, True])
     def test_sums_match(self, case, interacting, chunk, monkeypatch):
+        lam, n_max, mu, off = self.CASES[case]
+        blocks = []  # head blocks per call
         if chunk is not None:  # several blocks, so the running shift moves
             monkeypatch.setattr(fock_module, "_CHUNK", chunk)
-        lam, n_max, mu = self.CASES[case]
+            heads = fock_module._head_blocks
+
+            def counted(*args):
+                blocks.append(0)
+                for block in heads(*args):
+                    blocks[-1] += 1
+                    yield block
+
+            monkeypatch.setattr(fock_module, "_head_blocks", counted)
         beta = 1.3
-        inter = random_interaction(lam.size, case) if interacting else None
+        inter = random_interaction(lam.size, case, off) if interacting else None
+        if inter is not None and off == self.ATTRACTIVE:
+            assert np.all(inter.vhat0 + inter.vhat[:-1, -1] < 0)
         fock = TruncatedFock(energies=lam, n_max=n_max)
         Z, occ, hist = brute_force(lam, n_max, beta, mu, inter)
         if inter is None and mu <= -lam.min():  # every trace refuses a free gas there
@@ -244,6 +264,8 @@ class TestAgainstBruteForce:
         np.testing.assert_allclose(exact_occupations(fock, beta, mu, inter), occ, rtol=1e-13)
         np.testing.assert_allclose(exact_zero_mode_statistics(fock, beta, mu, inter), hist,
                                    rtol=1e-13, atol=0)
+        if chunk is not None and lam.size >= 3:
+            assert len(blocks) == 3 and min(blocks) > 1
 
 
 class TestBelowLowestMode:
@@ -355,3 +377,38 @@ class TestExactTraces:
             exact_traces(fock, 1.0, -30.0, inter)
         with pytest.raises(OverflowError):
             exact_traces(fock, 1.0, -30.0, inter, tail_tol=1.0)
+
+
+THREADS_SCRIPT = """
+import numpy as np
+from bosegas.fock import DiagonalInteraction, TruncatedFock, exact_traces
+
+k2 = (2 * np.pi / 6.0) ** 2
+modes = np.array([0.0, 1.0, -1.0, 2.0])
+dk = np.sqrt(k2) * (modes[:, None] - modes[None, :])
+vhat = 0.5 * np.sqrt(np.pi) * 0.5 * np.exp(-(0.5 * dk) ** 2 / 4)
+oracles = [  # the workload's oracle, and 12 modes whose blocks are long enough for BLAS to split
+    (TruncatedFock(energies=k2 * modes**2, n_max=45), DiagonalInteraction(vhat=vhat, volume=6.0)),
+    (TruncatedFock(energies=np.linspace(0.0, 1.1, 12), n_max=2),
+     DiagonalInteraction(vhat=np.full((12, 12), 0.3) + 0.1 * np.eye(12), volume=6.0)),
+]
+for fock, inter in oracles:
+    for v in (None, inter):
+        Z, occ, hist = exact_traces(fock, 1.0, 0.8, v, tail_tol=1.0)
+        print(np.concatenate([[Z], occ, hist]).tobytes().hex())
+"""
+
+
+def test_traces_identical_across_blas_thread_counts():
+    # a BLAS reduction may split its sum by thread count; the oracle's bytes must not move
+    import bosegas
+
+    src = os.path.dirname(os.path.dirname(bosegas.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].count("\n") == 4 and outs[0] == outs[1]

@@ -195,13 +195,13 @@ class TestInteractions:
         assert rho + 3 * err < rho_free
 
     def test_first_order_number_shift(self):
-        # weak coupling: <N>_V - <N>_0 ~ -Cov_free(N, energy)
-        region = BoxRegion(d=3, L=4.0, n_slices=4)
+        # weak coupling: <N>_V - <N>_0 ~ -Cov_free(N, energy).  At d = 2 and
+        # amplitude 3 (range 2 = L/2) the prediction, -0.130, exceeds the
+        # tolerance, 0.079, so a chain that ignored V would fail
+        region = BoxRegion(d=2, L=4.0, n_slices=4)
         z = 0.4
-        # amplitude 0.15 at width 1 narrowed to width 1/3, whose range fits
-        # half the box, at the same integral of V
-        V = gaussian_repulsion(3, 4.05, width=1 / 3)
-        run = gibbs_sample(z, 1.0, region, V, n_sweeps=6000, rng_seed=21, thin=5)
+        V = gaussian_repulsion(2, 3.0, width=1 / 3)
+        run = gibbs_sample(z, 1.0, region, V, n_sweeps=9000, rng_seed=21, thin=5)
         free_cfgs = sample_free_poisson_batch(4000, z, 1.0, region, rng_seed=22)
         from bosegas.loopgas import interaction_energy
 
@@ -211,6 +211,7 @@ class TestInteractions:
         shift = run["mean_N"] - free_density(z, 1.0, region) * region.volume
         tol = 3 * run["err_N"] + 3 * abs(np.cov(N, E)[0, 1]) / np.sqrt(len(N)) + 0.15 * abs(predicted_shift)
         assert abs(shift - predicted_shift) < tol
+        assert abs(0.0 - predicted_shift) > tol  # a shift of 0 is outside the tolerance
 
     def test_stability_guard_active(self):
         region = BoxRegion(d=2, L=5.0, n_slices=4)
