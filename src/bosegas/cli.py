@@ -132,8 +132,9 @@ def _run_gauss(cfg: RunConfig, seed: int):
         volumes = cfg.get("sampler", "volumes") or [grid.L, 2 * grid.L, 4 * grid.L]
         rep = ergodicity_diagnostic(params, n, volumes, seed)
         rows = rep["rows"]
-        records.append(ResultRecord(h, "ergodicity_slope", float(rep["slope"]), None))
-        records.append(ResultRecord(h, "ergodicity_status:" + rep["status"], float(rep["plateau"]), None))
+        records.append(ResultRecord(h, "ergodicity_slope", float(rep["slope"]), float(rep["slope_err"])))
+        records.append(ResultRecord(h, "ergodicity_status:" + rep["status"], float(rep["plateau"]),
+                                    float(rows[-1]["var_err"])))
     elif name == "mixing":
         pert = _poly_pert(cfg)
         rep = renormalized_mixing(params, pert, 8, 8, n, seed)
@@ -195,7 +196,7 @@ def _run_expand(cfg: RunConfig, seed: int):
 
     beta = cfg.get("physics", "beta")
     V = parse_potential(cfg.get("physics", "potential"), 3)
-    orders = [int(o) for o in (cfg.get("sampler", "orders") or [1, 2])]
+    orders = cfg.get("sampler", "orders") or [1, 2]
     n_mc = cfg.get("sampler", "n_mc")
     coeffs = [mayer_coefficient(n, beta, V, None, n_mc, derive_seed(seed, "b", n)) for n in orders]
     h = config_hash({"kind": "expand", "seed": seed, **cfg.sections})
@@ -204,9 +205,15 @@ def _run_expand(cfg: RunConfig, seed: int):
     for c in coeffs:
         for part, val in c.parts.items():
             rows.append({"n": c.order, "sector": part, "value": val, "error": c.error})
-        records.append(ResultRecord(h, f"b{c.order}", c.value, c.error or None, ess=float(n_mc)))
+        # b1, and every b_n of a free gas, is closed-form; the others are sampled
+        closed = c.order == 1 or V is None
+        records.append(ResultRecord(h, f"b{c.order}", c.value, None if closed else c.error, ess=float(n_mc)))
     bound = convergence_radius(beta, V, n_mc=max(n_mc // 2, 100), seed=derive_seed(seed, "radius"))
-    records.append(ResultRecord(h, "radius_lower_bound", bound.radius_lower_bound, None))
+    r = bound.radius_lower_bound
+    # r = e^(-2 beta B - 1) / C carries C's relative error; it is exact only for
+    # V = None, and C = 0 with a V means no sample interacted (error 0)
+    r_err = None if V is None else (r * bound.C_error / bound.C_value if bound.C_value > 0 else 0.0)
+    records.append(ResultRecord(h, "radius_lower_bound", r, r_err))
     z = cfg.get("physics", "z")
     extra = {"radius": bound.radius_lower_bound, "C": bound.C_value}
     if z is not None:

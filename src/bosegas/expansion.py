@@ -21,11 +21,9 @@ A finite box may be passed for boundary-condition comparisons; the
 thermodynamic-limit default uses free bridges with no images.
 
 Each Monte Carlo sector is sampled as one batch: its bridges come from one
-normal draw and its ball displacements from one rejection pass, and the
-sector's energies are one broadcast (a hard-core contact has energy +inf
-and weight exp(-inf) = 0).  The batches consume the generator
-stream exactly as drawing sample by sample would, so a seed gives the same
-samples either way.
+fill_bridges call and its ball displacements from one rejection pass, and
+the sector's energies are one broadcast (a hard-core contact has energy +inf
+and weight exp(-inf) = 0).
 """
 
 from dataclasses import dataclass
@@ -36,7 +34,7 @@ import numpy as np
 
 from .loopgas.energy import intra_energies, pair_energies
 from .loopgas.free import _fill_loop_paths, _sample_bases
-from .loopgas.loops import bridges_from_normals
+from .loopgas.loops import fill_bridges
 from .loopgas.potential import PairPotential
 from .loopgas.regions import PERIODIC, BoxRegion, diagonal_mass
 from .rng import derive_seed, generator
@@ -76,8 +74,7 @@ def _mayer_ball_radius(V: PairPotential, beta: float, j_sum: int = 2) -> float:
 def _free_paths(count: int, j: int, beta: float, d: int, n_slices: int, rng) -> np.ndarray:
     """(count, j * n_slices + 1, d) closed free bridges based at the origin."""
     zero = np.zeros((count, d))
-    normals = rng.standard_normal((count, j * n_slices - 1, d))
-    return bridges_from_normals(zero, zero, normals, beta / n_slices)
+    return fill_bridges(zero, zero, j * n_slices, beta / n_slices, rng)
 
 
 def mayer_coefficient(
@@ -183,30 +180,18 @@ def mayer_coefficient(
     )
 
 
-def _random_ball(rng, d: int, R: float) -> np.ndarray:
-    while True:
-        x = rng.uniform(-R, R, size=d)
-        if (x**2).sum() <= R**2:
-            return x
-
-
 def _random_balls(rng, count: int, d: int, R: float) -> np.ndarray:
-    """(count, d) points of `count` _random_ball calls, leaving rng where
-    they would: candidates are drawn ahead, then the generator is rewound
-    and only the candidates the calls would have used are drawn again."""
-    state = rng.bit_generator.state
-    used, accepted = 0, 0
-    while accepted < count:
-        cand = rng.uniform(-R, R, size=(2 * (count - accepted) + 16, d))
-        hits = np.flatnonzero((cand**2).sum(axis=1) <= R**2)
-        if accepted + hits.size >= count:
-            used += hits[count - accepted - 1] + 1
-            break
-        used += len(cand)
-        accepted += hits.size
-    rng.bit_generator.state = state
-    cand = rng.uniform(-R, R, size=(used, d))
-    return cand[(cand**2).sum(axis=1) <= R**2]
+    """(count, d) points uniform in the ball of radius R about the origin, by
+    rejection from the cube [-R, R]^d: the first `count` candidates inside
+    the ball, in draw order."""
+    cube_per_ball = 2.0**d / _ball_volume(d, 1.0)
+    found = [np.empty((0, d))]
+    need = count
+    while need > 0:
+        cand = rng.uniform(-R, R, size=(int(1.2 * cube_per_ball * need) + 16, d))
+        found.append(cand[(cand**2).sum(axis=1) <= R**2][:need])
+        need -= len(found[-1])
+    return np.concatenate(found)
 
 
 def delta_c2(beta: float, V: PairPotential, n_mc: int = 4000, seed: int = 0, n_slices: int = 16) -> dict:
@@ -269,16 +254,10 @@ def convergence_radius(
     vol = _ball_volume(d, R)
     kappa1 = (4 * pi * beta) ** (-d / 2)
     geom = BoxRegion(d=d, L=1e9, n_slices=n_slices)
-    zero = np.zeros((n_mc, d))
     best, best_err = 0.0, 0.0
     for _ in range(n_ref):
         ref = _free_paths(1, 1, beta, d, n_slices, rng)
-        x = np.empty((n_mc, d))
-        normals = np.empty((n_mc, n_slices - 1, d))
-        for i in range(n_mc):  # each sample draws its displacement, then its bridge
-            x[i] = _random_ball(rng, d, R)
-            normals[i] = rng.standard_normal((n_slices - 1, d))
-        others = bridges_from_normals(zero, zero, normals, beta / n_slices) + x[:, None]
+        others = _free_paths(n_mc, 1, beta, d, n_slices, rng) + _random_balls(rng, n_mc, d, R)[:, None]
         vals = np.abs(np.exp(-pair_energies(ref, others, V, beta, geom)) - 1.0)
         C_ref = kappa1 * vol * vals.mean()
         err = kappa1 * vol * vals.std(ddof=1) / np.sqrt(n_mc)

@@ -38,7 +38,7 @@ from .loops import (
     LoopBatch,
     LoopConfiguration,
     as_batch,
-    draw_winding_images,
+    draw_images,
     fill_bridges,
     segment_survival_log,
 )
@@ -134,7 +134,7 @@ def _fill_loop_paths(bases: np.ndarray, j: int, beta: float, region: BoxRegion, 
     n_int = j * region.n_slices
     dtau = beta / region.n_slices
     if region.boundary == PERIODIC:
-        images = draw_winding_images(count, j, beta, region, rng)
+        images = draw_images(np.zeros(region.d), count, j * beta, region.L, rng)
         ends = bases + images * region.L
         paths = fill_bridges(bases, ends, n_int, dtau, rng, knots)
         return paths, images

@@ -46,7 +46,7 @@ from ..errors import StabilityError, TuningError
 from ..rng import derive_seed, generator
 from .energy import check_image_range, interaction_energy, loop_in_config_energy, pair_energy
 from .free import _fill_loop_paths, _sample_bases, sample_free_poisson, winding_masses
-from .loops import BridgeLoop, LoopConfiguration, draw_open_images, fill_bridges, segment_survival_log
+from .loops import BridgeLoop, LoopConfiguration, draw_images, fill_bridges, segment_survival_log
 from .potential import PairPotential
 from .regions import DIRICHLET, PERIODIC, BoxRegion, free_kernel, kernel, min_image, wrap
 
@@ -96,7 +96,7 @@ def _draw_beta_bridge(x, y, beta: float, region: BoxRegion, rng) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if region.boundary != PERIODIC:
         return fill_bridges(x[None], y[None], n, beta / n, rng)[0]
-    target = y + draw_open_images(x, y, 1, beta, region.L, rng)[0] * region.L
+    target = y + draw_images(y - x, 1, beta, region.L, rng)[0] * region.L
     path = wrap(fill_bridges(x[None], target[None], n, beta / n, rng)[0], region.L)
     path[0], path[-1] = x, y
     return path

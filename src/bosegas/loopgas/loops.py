@@ -23,8 +23,8 @@ with per-sample loop offsets `loop_starts`: the free sampler returns one, and
 the batched consumers (pairings, batched energies, Gibbs weights, densities)
 read its arrays directly through `as_batch`, which packs a list of
 configurations into the same arrays.  `batch[s]` is a read-only
-LoopConfiguration view of sample s, and slicing, iteration and `[cfg] +
-batch` keep working for callers that expect a list.
+LoopConfiguration view of sample s, and slicing and iteration keep working
+for callers that expect a list.
 
 Bridge interiors follow recursive midpoint construction: split the knot
 range at its midpoint, draw the midpoint from the exact Gaussian conditional
@@ -38,9 +38,10 @@ one matrix product.  Maps of up to _CACHED_INTERVALS = 256 intervals (about
 caller that reads only the first k knots (a test function that vanishes
 after t_max) asks fill_bridges for knots=k: every normal is still drawn, so
 the generator stream is the same, and only the map's first k rows are
-applied.  `bridges_from_normals` applies the same map to normals drawn
-bridge by bridge, so a batch can reproduce the stream of one-row
-fill_bridges calls.
+applied.
+
+Every periodic bridge, closed loop or open path, ends at a winding image of
+its end point, drawn by `draw_images` with the heat-kernel image weights.
 """
 
 import operator
@@ -202,7 +203,7 @@ class LoopBatch:
 
     len(batch) counts samples; batch[s] is a read-only LoopConfiguration
     view of sample s (an empty one for a sample without loops), a slice is a
-    LoopBatch, and iteration and `+` with a list give configurations.
+    LoopBatch, and iteration gives configurations.
     """
 
     __slots__ = ("knots", "offsets", "windings", "images", "loop_starts")
@@ -262,12 +263,6 @@ class LoopBatch:
 
     def __iter__(self):
         return (self[s] for s in range(len(self)))
-
-    def __add__(self, other) -> list:
-        return list(self) + list(other)
-
-    def __radd__(self, other) -> list:
-        return list(other) + list(self)
 
 
 def as_batch(configs) -> LoopBatch:
@@ -339,30 +334,6 @@ def _bridge_map(n_intervals: int, dtau: float) -> np.ndarray:
 _cached_bridge_map = lru_cache(maxsize=64)(_bridge_map)
 
 
-def _bridge_source(x0: np.ndarray, x1: np.ndarray, n_intervals: int) -> np.ndarray:
-    """(n_intervals + 1, batch, d) input of the bridge map with the endpoints
-    filled in; rows 2.. take the midpoint normals."""
-    src = np.empty((n_intervals + 1, *x0.shape))
-    src[0] = x0
-    src[1] = x1
-    return src
-
-
-def _map_bridges(src: np.ndarray, dtau: float, knots: int | None = None) -> np.ndarray:
-    """The first `knots` knots (all by default), (batch, knots, d), of the
-    bridges whose endpoints and midpoint normals are src (n_intervals + 1,
-    batch, d)."""
-    n_knots, batch, d = src.shape
-    n_intervals = n_knots - 1
-    small = n_intervals <= _CACHED_INTERVALS
-    bridge_map = (_cached_bridge_map if small else _bridge_map)(n_intervals, dtau)
-    rows = n_knots if knots is None else knots
-    # with the draw transposed, BLAS writes each coordinate's knots in a row,
-    # and only the d coordinates of a bridge remain to be interleaved
-    out = src.reshape(n_knots, -1).T.dot(bridge_map[:rows].T).reshape(batch, d, rows)
-    return np.ascontiguousarray(out.swapaxes(1, 2))
-
-
 def fill_bridges(
     x0: np.ndarray, x1: np.ndarray, n_intervals: int, dtau: float, rng, knots: int | None = None
 ) -> np.ndarray:
@@ -379,51 +350,39 @@ def fill_bridges(
     while a one-row product (a matrix-vector call), and with two BLAS threads
     some prefixes of over 100 knots, differed by rounding (at most 4e-15).
     """
-    src = _bridge_source(x0, x1, n_intervals)
+    batch, d = x0.shape
+    # the map's input: the endpoints, then the midpoint normals
+    src = np.empty((n_intervals + 1, batch, d))
+    src[0] = x0
+    src[1] = x1
     rng.standard_normal(out=src[2:])
-    return _map_bridges(src, dtau, knots)
+    small = n_intervals <= _CACHED_INTERVALS
+    bridge_map = (_cached_bridge_map if small else _bridge_map)(n_intervals, dtau)
+    rows = n_intervals + 1 if knots is None else knots
+    # with the draw transposed, BLAS writes each coordinate's knots in a row,
+    # and only the d coordinates of a bridge remain to be interleaved
+    out = src.reshape(n_intervals + 1, -1).T.dot(bridge_map[:rows].T).reshape(batch, d, rows)
+    return np.ascontiguousarray(out.swapaxes(1, 2))
 
 
-def bridges_from_normals(x0: np.ndarray, x1: np.ndarray, normals: np.ndarray, dtau: float) -> np.ndarray:
-    """The bridges of fill_bridges from given midpoint normals (batch,
-    n_intervals - 1, d), bridge by bridge.
+def draw_images(dx: np.ndarray, count: int, t: float, L: float, rng) -> np.ndarray:
+    """Winding images w (count, d) of periodic bridges over time t whose end
+    lies dx (d,) from their start, up to the image w L (dx = 0 for closed
+    loops): each coordinate k independently, with the heat-kernel weights
+    exp(-(dx_k + w L)^2 / (4 t)).
 
-    With normals = rng.standard_normal((batch, n_intervals - 1, d)) these are
-    the bridges, and rng is left in the state, of `batch` one-row
-    fill_bridges calls, row after row.
+    One rng.random((count, d)) draw is inverted through each coordinate's
+    cumulative weights, as rng.choice(w, size, p=weights) inverts its draw.
     """
-    src = _bridge_source(x0, x1, normals.shape[1] + 1)
-    src[2:] = normals.swapaxes(0, 1)
-    return _map_bridges(src, dtau)
-
-
-@lru_cache(maxsize=256)
-def _image_weights(j: int, beta: float, L: float) -> tuple:
-    """(images w, probabilities p) of one coordinate's winding over j beta."""
-    t = j * beta
-    n = _image_range(L, t, tol=1e-16)
-    w = np.arange(-n, n + 1)
-    p = np.exp(-((w * L) ** 2) / (4 * t))
-    return _frozen(w), _frozen(p / p.sum())
-
-
-def draw_winding_images(count: int, j: int, beta: float, region: BoxRegion, rng) -> np.ndarray:
-    """Spatial winding vectors for periodic loops, per coordinate with the
-    image weights exp(-(w L)^2 / (4 j beta))."""
-    w, p = _image_weights(j, beta, region.L)
-    return rng.choice(w, size=(count, region.d), p=p)
-
-
-def draw_open_images(x: np.ndarray, y: np.ndarray, count: int, t: float, L: float, rng) -> np.ndarray:
-    """Winding images w (count, d) of open periodic bridges x -> y + w L over
-    time t, coordinate by coordinate (one rng.choice each) with the kernel
-    weights exp(-(y - x + w L)^2 / (4 t))."""
     n = _image_range(L, t, tol=1e-16)
     ws = np.arange(-n, n + 1)
-    images = np.empty((count, x.size), dtype=int)
-    for k in range(x.size):
-        p = np.exp(-((y[k] - x[k] + ws * L) ** 2) / (4 * t))
-        images[:, k] = rng.choice(ws, size=count, p=p / p.sum())
+    u = rng.random((count, dx.size))
+    images = np.empty((count, dx.size), dtype=int)
+    for k in range(dx.size):
+        p = np.exp(-((dx[k] + ws * L) ** 2) / (4 * t))
+        cdf = (p / p.sum()).cumsum()
+        cdf /= cdf[-1]
+        images[:, k] = np.searchsorted(cdf, u[:, k], side="right") - n
     return images
 
 

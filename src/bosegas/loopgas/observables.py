@@ -14,7 +14,7 @@ from ..diagnostics import batch_means, stratified_mean
 from ..rng import derive_seed, generator
 from .energy import added_loop_energies, intra_energies
 from .free import config_pairings, winding_masses
-from .loops import as_batch, draw_open_images, fill_bridges, segment_survival_log
+from .loops import as_batch, draw_images, fill_bridges, segment_survival_log
 from .potential import PairPotential
 from .regions import DIRICHLET, PERIODIC, BoxRegion, kernel, wrap
 
@@ -110,7 +110,7 @@ def reduced_density_matrix(
                 continue
             # open bridges x -> y; periodic ones end at a winding image of y
             if region.boundary == PERIODIC:
-                ends = y + draw_open_images(x, y, n_mc, j * beta, region.L, rng) * region.L
+                ends = y + draw_images(y - x, n_mc, j * beta, region.L, rng) * region.L
             else:
                 ends = np.tile(y, (n_mc, 1))
             paths = fill_bridges(np.tile(x, (n_mc, 1)), ends, j * region.n_slices, dtau, rng)

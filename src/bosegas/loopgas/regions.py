@@ -128,7 +128,7 @@ def dirichlet_mode_trace(region: BoxRegion, t: float, tol: float = 1e-18) -> flo
     return float(np.exp(-t * (pi * n / region.L) ** 2).sum() ** region.d)
 
 
-def periodic_mode_trace(region: BoxRegion, t: float, tol: float = 1e-18) -> int:
+def periodic_mode_trace(region: BoxRegion, t: float, tol: float = 1e-18) -> float:
     """Independent spectral route: [sum_{m in Z} exp(-t (2 pi m / L)^2)]^d."""
     m_max = int(np.sqrt(max(-np.log(tol) / t, 1.0)) * region.L / (2 * pi)) + 2
     m = np.arange(-m_max, m_max + 1)

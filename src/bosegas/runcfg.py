@@ -43,8 +43,8 @@ def _int(lo=None, hi=None):
     return conv
 
 
-def _float_list(lo=None, lo_open=False):
-    base = _float(lo=lo, lo_open=lo_open)
+def _list(base):
+    """Comma-separated values, each converted by `base`."""
 
     def conv(s, where):
         return [base(tok.strip(), where) for tok in s.split(",") if tok.strip()]
@@ -86,7 +86,7 @@ SCHEMAS = {
     "ideal": {
         **_COMMON,
         "physics": {
-            "beta_values": (_float_list(lo=0, lo_open=True), True),
+            "beta_values": (_list(_float(lo=0, lo_open=True)), True),
             "mu": (_float(), False),
             "rho": (_float(lo=0, lo_open=True), False),
         },
@@ -100,7 +100,7 @@ SCHEMAS = {
             "critical": (_bool, False),
             "c": (_float(lo=0), False),
             "lam": (_float(lo=0), False),
-            "poly": (_float_list(), False),
+            "poly": (_list(_float()), False),
             "mollifier": (_float(lo=0), False),
         },
         "geometry": {
@@ -110,7 +110,7 @@ SCHEMAS = {
             "n_tau": (_int(lo=2), True),
         },
         "sampler": {"n_samples": (_int(lo=2), True),
-                    "volumes": (_float_list(lo=0, lo_open=True), False)},
+                    "volumes": (_list(_float(lo=0, lo_open=True)), False)},
         "experiment": {"name": (_str_enum("covariance", "ergodicity", "mixing", "reweight"), True)},
     },
     "loops": {
@@ -136,7 +136,7 @@ SCHEMAS = {
             "z": (_float(lo=0), False),
             "potential": (_str, False),
         },
-        "sampler": {"n_mc": (_int(lo=10), True), "orders": (_float_list(lo=1), False)},
+        "sampler": {"n_mc": (_int(lo=10), True), "orders": (_list(_int(lo=1, hi=3)), False)},
     },
     "oracle": {
         **_COMMON,
@@ -146,7 +146,7 @@ SCHEMAS = {
             "vhat0": (_float(), False),
             "volume": (_float(lo=0, lo_open=True), False),
         },
-        "modes": {"energies": (_float_list(lo=0), True), "n_max": (_int(lo=1), True)},
+        "modes": {"energies": (_list(_float(lo=0)), True), "n_max": (_int(lo=1), True)},
     },
     "check": {
         **_COMMON,

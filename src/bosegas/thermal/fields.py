@@ -280,11 +280,13 @@ def ergodicity_diagnostic(
         rows.append({"L": float(L), "volume": grid.volume, "var": var,
                      "var_err": var * np.sqrt(2.0 / (n_samples - 1))})
     status = "inconclusive"
-    slope = np.nan
+    slope = slope_err = np.nan
     if n_samples >= min_samples:
         lv = np.log([r["volume"] for r in rows])
         lvar = np.log([max(r["var"], 1e-300) for r in rows])
         slope = float(np.polyfit(lv, lvar, 1)[0])
+        # least-squares slope error: each ln var has the relative error sqrt(2 / (n - 1))
+        slope_err = float(np.sqrt(2.0 / (n_samples - 1) / ((lv - lv.mean()) ** 2).sum()))
         plateau = rows[-1]["var"]
         if plateau < 1e-10:
             # the flat average retains only the condensate offset; a collapsed
@@ -294,5 +296,5 @@ def ergodicity_diagnostic(
             status = "non-ergodic"
         elif -1.2 <= slope <= -0.8:
             status = "ergodic"
-    return {"rows": rows, "slope": slope, "status": status,
+    return {"rows": rows, "slope": slope, "slope_err": slope_err, "status": status,
             "plateau": rows[-1]["var"], "threshold": params.c / 2 if params.critical else None}

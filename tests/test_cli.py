@@ -52,6 +52,43 @@ n_sweeps = 200
 thin = 5
 """
 
+EXPAND = """
+[run]
+kind = expand
+seed = 2
+
+[physics]
+beta = 1.0
+potential = hardcore:0.8
+
+[sampler]
+n_mc = 100
+orders = 1, 2
+"""
+
+ERGODICITY = """
+[run]
+kind = gauss
+seed = 4
+
+[physics]
+beta = 1.0
+mu = 0.7
+
+[geometry]
+d = 1
+L = 2.0
+n_x = 4
+n_tau = 4
+
+[sampler]
+n_samples = 100
+volumes = 2.0, 4.0, 8.0
+
+[experiment]
+name = ergodicity
+"""
+
 ORACLE = """
 [run]
 kind = oracle
@@ -114,6 +151,16 @@ class TestConfigParsing:
         path = write(tmp_path, "bad.ini", IDEAL.replace("beta_values = 0.5, 1.0, 2.0, 4.0", ""))
         with pytest.raises(ConfigError, match="beta_values"):
             parse_run_config(path)
+
+    @pytest.mark.parametrize("orders, message", [("1.7, 2", "expected an integer"),
+                                                 ("1, 4", "above the allowed range")])
+    def test_expand_orders_are_integers_up_to_three(self, tmp_path, capsys, orders, message):
+        path = write(tmp_path, "bad.ini", EXPAND.replace("orders = 1, 2", f"orders = {orders}"))
+        with pytest.raises(ConfigError, match=rf"\[sampler\] orders: .*{message}"):
+            parse_run_config(path)
+        assert main(["expand", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert parse_run_config(write(tmp_path, "ok.ini", EXPAND)).get("sampler", "orders") == [1, 2]
 
     def test_potential_specs(self):
         assert parse_potential("none", 3) is None
@@ -179,6 +226,36 @@ class TestRun:
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
         extra = [json.loads((tmp_path / d / "meta.json").read_text())["extra"] for d in ("new", "ref")]
         assert extra[0] == extra[1]
+
+    @staticmethod
+    def results_csv(out):
+        import csv
+
+        with open(out / "results.csv") as fh:
+            return {r["observable"]: r for r in csv.DictReader(fh)}
+
+    @pytest.mark.parametrize("potential", ["hardcore:0.8", "hardcore:0.001"])
+    def test_expand_tags_only_closed_forms_exact(self, tmp_path, potential):
+        # at a core of 0.001 no sample touches it, so b2 and C have sample error 0
+        cfgp = write(tmp_path, "expand.ini", EXPAND.replace("hardcore:0.8", potential))
+        assert run(cfgp, out=str(tmp_path / "out")) == 0
+        recs = self.results_csv(tmp_path / "out")
+        assert recs["b1"]["tag"] == "exact"
+        for name in ("b2", "radius_lower_bound"):
+            assert recs[name]["tag"] == "estimated" and float(recs[name]["std_error"]) >= 0
+        if potential == "hardcore:0.8":
+            assert float(recs["radius_lower_bound"]["std_error"]) > 0
+        free = write(tmp_path, "free.ini", EXPAND.replace("hardcore:0.8", "none"))
+        assert run(free, out=str(tmp_path / "free")) == 0
+        assert {r["tag"] for r in self.results_csv(tmp_path / "free").values()} == {"exact"}
+
+    def test_ergodicity_records_carry_errors(self, tmp_path):
+        cfgp = write(tmp_path, "erg.ini", ERGODICITY)
+        assert run(cfgp, out=str(tmp_path / "out")) == 0
+        recs = self.results_csv(tmp_path / "out")
+        (status,) = [r for name, r in recs.items() if name.startswith("ergodicity_status:")]
+        for rec in (recs["ergodicity_slope"], status):
+            assert rec["tag"] == "estimated" and float(rec["std_error"]) > 0
 
     def test_kind_mismatch(self, tmp_path):
         cfgp = write(tmp_path, "ideal.ini", IDEAL)

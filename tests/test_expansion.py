@@ -2,11 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bosegas.expansion import (
     ConvergenceEstimate,
-    _free_paths,
-    _random_ball,
     _random_balls,
     convergence_radius,
     delta_c2,
@@ -22,7 +21,6 @@ from bosegas.loopgas import (
     gibbs_sample,
     hard_core,
 )
-from bosegas.loopgas.loops import bridges_from_normals, fill_bridges
 from bosegas.rng import generator
 
 # an inf - inf or 0 * inf in the batched hard-core sectors fails here
@@ -160,18 +158,18 @@ class TestConvergenceRadius:
 
 
 class TestPinnedRecords:
-    # values of the one-midpoint-at-a-time bridge construction; the bridge map
-    # draws the same normals, and a hard core turns every energy into 0 or inf,
-    # so the records stay bit-identical
+    # a hard core turns every energy into 0 or inf, so the records are bitwise
+    # functions of the draws: each sector's bridges from one fill_bridges call,
+    # its displacements from one _random_balls call
     def test_mayer_and_radius_records(self):
         V = hard_core(3, 1.0)
         b2 = mayer_coefficient(2, 1.0, V, None, n_mc=300, seed=803)
         b3 = mayer_coefficient(3, 1.0, V, None, n_mc=300, seed=804)
         r = convergence_radius(0.5, V, n_mc=150, n_ref=2, seed=805)
-        assert (b2.value, b2.error) == (-0.010845269907677441, 0.008479214131160536)
-        assert (b3.value, b3.error) == (0.00036001622674289974, 6.905304341603783e-05)
+        assert (b2.value, b2.error) == (-0.004919977002692647, 0.006006729410199299)
+        assert (b3.value, b3.error) == (0.0002592116832548878, 5.9334499004471355e-05)
         assert (r.radius_lower_bound, r.C_value, r.C_error) == (
-            0.30245018513345856, 1.2163306860239236, 0.6081653430119617
+            0.08394574077067063, 4.382347904659552, 1.3415211895997432
         )
 
 
@@ -185,36 +183,36 @@ class TestPinnedRecords:
         assert (b3.value, b3.error) == (0.005473767105460775, 0.0027058095968655596)
 
 
+def per_sample_ball(rng, d, R):
+    """One point of the ball by rejection, one cube candidate at a time."""
+    while True:
+        x = rng.uniform(-R, R, size=d)
+        if (x**2).sum() <= R**2:
+            return x
+
+
 class TestBatchedDraws:
-    """A sector's batch consumes the generator as its per-sample draws do."""
+    """A sector's ball displacements are one rejection pass over blocks of
+    cube candidates."""
 
     @pytest.mark.parametrize("count, d, R", [(0, 3, 2.0), (1, 3, 2.0), (700, 3, 4.5), (50, 1, 1.0), (300, 5, 1.5)])
     def test_random_balls_match_per_sample_draws(self, count, d, R):
+        # the batch keeps the candidates that one-at-a-time rejection would
+        # accept, in order; the generator may run past the last of them
         one, batch = generator(11), generator(11)
-        want = np.array([_random_ball(one, d, R) for _ in range(count)]).reshape(count, d)
+        want = np.array([per_sample_ball(one, d, R) for _ in range(count)]).reshape(count, d)
         got = _random_balls(batch, count, d, R)
         assert np.array_equal(got, want)
-        assert batch.bit_generator.state == one.bit_generator.state
 
-    @pytest.mark.parametrize("j, n_slices, d", [(1, 16, 3), (2, 8, 3), (3, 4, 1), (1, 1, 2)])
-    def test_batched_bridges_match_one_row_fills(self, j, n_slices, d):
-        one, batch = generator(12), generator(12)
-        n = j * n_slices
-        zero = np.zeros((1, d))
-        want = np.stack([fill_bridges(zero, zero, n, 0.25, one)[0] for _ in range(40)])
-        got = _free_paths(40, j, 0.25 * n_slices, d, n_slices, batch)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        assert batch.bit_generator.state == one.bit_generator.state
-
-    def test_bridges_from_normals_with_endpoints(self):
-        one, batch = generator(13), generator(13)
-        x0 = np.random.default_rng(1).uniform(0, 5, size=(30, 3))
-        x1 = x0 + np.random.default_rng(2).integers(-1, 2, size=(30, 3)) * 5.0
-        want = np.stack([fill_bridges(x0[b : b + 1], x1[b : b + 1], 24, 0.125, one)[0] for b in range(30)])
-        got = bridges_from_normals(x0, x1, batch.standard_normal((30, 23, 3)), 0.125)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        assert np.array_equal(got[:, 0], x0) and np.array_equal(got[:, -1], x1)
-        assert batch.bit_generator.state == one.bit_generator.state
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_random_balls_uniform_in_ball(self, d):
+        # uniform in the ball: inside it, radial CDF (r / R)^d, centred
+        R, n = 1.7, 4000
+        x = _random_balls(generator(19), n, d, R)
+        r = np.sqrt((x**2).sum(axis=1))
+        assert x.shape == (n, d) and (r <= R).all()
+        assert stats.kstest((r / R) ** d, "uniform").pvalue > 1e-3
+        assert (np.abs(x.mean(axis=0)) < 4 * R / np.sqrt(n)).all()
 
 
 class TestOrderByOrderChainMatch:

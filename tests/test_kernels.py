@@ -1,9 +1,11 @@
 """Batched kernels against the per-path code they replace: the time-integral
 kernel, the bridge map and its prefix fills, the packed sample batch,
-test-function broadcasting, and the Dirichlet masses at large j beta."""
+test-function broadcasting, the winding-image sampler, and the Dirichlet
+masses at large j beta."""
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bosegas.loopgas import (
     DIRICHLET,
@@ -39,7 +41,7 @@ from bosegas.loopgas.loops import (
     _cached_bridge_map,
     _midpoint_schedule,
     as_batch,
-    draw_open_images,
+    draw_images,
     fill_bridges,
 )
 from bosegas.rng import generator
@@ -191,7 +193,7 @@ class TestDirichletMassesLargeTime:
     def test_sampler_runs_at_high_activity(self):
         region = BoxRegion(d=3, L=5.0, boundary=DIRICHLET, n_slices=8)
         cfg = sample_free_poisson(0.9, BETA, region, rng_seed=9)
-        configs = [cfg] + sample_free_poisson_batch(20, 0.9, BETA, region, rng_seed=10)
+        configs = [cfg, *sample_free_poisson_batch(20, 0.9, BETA, region, rng_seed=10)]
         knots = np.concatenate([c.knots for c in configs if c.loop_count])
         assert len(knots) and ((knots > 0) & (knots < region.L)).all()
 
@@ -340,11 +342,6 @@ class TestLoopBatch:
         assert_same_arrays(batch[-1], configs[11])
         with pytest.raises(IndexError):
             batch[12]
-        cfg = sample_free_poisson(0.6, BETA, region, rng_seed=1)
-        joined = [cfg] + batch
-        assert isinstance(joined, list) and len(joined) == 13 and joined[0] is cfg
-        assert_same_arrays(joined[5], configs[4])
-        assert len(batch + [cfg]) == 13
 
     def test_consumers_read_batch_as_list(self):
         region = BoxRegion(d=2, L=4.0, n_slices=4)
@@ -362,27 +359,61 @@ class TestLoopBatch:
             moment_estimate(configs, TEST_FUNCTIONS[:2], BETA, region)
 
 
-class TestOpenImages:
-    """draw_open_images against the per-coordinate draws it replaced: the
-    chain's one-bridge draw (a scalar rng.choice per coordinate) and the
-    density matrix's batch draw (rng.choice of size n per coordinate)."""
+class TestClosedImages:
+    """draw_images of closed loops against the draw it reproduces: one
+    rng.choice of size (count, d) with the image weights normalised first."""
 
-    @staticmethod
-    def reference(x, y, count, t, L, rng, scalar):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 300])
+    def test_same_images_and_stream(self, count, d):
+        j, beta, L = 3, 0.7, 2.5
+        t = j * beta
         m = _image_range(L, t, tol=1e-16)
         ws = np.arange(-m, m + 1)
-        out = np.empty((count, x.size))
-        for k in range(x.size):
-            p = np.exp(-((y[k] - x[k] + ws * L) ** 2) / (4 * t))
-            p = p / p.sum()
-            out[:, k] = rng.choice(ws, p=p) if scalar else rng.choice(ws, size=count, p=p)
-        return out
+        p = np.exp(-((ws * L) ** 2) / (4 * t))
+        a, b = generator(8), generator(8)
+        got = draw_images(np.zeros(d), count, t, L, a)
+        want = b.choice(ws, size=(count, d), p=p / p.sum())
+        assert got.shape == (count, d) and np.array_equal(got, want)
+        assert a.bit_generator.state == b.bit_generator.state
 
-    @pytest.mark.parametrize("count,t", [(1, 1.0), (1, 3.0), (300, 2.0)])
+
+class TestOpenImages:
+    """draw_images of open bridges x -> y + w L: one bridge against its
+    per-coordinate draws (a scalar rng.choice each), and a batch against the
+    kernel weights exp(-(y - x + w L)^2 / (4 t))."""
+
+    X, Y, L = np.array([0.3, 3.9, 2.0]), np.array([3.7, 0.2, 2.5]), 4.0
+
+    @staticmethod
+    def weights(x, y, t, L):
+        m = _image_range(L, t, tol=1e-16)
+        ws = np.arange(-m, m + 1)
+        p = np.exp(-((y - x + ws[:, None] * L) ** 2) / (4 * t))
+        return ws, p / p.sum(axis=0)
+
+    @pytest.mark.parametrize("count,t", [(1, 1.0), (1, 3.0)])
     def test_same_images_and_stream(self, count, t):
-        x, y, L = np.array([0.3, 3.9, 2.0]), np.array([3.7, 0.2, 2.5]), 4.0
         a, b = generator(9), generator(9)
-        got = draw_open_images(x, y, count, t, L, a)
-        want = self.reference(x, y, count, t, L, b, scalar=count == 1)
+        got = draw_images(self.Y - self.X, count, t, self.L, a)
+        ws, p = self.weights(self.X, self.Y, t, self.L)
+        want = [[b.choice(ws, p=p[:, k]) for k in range(self.X.size)]]
         assert np.array_equal(got, want)
         assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("t", [1.0, 3.0])
+    def test_batch_law(self, t):
+        # chi-squared of each coordinate's image counts against its weights
+        # (images with expected count below 5 pooled into one cell)
+        n = 20000
+        got = draw_images(self.Y - self.X, n, t, self.L, generator(10))
+        ws, p = self.weights(self.X, self.Y, t, self.L)
+        for k in range(self.X.size):
+            observed = np.array([(got[:, k] == w).sum() for w in ws])
+            assert observed.sum() == n
+            expected = n * p[:, k]
+            big = expected >= 5
+            o = np.append(observed[big], observed[~big].sum())
+            e = np.append(expected[big], expected[~big].sum())
+            o, e = (o, e) if e[-1] > 0 else (o[:-1], e[:-1])
+            assert stats.chisquare(o, e).pvalue > 1e-3
