@@ -186,7 +186,7 @@ def _run_loops(cfg: RunConfig, seed: int):
         for row in run["rows"]
     ]
     h = config_hash({"kind": "loops", "seed": seed, **cfg.sections})
-    records = [ResultRecord(h, "mean_N", run["mean_N"], run["err_N"], ess=float(len(run["configs"])))]
+    records = [ResultRecord(h, "mean_N", run["mean_N"], run["err_N"], ess=run["ess_N"])]
     # a diagnostic, not a result: it goes to meta.json
     return rows, records, {"tau_int_N": run["tau_int_N"]}
 

@@ -12,11 +12,16 @@ exactly the unordered pairs of distinct legs of the whole configuration, so on
 the packed layout (loops.py) every energy is one numpy broadcast over an
 array of legs:
 
-    interaction_energy     upper triangle of all legs against all legs;
-    loop_in_config_energy  the loop's legs against every other leg, plus the
-                           upper triangle of its own legs;
-    pair_energy            one loop's legs against another's;
-    intra_energy           the upper triangle of one loop's legs.
+    interaction_energy        upper triangle of all legs against all legs;
+    loop_in_config_energy     the loop's legs against every other leg, plus
+                              the upper triangle of its own legs;
+    loops_in_config_energies  loop_in_config_energy of several loops against
+                              the same other legs, in one broadcast;
+    pair_energy               one loop's legs against another's;
+    intra_energy              the upper triangle of one loop's legs.
+
+The configuration's legs are the array LoopConfiguration.legs keeps, and
+the other legs of a one-against-the-rest energy are slices of it.
 
 Monte Carlo samplers price many small loops at once.  One trapezoid kernel
 (`_leg_pair_energies`) gives the energy of every leg pair of a block, and the
@@ -46,7 +51,7 @@ from math import isfinite
 import numpy as np
 
 from ..errors import TruncationError
-from .loops import BridgeLoop, LoopConfiguration, as_batch, leg_index
+from .loops import BridgeLoop, LoopConfiguration, _loop_leg_index, as_batch, leg_index
 from .potential import PairPotential
 from .regions import PERIODIC, BoxRegion, min_image
 
@@ -66,13 +71,6 @@ def _trapezoid_weights(n_knots: int, dtau: float) -> np.ndarray:
     w[0] = w[-1] = dtau / 2
     w.flags.writeable = False
     return w
-
-
-@lru_cache(maxsize=64)
-def _loop_leg_index(winding: int, n_slices: int) -> np.ndarray:
-    idx = leg_index([winding], n_slices)
-    idx.flags.writeable = False
-    return idx
 
 
 @lru_cache(maxsize=64)
@@ -174,7 +172,7 @@ def interaction_energy(
     """Full configuration energy: every unordered pair of distinct legs."""
     if np.any(np.diff(config.offsets) != config.windings * region.n_slices + 1):
         raise ValueError(f"configuration paths do not have winding * {region.n_slices} + 1 knots")
-    legs = config.knots.take(leg_index(config.windings, region.n_slices), axis=0)
+    legs = config.legs(region.n_slices)
     n = legs.shape[0]
     block = max(1, _BROADCAST_FLOATS // max(n * legs[0].size, 1)) if n else 1
     total = 0.0
@@ -195,15 +193,29 @@ def loop_in_config_energy(
     """Energy of one loop against a configuration, including the loop's own
     intra-leg term; skip is the index, or a sequence of indices, of loops of
     the configuration to leave out."""
-    legs = _legs(loop, region)
-    total = _distinct(legs, V, beta, region)
-    if not config.loop_count:
-        return total
-    rows = leg_index(config.windings, region.n_slices)
-    for i in sorted({int(i) for i in np.atleast_1d(skip) if 0 <= i < config.loop_count}, reverse=True):
-        end = int(config.windings[: i + 1].sum())  # loop i's legs are rows end - winding .. end - 1
-        rows = np.concatenate((rows[: end - config.windings[i]], rows[end:]))
-    return total + _cross(legs, config.knots.take(rows, axis=0), V, beta, region)
+    return loops_in_config_energies([loop.path], config, V, beta, region, skip)[0]
+
+
+def loops_in_config_energies(
+    paths, config: LoopConfiguration, V: PairPotential, beta: float, region: BoxRegion, skip=-1
+) -> list:
+    """loop_in_config_energy of each loop path (winding * n_slices + 1, d) of
+    `paths` against the same configuration and skip, with one broadcast of
+    all their legs against the configuration's.  Each loop's leg pairs are
+    summed on their own, in the order of a call for that loop alone, so every
+    entry has the bits of such a call."""
+    ns = region.n_slices
+    legs = [path.take(_loop_leg_index((len(path) - 1) // ns, ns), axis=0) for path in paths]
+    out = [_distinct(own, V, beta, region) for own in legs]
+    others = config.legs(ns, skip)
+    if not len(others):
+        return out
+    e = _leg_pair_energies(np.concatenate(legs)[:, None] - others, V, beta, region)
+    start = 0
+    for k, own in enumerate(legs):
+        out[k] += float(e[start : start + len(own)].sum())
+        start += len(own)
+    return out
 
 
 # -- batched energies: one broadcast per Monte Carlo sector ---------------------

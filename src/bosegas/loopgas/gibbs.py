@@ -35,8 +35,28 @@ accepted move adds that difference to the chain energy, delete included; the
 full energy is recomputed only when a delete leaves an infinite-energy
 state.  A proposal's builder returns a new packed configuration and never
 edits the current one, so a rejected proposal costs no copy.
+
+A step is mostly fixed costs at the sizes the chain runs (tens of loops), so
+the move layer keeps them few without moving a bit of the trajectory:
+
+  draws    the move and an insert's winding are drawn as Generator.choice
+           draws them, one rng.random() double inverted through the same
+           cumulative table (_choice_table, built once), without choice's
+           per-call checks; the accept test takes log(rng.random()), the
+           double rng.uniform() returned.
+  pricing  loops priced against the same other loops share one broadcast
+           (loops_in_config_energies): shift and redraw price the old and
+           the new path together, merge its B and C, cut its C and both
+           halves; each loop's leg pairs are summed on their own, so every
+           energy has the bits of its own loop_in_config_energy call.  The
+           other loops' legs are slices of the configuration's kept legs
+           array (LoopConfiguration.legs), which spliced and replaced carry
+           over to the configurations they build.
+  kernels  merge and cut evaluate the four kernels of their ratio in one
+           call.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,16 +64,39 @@ import numpy as np
 from ..diagnostics import batch_means
 from ..errors import StabilityError, TuningError
 from ..rng import derive_seed, generator
-from .energy import check_image_range, interaction_energy, loop_in_config_energy, pair_energy
+from .energy import (
+    check_image_range,
+    interaction_energy,
+    loop_in_config_energy,
+    loops_in_config_energies,
+    pair_energy,
+)
 from .free import _fill_loop_paths, _sample_bases, sample_free_poisson, winding_masses
 from .loops import BridgeLoop, LoopConfiguration, draw_images, fill_bridges, segment_survival_log
 from .potential import PairPotential
 from .regions import DIRICHLET, PERIODIC, BoxRegion, free_kernel, kernel, min_image, wrap
 
+
+def _choice_table(p) -> list:
+    """The cumulative table that Generator.choice(len(p), p=p) searches, built
+    as choice builds it."""
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _choice(table: list, rng) -> int:
+    """The index Generator.choice(len(p), p=p) draws, for table =
+    _choice_table(p): the same one rng.random() double, inverted through the
+    same table, without choice's per-call checks."""
+    return bisect_right(table, rng.random())
+
+
 MOVE_WEIGHTS = {"insert": 0.22, "delete": 0.22, "shift": 0.2, "redraw": 0.2, "merge": 0.08, "cut": 0.08}
 MOVES = tuple(MOVE_WEIGHTS)
 _MOVE_PROBS = np.array(list(MOVE_WEIGHTS.values()))
 _MOVE_PROBS /= _MOVE_PROBS.sum()
+_MOVE_CDF = _choice_table(_MOVE_PROBS)
 
 
 def _wrap_loop(path: np.ndarray, region: BoxRegion) -> np.ndarray:
@@ -80,12 +123,12 @@ def loop_survival_log(loop: BridgeLoop, beta: float, region: BoxRegion) -> float
     return float(segment_survival_log(loop.path, region.L, beta / region.n_slices))
 
 
-def beta_step_kernel(x, y, beta: float, region: BoxRegion) -> float:
-    """Boundary-aware normalizer of a one-beta bridge proposal between knots."""
+def beta_step_kernel(x, y, beta: float, region: BoxRegion) -> np.ndarray:
+    """Boundary-aware normalizer of one-beta bridge proposals between knots:
+    x, y (n, d) give the kernel of each of the n pairs, (n,)."""
     if region.boundary == PERIODIC:
-        return float(kernel(x, y, region, beta)[0])
-    d2 = float(((np.asarray(x) - np.asarray(y)) ** 2).sum())
-    return float(free_kernel(d2, beta, region.d))
+        return kernel(x, y, region, beta)
+    return free_kernel(((np.asarray(x) - np.asarray(y)) ** 2).sum(axis=-1), beta, region.d)
 
 
 def _draw_beta_bridge(x, y, beta: float, region: BoxRegion, rng) -> np.ndarray:
@@ -120,6 +163,7 @@ class GibbsChain:
         nus, self.j_max = winding_masses(z, beta, region)
         self.nus = nus
         self.nu_tot = float(nus.sum())
+        self._winding_cdf = _choice_table(nus / self.nu_tot)
         # a free draw can overlap a hard core; retry, then fall back to empty
         self.config = LoopConfiguration()
         self.energy = 0.0
@@ -144,6 +188,12 @@ class GibbsChain:
             return 0.0
         return loop_in_config_energy(loop, config, self.V, self.beta, self.region, skip=skip)
 
+    def _loop_energies(self, paths, skip) -> list:
+        """_loop_energy of each loop path against the same loops, in one broadcast."""
+        if self.V is None:
+            return [0.0] * len(paths)
+        return loops_in_config_energies(paths, self.config, self.V, self.beta, self.region, skip=skip)
+
     # -- proposals -------------------------------------------------------------
 
     def _pick(self) -> int | None:
@@ -152,7 +202,7 @@ class GibbsChain:
         return int(self.rng.integers(n)) if n else None
 
     def propose_insert(self) -> Proposal:
-        j = 1 + int(self.rng.choice(len(self.nus), p=self.nus / self.nu_tot))
+        j = 1 + _choice(self._winding_cdf, self.rng)
         base = _sample_bases(1, j, self.beta, self.region, self.rng)
         if self.region.boundary == PERIODIC:
             paths, images = _fill_loop_paths(base, j, self.beta, self.region, self.rng)
@@ -234,12 +284,12 @@ class GibbsChain:
     # -- driver ----------------------------------------------------------------
 
     def step(self):
-        name = MOVES[int(self.rng.choice(len(MOVES), p=_MOVE_PROBS))]
+        name = MOVES[_choice(_MOVE_CDF, self.rng)]
         prop = getattr(self, f"propose_{name}")()
         if not prop.eligible:
             return False
         self.attempts[name] += 1
-        if np.log(self.rng.uniform()) < prop.log_accept:
+        if np.log(self.rng.random()) < prop.log_accept:
             self.config, self.energy = prop.builder()
             self.accepts[name] += 1
             if self.V is not None and np.isfinite(self.energy):
@@ -311,8 +361,7 @@ def shift_proposal(chain: GibbsChain, idx: int, delta: np.ndarray) -> Proposal:
     old = chain.config.loop(idx)
     new_path = _wrap_loop(old.path + delta, chain.region)
     new = BridgeLoop(base=new_path[0].copy(), winding=old.winding, path=new_path, image=old.image.copy())
-    e_old = chain._loop_energy(old, chain.config, skip=idx)
-    e_new = chain._loop_energy(new, chain.config, skip=idx)
+    e_old, e_new = chain._loop_energies((old.path, new_path), skip=idx)
     log_acc = -(e_new - e_old)
     log_acc += loop_survival_log(new, chain.beta, chain.region) - loop_survival_log(
         old, chain.beta, chain.region
@@ -331,9 +380,7 @@ def redraw_proposal(chain: GibbsChain, idx: int, u: int, new_arc: np.ndarray) ->
     arc = new_arc.shape[0] - 1
     new_path = old.path.copy()
     new_path[u : u + arc + 1] = new_arc
-    new = BridgeLoop(base=new_path[0].copy(), winding=old.winding, path=new_path, image=old.image.copy())
-    e_old = chain._loop_energy(old, chain.config, skip=idx)
-    e_new = chain._loop_energy(new, chain.config, skip=idx)
+    e_old, e_new = chain._loop_energies((old.path, new_path), skip=idx)
     log_acc = -(e_new - e_old)
     if chain.region.boundary == DIRICHLET:
         dtau = chain.beta / chain.region.n_slices
@@ -387,8 +434,8 @@ def _reconnection_log_accept(
     new state has infinite energy or the ratio is not finite."""
     ns = chain.region.n_slices
     (p, p1), (q, q1) = (_leg_ends(loop, leg, ns) for loop, leg in legs)
-    k = lambda x, y: beta_step_kernel(x, y, chain.beta, chain.region)
-    log_kernels = np.log(k(p, q1)) + np.log(k(q, p1)) - np.log(k(p, p1)) - np.log(k(q, q1))
+    k = np.log(beta_step_kernel(np.array((p, q, p, q)), np.array((q1, p1, p1, q1)), chain.beta, chain.region))
+    log_kernels = k[0] + k[1] - k[2] - k[3]
     log_acc = -dE + log_comb + log_kernels
     if chain.region.boundary == DIRICHLET:
         survival = lambda path: segment_survival_log(path, chain.region.L, chain.beta / ns)
@@ -415,9 +462,9 @@ def merge_proposal(
     rest_A = _cyclic_knots(A, ((alpha + 1) % ja) * ns, (ja - 1) * ns)
     C = _closed_loop([T1[:-1], rest_B, T2[:-1], rest_A], jc, chain.region.d)
 
-    # A against everything but itself, then B against everything but A and B
-    e_old = chain._loop_energy(A, chain.config, skip=ia) + chain._loop_energy(B, chain.config, skip=(ia, ib))
-    e_new = chain._loop_energy(C, chain.config, skip=(ia, ib))
+    # A against everything but itself, then B (and C) against everything but A and B
+    e_b, e_new = chain._loop_energies((B.path, C.path), skip=(ia, ib))
+    e_old = chain._loop_energy(A, chain.config, skip=ia) + e_b
     dE = e_new - e_old
     log_comb = np.log(chain.config.loop_count * ja * jb / (jc * (jc - 1)))
     log_acc = _reconnection_log_accept(chain, dE, e_new, log_comb, ((A, alpha), (B, gamma)), (T1, T2))
@@ -442,12 +489,8 @@ def cut_proposal(
     loop1 = _closed_loop([U1[:-1], rest1], j1, chain.region.d)
     loop2 = _closed_loop([U2[:-1], rest2], j2, chain.region.d)
 
-    e_old = chain._loop_energy(C, chain.config, skip=idx)
-    e_new = (
-        chain._loop_energy(loop1, chain.config, skip=idx)
-        + chain._loop_energy(loop2, chain.config, skip=idx)
-        + (pair_energy(loop1, loop2, chain.V, chain.beta, chain.region) if chain.V else 0.0)
-    )
+    e_old, e_1, e_2 = chain._loop_energies((C.path, loop1.path, loop2.path), skip=idx)
+    e_new = e_1 + e_2 + (pair_energy(loop1, loop2, chain.V, chain.beta, chain.region) if chain.V else 0.0)
     dE = e_new - e_old
     log_comb = np.log(jc * (jc - 1) / ((chain.config.loop_count + 1) * j1 * j2))
     log_acc = _reconnection_log_accept(chain, dE, e_new, log_comb, ((C, s), (C, t)), (U1, U2))
@@ -479,8 +522,10 @@ def gibbs_sample(
     """Run the chain and emit decorrelated configurations with diagnostics.
 
     Returns configs (thinned, post-burn), per-sweep stats rows
-    {sweep, N, loop_count, energy}, acceptance rates, and a batch-means
-    autocorrelation estimate for the particle number.  With a checkpoint base
+    {sweep, N, loop_count, energy}, acceptance rates, and the mean particle
+    number over every post-burn sweep with its batch-means error, integrated
+    autocorrelation time and effective sample size ess_N = n / (2 tau_int_N)
+    (n when tau_int_N is 0, None when it is undefined).  With a checkpoint base
     the full sampler state (loops, energy, RNG, move counters and the
     per-sweep particle numbers) is written every checkpoint_every sweeps, and
     `resume_gibbs` continues the identical trajectory.  N_history holds the
@@ -523,6 +568,10 @@ def gibbs_sample(
     chain.check_tuning()
     N_arr = np.array(N_hist[max(burn - hist_start, 0) :], dtype=float)
     err_N, tau_int = batch_means(N_arr, 20)
+    if np.isnan(tau_int):
+        ess_N = None
+    else:
+        ess_N = N_arr.size / (2 * tau_int) if tau_int else float(N_arr.size)
     return {
         "configs": configs,
         "rows": rows,
@@ -531,6 +580,7 @@ def gibbs_sample(
         "tau_int_N": tau_int,
         "mean_N": float(N_arr.mean()) if N_arr.size else np.nan,  # no sweep after burn-in
         "err_N": err_N,
+        "ess_N": ess_N,
         "chain": chain,
     }
 

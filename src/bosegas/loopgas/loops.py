@@ -12,11 +12,11 @@ loops back to back in one (K, d) `knots` array, loop i occupying knots
 offsets[i] .. offsets[i + 1] - 1, with `windings` (n,) and `images` (n, d).
 Every beta-leg of every loop is read from `knots` through one index array
 (`leg_index`), so the energy layer sees the configuration as a single
-(n_legs, n_slices + 1, d) array of legs.  The arrays are read-only and a
-configuration is never edited in place: `spliced` and `replaced` return new
-configurations, which a Metropolis move can build without touching the
-current state.  `.loops` gives read-only BridgeLoop views for callers that
-work loop by loop.
+(n_legs, n_slices + 1, d) array of legs, which `legs` builds on first use
+and keeps.  The arrays are read-only and a configuration is never edited in
+place: `spliced` and `replaced` return new configurations, which a
+Metropolis move can build without touching the current state.  `.loops`
+gives read-only BridgeLoop views for callers that work loop by loop.
 
 A LoopBatch packs many configurations the same way, sample after sample,
 with per-sample loop offsets `loop_starts`: the free sampler returns one, and
@@ -106,6 +106,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=64)
+def _loop_leg_index(winding: int, n_slices: int) -> np.ndarray:
+    """leg_index of one loop, shared by every call with the same sizes."""
+    return _frozen(leg_index([winding], n_slices))
+
+
 def _stack(blocks, like: np.ndarray) -> np.ndarray:
     """Row-wise concatenation that skips empty blocks (an empty configuration
     does not know its dimension); a fresh empty array like `like` if none."""
@@ -122,7 +128,7 @@ class LoopConfiguration:
     arrays are adopted, not copied, and made read-only.
     """
 
-    __slots__ = ("knots", "offsets", "windings", "images")
+    __slots__ = ("knots", "offsets", "windings", "images", "_legs")
 
     def __init__(self, loops=(), *, knots=None, offsets=None, windings=None, images=None):
         if knots is None:
@@ -139,6 +145,29 @@ class LoopConfiguration:
         self.offsets = _frozen(offsets)
         self.windings = _frozen(windings)
         self.images = _frozen(images)
+        self._legs = None
+
+    def legs(self, n_slices: int, skip=()) -> np.ndarray:
+        """Read-only (n_legs, n_slices + 1, d) legs of every loop, loop by loop
+        (knots.take(leg_index(windings, n_slices))), built on the first call and
+        kept: the configuration never changes.  skip, an index or a sequence
+        of indices, leaves those loops' legs out (indices outside the
+        configuration are ignored); the others keep their order."""
+        if self._legs is None or self._legs.shape[1] != n_slices + 1:
+            self._legs = _frozen(self.knots.take(leg_index(self.windings, n_slices), axis=0))
+        if isinstance(skip, (int, np.integer)):
+            skip = (skip,)
+        runs, start = [], 0
+        for i in sorted({int(i) for i in skip if 0 <= i < self.loop_count}):
+            first = self._first_leg(i, n_slices)
+            runs.append(self._legs[start:first])
+            start = first + int(self.windings[i])
+        return np.concatenate(runs + [self._legs[start:]]) if runs else self._legs
+
+    def _first_leg(self, i: int, n_slices: int) -> int:
+        """Row of loop i's first leg in legs(): it follows the i closure knots
+        and n_slices body knots per leg of the loops before it."""
+        return (int(self.offsets[i]) - i) // n_slices
 
     @property
     def particle_number(self) -> int:
@@ -173,23 +202,39 @@ class LoopConfiguration:
     def spliced(self, drop=(), add=()) -> "LoopConfiguration":
         """A new configuration: the loops at indices `drop` removed, the
         BridgeLoops `add` appended; the others keep their order."""
-        keep = np.ones(self.loop_count, dtype=bool)
-        keep[list(drop)] = False
+        gone = sorted({range(self.loop_count)[i] for i in drop})
+        # the kept loops come in runs between dropped ones, each copied as slices
+        runs = list(zip([0] + [i + 1 for i in gone], gone + [self.loop_count]))
         lengths = np.diff(self.offsets)
-        add_lengths = [lp.path.shape[0] for lp in add]
-        return LoopConfiguration(
-            knots=_stack([self.knots[np.repeat(keep, lengths)]] + [lp.path for lp in add], self.knots),
-            offsets=np.concatenate([[0], np.cumsum(np.concatenate([lengths[keep], add_lengths]), dtype=int)]),
-            windings=np.concatenate([self.windings[keep], [lp.winding for lp in add]]).astype(int),
-            images=_stack([self.images[keep]] + [np.asarray(lp.image, dtype=int)[None] for lp in add], self.images),
+        out = LoopConfiguration(
+            knots=_stack([self.knots[self.offsets[a] : self.offsets[b]] for a, b in runs] + [lp.path for lp in add],
+                         self.knots),
+            offsets=np.cumsum(np.concatenate([np.zeros(1, dtype=int)] + [lengths[a:b] for a, b in runs]
+                                             + [np.array([lp.path.shape[0] for lp in add], dtype=int)])),
+            windings=np.concatenate([self.windings[a:b] for a, b in runs]
+                                    + [np.array([lp.winding for lp in add], dtype=int)]),
+            images=_stack([self.images[a:b] for a, b in runs] + [np.asarray(lp.image, dtype=int)[None] for lp in add],
+                          self.images),
         )
+        if self._legs is not None:  # built legs carry over: the kept loops', then the added ones'
+            ns = self._legs.shape[1] - 1
+            added = [lp.path.take(_loop_leg_index(lp.winding, ns), axis=0) for lp in add]
+            out._legs = _frozen(_stack([self.legs(ns, gone)] + added, self._legs))
+        return out
 
     def replaced(self, i: int, path: np.ndarray) -> "LoopConfiguration":
         """A new configuration with loop i's path replaced by one of the same
         length (same winding and image); the other arrays are shared."""
         knots = self.knots.copy()
         knots[self.offsets[i] : self.offsets[i + 1]] = path
-        return LoopConfiguration(knots=knots, offsets=self.offsets, windings=self.windings, images=self.images)
+        out = LoopConfiguration(knots=knots, offsets=self.offsets, windings=self.windings, images=self.images)
+        if self._legs is not None:  # built legs carry over, with loop i's rows replaced
+            ns = self._legs.shape[1] - 1
+            first, winding = self._first_leg(i, ns), int(self.windings[i])
+            legs = self._legs.copy()
+            legs[first : first + winding] = path.take(_loop_leg_index(winding, ns), axis=0)
+            out._legs = _frozen(legs)
+        return out
 
 
 class LoopBatch:
@@ -373,17 +418,30 @@ def draw_images(dx: np.ndarray, count: int, t: float, L: float, rng) -> np.ndarr
 
     One rng.random((count, d)) draw is inverted through each coordinate's
     cumulative weights, as rng.choice(w, size, p=weights) inverts its draw.
+    Closed loops (dx = 0) share one cached table of weights per (t, L, d).
     """
     n = _image_range(L, t, tol=1e-16)
-    ws = np.arange(-n, n + 1)
+    cdf = _image_cdf(dx, t, L, n) if np.count_nonzero(dx) else _closed_image_cdf(t, L, n, dx.size)
     u = rng.random((count, dx.size))
     images = np.empty((count, dx.size), dtype=int)
     for k in range(dx.size):
-        p = np.exp(-((dx[k] + ws * L) ** 2) / (4 * t))
-        cdf = (p / p.sum()).cumsum()
-        cdf /= cdf[-1]
-        images[:, k] = np.searchsorted(cdf, u[:, k], side="right") - n
+        images[:, k] = cdf[k].searchsorted(u[:, k], side="right")
+    images -= n
     return images
+
+
+def _image_cdf(dx: np.ndarray, t: float, L: float, n: int) -> np.ndarray:
+    """(d, 2n + 1) cumulative heat-kernel weights of the images -n .. n of
+    each coordinate of dx (d,), normalised as rng.choice normalises its p."""
+    p = np.exp(-((dx[:, None] + np.arange(-n, n + 1) * L) ** 2) / (4 * t))
+    cdf = (p / p.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf
+
+
+@lru_cache(maxsize=64)
+def _closed_image_cdf(t: float, L: float, n: int, d: int) -> np.ndarray:
+    return _frozen(_image_cdf(np.zeros(d), t, L, n))
 
 
 def segment_survival_log(path: np.ndarray, L: float, dtau: float) -> np.ndarray:

@@ -87,18 +87,14 @@ def dirichlet_kernel_1d(x, y, L: float, t: float):
 
 
 def kernel(x, y, region: BoxRegion, t: float):
-    """Boundary-aware heat kernel p_t(x, y); x, y arrays of shape (..., d)."""
+    """Boundary-aware heat kernel p_t(x, y); x, y arrays of shape (..., d).
+    The one-dimensional factors of all coordinates come from one call and
+    multiply in coordinate order."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if region.boundary == PERIODIC:
-        out = np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
-        for k in range(region.d):
-            out = out * periodic_kernel_1d(x[..., k] - y[..., k], region.L, t)
-        return out
-    out = np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
-    for k in range(region.d):
-        out = out * dirichlet_kernel_1d(x[..., k], y[..., k], region.L, t)
-    return out
+        return periodic_kernel_1d(x - y, region.L, t).prod(axis=-1)
+    return dirichlet_kernel_1d(x, y, region.L, t).prod(axis=-1)
 
 
 def diagonal_mass(region: BoxRegion, t: float) -> float:

@@ -390,6 +390,17 @@ class TestLoopsDiagnostics:
         tau = json.loads((tmp_path / "out" / "meta.json").read_text())["extra"]["tau_int_N"]
         assert np.isfinite(tau) and tau >= 0
 
+    def test_mean_N_ess_counts_sweeps_not_configurations(self, tmp_path):
+        # mean_N averages all 160 post-burn sweeps (batch means); the 32
+        # thinned configurations are not its sample
+        cfgp = write(tmp_path, "loops.ini", LOOPS)
+        assert run(cfgp, out=str(tmp_path / "out")) == 0
+        records = json.loads((tmp_path / "out" / "results.json").read_text())
+        (rec,) = [r for r in records if r["observable"] == "mean_N"]
+        tau = json.loads((tmp_path / "out" / "meta.json").read_text())["extra"]["tau_int_N"]
+        assert tau > 0 and rec["ess"] == 160 / (2 * tau)
+        assert rec["ess"] != 32
+
     def test_sweep_floor(self, tmp_path):
         with pytest.raises(ConfigError, match="n_sweeps"):
             parse_run_config(write(tmp_path, "a.ini", LOOPS.replace("n_sweeps = 200", "n_sweeps = 49")))

@@ -20,15 +20,17 @@ from bosegas.loopgas import (
     intra_energy,
     pair_energy,
 )
+from bosegas.loopgas import energy
 from bosegas.loopgas.energy import (
     added_loop_energies,
     interaction_energies,
     intra_energies,
     loop_in_config_energy,
+    loops_in_config_energies,
     pair_energies,
 )
 from bosegas.errors import TruncationError
-from bosegas.loopgas.loops import fill_bridges
+from bosegas.loopgas.loops import fill_bridges, leg_index
 from bosegas.loopgas.gibbs import MOVES
 from bosegas.rng import generator
 
@@ -183,9 +185,82 @@ def test_incremental_energy_tracks_full_energy(V, z):
     for _ in range(2000):
         chain.step()
     assert all(chain.accepts[m] > 0 for m in MOVES), chain.accepts
+    # the legs every move carried over are still the knots' legs
+    config, ns = chain.config, region.n_slices
+    assert config._legs is not None
+    assert config.legs(ns).tobytes() == config.knots.take(leg_index(config.windings, ns), axis=0).tobytes()
     full = interaction_energy(chain.config, V, BETA, region)
     assert np.isfinite(full)
     assert abs(chain.energy - full) <= 1e-9 * max(abs(full), 1.0)
+
+
+def rowwise_loop_energy(path, cfg, V, region, skip):
+    """One loop priced against a configuration as the rows of leg_index left
+    after removing the skipped loops' legs, taken from the knots on every call."""
+    ns = region.n_slices
+    legs = path.take(leg_index([(len(path) - 1) // ns], ns), axis=0)
+    rows = leg_index(cfg.windings, ns)
+    keep = np.ones(len(rows), dtype=bool)
+    for i in np.atleast_1d(skip):
+        if 0 <= i < cfg.loop_count:
+            first = int(cfg.windings[:i].sum())
+            keep[first : first + cfg.windings[i]] = False
+    return energy._distinct(legs, V, BETA, region) + energy._cross(
+        legs, cfg.knots.take(rows[keep], axis=0), V, BETA, region
+    )
+
+
+@pytest.mark.parametrize(
+    "boundary, V",
+    [(PERIODIC, gaussian_repulsion(3, 0.7, width=1 / 3)), (DIRICHLET, hard_core(3, 1.2))],
+    ids=["periodic-gauss", "dirichlet-hard-core"],
+)
+def test_fused_pricing_has_the_bits_of_single_calls(boundary, V):
+    # the loops a move prices together (old and new paths, merge's B and C,
+    # cut's three loops) go in one broadcast; each keeps its own call's bits
+    region = BoxRegion(d=3, L=4.0, boundary=boundary, n_slices=4)
+    cfg = random_config(region, seed=31)
+    one = random_config(region, seed=35, windings=(2,))
+    paths = [lp.path for lp in random_config(region, seed=33, windings=(1, 3, 2)).loops] + [cfg.loop(1).path]
+    seen = []
+    for config in (cfg, one):
+        for skip in (-1, 0, 2, np.int64(4), (0, 3), (np.int32(5), 1, 5)):
+            got = loops_in_config_energies(paths, config, V, BETA, region, skip=skip)
+            want = [rowwise_loop_energy(p, config, V, region, skip) for p in paths]
+            assert got == want
+            for p, w in zip(paths, want):
+                lp = BridgeLoop(base=p[0], winding=(len(p) - 1) // region.n_slices, path=p, image=np.zeros(3, int))
+                assert loop_in_config_energy(lp, config, V, BETA, region, skip=skip) == w
+            pair = loops_in_config_energies(paths[1::-1], config, V, BETA, region, skip=skip)
+            assert pair == want[1::-1]
+            seen.extend(want)
+    if V.hard_core:
+        assert any(np.isinf(seen)) and not all(np.isinf(seen))
+
+
+def test_carried_legs_equal_fresh_legs():
+    # spliced and replaced carry built legs over instead of indexing the knots again
+    region = BoxRegion(d=3, L=4.0, n_slices=4)
+    ns = region.n_slices
+    cfg = random_config(region, seed=31)
+    extra = random_config(region, seed=34, windings=(2, 1)).loops
+    cfg.legs(ns)
+    results = [
+        cfg.spliced(add=extra),
+        cfg.spliced(drop=[3]),
+        cfg.spliced(drop=(6, 0), add=extra[:1]),
+        cfg.spliced(drop=range(7)),
+        cfg.spliced(drop=range(7)).spliced(add=extra),
+        cfg.replaced(2, cfg.loop(2).path + 0.25),
+        cfg.copy(),
+        LoopConfiguration().spliced(add=extra),
+    ]
+    for c in results:
+        fresh = c.knots.take(leg_index(c.windings, ns), axis=0)
+        legs = c.legs(ns)
+        assert legs.shape == fresh.shape and legs.tobytes() == fresh.tobytes()
+        assert not legs.flags.writeable
+    assert results[-3].legs(ns) is not cfg.legs(ns)
 
 
 def snapshot(config):

@@ -16,6 +16,10 @@ from bosegas.loopgas import (
     winding_masses,
 )
 from bosegas.loopgas.gibbs import (
+    _MOVE_CDF,
+    _MOVE_PROBS,
+    MOVES,
+    _choice,
     _draw_beta_bridge,
     _leg_block,
     cut_proposal,
@@ -227,13 +231,59 @@ def test_empty_window_mean_N_is_nan():
     run = gibbs_sample(0.4, 1.0, BoxRegion(d=2, L=5.0), None, n_sweeps=10, rng_seed=1, burn=10)
     assert any(row["N"] > 0 for row in run["rows"])
     assert np.isnan(run["mean_N"]) and np.isnan(run["tau_int_N"]) and run["err_N"] == np.inf
+    assert run["ess_N"] is None
+
+
+class TestEffectiveSampleSize:
+    def test_ess_is_n_over_two_tau(self):
+        # mean_N averages every sweep after burn-in, not the thinned configurations
+        region = BoxRegion(d=2, L=5.0, n_slices=4)
+        run = gibbs_sample(0.6, 1.0, region, gaussian_repulsion(2, 0.5, width=5 / 12), n_sweeps=200, rng_seed=3)
+        N = np.array([row["N"] for row in run["rows"][40:]], dtype=float)
+        assert run["mean_N"] == N.mean()
+        assert run["tau_int_N"] > 0
+        assert run["ess_N"] == N.size / (2 * run["tau_int_N"])
+        # 160 sweeps fill the 20 batches exactly: the ESS is Var(N) / err_N^2
+        assert run["ess_N"] == pytest.approx(N.var(ddof=1) / run["err_N"] ** 2, rel=1e-12)
+        assert len(run["configs"]) == 32 and run["ess_N"] != 32
+
+    def test_constant_N_gives_every_sweep(self):
+        # at z = 1e-4 no loop is ever inserted: tau_int_N = 0 and each sweep counts
+        run = gibbs_sample(1e-4, 1.0, BoxRegion(d=1, L=2.0, n_slices=4), None, n_sweeps=50, rng_seed=1)
+        assert all(row["N"] == 0 for row in run["rows"])
+        assert run["tau_int_N"] == 0 and run["ess_N"] == 40
+
+
+class TestInverseCDFDraws:
+    """The chain draws its move and an insert's winding by inverting one
+    rng.random() double through Generator.choice's own cumulative table, so
+    it must draw choice's index and leave choice's generator state."""
+
+    N_DRAWS = 10_000
+
+    def assert_same_as_choice(self, table, p, seed):
+        ours, theirs = generator(seed), generator(seed)
+        drawn = [_choice(table, ours) for _ in range(self.N_DRAWS)]
+        assert drawn == [int(theirs.choice(len(p), p=p)) for _ in range(self.N_DRAWS)]
+        assert len(set(drawn)) > 1
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_move_draw(self):
+        assert len(_MOVE_CDF) == len(MOVES)
+        self.assert_same_as_choice(_MOVE_CDF, _MOVE_PROBS, seed=11)
+
+    @pytest.mark.parametrize("z", [0.3, 0.8, 0.95])
+    def test_insert_winding_draw(self, z):
+        chain = make_chain(5, z=z, L=3.0)
+        assert len(chain.nus) > 2
+        self.assert_same_as_choice(chain._winding_cdf, chain.nus / chain.nu_tot, seed=int(100 * z))
 
 
 class TestTrajectoryPins:
-    """Two short chains from fixed seeds, pinned to the numbers they gave when
-    recorded: move counts exactly, mean_N and the final energy to rel 1e-12,
-    and the log-ratios of a frozen merge on the final state and of its
-    reverse cut.  A refactor of the move layer must leave all of them."""
+    """Two short chains from fixed seeds, pinned bit for bit to the numbers
+    they gave when recorded: move counts, mean_N, the final energy, and the
+    log-ratios of a frozen merge on the final state and of its reverse cut.
+    A change to the move layer must leave every one of these bits."""
 
     CASES = {
         "periodic-gauss": dict(
@@ -261,8 +311,8 @@ class TestTrajectoryPins:
         chain = run["chain"]
         assert chain.attempts == c["attempts"]
         assert chain.accepts == c["accepts"]
-        assert run["mean_N"] == pytest.approx(c["mean_N"], rel=1e-12)
-        assert chain.energy == pytest.approx(c["energy"], rel=1e-12)
+        assert run["mean_N"] == c["mean_N"]
+        assert chain.energy == c["energy"]
         # a frozen merge of the first two loops and the cut that undoes it
         rng = generator(7)
         A, B = chain.config.loop(0), chain.config.loop(1)
@@ -277,8 +327,8 @@ class TestTrajectoryPins:
         Y, eY = merge.builder()
         cut = cut_proposal(clone_state(chain, Y, eY), Y.loop_count - 1, 0, jb,
                            _leg_block(A, alpha, ns), _leg_block(B, gamma, ns))
-        assert merge.log_accept == pytest.approx(c["merge"], rel=1e-12)
-        assert cut.log_accept == pytest.approx(c["cut"], rel=1e-12)
+        assert merge.log_accept == c["merge"]
+        assert cut.log_accept == c["cut"]
 
 
 class TestCheckpointResume:
