@@ -8,36 +8,33 @@ single trapezoid sum over one period:
 The configuration energy collects every unordered pair of legs on distinct
 loops plus every unordered pair of distinct legs within one loop; the same-leg
 diagonal V(0) never enters (normal ordering removes it).  Together these are
-exactly the unordered pairs of distinct legs of the whole configuration, so on
-the packed layout (loops.py) every energy is one numpy broadcast over an
-array of legs:
+exactly the unordered pairs of distinct legs of the whole configuration.
 
-    interaction_energy        upper triangle of all legs against all legs;
-    loop_in_config_energy     the loop's legs against every other leg, plus
-                              the upper triangle of its own legs;
-    loops_in_config_energies  loop_in_config_energy of several loops against
-                              the same other legs, in one broadcast;
-    pair_energy               one loop's legs against another's;
-    intra_energy              the upper triangle of one loop's legs.
+Two kernels compute every energy: `_leg_pair_energies` gives the trapezoid
+energy of each leg pair of a broadcast, and `_distinct_per_row` sums it over
+the unordered pairs of distinct legs of each row of stacked legs (B, n_legs,
+n_slices + 1, d).  The batched energies price many loops, stacked paths (B,
+j * n_slices + 1, d) of one winding, or configurations (a LoopBatch, or a
+list that `as_batch` packs) at once:
 
-The configuration's legs are the array LoopConfiguration.legs keeps, and
-the other legs of a one-against-the-rest energy are slices of it.
+    pair_energies             loop a[b] against loop b[b];
+    intra_energies            each loop's own pairs;
+    interaction_energies      each configuration's pairs, configurations of
+                              equal leg count stacked;
+    added_loop_energies       loop b against configuration b plus its own
+                              pairs (bincount per owner);
+    loops_in_config_energies  several loops against the same configuration
+                              in one broadcast, each loop's block summed on
+                              its own, plus its own pairs.
 
-Monte Carlo samplers price many small loops at once.  One trapezoid kernel
-(`_leg_pair_energies`) gives the energy of every leg pair of a block, and the
-batched energies sum it per sample:
-
-    pair_energies, intra_energies  stacked loops of one winding, legs
-                                   (B, j, n_slices + 1, d);
-    added_loop_energies            loop b against configuration b, with the
-                                   loop's own intra term (bincount per owner);
-    interaction_energies           interaction_energy of each configuration.
-
-The batched energies take a LoopBatch, or a list of configurations that
-`as_batch` packs the same way, and read its arrays directly.
-
-The batched energies sum leg pairs in the order of the scalar functions, so
-pair_energies, intra_energies and interaction_energies give their bits.
+The scalar energies are these sums applied to a stack of one, so they agree
+with them bit for bit: pair_energy, intra_energy and loop_in_config_energy
+price one loop, and interaction_energy sums the legs LoopConfiguration.legs
+keeps.  (added_loop_energies adds a loop's pairs per leg of the configuration
+first, so it agrees with loop_in_config_energy to rounding.)  One broadcast
+holds at most _BROADCAST_FLOATS displacement floats; larger sums go in
+blocks, which changes only their rounding.  A path whose knot count is not
+winding * n_slices + 1 is refused with ValueError wherever it enters.
 
 A hard-core contact returns +inf, which the Gibbs weight turns into zero.
 Periodic boxes take each displacement at its minimum image, so the trapezoid
@@ -51,12 +48,11 @@ from math import isfinite
 import numpy as np
 
 from ..errors import TruncationError
-from .loops import BridgeLoop, LoopConfiguration, _loop_leg_index, as_batch, leg_index
+from .loops import BridgeLoop, LoopConfiguration, _loop_leg_index, _packed_legs, as_batch
 from .potential import PairPotential
 from .regions import PERIODIC, BoxRegion, min_image
 
-# Displacement floats one broadcast of interaction_energy may hold (32 MB);
-# larger configurations are summed in blocks of legs.
+# Displacement floats one broadcast may hold (32 MB); larger sums go in blocks.
 _BROADCAST_FLOATS = 1 << 22
 
 
@@ -83,15 +79,20 @@ def _upper_pairs(n_legs: int) -> tuple:
     return pairs
 
 
-def _legs(loop: BridgeLoop, region: BoxRegion) -> np.ndarray:
-    """(winding, n_slices + 1, d) legs of one loop on the common grid."""
-    return loop.path.take(_loop_leg_index(loop.winding, region.n_slices), axis=0)
-
-
 def _stacked_legs(paths: np.ndarray, region: BoxRegion) -> np.ndarray:
-    """(B, j, n_slices + 1, d) legs of stacked paths (B, j * n_slices + 1, d)."""
-    winding = (paths.shape[1] - 1) // region.n_slices
-    return paths.take(_loop_leg_index(winding, region.n_slices), axis=1)
+    """(..., j, n_slices + 1, d) legs of paths (..., j * n_slices + 1, d)."""
+    ns = region.n_slices
+    winding = (paths.shape[-2] - 1) // ns
+    if paths.shape[-2] != winding * ns + 1:
+        raise ValueError(f"loop paths do not have winding * {ns} + 1 knots")
+    return paths.take(_loop_leg_index(winding, ns), axis=-2)
+
+
+def _stack_of_one(loop: BridgeLoop, region: BoxRegion) -> np.ndarray:
+    """A loop's path as a stack of one, refused unless it has winding * n_slices + 1 knots."""
+    if loop.path.shape[0] != loop.winding * region.n_slices + 1:
+        raise ValueError(f"loop paths do not have winding * {region.n_slices} + 1 knots")
+    return loop.path[None]
 
 
 def check_image_range(V: PairPotential | None, region: BoxRegion) -> None:
@@ -120,105 +121,36 @@ def _leg_pair_energies(diff: np.ndarray, V: PairPotential, beta: float, region: 
     return V(r) @ w
 
 
-def _sum(diff: np.ndarray, V: PairPotential, beta: float, region: BoxRegion) -> float:
-    """Total trapezoid energy of leg-pair displacements diff (..., n_slices + 1, d)."""
-    return float(_leg_pair_energies(diff, V, beta, region).sum())
-
-
-def _cross(a: np.ndarray, b: np.ndarray, V, beta, region) -> float:
-    """Every leg of a against every leg of b."""
-    if not (len(a) and len(b)):
-        return 0.0
-    return _sum(a[:, None] - b[None, :], V, beta, region)
-
-
-def _distinct(legs: np.ndarray, V, beta, region) -> float:
-    """Every unordered pair of distinct legs."""
-    if len(legs) < 2:
-        return 0.0
-    i, k = _upper_pairs(len(legs))
-    return _sum(legs[i] - legs[k], V, beta, region)
-
-
 def _distinct_per_row(legs: np.ndarray, V, beta, region) -> np.ndarray:
-    """_distinct of each row of stacked legs (B, n_legs, n_slices + 1, d),
-    in blocks of rows."""
+    """Energy of the unordered pairs of distinct legs of each row of stacked
+    legs (B, n_legs, n_slices + 1, d), pair by pair in the row-by-row order of
+    the upper triangle.  Rows go in blocks of rows; a row whose pairs alone
+    exceed one broadcast goes in blocks of pairs, each block the pairs of a
+    run of triangle rows, whose indices are built for that block alone
+    rather than cached for the whole triangle."""
     out = np.zeros(len(legs))
-    i, k = _upper_pairs(legs.shape[1])
-    if not len(i):
+    n = legs.shape[1]
+    pairs = n * (n - 1) // 2
+    if not pairs:
         return out
-    rows = max(1, _BROADCAST_FLOATS // (len(i) * legs[0, 0].size))
-    for a in range(0, len(legs), rows):
-        block = legs[a : a + rows]
-        out[a : a + rows] = _leg_pair_energies(block[:, i] - block[:, k], V, beta, region).sum(axis=1)
+    per_block = max(1, _BROADCAST_FLOATS // (legs.shape[2] * legs.shape[3]))
+    if pairs <= per_block:
+        i, k = _upper_pairs(n)
+        rows = per_block // pairs
+        for a in range(0, len(legs), rows):
+            block = legs[a : a + rows]
+            e = _leg_pair_energies(block.take(i, axis=1) - block.take(k, axis=1), V, beta, region)
+            out[a : a + rows] = e.sum(axis=1)
+        return out
+    heads, idx = max(1, per_block // (n - 1)), np.arange(n)
+    for h in range(0, n - 1, heads):
+        i, k = np.nonzero(idx[h : h + heads, None] < idx)
+        for b, row in enumerate(legs):
+            out[b] += _leg_pair_energies(row[h + i] - row[k], V, beta, region).sum()
     return out
 
 
-def pair_energy(
-    a: BridgeLoop, b: BridgeLoop, V: PairPotential, beta: float, region: BoxRegion
-) -> float:
-    """Sum over leg pairs (alpha on a, gamma on b) of the one-period trapezoid."""
-    return _cross(_legs(a, region), _legs(b, region), V, beta, region)
-
-
-def intra_energy(loop: BridgeLoop, V: PairPotential, beta: float, region: BoxRegion) -> float:
-    """Unordered distinct-leg pairs within one loop; zero for winding 1."""
-    return _distinct(_legs(loop, region), V, beta, region)
-
-
-def interaction_energy(
-    config: LoopConfiguration, V: PairPotential, beta: float, region: BoxRegion
-) -> float:
-    """Full configuration energy: every unordered pair of distinct legs."""
-    if np.any(np.diff(config.offsets) != config.windings * region.n_slices + 1):
-        raise ValueError(f"configuration paths do not have winding * {region.n_slices} + 1 knots")
-    legs = config.legs(region.n_slices)
-    n = legs.shape[0]
-    block = max(1, _BROADCAST_FLOATS // max(n * legs[0].size, 1)) if n else 1
-    total = 0.0
-    for a in range(0, n, block):
-        head = legs[a : a + block]
-        total += _distinct(head, V, beta, region) + _cross(head, legs[a + block :], V, beta, region)
-    return total
-
-
-def loop_in_config_energy(
-    loop: BridgeLoop,
-    config: LoopConfiguration,
-    V: PairPotential,
-    beta: float,
-    region: BoxRegion,
-    skip=-1,
-) -> float:
-    """Energy of one loop against a configuration, including the loop's own
-    intra-leg term; skip is the index, or a sequence of indices, of loops of
-    the configuration to leave out."""
-    return loops_in_config_energies([loop.path], config, V, beta, region, skip)[0]
-
-
-def loops_in_config_energies(
-    paths, config: LoopConfiguration, V: PairPotential, beta: float, region: BoxRegion, skip=-1
-) -> list:
-    """loop_in_config_energy of each loop path (winding * n_slices + 1, d) of
-    `paths` against the same configuration and skip, with one broadcast of
-    all their legs against the configuration's.  Each loop's leg pairs are
-    summed on their own, in the order of a call for that loop alone, so every
-    entry has the bits of such a call."""
-    ns = region.n_slices
-    legs = [path.take(_loop_leg_index((len(path) - 1) // ns, ns), axis=0) for path in paths]
-    out = [_distinct(own, V, beta, region) for own in legs]
-    others = config.legs(ns, skip)
-    if not len(others):
-        return out
-    e = _leg_pair_energies(np.concatenate(legs)[:, None] - others, V, beta, region)
-    start = 0
-    for k, own in enumerate(legs):
-        out[k] += float(e[start : start + len(own)].sum())
-        start += len(own)
-    return out
-
-
-# -- batched energies: one broadcast per Monte Carlo sector ---------------------
+# -- batched energies: one broadcast per Monte Carlo sector or move ------------
 
 
 def pair_energies(a: np.ndarray, b: np.ndarray, V: PairPotential, beta: float, region: BoxRegion) -> np.ndarray:
@@ -243,7 +175,7 @@ def added_loop_energies(paths: np.ndarray, configs, V: PairPotential, beta: floa
     batch = as_batch(configs)
     if not batch.windings.size:
         return total
-    others = batch.knots.take(leg_index(batch.windings, region.n_slices), axis=0)
+    others = _packed_legs(batch, region.n_slices)
     owner = np.repeat(np.arange(len(batch)), batch.particle_numbers)
     block = max(1, _BROADCAST_FLOATS // legs[0].size)
     e = np.empty(len(others))
@@ -254,22 +186,73 @@ def added_loop_energies(paths: np.ndarray, configs, V: PairPotential, beta: floa
 
 
 def interaction_energies(configs, V: PairPotential, beta: float, region: BoxRegion) -> np.ndarray:
-    """interaction_energy of each configuration of a batch.
-
-    Configurations of equal leg count are stacked and summed together; one
-    that interaction_energy sums in blocks goes to it.
-    """
+    """interaction_energy of each configuration of a batch; configurations of
+    equal leg count are stacked and summed together."""
     batch = as_batch(configs)
     out = np.zeros(len(batch))
     if not batch.windings.size:
         return out
-    legs = batch.knots.take(leg_index(batch.windings, region.n_slices), axis=0)
+    legs = _packed_legs(batch, region.n_slices)
     counts = batch.particle_numbers
     starts = np.cumsum(counts) - counts
     for m in np.unique(counts[counts > 1]):
         members = np.flatnonzero(counts == m)
-        if m * m * legs[0].size > _BROADCAST_FLOATS:
-            out[members] = [interaction_energy(batch[c], V, beta, region) for c in members]
-        else:
-            out[members] = _distinct_per_row(legs[starts[members, None] + np.arange(m)], V, beta, region)
+        out[members] = _distinct_per_row(legs[starts[members, None] + np.arange(m)], V, beta, region)
     return out
+
+
+def loops_in_config_energies(
+    paths, config: LoopConfiguration, V: PairPotential, beta: float, region: BoxRegion, skip=-1
+) -> list:
+    """loop_in_config_energy of each loop path (winding * n_slices + 1, d) of
+    `paths` against the same configuration and skip, with one broadcast of
+    all their legs against the configuration's.  Each loop's leg pairs are
+    summed on their own, in the order of a call for that loop alone, so every
+    entry has the bits of such a call."""
+    legs = [_stacked_legs(path, region) for path in paths]
+    out = [float(_distinct_per_row(own[None], V, beta, region)[0]) for own in legs]
+    others = config.legs(region.n_slices, skip)
+    if not len(others):
+        return out
+    e = _leg_pair_energies(np.concatenate(legs)[:, None] - others, V, beta, region)
+    start = 0
+    for k, own in enumerate(legs):
+        out[k] += float(e[start : start + len(own)].sum())
+        start += len(own)
+    return out
+
+
+# -- scalar energies: the batched ones on a stack of one -------------------------
+
+
+def pair_energy(
+    a: BridgeLoop, b: BridgeLoop, V: PairPotential, beta: float, region: BoxRegion
+) -> float:
+    """Sum over leg pairs (alpha on a, gamma on b) of the one-period trapezoid."""
+    return float(pair_energies(_stack_of_one(a, region), _stack_of_one(b, region), V, beta, region)[0])
+
+
+def intra_energy(loop: BridgeLoop, V: PairPotential, beta: float, region: BoxRegion) -> float:
+    """Unordered distinct-leg pairs within one loop; zero for winding 1."""
+    return float(intra_energies(_stack_of_one(loop, region), V, beta, region)[0])
+
+
+def interaction_energy(
+    config: LoopConfiguration, V: PairPotential, beta: float, region: BoxRegion
+) -> float:
+    """Full configuration energy: every unordered pair of distinct legs."""
+    return float(_distinct_per_row(config.legs(region.n_slices)[None], V, beta, region)[0])
+
+
+def loop_in_config_energy(
+    loop: BridgeLoop,
+    config: LoopConfiguration,
+    V: PairPotential,
+    beta: float,
+    region: BoxRegion,
+    skip=-1,
+) -> float:
+    """Energy of one loop against a configuration, including the loop's own
+    intra-leg term; skip is the index, or a sequence of indices, of loops of
+    the configuration to leave out."""
+    return loops_in_config_energies(_stack_of_one(loop, region), config, V, beta, region, skip)[0]

@@ -183,10 +183,10 @@ class GibbsChain:
             return 0.0
         return interaction_energy(config, self.V, self.beta, self.region)
 
-    def _loop_energy(self, loop, config, skip=-1) -> float:
+    def _loop_energy(self, loop, skip=-1) -> float:
         if self.V is None:
             return 0.0
-        return loop_in_config_energy(loop, config, self.V, self.beta, self.region, skip=skip)
+        return loop_in_config_energy(loop, self.config, self.V, self.beta, self.region, skip=skip)
 
     def _loop_energies(self, paths, skip) -> list:
         """_loop_energy of each loop path against the same loops, in one broadcast."""
@@ -327,7 +327,7 @@ class GibbsChain:
 
 
 def insert_proposal(chain: GibbsChain, loop: BridgeLoop, log_surv: float) -> Proposal:
-    dE = chain._loop_energy(loop, chain.config)
+    dE = chain._loop_energy(loop)
     n_after = chain.config.loop_count + 1
     log_acc = -dE + np.log(chain.nu_tot / n_after) + log_surv
     if np.isinf(dE):
@@ -341,7 +341,7 @@ def insert_proposal(chain: GibbsChain, loop: BridgeLoop, log_surv: float) -> Pro
 
 def delete_proposal(chain: GibbsChain, idx: int) -> Proposal:
     loop = chain.config.loop(idx)
-    dE = chain._loop_energy(loop, chain.config, skip=idx)
+    dE = chain._loop_energy(loop, skip=idx)
     log_surv = loop_survival_log(loop, chain.beta, chain.region)
     n = chain.config.loop_count
     log_acc = dE + np.log(n / chain.nu_tot) - log_surv
@@ -464,7 +464,7 @@ def merge_proposal(
 
     # A against everything but itself, then B (and C) against everything but A and B
     e_b, e_new = chain._loop_energies((B.path, C.path), skip=(ia, ib))
-    e_old = chain._loop_energy(A, chain.config, skip=ia) + e_b
+    e_old = chain._loop_energy(A, skip=ia) + e_b
     dE = e_new - e_old
     log_comb = np.log(chain.config.loop_count * ja * jb / (jc * (jc - 1)))
     log_acc = _reconnection_log_accept(chain, dE, e_new, log_comb, ((A, alpha), (B, gamma)), (T1, T2))
@@ -490,7 +490,7 @@ def cut_proposal(
     loop2 = _closed_loop([U2[:-1], rest2], j2, chain.region.d)
 
     e_old, e_1, e_2 = chain._loop_energies((C.path, loop1.path, loop2.path), skip=idx)
-    e_new = e_1 + e_2 + (pair_energy(loop1, loop2, chain.V, chain.beta, chain.region) if chain.V else 0.0)
+    e_new = e_1 + e_2 + (pair_energy(loop1, loop2, chain.V, chain.beta, chain.region) if chain.V is not None else 0.0)
     dE = e_new - e_old
     log_comb = np.log(jc * (jc - 1) / ((chain.config.loop_count + 1) * j1 * j2))
     log_acc = _reconnection_log_accept(chain, dE, e_new, log_comb, ((C, s), (C, t)), (U1, U2))

@@ -101,6 +101,15 @@ def leg_index(windings, n_slices: int) -> np.ndarray:
     return first[:, None] + np.arange(n_slices + 1)
 
 
+def _packed_legs(packed, n_slices: int) -> np.ndarray:
+    """(n_legs, n_slices + 1, d) legs of the loops of a LoopConfiguration or a
+    LoopBatch, loop by loop.  A loop whose path does not have winding *
+    n_slices + 1 knots is refused: its legs would be read from the wrong knots."""
+    if np.any(np.diff(packed.offsets) != packed.windings * n_slices + 1):
+        raise ValueError(f"loop paths do not have winding * {n_slices} + 1 knots")
+    return packed.knots.take(leg_index(packed.windings, n_slices), axis=0)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -149,12 +158,13 @@ class LoopConfiguration:
 
     def legs(self, n_slices: int, skip=()) -> np.ndarray:
         """Read-only (n_legs, n_slices + 1, d) legs of every loop, loop by loop
-        (knots.take(leg_index(windings, n_slices))), built on the first call and
+        (knots.take(leg_index(windings, n_slices)); ValueError if a path does
+        not have winding * n_slices + 1 knots), built on the first call and
         kept: the configuration never changes.  skip, an index or a sequence
         of indices, leaves those loops' legs out (indices outside the
         configuration are ignored); the others keep their order."""
         if self._legs is None or self._legs.shape[1] != n_slices + 1:
-            self._legs = _frozen(self.knots.take(leg_index(self.windings, n_slices), axis=0))
+            self._legs = _frozen(_packed_legs(self, n_slices))
         if isinstance(skip, (int, np.integer)):
             skip = (skip,)
         runs, start = [], 0
@@ -218,6 +228,8 @@ class LoopConfiguration:
         )
         if self._legs is not None:  # built legs carry over: the kept loops', then the added ones'
             ns = self._legs.shape[1] - 1
+            if any(lp.path.shape[0] != lp.winding * ns + 1 for lp in add):
+                raise ValueError(f"loop paths do not have winding * {ns} + 1 knots")
             added = [lp.path.take(_loop_leg_index(lp.winding, ns), axis=0) for lp in add]
             out._legs = _frozen(_stack([self.legs(ns, gone)] + added, self._legs))
         return out

@@ -1,6 +1,7 @@
 """Energy engine on the packed layout: brute-force agreement, hard cores,
 incremental chain energies and side-effect-free move builders."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -139,14 +140,65 @@ def test_range_beyond_half_box_refused():
 
 
 def test_blocked_sum_matches_one_broadcast(monkeypatch):
-    from bosegas.loopgas import energy
-
+    # a budget of one displacement float sends every row of more than one pair
+    # to blocks of pairs (one triangle row each), which never build the whole
+    # triangle's index; the sums keep their value and their hard-core contacts
     region = BoxRegion(d=3, L=4.0, n_slices=4)
+    configs = [random_config(region, seed=s, windings=w) for s, w in ((33, (1, 2, 3, 1, 3, 2, 1)), (37, (1, 2)))]
+    loops = random_config(region, seed=38, windings=(3, 5, 4, 3)).loops
+
+    def energies(V):
+        return ([interaction_energy(c, V, BETA, region) for c in configs]
+                + [intra_energy(lp, V, BETA, region) for lp in loops]
+                + list(intra_energies(_stack(loops[:1] + loops[3:]), V, BETA, region)))
+
+    pots = (gaussian_repulsion(3, 0.7, width=1 / 3), hard_core(3, 1.0))
+    whole = [energies(V) for V in pots]
+    assert any(np.isinf(whole[1])) and not all(np.isinf(whole[1]))
+    monkeypatch.setattr(energy, "_BROADCAST_FLOATS", 1)
+    monkeypatch.setattr(energy, "_upper_pairs", None)
+    for V, want in zip(pots, whole):
+        np.testing.assert_allclose(energies(V), want, rtol=1e-12, atol=0)
+
+
+def test_mis_sliced_paths_refused():
+    # a path sliced at one n_slices and priced at another would have its legs
+    # read from the wrong knots, or past its end: every entry point refuses it
     V = gaussian_repulsion(3, 0.7, width=1 / 3)
-    cfg = random_config(region, seed=33)
-    whole = interaction_energy(cfg, V, BETA, region)
-    monkeypatch.setattr(energy, "_BROADCAST_FLOATS", 1)  # one leg per block
-    assert interaction_energy(cfg, V, BETA, region) == pytest.approx(whole, rel=1e-12)
+    coarse, fine = BoxRegion(d=3, L=4.0, n_slices=4), BoxRegion(d=3, L=4.0, n_slices=8)
+    for sliced, region, j in ((fine, coarse, 3), (coarse, fine, 2)):
+        bad = random_config(sliced, seed=39, windings=(j,)).loop(0)
+        good = random_config(region, seed=40, windings=(1, 2))
+        mixed = LoopConfiguration(loops=[good.loop(0), bad])
+        one = _stack(good.loops[:1])
+        calls = [
+            lambda: pair_energy(bad, good.loop(0), V, BETA, region),
+            lambda: pair_energy(good.loop(1), bad, V, BETA, region),
+            lambda: intra_energy(bad, V, BETA, region),
+            lambda: loop_in_config_energy(bad, good, V, BETA, region),
+            lambda: loop_in_config_energy(good.loop(0), mixed, V, BETA, region),
+            lambda: loops_in_config_energies([good.loop(1).path], mixed, V, BETA, region),
+            lambda: interaction_energy(mixed, V, BETA, region),
+            lambda: interaction_energies([good, mixed], V, BETA, region),
+            lambda: added_loop_energies(one, [mixed], V, BETA, region),
+            lambda: good.spliced(add=[bad]),  # built legs carried over
+        ]
+        good.legs(region.n_slices)
+        for call in calls:
+            with pytest.raises(ValueError, match="knots"):
+                call()
+    # stacked paths carry no winding: a knot count that is no winding's is refused
+    region = coarse
+    good = random_config(region, seed=40, windings=(1, 2))
+    cut = _stack(good.loops[1:])[:, :-1]
+    for call in (
+        lambda: pair_energies(cut, _stack(good.loops[:1]), V, BETA, region),
+        lambda: intra_energies(cut, V, BETA, region),
+        lambda: added_loop_energies(cut, [good], V, BETA, region),
+        lambda: loops_in_config_energies([cut[0]], good, V, BETA, region),
+    ):
+        with pytest.raises(ValueError, match="knots"):
+            call()
 
 
 def static_loop(point, region, winding=1, second=None):
@@ -194,9 +246,24 @@ def test_incremental_energy_tracks_full_energy(V, z):
     assert abs(chain.energy - full) <= 1e-9 * max(abs(full), 1.0)
 
 
+def trapezoid_sum(diff, V, region):
+    """Total one-period trapezoid energy of leg displacements diff (..., n_slices
+    + 1, d), with the kernel's operations in the kernel's order: minimum image,
+    distance, V, the weights per pair, then one sum over the pairs."""
+    ns, L = region.n_slices, region.L
+    if region.boundary == PERIODIC:
+        diff = diff - L * np.rint(diff / L)
+    r = np.sqrt(np.einsum("...k,...k->...", diff, diff))
+    w = np.full(ns + 1, BETA / ns)
+    w[0] = w[-1] = BETA / ns / 2
+    return float((V(r) @ w).sum())
+
+
 def rowwise_loop_energy(path, cfg, V, region, skip):
     """One loop priced against a configuration as the rows of leg_index left
-    after removing the skipped loops' legs, taken from the knots on every call."""
+    after removing the skipped loops' legs, taken from the knots on every call:
+    the loop's own pairs, row by row of the upper triangle, then its legs
+    against the others."""
     ns = region.n_slices
     legs = path.take(leg_index([(len(path) - 1) // ns], ns), axis=0)
     rows = leg_index(cfg.windings, ns)
@@ -205,9 +272,12 @@ def rowwise_loop_energy(path, cfg, V, region, skip):
         if 0 <= i < cfg.loop_count:
             first = int(cfg.windings[:i].sum())
             keep[first : first + cfg.windings[i]] = False
-    return energy._distinct(legs, V, BETA, region) + energy._cross(
-        legs, cfg.knots.take(rows[keep], axis=0), V, BETA, region
-    )
+    i, k = np.triu_indices(len(legs), 1)
+    total = trapezoid_sum(legs[i] - legs[k], V, region) if len(i) else 0.0
+    others = cfg.knots.take(rows[keep], axis=0)
+    if len(others):
+        total += trapezoid_sum(legs[:, None] - others, V, region)
+    return total
 
 
 @pytest.mark.parametrize(
@@ -323,6 +393,7 @@ def _assert_batched_match(region, V, compare):
     compare(interaction_energies(empty, V, BETA, region), [0.0, 0.0])
     compare(added_loop_energies(_stack(loops[2][:2]), empty, V, BETA, region),
             [intra_energy(lp, V, BETA, region) for lp in loops[2][:2]])
+    compare(intra_energies(_stack(loops[2])[:0], V, BETA, region), [])  # an empty stack
 
 
 @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
@@ -358,9 +429,7 @@ def test_batched_hard_core_same_contacts(boundary):
 
 def test_batched_energies_in_blocks(monkeypatch):
     # one leg per block: added loops go leg by leg, and every configuration
-    # goes to interaction_energy's blocked sum
-    from bosegas.loopgas import energy
-
+    # of more than two legs goes to blocks of pairs
     region = BoxRegion(d=3, L=4.0, n_slices=4)
     V = gaussian_repulsion(3, 0.7, width=1 / 3)
     loops, configs = _batch_cases(region, V)
@@ -369,3 +438,43 @@ def test_batched_energies_in_blocks(monkeypatch):
     monkeypatch.setattr(energy, "_BROADCAST_FLOATS", 1)
     np.testing.assert_allclose(added_loop_energies(paths, configs[:4], V, BETA, region), whole[0], rtol=1e-12)
     np.testing.assert_allclose(interaction_energies(configs, V, BETA, region), whole[1], rtol=1e-12)
+
+
+# -- bit pin of every energy entry point -------------------------------------------
+
+# sha256 (first 16 hex digits) of the float.hex of every energy below, recorded
+# before the scalar energies became views of the batched ones; any change to
+# the kernels' arithmetic or summation order moves it.
+PINNED_ENERGY_BITS = "6ee408a459846458"
+
+
+def energy_bits():
+    digest = hashlib.sha256()
+
+    def put(values):
+        for v in np.atleast_1d(np.asarray(values, dtype=float)):
+            digest.update(float(v).hex().encode())
+
+    for boundary in (PERIODIC, DIRICHLET):
+        for d, ns in ((1, 8), (2, 4), (3, 4)):
+            region = BoxRegion(d=d, L=4.0, boundary=boundary, n_slices=ns)
+            for V in (gaussian_repulsion(d, 0.7, width=1 / 3), hard_core(d, 0.6)):
+                loops, configs = _batch_cases(region, V)
+                for ja in (1, 2, 3):
+                    a = loops[ja]
+                    put(intra_energies(_stack(a), V, BETA, region))
+                    put([intra_energy(lp, V, BETA, region) for lp in a])
+                    for jb in (1, 2, 3):
+                        b = loops[jb][::-1]
+                        put(pair_energies(_stack(a), _stack(b), V, BETA, region))
+                        put([pair_energy(x, y, V, BETA, region) for x, y in zip(a, b)])
+                    put(added_loop_energies(_stack(a), configs[:4], V, BETA, region))
+                    put(loops_in_config_energies([lp.path for lp in a], configs[0], V, BETA, region, skip=(1, 4)))
+                    put([loop_in_config_energy(lp, configs[0], V, BETA, region, skip=2) for lp in a])
+                put(interaction_energies(configs, V, BETA, region))
+                put([interaction_energy(c, V, BETA, region) for c in configs])
+    return digest.hexdigest()[:16]
+
+
+def test_energy_bits_pinned():
+    assert energy_bits() == PINNED_ENERGY_BITS
