@@ -18,9 +18,12 @@ bias.  The empirical covariance of the sampler therefore estimates the same
 kernel that `covariance` evaluates analytically.  The spectrum is even in the
 space-time momentum, so the filtered noise is real and the filter is applied
 by real-to-complex transforms over half the spectrum (the last axis keeps
-n_x // 2 + 1 bins).  The filtered spectrum itself (`_field_spectrum`) is what
-the perturbation and mixing estimators start from: they filter it further and
-invert once, on the same random stream as `sample_fields`.
+n_x // 2 + 1 bins).  A call draws all its noise at once and then filters and
+inverts it in blocks of samples sized to stay in cache (`_noise_blocks`).
+`sample_fields` and the perturbation and mixing estimators all consume that
+block stream: the estimators filter each block's spectrum further, invert it
+once and reduce it to per-sample numbers before the next block, on the same
+random stream as `sample_fields`.
 
 The Weyl-state value exp(-1/4 <f coth(beta h/2) f>) and the measure's own
 characteristic functional exp(-1/2 Cov(f,f)) are both exposed; they differ by
@@ -183,33 +186,59 @@ def _spectral_density(params: ThermalFieldParams) -> np.ndarray:
     return (g.n_x**g.d / g.volume) * S
 
 
-def _field_spectrum(params: ThermalFieldParams, n: int, seed: int):
-    """Half spectrum of n filtered noise fields, shape (n, n_tau, *spatial[:-1],
-    n_x // 2 + 1), and their condensate offsets (shape (n,), None when not
-    critical).
+# Noise is filtered in blocks of at most _BLOCK_FLOATS floats (at least one
+# sample), so a block's spectrum stays in cache: 2^16 floats are 32 samples of
+# an 8 x 16 x 16 grid.
+_BLOCK_FLOATS = 1 << 16
 
-    The noise normals are drawn first and the offsets second, so every caller
-    that starts from this spectrum sees the same samples as `sample_fields`.
-    Consumers that filter further (a spatial mollifier) multiply this spectrum
-    and make one inverse transform instead of transforming a field twice.
+
+def _noise_blocks(params: ThermalFieldParams, n: int, seed: int):
+    """A call's white noise, its condensate offsets and its filtered spectrum
+    in blocks of samples: (noise, offset, blocks).
+
+    noise has shape (n, n_tau, *spatial) and is drawn first, in one call; the
+    offsets (shape (n,), None when not critical) are drawn second, so every
+    consumer sees the samples of `sample_fields`.  blocks yields (rows, spec)
+    in sample order, spec being the half spectrum (n_x // 2 + 1 bins on the
+    last axis) of noise[rows] filtered by the square root of the covariance
+    spectrum; noise[rows] is read when its block is reached, so a consumer may
+    overwrite the rows of the blocks it has taken.  Every transform acts on
+    one sample at a time, so a sample's spectrum is bitwise the same in any
+    block.
     """
     g = params.grid
     rng = generator(seed)
-    S = _spectral_density(params)
-    spec = sfft.rfftn(rng.standard_normal((n, g.n_tau) + g.spatial_shape), axes=tuple(range(1, g.d + 2)))
-    spec *= np.sqrt(S[..., : g.n_x // 2 + 1])
+    noise = rng.standard_normal((n, g.n_tau) + g.spatial_shape)
     offset = np.sqrt(params.c) * rng.standard_normal(n) if params.critical else None
-    return spec, offset
+    amp = np.sqrt(_spectral_density(params)[..., : g.n_x // 2 + 1])
+    step = max(1, _BLOCK_FLOATS // (g.n_tau * g.n_x**g.d))
+    axes = tuple(range(1, g.d + 2))
+
+    def blocks():
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            spec = sfft.rfftn(noise[rows], axes=axes)
+            spec *= amp
+            yield rows, spec
+
+    return noise, offset, blocks()
 
 
 def sample_fields(params: ThermalFieldParams, n: int, seed: int) -> np.ndarray:
-    """n independent field realizations, shape (n, n_tau, *spatial); deterministic in seed."""
+    """n independent field realizations, shape (n, n_tau, *spatial); deterministic in seed.
+
+    Each block of samples is inverted back into its own rows of the noise, so
+    the output is the only array of the batch's size.
+    """
     g = params.grid
-    spec, offset = _field_spectrum(params, n, seed)
-    phi = sfft.irfftn(spec, s=(g.n_tau,) + g.spatial_shape, axes=tuple(range(1, g.d + 2)))
-    if offset is not None:
-        phi += offset.reshape((n,) + (1,) * (g.d + 1))
-    return phi
+    noise, offset, blocks = _noise_blocks(params, n, seed)
+    lead = (-1,) + (1,) * (g.d + 1)
+    for rows, spec in blocks:
+        noise[rows] = sfft.irfftn(spec, s=(g.n_tau,) + g.spatial_shape, axes=tuple(range(1, g.d + 2)),
+                                  overwrite_x=True)
+        if offset is not None:
+            noise[rows] += offset[rows].reshape(lead)
+    return noise
 
 
 def sample_field(params: ThermalFieldParams, rng_seed: int) -> FieldSample:

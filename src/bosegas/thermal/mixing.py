@@ -17,9 +17,11 @@ estimated per node by free sampling with common random numbers (components
 share the covariance and differ only in the mean).  Because a node only adds
 a constant to every sample, all node actions come from one set of power sums
 of the shared samples (`shifted_action_batch`).  The shared samples are the
-critical fields without their condensate offsets, mollified in the sampler's
-spectrum and inverted once; the critical spectrum vanishes at spatial k = 0,
-so they are centered with no mean subtracted.
+critical fields without their condensate offsets, streamed in the sampler's
+blocks: each block's spectrum is mollified, inverted once and reduced to its
+samples' power sums before the next, and the node actions contract the whole
+batch's sums in one call.  The critical spectrum vanishes at spatial k = 0,
+so the samples are centered with no mean subtracted.
 """
 
 import numpy as np
@@ -27,8 +29,8 @@ from scipy import fft as sfft
 from scipy.special import logsumexp
 
 from ..diagnostics import jackknife_error
-from .fields import ThermalFieldParams, _field_spectrum
-from .perturb import PolynomialPerturbation, _mollifier, shifted_action_batch
+from .fields import ThermalFieldParams, _noise_blocks
+from .perturb import PolynomialPerturbation, _kernel_weights, _mollifier, _power_sums, _shifted_actions
 
 
 def mixing_nodes(n_r: int, n_theta: int):
@@ -77,18 +79,24 @@ def renormalized_mixing(
     """
     if not params.critical:
         raise ValueError("renormalized mixing requires critical parameters")
+    if n_samples < 2:
+        raise ValueError(f"n_samples = {n_samples}: a jackknife error needs at least 2 samples")
     grid = params.grid
     r, theta, w0 = mixing_nodes(n_grid_r, n_grid_theta)
-    base = ThermalFieldParams(grid=grid, mu=0.0, critical=True, c=params.c)
-    spec, _ = _field_spectrum(base, n_samples, seed)
+    m = np.sqrt(params.c * r)[:, None] * np.cos(theta)[None, :]  # node offsets
+    filt = _mollifier(grid, pert.mollifier_width) if pert.mollifier_width else 1.0
     # the critical spectrum vanishes at spatial k = 0, so the fields without
     # their condensate offsets are centered: each node adds its own offset
-    if pert.mollifier_width:
-        spec *= _mollifier(grid, pert.mollifier_width)
-    centered = sfft.irfftn(spec, s=(grid.n_tau,) + grid.spatial_shape, axes=tuple(range(1, grid.d + 2)))
-    del spec
-    m = np.sqrt(params.c * r)[:, None] * np.cos(theta)[None, :]  # node offsets
-    log_w_samples = shifted_action_batch(centered, grid, pert, m.ravel()).reshape(m.shape + (n_samples,))
+    kweights = _kernel_weights(grid, pert)
+    _, _, blocks = _noise_blocks(params, n_samples, seed)
+    sums = []
+    for _, spec in blocks:
+        spec *= filt
+        centered = sfft.irfftn(spec, s=(grid.n_tau,) + grid.spatial_shape,
+                               axes=tuple(range(1, grid.d + 2)), overwrite_x=True)
+        sums.append(_power_sums(centered, grid, pert, kweights))
+    sums = np.concatenate(sums, axis=1 if pert.kernel is None else 0)
+    log_w_samples = _shifted_actions(grid, pert, m.ravel(), sums).reshape(m.shape + (n_samples,))
     log_znode = logsumexp(log_w_samples, axis=-1) - np.log(n_samples)
     log_z = logsumexp(np.log(w0) + log_znode)
     weights = w0 * np.exp(log_znode - log_z)

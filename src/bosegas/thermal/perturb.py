@@ -18,9 +18,11 @@ Every filter here (the mollifier, the periodized kernel F) is even in k and
 acts on real fields, so the transforms are real-to-complex ones over half the
 spectrum: the last spatial axis keeps n_x // 2 + 1 bins.  The nonlocal double
 sum is priced by Parseval, sum_k |P^_k|^2 F^_k, with one forward transform of
-P and no inverse.  `reweighted_state` starts from the sampler's spectrum: it
-multiplies it by the mollifier and makes one inverse transform, so a sample is
-never transformed back and forth to be smoothed.
+P and no inverse.  `reweighted_state` takes the sampler's spectrum in its
+blocks of samples: per block it multiplies the spectrum by the mollifier,
+makes one inverse transform and prices the block's actions, so a sample is
+never transformed back and forth to be smoothed and no batch-sized spectrum
+or field is held; the kernel's Parseval weights are built once per call.
 
 Perturbed expectations are importance-sampling estimates from the free
 measure, guarded by an effective-sample-size floor so a collapsing weight
@@ -34,7 +36,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from ..diagnostics import jackknife_error
-from .fields import FieldGrid, FieldSample, ThermalFieldParams, _field_spectrum, pair_field
+from .fields import FieldGrid, FieldSample, ThermalFieldParams, _noise_blocks, pair_field
 
 ESS_FLOOR = 100.0
 
@@ -179,17 +181,28 @@ def perturbation_action_batch(
         return np.zeros(lead) if lead else 0.0
     eps = pert.mollifier_width
     phi = values if (premollified or eps == 0) else mollify(values, grid, eps)
+    return _action(phi, grid, pert, _kernel_weights(grid, pert))
+
+
+def _kernel_weights(grid: FieldGrid, pert: PolynomialPerturbation):
+    """The Parseval weights of a nonlocal P's kernel, None for a local P."""
+    return None if pert.kernel is None else _parseval_kernel(grid, pert.kernel)
+
+
+def _action(phi: np.ndarray, grid: FieldGrid, pert: PolynomialPerturbation, kweights) -> np.ndarray:
+    """Gibbs log-weights of mollified fields, with kweights from
+    `_kernel_weights`; each sample's weight is reduced on its own."""
     P = _horner(pert.coeffs, phi)
     if pert.region is not None:
         P *= _region_mask(grid, pert.region)
     spatial = tuple(range(-grid.d, 0))
-    if pert.kernel is None:
+    if kweights is None:
         dens = P.sum(axis=spatial) * grid.cell
         return -pert.lam * grid.dtau * dens.sum(axis=-1)
     spec = sfft.rfftn(P, axes=spatial)
     # |P^_k|^2 K_k summed over k, reading each (re, im) pair in place
     pairs = spec.view(np.float64).reshape(spec.shape[: -grid.d] + (-1, 2))
-    quad = np.einsum("...kc,...kc,k->...", pairs, pairs, _parseval_kernel(grid, pert.kernel).ravel())
+    quad = np.einsum("...kc,...kc,k->...", pairs, pairs, kweights.ravel())
     return -pert.lam * grid.dtau * quad.sum(axis=-1)
 
 
@@ -210,26 +223,38 @@ def shifted_action_batch(
     deg + 1 FFTs whatever the number of shifts.
     """
     shifts = np.asarray(shifts, dtype=float)
-    n = values.shape[0]
     if pert.lam == 0.0:
-        return np.zeros((shifts.size, n))
-    poly = pert.poly()
-    deg = poly.degree()
-    C = np.stack([poly.deriv(p)(shifts) / factorial(p) for p in range(deg + 1)], axis=-1)
-    mask = _region_mask(grid, pert.region)
-    spatial = tuple(range(-grid.d, 0))
+        return np.zeros((shifts.size, values.shape[0]))
+    return _shifted_actions(grid, pert, shifts, _power_sums(values, grid, pert, _kernel_weights(grid, pert)))
+
+
+def _power_sums(values: np.ndarray, grid: FieldGrid, pert: PolynomialPerturbation, kweights) -> np.ndarray:
+    """The power sums of a batch (n, n_tau, *spatial) that price every shift:
+    S_p, shape (deg + 1, n), for a local P, or G_pq, shape (n, deg + 1,
+    deg + 1), for a kernel with Parseval weights kweights.  Each sample's sums
+    are its own, so batches may be priced in blocks and joined along n."""
+    deg = pert.poly().degree()
+    n = values.shape[0]
     powers = np.empty((deg + 1,) + values.shape)
-    powers[0] = mask
+    powers[0] = _region_mask(grid, pert.region)
     for p in range(1, deg + 1):
         np.multiply(powers[p - 1], values, out=powers[p])
-    if pert.kernel is None:
-        S = powers.reshape(deg + 1, n, -1).sum(axis=-1) * grid.cell  # (deg + 1, n)
-        return -pert.lam * grid.dtau * (C @ S)
-    spec = sfft.rfftn(powers, axes=spatial)
-    filtered = (spec * _parseval_kernel(grid, pert.kernel)).reshape(deg + 1, n, -1)
+    if kweights is None:
+        return powers.reshape(deg + 1, n, -1).sum(axis=-1) * grid.cell
+    spec = sfft.rfftn(powers, axes=tuple(range(-grid.d, 0)))
+    filtered = (spec * kweights).reshape(deg + 1, n, -1)
     spec = spec.reshape(deg + 1, n, -1).conj()
-    G = np.einsum("pnk,qnk->npq", spec, filtered).real
-    return -pert.lam * grid.dtau * np.einsum("sp,npq,sq->sn", C, G, C)
+    return np.einsum("pnk,qnk->npq", spec, filtered).real
+
+
+def _shifted_actions(grid: FieldGrid, pert: PolynomialPerturbation, shifts: np.ndarray, sums) -> np.ndarray:
+    """Every shift's actions from the whole batch's `_power_sums`: shape
+    (len(shifts), n), one contraction with the Taylor coefficients c_p(m)."""
+    poly = pert.poly()
+    C = np.stack([poly.deriv(p)(shifts) / factorial(p) for p in range(poly.degree() + 1)], axis=-1)
+    if pert.kernel is None:
+        return -pert.lam * grid.dtau * (C @ sums)
+    return -pert.lam * grid.dtau * np.einsum("sp,npq,sq->sn", C, sums, C)
 
 
 def perturbation_action(sample: FieldSample, pert: PolynomialPerturbation) -> float:
@@ -258,27 +283,36 @@ def reweighted_state(
     ESS < 100.  At lambda = 0 the weights are identically 1 and the estimate
     is the plain free-measure characteristic functional.
     """
+    if n_samples < 2:
+        raise ValueError(f"n_samples = {n_samples}: a jackknife error needs at least 2 samples")
     grid = params.grid
     filt = _mollifier(grid, pert.mollifier_width) if pert.mollifier_width else 1.0
-    spec, offset = _field_spectrum(params, n_samples, seed)
-    # The inverse of sample_fields' transform, in two steps: the time pass over
-    # the whole spectrum, then the spatial passes.  The mollifier acts on the
-    # spatial modes only, so it multiplies the spectrum between the two; the
-    # time pass's tau = 0 row, inverted alone, is the slice that pair_field
-    # reads, bitwise as sample_fields gives it (same passes, and the same
-    # single 1/N factor, which pocketfft takes as 1/N in long double).
-    spec = sfft.ifft(spec, axis=1, norm="forward", overwrite_x=True)
-    tau0 = spec[:, 0].copy()
+    kweights = _kernel_weights(grid, pert)
+    _, offset, blocks = _noise_blocks(params, n_samples, seed)
+    # Per block, the inverse of sample_fields' transform in two steps: the
+    # time pass, then the spatial passes.  The mollifier acts on the spatial
+    # modes only, so it multiplies the spectrum between the two; the time
+    # pass's tau = 0 row, inverted alone, is the slice that pair_field reads,
+    # bitwise as sample_fields gives it (same passes, and the same single 1/N
+    # factor, which pocketfft takes as 1/N in long double).
     inv_n = np.float64(1 / np.longdouble(grid.n_tau * grid.n_x**grid.d))
-    spec *= filt * inv_n
-    spatial = tuple(range(2, grid.d + 2))
-    lead = (n_samples,) + (1,) * (grid.d + 1)
-    phi_eps = sfft.irfftn(spec, s=grid.spatial_shape, axes=spatial, norm="forward")
-    del spec
-    if offset is not None:
-        phi_eps += offset.reshape(lead)
-    logw = perturbation_action_batch(phi_eps, grid, pert, premollified=True)
-    del phi_eps
+    scale = filt * inv_n
+    lead = (-1,) + (1,) * grid.d
+    phi0 = np.empty((n_samples,) + grid.spatial_shape)
+    logw = np.empty(n_samples)
+    for rows, spec in blocks:
+        spec = sfft.ifft(spec, axis=1, norm="forward", overwrite_x=True)
+        phi0[rows] = sfft.irfftn(spec[:, 0], s=grid.spatial_shape, axes=tuple(range(1, grid.d + 1)),
+                                 norm="forward")
+        phi0[rows] *= inv_n
+        if offset is not None:
+            phi0[rows] += offset[rows].reshape(lead)
+        spec *= scale
+        phi_eps = sfft.irfftn(spec, s=grid.spatial_shape, axes=tuple(range(2, grid.d + 2)),
+                              norm="forward", overwrite_x=True)
+        if offset is not None:
+            phi_eps += offset[rows].reshape(lead + (1,))
+        logw[rows] = _action(phi_eps, grid, pert, kweights)
     logw = logw - logw.max()  # overflow guard; ratios are shift invariant
     w = np.exp(logw)
     ess = float(w.sum() ** 2 / (w**2).sum())
@@ -286,10 +320,6 @@ def reweighted_state(
     if ess < ESS_FLOOR:
         record.update(estimate=None, diagnostic=f"effective sample size {ess:.1f} < {ESS_FLOOR}")
         return record
-    phi0 = sfft.irfftn(tau0, s=grid.spatial_shape, axes=tuple(range(1, grid.d + 1)), norm="forward")
-    phi0 *= inv_n
-    if offset is not None:
-        phi0 += offset.reshape(lead[:-1])
     fv = pair_field(phi0[:, None], grid, np.asarray(f, dtype=float), tau_index=0)
     re, re_err = _jackknife_ratio(np.cos(fv) * w, w)
     im, im_err = _jackknife_ratio(np.sin(fv) * w, w)

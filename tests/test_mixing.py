@@ -110,6 +110,13 @@ class TestRenormalizedMixing:
         with pytest.raises(ValueError):
             renormalized_mixing(p, pert, 4, 4, 100)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_samples_refused(self, n):
+        # one sample left a nan jackknife error, none a bare numpy error
+        pert = PolynomialPerturbation(coeffs=(0.0, 0.0, 1.0), lam=1e-2, mollifier_width=0.5)
+        with pytest.raises(ValueError, match="n_samples"):
+            renormalized_mixing(critical_params(), pert, 4, 4, n_samples=n, seed=1)
+
 
 def _gauss(r):
     return np.exp(-np.asarray(r) ** 2)

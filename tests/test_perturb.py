@@ -17,6 +17,7 @@ from bosegas.thermal import (
     sample_field,
     sample_fields,
 )
+from bosegas.thermal import fields
 from bosegas.thermal.perturb import (
     _kernel_matrix,
     _region_mask,
@@ -196,6 +197,11 @@ class TestReweighting:
         rec = reweighted_state(p, pert, np.ones(16), n_samples=500, seed=34)
         assert rec["estimate"] is None
         assert "effective sample size" in rec["diagnostic"]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_samples_refused(self, n):
+        with pytest.raises(ValueError, match="n_samples"):
+            reweighted_state(params_1d(), quadratic(1e-2), np.ones(16), n_samples=n, seed=1)
 
 
 class TestReweightingExactConsistency:
@@ -397,21 +403,40 @@ def counted_transforms(monkeypatch):
 
 
 class TestTransformCounts:
-    """Guard: each estimator transforms its sample batch a fixed number of times."""
+    """Guard: each estimator streams its samples in blocks, passing every
+    sample through each of its transforms once, and transforms the kernel
+    once per call."""
+
+    N, BLOCK = 150, 32  # five blocks, the last of 22 samples
+
+    def streamed(self, monkeypatch, grid):
+        monkeypatch.setattr(fields, "_BLOCK_FLOATS", self.BLOCK * grid.n_tau * grid.n_x**grid.d)
+        return counted_transforms(monkeypatch)
+
+    def passes(self, calls, grid):
+        """Samples per transform kind (name, per-sample shape) over the batch
+        calls; no batch call spans more than one block."""
+        seen = {}
+        for name, shape in calls:
+            if shape != grid.spatial_shape:
+                assert shape[0] <= self.BLOCK, (name, shape)
+                seen[name, shape[1:]] = seen.get((name, shape[1:]), 0) + shape[0]
+        return seen
 
     def test_reweighted_state(self, monkeypatch):
         grid = FieldGrid(beta=1.0, n_tau=4, d=2, L=4.0, n_x=8)
         params = ThermalFieldParams(grid=grid, mu=0.0, critical=True, c=1.0)
         pert = PolynomialPerturbation(coeffs=(0.0, 0.0, 1.0), lam=1e-3, kernel=lambda r: np.exp(-(r**2)),
                                       mollifier_width=1.0)
-        calls = counted_transforms(monkeypatch)
-        reweighted_state(params, pert, np.ones((8, 8)), n_samples=150, seed=2)
-        batch = [c for c in calls if c[1][0] == 150]
-        # forward over (tau, x, y); the inverse as its time pass and spatial
-        # passes; the P transform; the tau = 0 slice's spatial inverse
-        assert batch == [("rfftn", (150, 4, 8, 8)), ("ifft", (150, 4, 8, 5)), ("irfftn", (150, 4, 8, 5)),
-                         ("rfftn", (150, 4, 8, 8)), ("irfftn", (150, 8, 5))]
-        assert [c for c in calls if c[1][0] != 150] == [("rfftn", (8, 8))]  # the kernel
+        calls = self.streamed(monkeypatch, grid)
+        reweighted_state(params, pert, np.ones((8, 8)), n_samples=self.N, seed=2)
+        # forward over (tau, x, y) and the P transform; the inverse as its time
+        # pass and spatial passes; the tau = 0 slice's spatial inverse
+        assert self.passes(calls, grid) == {
+            ("rfftn", (4, 8, 8)): 2 * self.N, ("ifft", (4, 8, 5)): self.N,
+            ("irfftn", (4, 8, 5)): self.N, ("irfftn", (8, 5)): self.N,
+        }
+        assert [c for c in calls if c[1] == grid.spatial_shape] == [("rfftn", (8, 8))]  # the kernel
 
     def test_renormalized_mixing(self, monkeypatch):
         from bosegas.thermal import renormalized_mixing
@@ -419,6 +444,7 @@ class TestTransformCounts:
         grid = FieldGrid(beta=1.0, n_tau=4, d=2, L=4.0, n_x=8)
         params = ThermalFieldParams(grid=grid, mu=0.0, critical=True, c=1.0)
         pert = PolynomialPerturbation(coeffs=(0.0, 0.0, 1.0, 0.0, 1.0), lam=1e-2, mollifier_width=1.0)
-        calls = counted_transforms(monkeypatch)
-        renormalized_mixing(params, pert, 4, 4, n_samples=150, seed=3)
-        assert calls == [("rfftn", (150, 4, 8, 8)), ("irfftn", (150, 4, 8, 5))]
+        calls = self.streamed(monkeypatch, grid)
+        renormalized_mixing(params, pert, 4, 4, n_samples=self.N, seed=3)
+        assert self.passes(calls, grid) == {("rfftn", (4, 8, 8)): self.N, ("irfftn", (4, 8, 5)): self.N}
+        assert len(calls) == 2 * 5  # a forward and an inverse per block, nothing else
