@@ -95,7 +95,6 @@ def renormalized_mixing(
         centered = sfft.irfftn(spec, s=(grid.n_tau,) + grid.spatial_shape,
                                axes=tuple(range(1, grid.d + 2)), overwrite_x=True)
         sums.append(_power_sums(centered, grid, pert, kweights))
-    sums = np.concatenate(sums, axis=1 if pert.kernel is None else 0)
     log_w_samples = _shifted_actions(grid, pert, m.ravel(), sums).reshape(m.shape + (n_samples,))
     log_znode = logsumexp(log_w_samples, axis=-1) - np.log(n_samples)
     log_z = logsumexp(np.log(w0) + log_znode)

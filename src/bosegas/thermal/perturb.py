@@ -225,7 +225,7 @@ def shifted_action_batch(
     shifts = np.asarray(shifts, dtype=float)
     if pert.lam == 0.0:
         return np.zeros((shifts.size, values.shape[0]))
-    return _shifted_actions(grid, pert, shifts, _power_sums(values, grid, pert, _kernel_weights(grid, pert)))
+    return _shifted_actions(grid, pert, shifts, [_power_sums(values, grid, pert, _kernel_weights(grid, pert))])
 
 
 def _power_sums(values: np.ndarray, grid: FieldGrid, pert: PolynomialPerturbation, kweights) -> np.ndarray:
@@ -247,14 +247,15 @@ def _power_sums(values: np.ndarray, grid: FieldGrid, pert: PolynomialPerturbatio
     return np.einsum("pnk,qnk->npq", spec, filtered).real
 
 
-def _shifted_actions(grid: FieldGrid, pert: PolynomialPerturbation, shifts: np.ndarray, sums) -> np.ndarray:
-    """Every shift's actions from the whole batch's `_power_sums`: shape
-    (len(shifts), n), one contraction with the Taylor coefficients c_p(m)."""
+def _shifted_actions(grid: FieldGrid, pert: PolynomialPerturbation, shifts: np.ndarray, blocks) -> np.ndarray:
+    """Every shift's actions from the `_power_sums` of a batch's blocks, in
+    sample order: shape (len(shifts), n), one contraction of the joined sums
+    with the Taylor coefficients c_p(m)."""
     poly = pert.poly()
     C = np.stack([poly.deriv(p)(shifts) / factorial(p) for p in range(poly.degree() + 1)], axis=-1)
     if pert.kernel is None:
-        return -pert.lam * grid.dtau * (C @ sums)
-    return -pert.lam * grid.dtau * np.einsum("sp,npq,sq->sn", C, sums, C)
+        return -pert.lam * grid.dtau * (C @ np.concatenate(blocks, axis=1))
+    return -pert.lam * grid.dtau * np.einsum("sp,npq,sq->sn", C, np.concatenate(blocks), C)
 
 
 def perturbation_action(sample: FieldSample, pert: PolynomialPerturbation) -> float:
