@@ -67,8 +67,7 @@ def _ball_volume(d: int, R: float) -> float:
 def _mayer_ball_radius(V: PairPotential, beta: float, j_sum: int = 2) -> float:
     """Truncation radius for displacement integrals: interaction range plus
     the thermal spread of the two paths."""
-    reach = V.range_hint if np.isfinite(V.range_hint) else 6.0
-    return reach + 6.0 * np.sqrt(j_sum * beta)
+    return V.range + 6.0 * np.sqrt(j_sum * beta)
 
 
 def _free_paths(count: int, j: int, beta: float, d: int, n_slices: int, rng) -> np.ndarray:

@@ -38,12 +38,11 @@ winding * n_slices + 1 is refused with ValueError wherever it enters.
 
 A hard-core contact returns +inf, which the Gibbs weight turns into zero.
 Periodic boxes take each displacement at its minimum image, so the trapezoid
-kernel refuses a potential whose finite range_hint exceeds L/2
-(`check_image_range`, which GibbsChain also runs at set-up).
+kernel refuses a potential of range beyond L/2, and in any box one of another
+dimension (`check_image_range`, which GibbsChain also runs at set-up).
 """
 
 from functools import lru_cache
-from math import isfinite
 
 import numpy as np
 
@@ -96,16 +95,20 @@ def _stack_of_one(loop: BridgeLoop, region: BoxRegion) -> np.ndarray:
 
 
 def check_image_range(V: PairPotential | None, region: BoxRegion) -> None:
-    """Refuse a periodic box that V's finite range reaches across.
+    """Refuse a potential V of another dimension than the box (ValueError),
+    or a periodic box that V's range reaches across (TruncationError).
 
     Periodic energies count each pair at its minimum image, which holds every
-    image within reach only while V.range_hint <= L/2; past that the further
-    images would be dropped without a word.  An infinite range_hint claims no
-    range and is not refused.
+    image within reach only while V.range <= L/2; past that the further
+    images would be dropped without a word.
     """
-    if V is not None and region.boundary == PERIODIC and isfinite(V.range_hint) and V.range_hint > region.L / 2:
+    if V is None:
+        return
+    if V.d != region.d:
+        raise ValueError(f"a potential in d = {V.d} cannot price paths in a box of d = {region.d}")
+    if region.boundary == PERIODIC and V.range > region.L / 2:
         raise TruncationError(
-            f"potential range {V.range_hint:g} exceeds half the box side {region.L / 2:g}: "
+            f"potential range {V.range:g} exceeds half the box side {region.L / 2:g}: "
             "minimum-image energies would drop image pairs"
         )
 
@@ -113,8 +116,8 @@ def check_image_range(V: PairPotential | None, region: BoxRegion) -> None:
 def _leg_pair_energies(diff: np.ndarray, V: PairPotential, beta: float, region: BoxRegion) -> np.ndarray:
     """Trapezoid energy of each leg pair: displacements diff (..., n_slices + 1, d)
     give energies (...), +inf on any hard-core contact."""
+    check_image_range(V, region)
     if region.boundary == PERIODIC:
-        check_image_range(V, region)
         diff = min_image(diff, region.L)
     r = np.sqrt(np.einsum("...k,...k->...", diff, diff))
     w = _trapezoid_weights(region.n_slices + 1, beta / region.n_slices)

@@ -2,68 +2,77 @@
 
 A usable potential must satisfy the standard conditions: central and
 continuous away from the origin, stable (sum of pair energies bounded below by
--B n over every finite point set), and absolutely integrable beyond some
-radius r0.  Stability is probed on random point sets at construction; the
-tail integrability is checked by quadrature.
+-B n over every finite point set), and absolutely integrable outside its hard
+core.  Every potential states one finite range beyond which it is negligible.
+Stability is probed on random point sets at construction; the tail
+integrability and the range are checked by quadrature.
 """
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from ..rng import generator
 
-HARD_CORE_SENTINEL = np.inf
+# Largest share of the integral of |V| r^(d-1) that may lie beyond the range.
+TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class PairPotential:
-    """Radial pair potential V(r) with an optional hard core.
+    """Radial pair potential V(r) of range `range`, with an optional hard core.
 
-    stability_B is the claimed stability constant (>= 0); the constructor
-    spot-checks it on random finite configurations and rejects detected
-    violations.  r0 marks where |V| must start being integrable.
+    range (finite, positive, at least the hard core) claims that V is
+    negligible beyond it; the constructor checks the claim.  stability_B is
+    the claimed stability constant (>= 0); the constructor spot-checks it on
+    random finite configurations and rejects detected violations.
     """
 
     v_of_r: object
     d: int
+    range: float
     hard_core: float = 0.0
     stability_B: float = 0.0
-    r0: float = 0.0
-    range_hint: float = field(default=np.inf)
-    label: str = "potential"
-    _checked: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if self.hard_core < 0 or self.stability_B < 0 or self.r0 < 0:
-            raise ValueError("hard_core, stability_B, and r0 must be >= 0")
+        if self.hard_core < 0 or self.stability_B < 0:
+            raise ValueError("hard_core and stability_B must be >= 0")
+        if not 0 < self.range < np.inf or self.range < self.hard_core:
+            raise ValueError(f"range {self.range} must be finite, positive and at least the hard core")
         self.check_integrability()
         self.check_stability()
-        object.__setattr__(self, "_checked", True)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         out = np.asarray(self.v_of_r(np.maximum(r, 1e-300)), dtype=float)
         if self.hard_core > 0:
-            out = np.where(r < self.hard_core, HARD_CORE_SENTINEL, out)
+            out = np.where(r < self.hard_core, np.inf, out)
         return out
 
-    def check_integrability(self, upper: float = np.inf) -> float:
-        """integral_{r0}^inf |V(r)| r^(d-1) dr must be finite (weighted tail norm)."""
-        import warnings
-
+    def check_integrability(self) -> float:
+        """integral of |V(r)| r^(d-1) from the hard core out must be finite,
+        with at most TAIL_TOL of it beyond the range; returns the integral."""
         f = lambda r: abs(float(self.v_of_r(r))) * r ** (self.d - 1)
-        lo = max(self.r0, self.hard_core, 1e-12)
+        lo = max(self.hard_core, 1e-12)
+        cut = max(self.range, lo)
+        parts = []
         with warnings.catch_warnings():
             warnings.simplefilter("error", integrate.IntegrationWarning)
-            try:
-                val, err = integrate.quad(f, lo, upper, limit=400)
-            except integrate.IntegrationWarning as exc:
-                raise ValueError(f"tail integral of |V| r^(d-1) did not converge: {exc}")
-        if not np.isfinite(val) or (err > 1e-4 * max(abs(val), 1.0) and err > 1e-6):
-            raise ValueError(f"tail integral of |V| r^(d-1) did not converge: {val} +- {err}")
-        return float(val)
+            for a, b in ((lo, cut), (cut, np.inf)):
+                try:
+                    val, err = integrate.quad(f, a, b, limit=400)
+                except integrate.IntegrationWarning as exc:
+                    raise ValueError(f"tail integral of |V| r^(d-1) did not converge: {exc}")
+                if not np.isfinite(val) or (err > 1e-4 * max(abs(val), 1.0) and err > 1e-6):
+                    raise ValueError(f"tail integral of |V| r^(d-1) did not converge: {val} +- {err}")
+                parts.append(val)
+        total, beyond = sum(parts), parts[1]
+        if beyond > TAIL_TOL * total:
+            raise ValueError(f"{beyond / total:.3g} of the integral of |V| r^(d-1) lies beyond "
+                             f"the range {self.range:g} (at most {TAIL_TOL:g})")
+        return total
 
     def check_stability(self, n_sets: int = 200, max_points: int = 8, seed: int = 1234):
         """Property test of sum_{i<j} V(x_i - x_j) >= -B n on random point sets."""
@@ -89,23 +98,17 @@ def hard_core(d: int, radius: float, n_slices_hint: int = 16) -> PairPotential:
     return PairPotential(
         v_of_r=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         d=d,
+        range=radius,
         hard_core=radius,
-        stability_B=0.0,
-        r0=radius,
-        range_hint=radius,
-        label=f"hard-core a={radius}",
     )
 
 
 def gaussian_repulsion(d: int, amplitude: float, width: float = 1.0) -> PairPotential:
-    """Positive Gaussian bump: smooth, positive, hence stable with B = 0."""
+    """Positive Gaussian bump of range 6 widths: smooth, positive, hence stable with B = 0."""
     if amplitude <= 0:
         raise ValueError("amplitude must be positive for the repulsive bump")
     return PairPotential(
         v_of_r=lambda r: amplitude * np.exp(-((np.asarray(r) / width) ** 2)),
         d=d,
-        stability_B=0.0,
-        r0=0.0,
-        range_hint=6 * width,
-        label=f"gaussian A={amplitude} w={width}",
+        range=6 * width,
     )

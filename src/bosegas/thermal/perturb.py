@@ -163,24 +163,18 @@ def _horner(coeffs, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def perturbation_action_batch(
-    values: np.ndarray,
-    grid: FieldGrid,
-    pert: PolynomialPerturbation,
-    premollified: bool = False,
-) -> np.ndarray:
+def perturbation_action_batch(values: np.ndarray, grid: FieldGrid, pert: PolynomialPerturbation) -> np.ndarray:
     """Gibbs log-weights for a batch of samples, shape (n, n_tau, *spatial) -> (n,).
 
-    premollified skips the smoothing step when the caller already applied it
-    (the mollifier is linear and preserves constants, so shifted-mean batches
-    can smooth once and add offsets afterwards).  The nonlocal double sum is
-    priced by Parseval on the spectrum of P restricted to the region.
+    The samples are mollified at pert.mollifier_width first (not at all at
+    width 0).  The nonlocal double sum is priced by Parseval on the spectrum
+    of P restricted to the region.
     """
     if pert.lam == 0.0:
         lead = values.shape[: values.ndim - (grid.d + 1)]
         return np.zeros(lead) if lead else 0.0
     eps = pert.mollifier_width
-    phi = values if (premollified or eps == 0) else mollify(values, grid, eps)
+    phi = values if eps == 0 else mollify(values, grid, eps)
     return _action(phi, grid, pert, _kernel_weights(grid, pert))
 
 
@@ -212,8 +206,8 @@ def shifted_action_batch(
     pert: PolynomialPerturbation,
     shifts,
 ) -> np.ndarray:
-    """perturbation_action_batch(values + m, grid, pert, premollified=True) for
-    every constant shift m: shape (len(shifts), n).
+    """perturbation_action_batch(values + m, grid, pert) at mollifier width 0,
+    for already mollified values and every constant shift m: shape (len(shifts), n).
 
     Taylor expansion gives P(phi + m) = sum_p c_p(m) phi^p with
     c_p(m) = P^(p)(m) / p!, so the samples enter only through deg + 1 power

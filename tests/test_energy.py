@@ -122,7 +122,7 @@ def test_engine_matches_brute_force(boundary):
 
 
 def test_range_beyond_half_box_refused():
-    # gaussian_repulsion's range_hint is 6 widths: 6 > L/2 = 3 would leave the
+    # gaussian_repulsion's range is 6 widths: 6 > L/2 = 3 would leave the
     # second image of a pair, at distance >= 3, out of every periodic energy
     region = BoxRegion(d=2, L=6.0, n_slices=4)
     V = gaussian_repulsion(2, 1.0)
@@ -133,10 +133,25 @@ def test_range_beyond_half_box_refused():
         added_loop_energies(_stack(cfg.loops[:1]), [cfg], V, BETA, region)
     with pytest.raises(TruncationError, match="half the box"):
         GibbsChain(0.5, BETA, region, V, rng_seed=1)
-    # a range of exactly L/2, a Dirichlet box and an unclaimed range all pass
+    # a range of exactly L/2 and a Dirichlet box pass; a potential that
+    # claims no range is refused before it reaches any box
     interaction_energy(cfg, gaussian_repulsion(2, 1.0, width=0.5), BETA, region)
     GibbsChain(0.5, BETA, BoxRegion(d=2, L=6.0, boundary=DIRICHLET, n_slices=4), V, rng_seed=1)
-    GibbsChain(0.5, BETA, region, PairPotential(v_of_r=V.v_of_r, d=2), rng_seed=1)
+    with pytest.raises(TypeError, match="range"):
+        PairPotential(v_of_r=V.v_of_r, d=2)
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+def test_potential_of_another_dimension_refused(boundary):
+    # a potential checked for stability and integrability in d = 3 prices no
+    # paths of a d = 1 box, whatever the boundary
+    region = BoxRegion(d=1, L=6.0, boundary=boundary, n_slices=4)
+    V = hard_core(3, 0.4)
+    cfg = random_config(region, seed=35)
+    with pytest.raises(ValueError, match="d = 3"):
+        interaction_energy(cfg, V, BETA, region)
+    with pytest.raises(ValueError, match="d = 3"):
+        GibbsChain(0.5, BETA, region, V, rng_seed=1)
 
 
 def test_blocked_sum_matches_one_broadcast(monkeypatch):

@@ -6,6 +6,7 @@ from scipy import stats
 
 from bosegas.expansion import (
     ConvergenceEstimate,
+    _mayer_ball_radius,
     _random_balls,
     convergence_radius,
     delta_c2,
@@ -16,6 +17,7 @@ from bosegas.loopgas import (
     BoxRegion,
     DIRICHLET,
     PERIODIC,
+    PairPotential,
     free_density,
     gaussian_repulsion,
     gibbs_sample,
@@ -181,6 +183,18 @@ class TestPinnedRecords:
         b3 = mayer_coefficient(3, 1.0, V, region=region, n_mc=300, seed=807)
         assert (b2.value, b2.error) == (-0.006682210371512901, 0.0017563454607597794)
         assert (b3.value, b3.error) == (0.005473767105460775, 0.0027058095968655596)
+
+
+class TestRange:
+    def test_ball_radius_is_range_plus_thermal_spread(self):
+        # a custom potential's own range sets the ball, not a default reach
+        V = PairPotential(v_of_r=lambda r: 0.5 * np.exp(-2.0 * np.asarray(r)), d=3, range=16.0)
+        assert _mayer_ball_radius(V, 0.7) == 16.0 + 6.0 * np.sqrt(2 * 0.7)
+        assert _mayer_ball_radius(V, 0.7, j_sum=3) == 16.0 + 6.0 * np.sqrt(3 * 0.7)
+
+    def test_potential_of_another_dimension_refused(self):
+        with pytest.raises(ValueError, match="d = 3"):
+            mayer_coefficient(2, 1.0, hard_core(3, 0.4), region=BoxRegion(d=1, L=6.0, n_slices=8), n_mc=50)
 
 
 def per_sample_ball(rng, d, R):

@@ -374,9 +374,10 @@ from bosegas.loopgas import BoxRegion, GibbsChain, PairPotential
 
 # attractive, stable with B = 2 on every point set the constructor probes;
 # the claim is then understated to B = 0, so any negative energy breaks it
-V = PairPotential(v_of_r=lambda r: -0.5 * np.exp(-np.asarray(r) ** 2), d=2, stability_B=2.0)
+# the range of 5 leaves 1.4e-11 of the tail beyond it and fits the box of side 10
+V = PairPotential(v_of_r=lambda r: -0.5 * np.exp(-np.asarray(r) ** 2), d=2, range=5.0, stability_B=2.0)
 object.__setattr__(V, "stability_B", 0.0)
-chain = GibbsChain(0.5, 1.0, BoxRegion(d=2, L=4.0, n_slices=4), V, rng_seed=3)
+chain = GibbsChain(0.5, 1.0, BoxRegion(d=2, L=10.0, n_slices=4), V, rng_seed=3)
 try:
     for _ in range(5000):
         chain.step()

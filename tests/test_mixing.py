@@ -1,5 +1,7 @@
 """Condensate mixing measure: decomposition identity and reweighted tables."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -142,8 +144,8 @@ class TestShiftedActions:
         centered = mollify(phi - phi.mean(axis=(1, 2), keepdims=True), p.grid, 0.5)
         shifts = np.array([0.0, 0.4, -1.3, 3.0, -9.5])
         got = shifted_action_batch(centered, p.grid, pert, shifts)
-        ref = np.stack([perturbation_action_batch(centered + m, p.grid, pert, premollified=True)
-                        for m in shifts])
+        no_mollifier = dataclasses.replace(pert, mollifier_width=0.0)
+        ref = np.stack([perturbation_action_batch(centered + m, p.grid, no_mollifier) for m in shifts])
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
     def test_zero_coupling(self):

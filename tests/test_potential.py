@@ -20,7 +20,7 @@ class TestAdmission:
                 v_of_r=lambda r: -np.exp(-np.asarray(r) ** 2),
                 d=3,
                 stability_B=0.0,
-                range_hint=5.0,
+                range=5.0,
             )
 
     def test_attraction_with_honest_constant_accepted(self):
@@ -29,12 +29,29 @@ class TestAdmission:
             v_of_r=lambda r: -0.1 * np.exp(-np.asarray(r) ** 2),
             d=3,
             stability_B=10.0,
-            range_hint=5.0,
+            range=5.0,
         )
 
     def test_nonintegrable_tail_rejected(self):
         with pytest.raises(ValueError, match="tail integral"):
-            PairPotential(v_of_r=lambda r: 1.0 / np.asarray(r), d=3, r0=1.0)
+            PairPotential(v_of_r=lambda r: 1.0 / np.asarray(r), d=3, range=5.0)
+
+    def test_range_required_finite_and_outside_the_core(self):
+        well = lambda r: -0.5 * np.exp(-np.asarray(r) ** 2)
+        with pytest.raises(TypeError, match="range"):
+            PairPotential(v_of_r=well, d=2, stability_B=2.0)
+        for bad in (np.inf, np.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="range"):
+                PairPotential(v_of_r=well, d=2, range=bad, stability_B=2.0)
+        with pytest.raises(ValueError, match="range"):
+            PairPotential(v_of_r=lambda r: np.zeros_like(np.asarray(r)), d=3, range=0.5, hard_core=1.0)
+
+    def test_range_that_cuts_the_tail_rejected(self):
+        # 1.8e-2 of the well's integral |V| r dr lies beyond r = 2; at r = 5, 1.4e-11
+        well = lambda r: -0.5 * np.exp(-np.asarray(r) ** 2)
+        with pytest.raises(ValueError, match="beyond the range"):
+            PairPotential(v_of_r=well, d=2, range=2.0, stability_B=2.0)
+        PairPotential(v_of_r=well, d=2, range=5.0, stability_B=2.0)
 
     def test_hard_core_sentinel(self):
         V = hard_core(3, 1.0)
@@ -43,7 +60,7 @@ class TestAdmission:
 
     def test_negative_radii_rejected(self):
         with pytest.raises(ValueError):
-            PairPotential(v_of_r=lambda r: np.zeros_like(np.asarray(r)), d=3, hard_core=-1.0)
+            PairPotential(v_of_r=lambda r: np.zeros_like(np.asarray(r)), d=3, range=1.0, hard_core=-1.0)
 
 
 class TestStabilityProperty:
