@@ -36,10 +36,20 @@ holds at most _BROADCAST_FLOATS displacement floats; larger sums go in
 blocks, which changes only their rounding.  A path whose knot count is not
 winding * n_slices + 1 is refused with ValueError wherever it enters.
 
+The trapezoid kernel makes one pass per potential kind over arrays it owns.
+It takes the displacements at their minimum image (periodic boxes; a new
+array, so the caller's displacements are left as they are), forms the
+squared distances r2 in one einsum, and hands r2 to `V.of_squared`, which
+returns V at sqrt(r2) and may overwrite r2 in place: the hard core and the
+Gaussian bump evaluate there in one pass, any other potential takes the
+square root and its own call.  Each kind returns the bits of V(r), so the
+energies do not depend on which path priced them.
+
 A hard-core contact returns +inf, which the Gibbs weight turns into zero.
-Periodic boxes take each displacement at its minimum image, so the trapezoid
-kernel refuses a potential of range beyond L/2, and in any box one of another
-dimension (`check_image_range`, which GibbsChain also runs at set-up).
+Periodic boxes take each displacement at its minimum image, so every public
+energy refuses, before it prices or skips anything, a potential of range
+beyond L/2, and in any box one of another dimension (`check_image_range`,
+which GibbsChain also runs at set-up).
 """
 
 from functools import lru_cache
@@ -115,13 +125,13 @@ def check_image_range(V: PairPotential | None, region: BoxRegion) -> None:
 
 def _leg_pair_energies(diff: np.ndarray, V: PairPotential, beta: float, region: BoxRegion) -> np.ndarray:
     """Trapezoid energy of each leg pair: displacements diff (..., n_slices + 1, d)
-    give energies (...), +inf on any hard-core contact."""
-    check_image_range(V, region)
+    give energies (...), +inf on any hard-core contact.  The squared distances
+    are a buffer of the kernel's own, which V.of_squared may overwrite."""
     if region.boundary == PERIODIC:
         diff = min_image(diff, region.L)
-    r = np.sqrt(np.einsum("...k,...k->...", diff, diff))
+    r2 = np.einsum("...k,...k->...", diff, diff)
     w = _trapezoid_weights(region.n_slices + 1, beta / region.n_slices)
-    return V(r) @ w
+    return V.of_squared(r2) @ w
 
 
 def _distinct_per_row(legs: np.ndarray, V, beta, region) -> np.ndarray:
@@ -160,6 +170,7 @@ def pair_energies(a: np.ndarray, b: np.ndarray, V: PairPotential, beta: float, r
     """pair_energy of loops a[i] and b[i] for stacked paths a (B, ja * n_slices
     + 1, d) and b (B, jb * n_slices + 1, d), each of one winding; a stack of
     one loop broadcasts against the other."""
+    check_image_range(V, region)
     legs_a, legs_b = _stacked_legs(a, region), _stacked_legs(b, region)
     e = _leg_pair_energies(legs_a[:, :, None] - legs_b[:, None], V, beta, region)
     return e.sum(axis=(1, 2))
@@ -167,12 +178,14 @@ def pair_energies(a: np.ndarray, b: np.ndarray, V: PairPotential, beta: float, r
 
 def intra_energies(paths: np.ndarray, V: PairPotential, beta: float, region: BoxRegion) -> np.ndarray:
     """intra_energy of each of the stacked paths (B, j * n_slices + 1, d) of one winding."""
+    check_image_range(V, region)
     return _distinct_per_row(_stacked_legs(paths, region), V, beta, region)
 
 
 def added_loop_energies(paths: np.ndarray, configs, V: PairPotential, beta: float, region: BoxRegion) -> np.ndarray:
     """loop_in_config_energy of loop b, stacked paths (B, j * n_slices + 1, d)
     of one winding, against configs[b], including the loop's intra term."""
+    check_image_range(V, region)
     legs = _stacked_legs(paths, region)
     total = _distinct_per_row(legs, V, beta, region)
     batch = as_batch(configs)
@@ -191,6 +204,7 @@ def added_loop_energies(paths: np.ndarray, configs, V: PairPotential, beta: floa
 def interaction_energies(configs, V: PairPotential, beta: float, region: BoxRegion) -> np.ndarray:
     """interaction_energy of each configuration of a batch; configurations of
     equal leg count are stacked and summed together."""
+    check_image_range(V, region)
     batch = as_batch(configs)
     out = np.zeros(len(batch))
     if not batch.windings.size:
@@ -212,6 +226,7 @@ def loops_in_config_energies(
     all their legs against the configuration's.  Each loop's leg pairs are
     summed on their own, in the order of a call for that loop alone, so every
     entry has the bits of such a call."""
+    check_image_range(V, region)
     legs = [_stacked_legs(path, region) for path in paths]
     out = [float(_distinct_per_row(own[None], V, beta, region)[0]) for own in legs]
     others = config.legs(region.n_slices, skip)
@@ -244,6 +259,7 @@ def interaction_energy(
     config: LoopConfiguration, V: PairPotential, beta: float, region: BoxRegion
 ) -> float:
     """Full configuration energy: every unordered pair of distinct legs."""
+    check_image_range(V, region)
     return float(_distinct_per_row(config.legs(region.n_slices)[None], V, beta, region)[0])
 
 

@@ -6,6 +6,14 @@ continuous away from the origin, stable (sum of pair energies bounded below by
 core.  Every potential states one finite range beyond which it is negligible.
 Stability is probed on random point sets at construction; the tail
 integrability and the range are checked by quadrature.
+
+The energy kernel prices squared distances: `PairPotential.of_squared(r2)`
+returns V at sqrt(r2) elementwise and may overwrite r2.  Its default takes
+the square root in place and calls the potential, so any callable works.
+The factories return private kinds that evaluate in one pass of in-place
+operations on that buffer: `hard_core` compares the distance with the core
+radius, and `gaussian_repulsion` runs the bump's own operations in their
+order.  Each kind returns, element by element, the bits of `V(r)`.
 """
 
 import warnings
@@ -51,6 +59,11 @@ class PairPotential:
             out = np.where(r < self.hard_core, np.inf, out)
         return out
 
+    def of_squared(self, r2: np.ndarray) -> np.ndarray:
+        """V at the distances sqrt(r2), elementwise; r2 (a float array the
+        caller owns) may be overwritten."""
+        return self(np.sqrt(r2, out=r2))
+
     def check_integrability(self) -> float:
         """integral of |V(r)| r^(d-1) from the hard core out must be finite,
         with at most TAIL_TOL of it beyond the range; returns the integral."""
@@ -93,9 +106,49 @@ class PairPotential:
                 )
 
 
-def hard_core(d: int, radius: float, n_slices_hint: int = 16) -> PairPotential:
+# The bits of +inf as a float64; +0.0 is all zero bits.
+_INF_BITS = np.uint64(0x7FF0000000000000)
+
+
+class _HardCore(PairPotential):
+    """hard_core's kind: +inf inside the core, +0.0 outside, written over r2.
+
+    The values are written as bit patterns, inside * _INF_BITS, with no
+    branch on the data: np.where's per-element branch mispredicts on the
+    scattered contacts of a gas and costs more than the rest of the pass."""
+
+    def of_squared(self, r2):
+        inside = np.sqrt(r2, out=r2) < self.hard_core
+        return np.multiply(inside, _INF_BITS, out=r2.view(np.uint64)).view(np.float64)
+
+
+@dataclass(frozen=True)
+class _Bump:
+    """The Gaussian bump amplitude * exp(-(r / width)^2)."""
+
+    amplitude: float
+    width: float
+
+    def __call__(self, r):
+        return self.amplitude * np.exp(-((np.asarray(r) / self.width) ** 2))
+
+
+class _GaussianRepulsion(PairPotential):
+    """gaussian_repulsion's kind: the bump's operations, in order, in place on r2."""
+
+    def of_squared(self, r2):
+        r = np.sqrt(r2, out=r2)
+        r /= self.v_of_r.width
+        np.square(r, out=r)
+        np.negative(r, out=r)
+        np.exp(r, out=r)
+        r *= self.v_of_r.amplitude
+        return r
+
+
+def hard_core(d: int, radius: float) -> PairPotential:
     """Pure hard core: +inf inside the radius, zero outside; stable with B = 0."""
-    return PairPotential(
+    return _HardCore(
         v_of_r=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         d=d,
         range=radius,
@@ -107,8 +160,4 @@ def gaussian_repulsion(d: int, amplitude: float, width: float = 1.0) -> PairPote
     """Positive Gaussian bump of range 6 widths: smooth, positive, hence stable with B = 0."""
     if amplitude <= 0:
         raise ValueError("amplitude must be positive for the repulsive bump")
-    return PairPotential(
-        v_of_r=lambda r: amplitude * np.exp(-((np.asarray(r) / width) ** 2)),
-        d=d,
-        range=6 * width,
-    )
+    return _GaussianRepulsion(v_of_r=_Bump(amplitude, width), d=d, range=6 * width)

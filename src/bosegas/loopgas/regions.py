@@ -137,7 +137,11 @@ def wrap(x, L: float):
 
 
 def min_image(dx, L: float):
-    """Minimum-image displacement in [-L/2, L/2] (an exact half-box
-    displacement keeps either sign)."""
+    """Minimum-image displacement dx - L rint(dx / L), in [-L/2, L/2] (an
+    exact half-box displacement keeps either sign), built in one new array;
+    dx is left as it is."""
     dx = np.asarray(dx)
-    return dx - L * np.rint(dx / L)
+    out = np.asarray(dx / L)
+    np.rint(out, out=out)
+    out *= L
+    return np.subtract(dx, out, out=out)

@@ -493,3 +493,133 @@ def energy_bits():
 
 def test_energy_bits_pinned():
     assert energy_bits() == PINNED_ENERGY_BITS
+
+
+# -- the range and dimension check runs on every call ------------------------------
+
+
+def _energy_calls_without_leg_pairs(region, V):
+    """Every public energy on inputs with no leg pair to price: winding-1 loops,
+    alone or against empty configurations."""
+    one = random_config(region, seed=70, windings=(1,))
+    lp, paths, empty = one.loop(0), _stack(one.loops), LoopConfiguration()
+    return [
+        lambda: interaction_energy(one, V, BETA, region),
+        lambda: interaction_energy(empty, V, BETA, region),
+        lambda: intra_energy(lp, V, BETA, region),
+        lambda: loop_in_config_energy(lp, empty, V, BETA, region),
+        lambda: loop_in_config_energy(lp, one, V, BETA, region, skip=0),
+        lambda: interaction_energies([one, empty], V, BETA, region),
+        lambda: intra_energies(paths, V, BETA, region),
+        lambda: added_loop_energies(paths, [empty], V, BETA, region),
+        lambda: loops_in_config_energies([lp.path], empty, V, BETA, region),
+        lambda: loops_in_config_energies([lp.path], one, V, BETA, region, skip=0),
+    ]
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+def test_dimension_checked_with_no_leg_pair(boundary):
+    # a d = 3 potential in a d = 1 box is refused even where no pair is priced
+    region = BoxRegion(d=1, L=6.0, boundary=boundary, n_slices=4)
+    for call in _energy_calls_without_leg_pairs(region, hard_core(3, 0.4)):
+        with pytest.raises(ValueError, match="d = 3"):
+            call()
+
+
+def test_range_checked_with_no_leg_pair():
+    # gaussian_repulsion's range 6 exceeds L/2 = 3 however few pairs there are
+    region = BoxRegion(d=1, L=6.0, n_slices=4)
+    for call in _energy_calls_without_leg_pairs(region, gaussian_repulsion(1, 1.0)):
+        with pytest.raises(TruncationError, match="half the box"):
+            call()
+
+
+# -- each potential kind prices squared distances with the bits of V(r) ------------
+
+
+def _plain(V):
+    """A PairPotential of V's own callable, range and core, on the default path."""
+    return PairPotential(v_of_r=V.v_of_r, d=V.d, range=V.range, hard_core=V.hard_core)
+
+
+def _displacements(region, radius, seed):
+    """Random leg displacements (40, n_slices + 1, d) over several box sides,
+    with knots at r = 0, at exactly the core radius along an axis and a
+    diagonal, and at the radius in random directions."""
+    rng = generator(seed)
+    diff = rng.uniform(-1.5 * region.L, 1.5 * region.L, size=(40, region.n_slices + 1, region.d))
+    diff[:20] *= rng.uniform(0, 0.2, size=(20, 1, 1))  # many knots near and inside the core
+    diff[0, 0] = 0.0
+    diff[1, 2] = 0.0
+    diff[1, 2, 0] = radius
+    diff[2, 3] = -radius / math.sqrt(region.d)
+    diff[3] = radius
+    u = rng.standard_normal(size=diff.shape[1:])
+    diff[4] = radius * u / np.linalg.norm(u, axis=-1, keepdims=True)  # within rounding of the core
+    return diff
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+def test_kinds_have_the_bits_of_the_plain_potential(boundary, d):
+    region = BoxRegion(d=d, L=4.0, boundary=boundary, n_slices=8)
+    for V, radius in ((hard_core(d, 0.6), 0.6), (gaussian_repulsion(d, 0.7, width=1 / 3), 0.6)):
+        assert type(V) is not PairPotential
+        diff = _displacements(region, radius, seed=71)
+        got = energy._leg_pair_energies(diff, V, BETA, region)
+        want = energy._leg_pair_energies(diff, _plain(V), BETA, region)
+        assert got.tobytes() == want.tobytes()
+        if V.hard_core:
+            assert np.isinf(got).any() and (got == 0).any()
+
+
+def test_default_path_keeps_the_bits_of_v_of_r():
+    # a plain potential with both a hard core and a soft part takes the
+    # default of_squared: sqrt, then the potential's own call
+    d = 3
+    soft = lambda r: 0.3 * np.exp(-((np.asarray(r) / 0.4) ** 2))
+    V = PairPotential(v_of_r=soft, d=d, range=3.0, hard_core=0.5)
+    w = energy._trapezoid_weights(9, BETA / 8)
+    for boundary in (PERIODIC, DIRICHLET):
+        region = BoxRegion(d=d, L=6.0, boundary=boundary, n_slices=8)
+        diff = _displacements(region, 0.5, seed=72)
+        got = energy._leg_pair_energies(diff, V, BETA, region)
+        if boundary == PERIODIC:
+            diff = diff - region.L * np.rint(diff / region.L)
+        want = V(np.sqrt(np.einsum("...k,...k->...", diff, diff))) @ w
+        assert got.tobytes() == want.tobytes()
+        assert np.isinf(got).any() and (np.isfinite(got) & (got > 0)).any()
+
+
+# -- the kernel writes only over its own buffers -------------------------------------
+
+
+def _frozen(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+def test_energies_leave_their_inputs_unchanged(boundary):
+    # read-only paths and configurations (whose arrays are read-only) are
+    # priced, and come back with every bit they had
+    region = BoxRegion(d=3, L=4.0, boundary=boundary, n_slices=4)
+    cfg = random_config(region, seed=31)
+    loops = random_config(region, seed=33, windings=(2, 2, 2)).loops
+    paths = _frozen(_stack(loops))
+    cfg.legs(region.n_slices)
+    before = snapshot(cfg) + [cfg.legs(region.n_slices).tobytes(), paths.tobytes()]
+    before += [lp.path.tobytes() for lp in loops]
+    for V in (gaussian_repulsion(3, 0.7, width=1 / 3), hard_core(3, 1.2), _plain(hard_core(3, 1.2))):
+        pair_energies(paths, paths[::-1], V, BETA, region)
+        intra_energies(paths, V, BETA, region)
+        added_loop_energies(paths, [cfg, cfg, LoopConfiguration()], V, BETA, region)
+        interaction_energies([cfg, cfg.spliced(drop=[0])], V, BETA, region)
+        loops_in_config_energies(list(paths), cfg, V, BETA, region, skip=1)
+        pair_energy(loops[0], cfg.loop(1), V, BETA, region)
+        intra_energy(cfg.loop(2), V, BETA, region)
+        interaction_energy(cfg, V, BETA, region)
+        loop_in_config_energy(cfg.loop(1), cfg, V, BETA, region, skip=1)
+        after = snapshot(cfg) + [cfg.legs(region.n_slices).tobytes(), paths.tobytes()]
+        assert after + [lp.path.tobytes() for lp in loops] == before
