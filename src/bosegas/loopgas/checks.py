@@ -32,6 +32,7 @@ from .free import (
     sample_free_poisson_batch,
     sector_bridges,
     time_integrals,
+    time_integrals_of,
     winding_masses,
     wrap_positions,
 )
@@ -223,7 +224,7 @@ def integration_by_parts_check(
     g_plain = G.of(p2[:, kf:-1]) * weights2
 
     def rhs_terms(paths, n_knots):
-        added = np.stack([time_integrals(paths, g, beta, region, n_knots) for g in fs[kf:]], axis=-1)
+        added = time_integrals_of(paths, fs[kf:], beta, region, n_knots)
         g_shift = G.of(p2[:, kf:-1] + added[:, :-1]) * weights2
         if V is not None:
             de = added_loop_energies(paths, configs2, V, beta, region)

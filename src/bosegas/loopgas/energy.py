@@ -39,10 +39,10 @@ winding * n_slices + 1 is refused with ValueError wherever it enters.
 The trapezoid kernel makes one pass per potential kind over arrays it owns.
 It takes the displacements at their minimum image (periodic boxes; a new
 array, so the caller's displacements are left as they are), forms the
-squared distances r2 in one einsum, and hands r2 to `V.of_squared`, which
-returns V at sqrt(r2) and may overwrite r2 in place: the hard core and the
-Gaussian bump evaluate there in one pass, any other potential takes the
-square root and its own call.  Each kind returns the bits of V(r), so the
+squared distances r2 in one einsum (one square at d = 1), and hands r2 to
+`V.of_squared`, which returns V at sqrt(r2) and may overwrite r2 in place:
+the hard core and the Gaussian bump evaluate there in one pass, any other
+potential takes the square root and its own call.  Each kind returns the bits of V(r), so the
 energies do not depend on which path priced them.
 
 A hard-core contact returns +inf, which the Gibbs weight turns into zero.
@@ -129,7 +129,7 @@ def _leg_pair_energies(diff: np.ndarray, V: PairPotential, beta: float, region: 
     are a buffer of the kernel's own, which V.of_squared may overwrite."""
     if region.boundary == PERIODIC:
         diff = min_image(diff, region.L)
-    r2 = np.einsum("...k,...k->...", diff, diff)
+    r2 = np.square(diff[..., 0]) if diff.shape[-1] == 1 else np.einsum("...k,...k->...", diff, diff)
     w = _trapezoid_weights(region.n_slices + 1, beta / region.n_slices)
     return V.of_squared(r2) @ w
 

@@ -21,11 +21,13 @@ loops.py, which covers every winding the identity checks reach.
 
 A test function with a declared support [0, t_max] reads only the knots
 with t <= t_max.  Where a periodic path serves nothing else, its caller fills
-only that prefix (`_fill_loop_paths(..., knots=k)`, see `_live_knots`); every
-normal is still drawn, so the generator stream does not change, and
+only that prefix (`_fill_loop_paths(..., knots=k)`, see `_live_knots`):
+fill_bridges draws only the normals those knots read, so the prefix has the
+law of a whole path's first knots on a shorter generator stream, and
 time_integrals takes the full knot count so the trapezoid weights are those
 of the whole path.  Dirichlet paths are always filled whole: the survival
-test reads every knot.
+test reads every knot.  time_integrals_of integrates a list of test
+functions over one block of paths, wrapping each chunk once for all of them.
 """
 
 import numpy as np
@@ -127,8 +129,9 @@ def _fill_loop_paths(bases: np.ndarray, j: int, beta: float, region: BoxRegion, 
     """Paths for a batch of j-loops; returns (paths, images) with survival applied
     for Dirichlet walls (resampling rejected paths).
 
-    With `knots` given, periodic paths hold only their first `knots` knots
-    (the generator advances as for whole paths); Dirichlet paths stay whole.
+    With `knots` given, periodic paths hold only their first `knots` knots,
+    drawn from only the normals those knots read (fill_bridges); Dirichlet
+    paths stay whole.
     """
     count = bases.shape[0]
     n_int = j * region.n_slices
@@ -228,46 +231,56 @@ def _live_knots(fs, n_knots: int, dtau: float) -> int:
     return max(int(np.searchsorted(ts, getattr(f, "t_max", np.inf), side="right")) for f in fs)
 
 
-def time_integrals(paths: np.ndarray, f, beta: float, region: BoxRegion, n_knots: int | None = None) -> np.ndarray:
-    """Trapezoid integral of f(tau, omega(tau)) over [0, K dtau] along each
-    unwrapped path of a block (..., K + 1, d); returns shape (...).
+def time_integrals_of(paths: np.ndarray, fs, beta: float, region: BoxRegion, n_knots: int | None = None) -> np.ndarray:
+    """Trapezoid integrals of each test function of fs, f(tau, omega(tau)) over
+    [0, K dtau], along each unwrapped path of a block (..., K + 1, d); returns
+    shape (..., len(fs)).
 
-    f is called on knot times and wrapped positions (rows, knots, d) and must
-    broadcast over the leading axes.  Rows come in chunks, so the temporaries
-    stay bounded whatever the block size, and a test function with a declared
-    time support [0, t_max] is evaluated only at the knots inside it.  The
-    paths may be prefixes of paths of n_knots knots that hold every knot f
-    reads; the integral is then that of the whole paths, bit for bit.
+    Each f is called on knot times and wrapped positions (rows, knots, d) and
+    must broadcast over the leading axes.  Rows come in chunks, so the
+    temporaries stay bounded whatever the block size.  A test function with a
+    declared time support [0, t_max] is evaluated only at the knots inside it:
+    each chunk is wrapped once, up to the last knot any f reads, and every f
+    sees its own leading slice of it.  The paths may be prefixes of paths of
+    n_knots knots that hold every knot the fs read; the integrals are then
+    those of the whole paths, bit for bit.
     """
     paths = np.asarray(paths, dtype=float)
     given, d = paths.shape[-2:]
     n_knots = given if n_knots is None else n_knots
     flat = paths.reshape(-1, given, d)
     dtau = beta / region.n_slices
-    live = _live_knots([f], n_knots, dtau)
+    lives = [_live_knots([f], n_knots, dtau) for f in fs]
+    live = max(lives, default=0)
     if live > given:
-        raise ValueError(f"paths hold {given} knots, but f reads {live} of {n_knots}")
+        raise ValueError(f"paths hold {given} knots, but the test functions read {live} of {n_knots}")
     ts, w = dtau * np.arange(live), _trapezoid_weights(n_knots, dtau)[:live]
-    out = np.empty(flat.shape[0])
+    out = np.empty((flat.shape[0], len(fs)))
     rows = max(1, _CHUNK_FLOATS // (max(live, 1) * d))
     for a in range(0, flat.shape[0], rows):
-        xs = wrap_positions(flat[a : a + rows, :live], region)
-        vals = np.broadcast_to(f(ts, xs), xs.shape[:-1])
-        out[a : a + rows] = (vals * w).sum(axis=-1)
-    return out.reshape(paths.shape[:-2])
+        wrapped = wrap_positions(flat[a : a + rows, :live], region)
+        for k, (f, n) in enumerate(zip(fs, lives)):
+            xs = wrapped[:, :n]
+            vals = np.broadcast_to(f(ts[:n], xs), xs.shape[:-1])
+            out[a : a + rows, k] = (vals * w[:n]).sum(axis=-1)
+    return out.reshape(*paths.shape[:-2], len(fs))
+
+
+def time_integrals(paths: np.ndarray, f, beta: float, region: BoxRegion, n_knots: int | None = None) -> np.ndarray:
+    """time_integrals_of one test function f: shape (...)."""
+    return time_integrals_of(paths, [f], beta, region, n_knots)[..., 0]
 
 
 def loop_integrals(config: LoopConfiguration | LoopBatch, fs, beta: float, region: BoxRegion) -> np.ndarray:
     """(n_loops, len(fs)) time integrals I_f(w) of each test function along
     each loop of a configuration or a batch; the loops of one winding go
-    through one time_integrals call."""
+    through one time_integrals_of call."""
     out = np.empty((config.windings.size, len(fs)))
     lengths = np.diff(config.offsets)
     for n_knots in np.unique(lengths):
         loops = np.flatnonzero(lengths == n_knots)
         paths = config.knots[config.offsets[loops, None] + np.arange(n_knots)]
-        for k, f in enumerate(fs):
-            out[loops, k] = time_integrals(paths, f, beta, region)
+        out[loops] = time_integrals_of(paths, fs, beta, region)
     return out
 
 

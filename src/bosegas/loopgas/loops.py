@@ -36,9 +36,12 @@ of all its normals (in schedule order, as the recursion consumed them) and
 one matrix product.  Maps of up to _CACHED_INTERVALS = 256 intervals (about
 0.5 MB each) are cached, which covers every winding the samplers reuse.  A
 caller that reads only the first k knots (a test function that vanishes
-after t_max) asks fill_bridges for knots=k: every normal is still drawn, so
-the generator stream is the same, and only the map's first k rows are
-applied.
+after t_max) asks fill_bridges for knots=k.  A midpoint enters only the knots
+strictly inside its range, so those k knots read the endpoints and the
+midpoints whose range starts before knot k - 1: only their normals are
+drawn, and only the map's first k rows over their columns are applied.  The
+k knots have the law of a whole bridge's first k knots, drawn from a
+shorter stream; a whole fill draws every normal, as the recursion does.
 
 Every periodic bridge, closed loop or open path, ends at a winding image of
 its end point, drawn by `draw_images` with the heat-kernel image weights.
@@ -398,27 +401,38 @@ def fill_bridges(
 
     x0, x1: (batch, d) endpoints; returns (batch, n_intervals + 1, d) with the
     exact Gaussian bridge law at the knot times (variance 2 t per coordinate).
-    The generator is advanced by one (n_intervals - 1, batch, d) normal draw,
-    the stream the recursion draws midpoint by midpoint.  With `knots` given,
-    only the first `knots` knots are filled and returned, (batch, knots, d),
-    from the same draw.  They equal the whole bridges' first knots bit for
-    bit when BLAS sums each column of the narrower product as it does in the
-    full one; with OpenBLAS that held at every size the identity checks use,
-    while a one-row product (a matrix-vector call), and with two BLAS threads
-    some prefixes of over 100 knots, differed by rounding (at most 4e-15).
+    A whole fill advances the generator by one (n_intervals - 1, batch, d)
+    normal draw, the stream the recursion draws midpoint by midpoint.
+
+    With `knots` given (1 .. n_intervals + 1), only the first `knots` knots
+    are filled and returned, (batch, knots, d).  Midpoint (a, m, b) enters
+    knots a + 1 .. b - 1 only, so those knots read the map's columns that are
+    nonzero in its first `knots` rows: the endpoints and the midpoints with
+    a < knots - 1.  Only their normals are drawn, one (columns - 2, batch, d)
+    block in schedule order, and the map's first rows over those columns are
+    applied.  The knots keep the law of the whole bridge's first knots, on a
+    stream of their own; at knots = n_intervals + 1 every column is read, and
+    the draw and the product are those of a whole fill.
     """
     batch, d = x0.shape
-    # the map's input: the endpoints, then the midpoint normals
-    src = np.empty((n_intervals + 1, batch, d))
+    rows = n_intervals + 1 if knots is None else knots
+    if not 1 <= rows <= n_intervals + 1:
+        raise ValueError(f"knots = {knots} outside 1 .. n_intervals + 1 = {n_intervals + 1}")
+    small = n_intervals <= _CACHED_INTERVALS
+    bridge_map = (_cached_bridge_map if small else _bridge_map)(n_intervals, dtau)
+    coef = bridge_map[:rows]
+    if rows <= n_intervals:  # a prefix reads the map's columns nonzero in its rows
+        read = coef.any(axis=0)
+        read[1] = True  # x1 enters every knot but the first
+        coef = coef.compress(read, axis=1)
+    # the map's input: the endpoints, then the normals of the midpoints read
+    src = np.empty((coef.shape[1], batch, d))
     src[0] = x0
     src[1] = x1
     rng.standard_normal(out=src[2:])
-    small = n_intervals <= _CACHED_INTERVALS
-    bridge_map = (_cached_bridge_map if small else _bridge_map)(n_intervals, dtau)
-    rows = n_intervals + 1 if knots is None else knots
     # with the draw transposed, BLAS writes each coordinate's knots in a row,
     # and only the d coordinates of a bridge remain to be interleaved
-    out = src.reshape(n_intervals + 1, -1).T.dot(bridge_map[:rows].T).reshape(batch, d, rows)
+    out = src.reshape(coef.shape[1], -1).T.dot(coef.T).reshape(batch, d, rows)
     return np.ascontiguousarray(out.swapaxes(1, 2))
 
 

@@ -11,13 +11,15 @@ The energy kernel prices squared distances: `PairPotential.of_squared(r2)`
 returns V at sqrt(r2) elementwise and may overwrite r2.  Its default takes
 the square root in place and calls the potential, so any callable works.
 The factories return private kinds that evaluate in one pass of in-place
-operations on that buffer: `hard_core` compares the distance with the core
-radius, and `gaussian_repulsion` runs the bump's own operations in their
-order.  Each kind returns, element by element, the bits of `V(r)`.
+operations on that buffer: `hard_core` compares r2 with the smallest double
+whose square root reaches the core radius, so it takes no square root, and
+`gaussian_repulsion` runs the bump's own operations in their order.  Each
+kind returns, element by element, the bits of `V(r)`.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -113,12 +115,26 @@ _INF_BITS = np.uint64(0x7FF0000000000000)
 class _HardCore(PairPotential):
     """hard_core's kind: +inf inside the core, +0.0 outside, written over r2.
 
-    The values are written as bit patterns, inside * _INF_BITS, with no
-    branch on the data: np.where's per-element branch mispredicts on the
-    scattered contacts of a gas and costs more than the rest of the pass."""
+    Inside the core is r2 < t, with t the smallest double whose sqrt is at
+    least the radius: sqrt is correctly rounded, hence monotone, so that is
+    sqrt(r2) < radius for every r2 >= 0 (and false for nan and inf), with no
+    square root taken.  The values are written as bit patterns, inside *
+    _INF_BITS, with no branch on the data: np.where's per-element branch
+    mispredicts on the scattered contacts of a gas and costs more than the
+    rest of the pass."""
+
+    @cached_property
+    def core_r2(self) -> float:
+        """The smallest double t with sqrt(t) >= hard_core."""
+        t = self.hard_core * self.hard_core
+        while np.sqrt(t) >= self.hard_core:
+            t = np.nextafter(t, 0.0)
+        while np.sqrt(t) < self.hard_core:
+            t = np.nextafter(t, np.inf)
+        return float(t)
 
     def of_squared(self, r2):
-        inside = np.sqrt(r2, out=r2) < self.hard_core
+        inside = r2 < self.core_r2
         return np.multiply(inside, _INF_BITS, out=r2.view(np.uint64)).view(np.float64)
 
 

@@ -152,19 +152,23 @@ def window_mean(z, region, t_max, j_max=None):
 # configuration); the pairing-vector evaluation must reproduce them.  lhs,
 # lhs_err and mean_pairing hold the exact periodic E<phi,f>: each lhs moved
 # from the Monte Carlo one by -(its change in E<phi,f>) * mean(F G), the
-# samples being the same.
+# samples being the same.  The V = 0 rhs and rhs_err come from prefix bridge
+# fills, which draw only the normals of the knots the test functions read:
+# windings of 3 and more (more knots than g's 17) take a shorter stream, of
+# the same law, so those two values moved when the prefixes stopped drawing
+# the unread normals; the hard-core cases fill whole bridges and did not.
 PINNED_IBP = {
     ("pairing", 0.4): dict(
-        lhs=-0.012739127532952524, rhs=-0.014291698914050136,
-        lhs_err=0.013022188335445843, rhs_err=0.010431734003114831, mean_pairing=0.3458844854458552,
+        lhs=-0.012739127532952524, rhs=-0.015400576898008483,
+        lhs_err=0.013022188335445843, rhs_err=0.010417504145535028, mean_pairing=0.3458844854458552,
     ),
     ("pairing", 0.2): dict(
         lhs=0.0011277156833905534, rhs=0.004247465946914795,
         lhs_err=0.002448798547300321, rhs_err=0.004448216483010558, mean_pairing=0.1548157704106137,
     ),
     ("exp", 0.4): dict(
-        lhs=-0.11373343841458304 + 0.028219535308678108j, rhs=-0.01915341919431579 - 0.0062071315781898374j,
-        lhs_err=0.0685893298637612, rhs_err=0.02121797207393195, mean_pairing=0.3458844854458552,
+        lhs=-0.11373343841458304 + 0.028219535308678108j, rhs=-0.018028021941243748 - 0.006475061634774584j,
+        lhs_err=0.0685893298637612, rhs_err=0.02121344107762057, mean_pairing=0.3458844854458552,
     ),
     ("exp", 0.2): dict(
         lhs=-0.005658260951871563 + 0.014344850051046465j, rhs=-0.032625166557181146 - 0.005520858947090996j,

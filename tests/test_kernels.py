@@ -29,7 +29,9 @@ from bosegas.loopgas.free import (
     loop_time_integral,
     pairing,
     time_integrals,
+    time_integrals_of,
 )
+from bosegas.loopgas import free
 from bosegas.loopgas.checks import gibbs_weights
 from bosegas.loopgas.regions import _image_range
 from bosegas.loopgas.energy import added_loop_energies, interaction_energies
@@ -116,6 +118,28 @@ class TestTimeIntegrals:
         assert block.shape == (30, 100)
         np.testing.assert_array_equal(block.ravel(), flat)
 
+    @pytest.mark.parametrize("chunk_floats", [64, free._CHUNK_FLOATS])
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_list_equals_single_calls(self, j, boundary, chunk_floats, monkeypatch):
+        # mixed supports (t_max 1.6, 0.5, 2.0) and one function without a
+        # support; chunks of 64 floats hold a few rows of the longest slice
+        monkeypatch.setattr(free, "_CHUNK_FLOATS", chunk_floats)
+        region = BoxRegion(d=2, L=4.0, boundary=boundary, n_slices=6)
+        paths = _paths(region, j, 40, seed=60 + j).reshape(4, 10, -1, 2)
+        n_knots = paths.shape[-2]
+        supported, unsupported = TEST_FUNCTIONS, [*TEST_FUNCTIONS, _wave]
+        live = max(int(np.searchsorted(np.arange(n_knots) / 6, f.t_max, side="right")) for f in supported)
+        for fs, given in ((unsupported, n_knots), (supported, n_knots), (supported, live)):
+            got = time_integrals_of(paths[..., :given, :], fs, BETA, region, n_knots)
+            assert got.shape == (4, 10, len(fs))
+            for k, f in enumerate(fs):
+                np.testing.assert_array_equal(got[..., k], time_integrals(paths, f, BETA, region))
+                np.testing.assert_array_equal(got[..., k], time_integrals(paths[..., :given, :], f, BETA, region, n_knots))
+        if live < n_knots:
+            with pytest.raises(ValueError, match="knots"):
+                time_integrals_of(paths[..., :live, :], unsupported, BETA, region, n_knots)
+
     @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
     def test_loop_and_configuration_pairings(self, boundary):
         region = BoxRegion(d=2, L=6.0, boundary=boundary, n_slices=6)
@@ -198,31 +222,111 @@ class TestDirichletMassesLargeTime:
         assert len(knots) and ((knots > 0) & (knots < region.L)).all()
 
 
+def _prefix_columns(n, k):
+    """Bridge-map columns the first k knots of an n-interval bridge read: the
+    endpoints and the midpoints (a, m, b) with a < k - 1, which enter knots
+    a + 1 .. b - 1 only."""
+    mids = [2 + i for i, (a, _, _) in enumerate(_midpoint_schedule(n)) if a < k - 1]
+    return np.array([0, 1, *mids])
+
+
+def _map_applied(x0, x1, normals, coef):
+    """Knots (batch, rows, d) of the map rows coef (rows, cols) applied to the
+    endpoints and normals (cols - 2, batch, d), by fill_bridges' product."""
+    batch, d = x0.shape
+    src = np.concatenate([x0[None], x1[None], normals])
+    out = src.reshape(len(src), -1).T.dot(np.ascontiguousarray(coef).T)
+    return np.ascontiguousarray(out.reshape(batch, d, -1).swapaxes(1, 2))
+
+
+def _whole_bridges_through(x0, x1, n, cols, normals, seed):
+    """Whole bridges whose midpoints in cols take the given normals and every
+    other midpoint a normal of generator(seed)."""
+    batch, d = x0.shape
+    full = generator(seed).standard_normal((n + 1, batch, d))
+    full[cols[2:]] = normals
+    return _map_applied(x0, x1, full[2:], _bridge_map(n, 0.125))
+
+
 class TestPrefixFills:
     @pytest.mark.parametrize("j", [1, 2, 9, 13, 22])
     @pytest.mark.parametrize("batch,d", [(300, 1), (1200, 1), (40, 3)])
     def test_prefix_equals_whole_bridges(self, j, batch, d):
-        # the checks' sizes: 8 slices, t_max = 1 or 2 (9 or 17 knots)
+        # the checks' sizes: 8 slices, t_max = 1 or 2 (9 or 17 knots).  A
+        # prefix of every knot is the whole fill, stream included; a shorter
+        # prefix is the map's first k rows over the columns they read,
+        # applied to a draw of just those columns' normals, and so the first
+        # k knots of whole bridges whatever their other midpoints draw
         n = 8 * j
         x0 = generator(j).uniform(0, 5, (batch, d))
         x1 = x0 + 5.0 * generator(j + 1).integers(-1, 2, (batch, d))
         whole_rng = generator(3)
         whole = fill_bridges(x0, x1, n, 0.125, whole_rng)
-        for k in sorted({1, min(9, n + 1), min(17, n + 1), n + 1}):
+        rng = generator(3)
+        np.testing.assert_array_equal(fill_bridges(x0, x1, n, 0.125, rng, knots=n + 1), whole)
+        assert rng.bit_generator.state == whole_rng.bit_generator.state
+        for k in sorted({1, min(9, n), min(17, n)}):
+            cols = _prefix_columns(n, k)
+            twin = generator(3)
+            normals = twin.standard_normal((cols.size - 2, batch, d))
             rng = generator(3)
             part = fill_bridges(x0, x1, n, 0.125, rng, knots=k)
             assert part.shape == (batch, k, d)
-            np.testing.assert_array_equal(part, whole[:, :k])
-            assert rng.bit_generator.state == whole_rng.bit_generator.state
+            np.testing.assert_array_equal(part, _map_applied(x0, x1, normals, _bridge_map(n, 0.125)[:k, cols]))
+            assert rng.bit_generator.state == twin.bit_generator.state
+            through = _whole_bridges_through(x0, x1, n, cols, normals, seed=k)
+            np.testing.assert_allclose(part, through[:, :k], rtol=0, atol=1e-13)
 
     def test_single_row_prefix_within_rounding(self):
-        # a one-row product is a BLAS matrix-vector call, whose kernel may sum
-        # a narrower product in another order
+        # one row: BLAS takes the product as a matrix-vector call, whose
+        # kernel may sum the narrower product in another order
         x0 = np.array([[1.0]])
-        whole = fill_bridges(x0, x0 + 5.0, 100, 0.125, generator(3))
         for k in (2, 17, 51):
+            cols = _prefix_columns(100, k)
+            normals = generator(3).standard_normal((cols.size - 2, 1, 1))
             part = fill_bridges(x0, x0 + 5.0, 100, 0.125, generator(3), knots=k)
-            np.testing.assert_allclose(part, whole[:, :k], rtol=0, atol=1e-14)
+            through = _whole_bridges_through(x0, x0 + 5.0, 100, cols, normals, seed=k)
+            np.testing.assert_allclose(part, through[:, :k], rtol=0, atol=1e-14)
+
+    def test_prefix_law_is_the_bridge_law(self):
+        # 200 000 prefixes of 17 knots of 176-interval bridges (22 legs of 8
+        # slices) against the exact bridge: mean x0 + (x1 - x0) t / T and
+        # covariance 2 min(s, t) (T - max(s, t)) / T.  The same statistic of
+        # the same normals with any one read column dropped must fail.
+        n, k, dtau, chunk, n_chunks = 176, 17, 0.125, 50_000, 4
+        x0, x1 = np.full((chunk, 1), 0.7), np.full((chunk, 1), 5.7)
+        t, T = dtau * np.arange(1, k), dtau * n
+        mean = 0.7 + 5.0 * t / T
+        cov = 2 * np.minimum.outer(t, t) * (T - np.maximum.outer(t, t)) / T
+        sd = np.sqrt(np.diag(cov))
+        cols = _prefix_columns(n, k)
+        coef = _bridge_map(n, dtau)[1:k, cols[2:]]
+        rng, twin = generator(11), generator(11)
+        total, outer, z_outer = np.zeros(k - 1), np.zeros((k - 1, k - 1)), np.zeros((cols.size - 2,) * 2)
+        for _ in range(n_chunks):
+            x = fill_bridges(x0, x1, n, dtau, rng, knots=k)[:, :, 0]
+            assert (x[:, 0] == 0.7).all()
+            total += x[:, 1:].sum(axis=0)
+            outer += (x[:, 1:] - mean).T @ (x[:, 1:] - mean)
+            z = twin.standard_normal((cols.size - 2, chunk))
+            z_outer += z @ z.T
+        size = chunk * n_chunks
+        assert (np.abs(total / size - mean) < 5 * sd / np.sqrt(size)).all()
+
+        def worst(c):  # largest covariance error, in correlation units
+            return np.abs((c - cov) / np.outer(sd, sd)).max()
+
+        assert worst(outer / size) < 0.015
+        assert worst(coef @ (z_outer / size) @ coef.T) < 0.015
+        for c in range(coef.shape[1]):
+            dropped = np.delete(coef, c, axis=1)
+            z_kept = np.delete(np.delete(z_outer, c, axis=0), c, axis=1)
+            assert worst(dropped @ (z_kept / size) @ dropped.T) > 0.025, c
+
+    @pytest.mark.parametrize("bad", [-3, 0, 10, 20])
+    def test_knots_outside_the_bridge_refused(self, bad):
+        with pytest.raises(ValueError, match="knots"):
+            fill_bridges(np.zeros((4, 1)), np.ones((4, 1)), 8, 0.125, generator(1), knots=bad)
 
     @pytest.mark.parametrize("j", [1, 3, 22])
     def test_time_integral_of_prefix_is_whole_integral(self, j):

@@ -79,3 +79,32 @@ class TestStabilityProperty:
         vals = V(r[iu])
         finite = vals[np.isfinite(vals)]
         assert finite.sum() >= -V.stability_B * n - 1e-9
+
+
+class TestHardCoreOnSquares:
+    """The hard core compares r2 with t, the smallest double whose sqrt reaches
+    the radius, and so keeps the bits of the sqrt form for every r2 >= 0."""
+
+    @staticmethod
+    def _sqrt_form(r2, radius):
+        return np.where(np.sqrt(r2) < radius, np.inf, 0.0)
+
+    @pytest.mark.parametrize("radius", [0.4, 1.0, 1 / 3, 0.1, 2.5, 7.77, 1e-3])
+    def test_at_the_threshold(self, radius):
+        V = hard_core(1, radius)
+        t = V.core_r2
+        below = np.nextafter(t, 0.0)
+        assert np.sqrt(below) < radius <= np.sqrt(t)
+        r2 = np.array([t, below, 0.0, np.inf, np.nextafter(t, np.inf), radius * radius])
+        got = V.of_squared(r2.copy())
+        assert got[:4].tolist() == [0.0, np.inf, np.inf, 0.0]
+        assert got.tobytes() == self._sqrt_form(r2, radius).tobytes()
+
+    def test_near_the_threshold_at_random_radii(self):
+        rng = np.random.default_rng(5)
+        for radius in rng.uniform(1e-3, 10.0, 30):
+            V = hard_core(3, radius)
+            t = V.core_r2
+            near = t + np.arange(-8, 9) * np.spacing(t)
+            r2 = np.concatenate([near, rng.uniform(0.0, 4 * t, 50), [0.0, np.inf]])
+            assert V.of_squared(r2.copy()).tobytes() == self._sqrt_form(r2, radius).tobytes()
