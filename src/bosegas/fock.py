@@ -8,10 +8,12 @@ gauge-invariant interaction enters only through its occupation-diagonal part
           + (1/(2|box|)) sum_{k != k'} Vhat(k - k') n_k n_k'.
 
 Enumeration is exhaustive and lexicographic, and one pass (`_fock_sums`)
-yields every sum the three traces need; `exact_traces` returns all three
-from it.  The state space is a product: every head row (n_1..n_{M-1}) is
-enumerated, in blocks of whole runs of the last head mode, and the last mode
-is an axis t = 0..n_max, so a block's energies are
+yields every sum the three traces need.  Its one caller, `_traces`, refuses
+a cutoff that carries weight, and every trace is a view of it, so they all
+share that refusal; `exact_traces` returns all three.  The state space is a
+product: every head row (n_1..n_{M-1}) is enumerated, in blocks of whole runs
+of the last head mode, and the last mode is an axis t = 0..n_max, so a
+block's energies are
 
     E = A_h + B_t + C_h t,   C_h = 2 sum_{k in head} (Vhat(0) + Vhat(k, M)) n_k / (2|box|),
 
@@ -32,7 +34,7 @@ bit-for-bit whatever the thread count.
 """
 
 from dataclasses import dataclass
-from math import exp, fsum, isfinite, log
+from math import exp, fsum, inf, isfinite, log
 
 import numpy as np
 
@@ -219,18 +221,19 @@ def _fock_sums(
     return fsum(z_parts), boundary, num, hist, shift
 
 
-def exact_traces(
+def _traces(
     fock: TruncatedFock,
     beta: float,
     mu: float,
-    interaction: DiagonalInteraction | None = None,
+    interaction: DiagonalInteraction | None,
     tail_tol: float = 1e-12,
 ) -> tuple:
-    """(Z, <n_k>, P(n_0 = m)) from one enumeration, with exact_partition's refusals.
+    """(Z, log Z, <n_k>, P(n_0 = m)) from one pass, refused when the cutoff bites.
 
-    The three values equal those of exact_partition, exact_occupations and
-    exact_zero_mode_statistics bit for bit; the refusals come in the order
-    CondensationBoundaryError, TruncationError, OverflowError.
+    Raises CondensationBoundaryError (from _fock_sums) and TruncationError when
+    states with any occupation at the cutoff carry more than tail_tol of the
+    total weight.  Z is inf when it exceeds the double range; log Z and the
+    ratios (occupations, histogram) stay finite.
     """
     Z, boundary, num, hist, shift = _fock_sums(fock, beta, mu, interaction)
     if boundary > tail_tol * Z:
@@ -239,58 +242,47 @@ def exact_traces(
         )
     occupations = num / Z
     log_z = log(Z) - beta * shift
-    if log_z < _LOG_MAX:
-        Z *= exp(-beta * shift)
-    if not (log_z < _LOG_MAX and isfinite(Z)):
-        raise OverflowError(f"Z = exp({log_z:.6g}) exceeds the double range")
-    return Z, occupations, hist / hist.sum()
+    Z = Z * exp(-beta * shift) if log_z < _LOG_MAX else inf
+    return Z, log_z, occupations, hist / hist.sum()
 
 
-def exact_partition(
+def exact_traces(
     fock: TruncatedFock,
     beta: float,
     mu: float,
     interaction: DiagonalInteraction | None = None,
     tail_tol: float = 1e-12,
-) -> float:
-    """Z as a compensated sum over all occupation tuples.
+) -> tuple:
+    """(Z, <n_k>, P(n_0 = m)) from one enumeration.
 
     Raises CondensationBoundaryError for a free gas with mu <= -min(energies)
-    (the same domain as the spectral pressure), OverflowError when Z exceeds
-    the double range, and TruncationError when states with any occupation at
-    the cutoff carry more than tail_tol of the total weight (cutoff too small).
+    (the same domain as the spectral pressure), TruncationError when states
+    with any occupation at the cutoff carry more than tail_tol of the total
+    weight (cutoff too small), and OverflowError when Z exceeds the double
+    range, in that order.
     """
-    return exact_traces(fock, beta, mu, interaction, tail_tol)[0]
+    Z, log_z, occupations, hist = _traces(fock, beta, mu, interaction, tail_tol)
+    if not isfinite(Z):
+        raise OverflowError(f"Z = exp({log_z:.6g}) exceeds the double range")
+    return Z, occupations, hist
 
 
-def exact_occupations(
-    fock: TruncatedFock,
-    beta: float,
-    mu: float,
-    interaction: DiagonalInteraction | None = None,
-) -> np.ndarray:
-    """Gibbs averages <n_k> over the same enumeration; sums to <N>."""
-    Z, _, num, _, _ = _fock_sums(fock, beta, mu, interaction)
-    return num / Z
+def exact_partition(fock, beta, mu, interaction=None) -> float:
+    """Z as a compensated sum over all occupation tuples, with exact_traces' refusals."""
+    return exact_traces(fock, beta, mu, interaction)[0]
 
 
-def exact_zero_mode_statistics(
-    fock: TruncatedFock,
-    beta: float,
-    mu: float,
-    interaction: DiagonalInteraction | None = None,
-) -> np.ndarray:
-    """Full histogram P(n_0 = m), m = 0..n_max, for the lowest-energy mode."""
-    hist = _fock_sums(fock, beta, mu, interaction)[3]
-    return hist / hist.sum()
+def exact_occupations(fock, beta, mu, interaction=None) -> np.ndarray:
+    """Gibbs averages <n_k>; sums to <N>.  Refused as exact_traces, but finite where Z overflows."""
+    return _traces(fock, beta, mu, interaction)[2]
 
 
-def mean_particle_number(
-    fock: TruncatedFock,
-    beta: float,
-    mu: float,
-    interaction: DiagonalInteraction | None = None,
-) -> float:
+def exact_zero_mode_statistics(fock, beta, mu, interaction=None) -> np.ndarray:
+    """P(n_0 = m), m = 0..n_max, for the lowest-energy mode; refused as exact_occupations."""
+    return _traces(fock, beta, mu, interaction)[3]
+
+
+def mean_particle_number(fock, beta, mu, interaction=None) -> float:
     return float(exact_occupations(fock, beta, mu, interaction).sum())
 
 
@@ -303,21 +295,25 @@ def solve_mu_for_number(
 ) -> float:
     """mu with <N>(mu) = n_target under the exact trace (for fixed-density studies).
 
-    For a free gas the bracket starts no lower than just above the
-    condensation boundary, at -min(energies) + 1e-14 as in spectral.solve_mu;
-    a target above the <N> that the truncated free gas holds there raises
-    CondensationBoundaryError.
+    The root is sought on the truncated model as it stands, cutoff weight and
+    all, and then refused (TruncationError) if its cutoff states carry more
+    than the default tail_tol.  For a free gas the bracket starts no lower
+    than just above the condensation boundary, at -min(energies) + 1e-14 as
+    in spectral.solve_mu; a target above the <N> that the truncated free gas
+    holds there raises CondensationBoundaryError.
     """
     from scipy.optimize import brentq
 
-    f = lambda mu: mean_particle_number(fock, beta, mu, interaction) - n_target
+    number = lambda mu: float(_traces(fock, beta, mu, interaction, inf)[2].sum())
     lo, hi = bracket
     edge = -float(np.min(fock.energies)) + 1e-14
     if interaction is None and lo < edge:
         lo = edge
-        n_edge = mean_particle_number(fock, beta, lo)
+        n_edge = number(lo)
         if n_edge < n_target:
             raise CondensationBoundaryError(
                 f"n_target = {n_target} exceeds <N> = {n_edge:.6g} at the condensation boundary"
             )
-    return float(brentq(f, lo, hi, rtol=1e-12))
+    mu = float(brentq(lambda mu: number(mu) - n_target, lo, hi, rtol=1e-12))
+    _traces(fock, beta, mu, interaction)  # refuses a root heavy at the cutoff
+    return mu

@@ -136,7 +136,7 @@ def _campbell_mean(nus, beta, region, f) -> tuple:
     )
 
 
-def mean_pairing(z, beta, region, f, n_mc, seed, j_max=None) -> tuple:
+def mean_pairing(z, beta, region, f, n_mc, seed) -> tuple:
     """E<phi, f> = sum_j nu_j E_j[I_f] and its error: exact in periodic boxes,
     Monte Carlo in Dirichlet boxes.
 
@@ -155,7 +155,7 @@ def mean_pairing(z, beta, region, f, n_mc, seed, j_max=None) -> tuple:
     Dirichlet: the base points are not uniform, so each winding draws n_mc
     bridges (seeded by seed) and the sectors are summed by stratified_mean.
     """
-    nus, _ = winding_masses(z, beta, region, j_max)
+    nus, _ = winding_masses(z, beta, region)
     if region.boundary == PERIODIC:
         coarse, fine = _campbell_mean(nus, beta, region, f)
         return fine, abs(fine - coarse)
@@ -175,7 +175,6 @@ def integration_by_parts_check(
     G: CylindricalFunctional,
     n_mc: int,
     seed: int = 0,
-    j_max: int | None = None,
 ) -> dict:
     """Both sides of the point-process integration-by-parts identity.
 
@@ -196,10 +195,10 @@ def integration_by_parts_check(
     """
     kf = len(F.gs)
     fs = [*F.gs, *G.gs, f]  # pairing columns: F's [:kf], G's [kf:-1], f last
-    ef, ef_err = mean_pairing(z, beta, region, f, 4 * n_mc, derive_seed(seed, "ef"), j_max)
+    ef, ef_err = mean_pairing(z, beta, region, f, 4 * n_mc, derive_seed(seed, "ef"))
 
     # lhs: E[ (sum_w I_f(w) F(phi - d_w) - E<phi,f> F(phi)) G_eff(phi) ]
-    configs = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "lhs"), j_max)
+    configs = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "lhs"))
     weights = gibbs_weights(configs, V, beta, region)
     per_loop, owner, p = config_pairings(configs, fs, beta, region)
     charlier = per_loop[:, -1] * F.of(p[owner, :kf] - per_loop[:, :kf])
@@ -215,9 +214,9 @@ def integration_by_parts_check(
     )
 
     # rhs: sum_j nu_j E_bridge[I_f (F(phi) (G_eff(phi + d_w) - G_eff(phi)))]
-    nus, _ = winding_masses(z, beta, region, j_max)
+    nus, _ = winding_masses(z, beta, region)
     rngb = generator(derive_seed(seed, "rhs-bridges"))
-    configs2 = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "rhs"), j_max)
+    configs2 = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "rhs"))
     weights2 = gibbs_weights(configs2, V, beta, region)
     p2 = config_pairings(configs2, fs, beta, region)[2]
     f_plain = F.of(p2[:, :kf])
@@ -285,7 +284,7 @@ def trace_identity_check(
     rec = {"z": z, "spectral": lhs, "loop": rhs, "abs_diff": abs(lhs - rhs)}
     if V is None:
         return rec
-    configs = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "ti"), None)
+    configs = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "ti"))
     w = gibbs_weights(configs, V, beta, region)
     mean_w = w.mean()
     correction = float(np.log(mean_w))

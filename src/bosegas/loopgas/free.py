@@ -50,11 +50,11 @@ J_MAX_CAP = 400
 TAIL_TOL = 1e-10
 
 
-def winding_masses(z: float, beta: float, region: BoxRegion, j_max: int | None = None):
+def winding_masses(z: float, beta: float, region: BoxRegion):
     """Poisson means nu_j = (z^j / j) M_j(box) with the adaptive winding cutoff.
 
-    Without j_max the sum stops once the tail bound drops below TAIL_TOL, and
-    raises TruncationError if that takes more than J_MAX_CAP windings.
+    The sum stops once the tail bound drops below TAIL_TOL, and raises
+    TruncationError if that takes more than J_MAX_CAP windings.
     """
     if not (0 <= z < 1):
         raise ActivityError(f"activity z = {z} outside [0, 1): winding sum diverges")
@@ -69,11 +69,9 @@ def winding_masses(z: float, beta: float, region: BoxRegion, j_max: int | None =
         nus.append(z**j / j * m)
         # geometric bound on the dropped tail: sum_{k>j} z^k M_k / k
         tail = mass_sup * z ** (j + 1) / ((j + 1) * (1 - z))
-        if j_max is not None and j >= j_max:
+        if tail < TAIL_TOL:
             break
-        if j_max is None and tail < TAIL_TOL:
-            break
-        if j_max is None and j >= J_MAX_CAP:
+        if j >= J_MAX_CAP:
             raise TruncationError(
                 f"winding cutoff reached the cap J_MAX_CAP = {J_MAX_CAP} with tail bound "
                 f"{tail:.3g} >= {TAIL_TOL:g} (z={z}, beta={beta}, d={region.d}, L={region.L})"
@@ -82,16 +80,16 @@ def winding_masses(z: float, beta: float, region: BoxRegion, j_max: int | None =
     return np.array(nus), j
 
 
-def free_density(z: float, beta: float, region: BoxRegion, j_max: int | None = None) -> float:
+def free_density(z: float, beta: float, region: BoxRegion) -> float:
     """Particle density sum_j j nu_j / |box| of the free loop gas."""
-    nus, _ = winding_masses(z, beta, region, j_max)
+    nus, _ = winding_masses(z, beta, region)
     j = np.arange(1, nus.size + 1)
     return float((j * nus).sum() / region.volume)
 
 
-def free_log_partition(z: float, beta: float, region: BoxRegion, j_max: int | None = None) -> float:
+def free_log_partition(z: float, beta: float, region: BoxRegion) -> float:
     """log Z of the free loop gas: the Poisson identity log Z = sum_j nu_j."""
-    nus, _ = winding_masses(z, beta, region, j_max)
+    nus, _ = winding_masses(z, beta, region)
     return float(nus.sum())
 
 
@@ -169,15 +167,9 @@ def sector_bridges(nus, n_mc: int, beta: float, region: BoxRegion, rng, fs=None)
         yield nu, _fill_loop_paths(bases, j, beta, region, rng, knots)[0], n_knots
 
 
-def sample_free_poisson(
-    z: float,
-    beta: float,
-    region: BoxRegion,
-    rng_seed: int,
-    j_max: int | None = None,
-) -> LoopConfiguration:
+def sample_free_poisson(z: float, beta: float, region: BoxRegion, rng_seed: int) -> LoopConfiguration:
     """One draw of the free loop-gas configuration."""
-    return sample_free_poisson_batch(1, z, beta, region, rng_seed, j_max)[0]
+    return sample_free_poisson_batch(1, z, beta, region, rng_seed)[0]
 
 
 def sample_free_poisson_batch(
@@ -186,12 +178,11 @@ def sample_free_poisson_batch(
     beta: float,
     region: BoxRegion,
     rng_seed: int,
-    j_max: int | None = None,
 ) -> LoopBatch:
     """Batch of independent configurations as one LoopBatch.  Loops are
     generated vectorized per winding, then scattered into sample-major order,
     each sample's loops in increasing winding."""
-    nus, _ = winding_masses(z, beta, region, j_max)
+    nus, _ = winding_masses(z, beta, region)
     rng = generator(rng_seed)
     counts = np.zeros((n_configs, nus.size), dtype=int)  # loops per sample and winding
     blocks = []  # (j, paths, images) of each winding that has loops, rows in sample order
@@ -320,7 +311,6 @@ def characteristic_functional(
     f,
     n_mc: int,
     seed: int = 0,
-    j_max: int | None = None,
 ) -> dict:
     """The generating functional of the free measure, two independent ways.
 
@@ -329,7 +319,7 @@ def characteristic_functional(
     'empirical': mean of exp(i (phi, f)) over sampled configurations.  The two
     agree within errors when the sampler matches the intensity.
     """
-    nus, jm = winding_masses(z, beta, region, j_max)
+    nus, jm = winding_masses(z, beta, region)
     rng_formula = generator(derive_seed(seed, "cf-formula"))
     log_gamma, log_err = stratified_mean(
         (nu, np.exp(1j * time_integrals(paths, f, beta, region, n_knots)) - 1.0)
@@ -338,9 +328,7 @@ def characteristic_functional(
     formula = np.exp(log_gamma)
     formula_err = abs(formula) * log_err
 
-    configs = sample_free_poisson_batch(
-        n_mc, z, beta, region, derive_seed(seed, "cf-empirical"), j_max
-    )
+    configs = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "cf-empirical"))
     phases = np.exp(1j * config_pairings(configs, [f], beta, region)[2][:, 0])
     empirical, emp_err = stratified_mean([(1.0, phases)])
     return {
@@ -352,13 +340,13 @@ def characteristic_functional(
     }
 
 
-def free_rdm(z: float, beta: float, region: BoxRegion, x, y, j_max: int | None = None):
+def free_rdm(z: float, beta: float, region: BoxRegion, x, y):
     """Closed-form noninteracting one-particle kernel sum_j z^j p_{j beta}(x, y).
 
     x and y are points (d,) or arrays of points (..., d) that broadcast over
     their leading axes; a single pair gives a float.
     """
-    _, jm = winding_masses(z, beta, region, j_max)
+    _, jm = winding_masses(z, beta, region)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     total = 0.0

@@ -160,10 +160,9 @@ class GibbsChain:
         check_image_range(V, region)
         self.z, self.beta, self.region, self.V = z, beta, region, V
         self.rng = generator(rng_seed)
-        nus, self.j_max = winding_masses(z, beta, region)
-        self.nus = nus
-        self.nu_tot = float(nus.sum())
-        self._winding_cdf = _choice_table(nus / self.nu_tot)
+        self.nus = winding_masses(z, beta, region)[0]
+        self.nu_tot = float(self.nus.sum())
+        self._winding_cdf = _choice_table(self.nus / self.nu_tot)
         # a free draw can overlap a hard core; retry, then fall back to empty
         self.config = LoopConfiguration()
         self.energy = 0.0
@@ -598,17 +597,16 @@ def resume_gibbs(
 ) -> dict:
     """Continue a checkpointed chain; the trajectory matches an uninterrupted
     run exactly (the checkpoint carries the complete RNG state), and so do
-    the move counters and the N estimates.  A version-1 checkpoint carries
-    neither, so its counters and N trace restart at the resume."""
+    the move counters and the N estimates."""
     from ..records import load_loop_checkpoint
 
     config, sidecar = load_loop_checkpoint(checkpoint_base)
     chain = GibbsChain(z, beta, region, V, rng_seed=0)
     chain.config = config
-    state = sidecar.get("chain", {})
-    chain.energy = state["energy"] if "energy" in state else chain._total_energy(config)
-    chain.attempts.update(state.get("attempts", {}))
-    chain.accepts.update(state.get("accepts", {}))
+    state = sidecar["chain"]
+    chain.energy = state["energy"]
+    chain.attempts.update(state["attempts"])
+    chain.accepts.update(state["accepts"])
     chain.rng.bit_generator.state = sidecar["rng_state"]
     return gibbs_sample(
         z, beta, region, V, n_sweeps, rng_seed=0, thin=thin, burn=burn,

@@ -200,9 +200,9 @@ class LoopConfiguration:
         """Read-only views of every loop, in order."""
         return tuple(self.loop(i) for i in range(self.loop_count))
 
-    def winding_histogram(self, j_max: int) -> np.ndarray:
-        h = np.bincount(self.windings, minlength=j_max + 1)
-        return h[: j_max + 1]
+    def winding_histogram(self, top: int) -> np.ndarray:
+        """Loop counts of windings 0..top (a winding above top is not counted)."""
+        return np.bincount(self.windings, minlength=top + 1)[: top + 1]
 
     def copy(self) -> "LoopConfiguration":
         return LoopConfiguration(

@@ -83,7 +83,6 @@ def reduced_density_matrix(
     gibbs_configs=None,
     n_mc: int = 2000,
     seed: int = 0,
-    j_max: int | None = None,
 ) -> dict:
     """One-particle kernel rho(x|y) = sum_j z^j integral dW^{j beta}_{x|y} weight(omega).
 
@@ -92,7 +91,7 @@ def reduced_density_matrix(
     loop configuration) (V = None leaves weight 1).  When the estimate sinks
     below twice its error the record reports an upper bound instead of a value.
     """
-    _, jm = winding_masses(z, beta, region, j_max)
+    _, jm = winding_masses(z, beta, region)
     rng = generator(derive_seed(seed, "rdm"))
     dtau = beta / region.n_slices
     x = np.asarray(x, dtype=float)

@@ -126,29 +126,18 @@ def save_loop_checkpoint(
 
 
 def load_loop_checkpoint(path_base: str):
-    """(configuration, sidecar) of a version 1 or 2 checkpoint; the sidecar's
-    "N_history" is the array from the blob (empty for version 1, which
-    stored one path_i array per loop and no history)."""
-    from .loopgas.loops import BridgeLoop, LoopConfiguration
+    """(configuration, sidecar) of a version 2 checkpoint; the sidecar's
+    "N_history" is the array from the blob."""
+    from .loopgas.loops import LoopConfiguration
 
     with open(path_base + ".json") as fh:
         sidecar = json.load(fh)
-    if sidecar.get("version") not in (1, 2):
+    if sidecar.get("version") != 2:
         raise ValueError(f"unsupported loop checkpoint version {sidecar.get('version')!r}")
     with np.load(path_base + ".npz") as blobs:
-        if sidecar["version"] == 1:
-            config = LoopConfiguration(
-                loops=[
-                    BridgeLoop(base=None, winding=meta["winding"], path=blobs[f"path_{i}"],
-                               image=np.array(meta["image"], dtype=int))
-                    for i, meta in enumerate(sidecar["loops"])
-                ]
-            )
-            sidecar["N_history"] = np.zeros(0, dtype=np.int64)
-        else:
-            config = LoopConfiguration(
-                knots=blobs["knots"], offsets=blobs["offsets"],
-                windings=blobs["windings"], images=blobs["images"],
-            )
-            sidecar["N_history"] = blobs["N_history"]
+        config = LoopConfiguration(
+            knots=blobs["knots"], offsets=blobs["offsets"],
+            windings=blobs["windings"], images=blobs["images"],
+        )
+        sidecar["N_history"] = blobs["N_history"]
     return config, sidecar

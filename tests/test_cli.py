@@ -406,3 +406,21 @@ class TestLoopsDiagnostics:
             parse_run_config(write(tmp_path, "a.ini", LOOPS.replace("n_sweeps = 200", "n_sweeps = 49")))
         cfg = parse_run_config(write(tmp_path, "b.ini", LOOPS.replace("n_sweeps = 200", "n_sweeps = 50")))
         assert cfg.get("sampler", "n_sweeps") == 50
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED = sorted(name for name in os.listdir(CONFIG_DIR) if name.endswith(".ini"))
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_parses(self, name):
+        # each file is named after its kind
+        assert parse_run_config(os.path.join(CONFIG_DIR, name)).kind == name.removesuffix(".ini").split("-")[0]
+
+    def test_oracle_runs(self, tmp_path):
+        assert "oracle.ini" in SHIPPED
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", os.path.join(CONFIG_DIR, "oracle.ini"), "--out", str(out)]) == 0
+        recs = {r["observable"]: r["value"] for r in json.loads((out / "results.json").read_text())}
+        assert recs["logZ"] == pytest.approx(0.9274383835652091, rel=1e-13)  # the benchmark's free ln Z

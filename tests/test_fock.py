@@ -83,8 +83,9 @@ class TestOccupations:
         # hard truncation n_max = 1 with degenerate modes and uniform Vhat makes the
         # energy a pure function of N, so P(N) ~ C(M,N) exp(-beta E(N)) exactly
         M, lam0, beta, mu, v0, vol = 6, 0.2, 1.1, 0.3, 0.8, 2.0
+        # the truncated model itself, cutoff weight and all
         fock = TruncatedFock(energies=np.full(M, lam0), n_max=1)
-        occ = exact_occupations(fock, beta, mu, uniform_interaction(M, v0, vol))
+        occ = exact_traces(fock, beta, mu, uniform_interaction(M, v0, vol), tail_tol=1.0)[1]
         from math import comb
 
         Ns = np.arange(M + 1)
@@ -94,7 +95,7 @@ class TestOccupations:
         assert np.allclose(occ, n_mean / M, atol=1e-12)
 
     def test_sum_is_mean_number(self):
-        fock = TruncatedFock(energies=np.array([0.0, 1.0]), n_max=30)
+        fock = TruncatedFock(energies=np.array([0.0, 1.0]), n_max=45)
         occ = exact_occupations(fock, 1.0, 0.7)
         assert np.isclose(occ.sum(), mean_particle_number(fock, 1.0, 0.7), rtol=1e-14)
 
@@ -107,7 +108,7 @@ class TestZeroMode:
 
     def test_free_geometric(self):
         beta, mu = 1.0, 0.3
-        fock = TruncatedFock(energies=np.array([0.0, 2.0]), n_max=60)
+        fock = TruncatedFock(energies=np.array([0.0, 2.0]), n_max=100)
         hist = exact_zero_mode_statistics(fock, beta, mu)
         ratio = hist[1:6] / hist[0:5]
         assert np.allclose(ratio, np.exp(-beta * mu), atol=1e-10)
@@ -116,11 +117,11 @@ class TestZeroMode:
         # switching on diagonal repulsion at fixed <N>: direction of the variance
         # change is recorded as an observation, not asserted
         M, vol, beta = 3, 1.5, 1.0
-        fock = TruncatedFock(energies=np.array([0.0, 0.8, 0.8]), n_max=14)
+        fock = TruncatedFock(energies=np.array([0.0, 0.8, 0.8]), n_max=40)
         mu_free = solve_mu_for_number(fock, beta, 1.5, bracket=(-1.5, 30.0))
         inter = uniform_interaction(M, 1.5, vol)
         mu_int = solve_mu_for_number(fock, beta, 1.5, inter, bracket=(-1.5, 30.0))
-        m = np.arange(15)
+        m = np.arange(fock.n_max + 1)
 
         def variance(hist):
             return float((m**2 * hist).sum() - (m * hist).sum() ** 2)
@@ -153,11 +154,32 @@ class TestThermodynamicConsistency:
     def test_truncation_monotone(self):
         lam = np.array([0.0, 0.5])
         zs = [
-            exact_partition(TruncatedFock(energies=lam, n_max=n), 1.0, 1.0, tail_tol=1.0)
+            exact_traces(TruncatedFock(energies=lam, n_max=n), 1.0, 1.0, tail_tol=1.0)[0]
             for n in (4, 8, 16, 32)
         ]
         assert all(b >= a for a, b in zip(zs, zs[1:]))
         assert zs[-1] - zs[-2] < 1e-6 * zs[-1]
+
+
+class TestCutoffRefusal:
+    """Every view of the trace refuses a cutoff that carries weight, as
+    exact_traces does."""
+
+    fock = TruncatedFock(energies=np.array([0.0, 0.5, 1.0]), n_max=3)
+
+    def test_views_refuse_a_heavy_cutoff(self):
+        # the cutoff states carry 0.32 of the weight at mu = 0.05; the
+        # unrefused truncated sum reads <n_k> = [1.438, 0.865, 0.477]
+        for trace in (exact_traces, exact_partition, exact_occupations, exact_zero_mode_statistics,
+                      mean_particle_number):
+            with pytest.raises(TruncationError, match="3.215e-01"):
+                trace(self.fock, 1.0, 0.05)
+
+    def test_solve_mu_refuses_a_root_heavy_at_the_cutoff(self):
+        # <N> = 2 has its root at mu = 0.358 on the truncated model, where the
+        # cutoff states carry 0.18 of the weight
+        with pytest.raises(TruncationError, match="1.849e-01"):
+            solve_mu_for_number(self.fock, 1.0, 2.0)
 
 
 class TestInteractionValidation:
@@ -260,12 +282,13 @@ class TestAgainstBruteForce:
                 with pytest.raises(CondensationBoundaryError):
                     trace(fock, beta, mu, inter)
             return
-        assert exact_partition(fock, beta, mu, inter, tail_tol=1.0) == pytest.approx(Z, rel=1e-13)
-        np.testing.assert_allclose(exact_occupations(fock, beta, mu, inter), occ, rtol=1e-13)
-        np.testing.assert_allclose(exact_zero_mode_statistics(fock, beta, mu, inter), hist,
-                                   rtol=1e-13, atol=0)
+        # the truncated model itself: these cutoffs carry weight
+        got = exact_traces(fock, beta, mu, inter, tail_tol=1.0)
+        assert got[0] == pytest.approx(Z, rel=1e-13)
+        np.testing.assert_allclose(got[1], occ, rtol=1e-13)
+        np.testing.assert_allclose(got[2], hist, rtol=1e-13, atol=0)
         if chunk is not None and lam.size >= 3:
-            assert len(blocks) == 3 and min(blocks) > 1
+            assert len(blocks) == 1 and blocks[0] > 1
 
 
 class TestBelowLowestMode:
@@ -296,14 +319,27 @@ class TestBelowLowestMode:
         fock = TruncatedFock(energies=np.array([0.0, 0.5, 1.0]), n_max=3)
         with pytest.raises(CondensationBoundaryError):
             solve_mu_for_number(fock, 1.0, 5.0)
-        assert mean_particle_number(fock, 1.0, solve_mu_for_number(fock, 1.0, 2.0)) == pytest.approx(2.0)
+        deep = TruncatedFock(energies=fock.energies, n_max=60)  # <N> = 2 is refused at n_max = 3
+        assert mean_particle_number(deep, 1.0, solve_mu_for_number(deep, 1.0, 2.0)) == pytest.approx(2.0)
+
+    def test_interacting_occupations_at_the_cutoff_refused(self):
+        # n_0 = 39.99997 here is the cutoff itself, not the gas's occupation
+        inter = uniform_interaction(2, 0.5, 1.0)
+        for trace in (exact_occupations, exact_zero_mode_statistics, mean_particle_number):
+            with pytest.raises(TruncationError):
+                trace(self.fock, 1.0, -30.0, inter)
 
     def test_interacting_partition_overflow_raises(self):
+        # no weight at the cutoff, ln Z = 916.3: Z is beyond the double range,
+        # its ratios are not
         inter = uniform_interaction(2, 0.5, 1.0)
-        with pytest.raises(OverflowError):
-            exact_partition(self.fock, 1.0, -30.0, inter, tail_tol=1.0)
-        occ = exact_occupations(self.fock, 1.0, -30.0, inter)
-        assert np.all(np.isfinite(occ)) and np.all(occ > 0)
+        fock = TruncatedFock(energies=np.array([0.0, 0.5]), n_max=150)
+        with pytest.raises(OverflowError, match="exp\\(916.328"):
+            exact_partition(fock, 1.0, -30.0, inter)
+        occ = exact_occupations(fock, 1.0, -30.0, inter)
+        np.testing.assert_allclose(occ, [60.5, 5.6613619e-12], rtol=1e-7)
+        hist = exact_zero_mode_statistics(fock, 1.0, -30.0, inter)
+        assert hist @ np.arange(151) == pytest.approx(occ[0], rel=1e-12)
 
     def test_interacting_partition_finite_below_vacuum(self):
         # lowest state well below the vacuum but Z representable

@@ -109,13 +109,19 @@ class TestTimeIntegrals:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
             assert loop_time_integral(paths[3], f, BETA, region) == pytest.approx(want[3], rel=1e-12)
 
-    def test_leading_axes_and_chunks(self):
+    def test_leading_axes_and_chunks(self, monkeypatch):
         region = BoxRegion(d=2, L=4.0, n_slices=6)
-        paths = _paths(region, 2, 3000, seed=7)  # more rows than one chunk holds
-        f = TEST_FUNCTIONS[0]
+        paths = _paths(region, 2, 3000, seed=7)
+        f = TEST_FUNCTIONS[0]  # reads 10 knots of d = 2
+        whole = time_integrals(paths, f, BETA, region)  # one chunk
+        monkeypatch.setattr(free, "_CHUNK_FLOATS", 1000)  # 50 rows a chunk
+        chunks, wrap = [], free.wrap_positions
+        monkeypatch.setattr(free, "wrap_positions", lambda p, r: chunks.append(len(p)) or wrap(p, r))
         flat = time_integrals(paths, f, BETA, region)
         block = time_integrals(paths.reshape(30, 100, *paths.shape[1:]), f, BETA, region)
+        assert chunks == [50] * 120  # 60 chunks a call
         assert block.shape == (30, 100)
+        np.testing.assert_array_equal(flat, whole)
         np.testing.assert_array_equal(block.ravel(), flat)
 
     @pytest.mark.parametrize("chunk_floats", [64, free._CHUNK_FLOATS])

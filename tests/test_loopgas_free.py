@@ -63,8 +63,6 @@ class TestMassesAndActivity:
         region = BoxRegion(d=3, L=6.0)
         with pytest.raises(TruncationError, match="J_MAX_CAP.*tail"):
             winding_masses(0.999, 1.0, region)
-        nus, j = winding_masses(0.999, 1.0, region, j_max=500)  # an explicit cutoff is the caller's
-        assert j == 500 and nus.size == 500
 
     def test_below_the_cap_returns(self):
         nus, j = winding_masses(0.9, 1.0, BoxRegion(d=3, L=6.0))

@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from bosegas.loopgas import BoxRegion, sample_free_poisson
 from bosegas.records import (
@@ -63,7 +64,8 @@ def test_loop_checkpoint_roundtrip(tmp_path):
     assert sidecar["rng_state"]["state"] == 7
 
 
-def test_loop_checkpoint_version_1_still_loads(tmp_path):
+def test_loop_checkpoint_version_1_refused(tmp_path):
+    # version 1 (one path_i array per loop, no history) is no longer read
     region = BoxRegion(d=2, L=5.0, n_slices=4)
     cfg = sample_free_poisson(0.6, 1.0, region, rng_seed=4)
     base = str(tmp_path / "v1")
@@ -73,9 +75,5 @@ def test_loop_checkpoint_version_1_still_loads(tmp_path):
                    "loops": [{"winding": int(lp.winding), "image": [int(v) for v in lp.image]}
                              for lp in cfg.loops],
                    "rng_state": {}}, fh)
-    back, sidecar = load_loop_checkpoint(base)
-    assert np.array_equal(back.knots, cfg.knots)
-    assert np.array_equal(back.offsets, cfg.offsets)
-    assert np.array_equal(back.windings, cfg.windings)
-    assert np.array_equal(back.images, cfg.images)
-    assert sidecar["sweep"] == 7 and sidecar["N_history"].size == 0
+    with pytest.raises(ValueError, match="unsupported loop checkpoint version 1"):
+        load_loop_checkpoint(base)
