@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .records import ResultRecord, config_hash, write_records_csv, write_records_json
 from .rng import derive_seed
 from .runcfg import RunConfig, parse_potential, parse_run_config
@@ -60,30 +60,29 @@ def _run_ideal(cfg: RunConfig, seed: int):
 
     d = cfg.get("geometry", "d")
     L = cfg.get("geometry", "L")
-    rows, records = [], []
+    rows, records, extra = [], [], {}
     h = config_hash({"kind": "ideal", "seed": seed, **cfg.sections})
     for beta in cfg.get("physics", "beta_values"):
         spec = auto_torus_spectrum(d, L, beta)
         dos = analytic_dos(d)
-        rho_cr = critical_density(beta, dos) if d >= 3 else float("nan")
         mu = cfg.get("physics", "mu")
         rho_target = cfg.get("physics", "rho")
         if mu is None and rho_target is not None:
             mu = solve_mu(spec, beta, rho_target)
         if mu is None:
             mu = 1.0
-        p = pressure(spec, beta, mu)
         rho = density(spec, beta, mu)
-        frac = condensate_fraction(beta, rho, dos) if d >= 3 else float("nan")
-        rows.append(
-            {"beta": beta, "mu": mu, "L": L, "d": d, "pressure": p, "density": rho,
-             "rho_cr": rho_cr, "condensate_fraction": frac}
-        )
-        for name, val in (("pressure", p), ("density", rho), ("rho_cr", rho_cr),
-                          ("condensate_fraction", frac)):
+        values = {"pressure": pressure(spec, beta, mu), "density": rho}
+        try:
+            values["rho_cr"] = critical_density(beta, dos)
+            values["condensate_fraction"] = condensate_fraction(beta, rho, dos)
+        except DivergenceError as exc:  # no such quantity in this dimension
+            extra["refused"] = {name: str(exc) for name in ("rho_cr", "condensate_fraction")}
+        rows.append({"beta": beta, "mu": mu, "L": L, "d": d, **values})
+        for name, val in values.items():
             records.append(ResultRecord(config_hash=h, observable=f"{name}@beta={beta}",
                                         value=val, std_error=None))
-    return rows, records
+    return rows, records, extra
 
 
 def _run_gauss(cfg: RunConfig, seed: int):
@@ -111,7 +110,7 @@ def _run_gauss(cfg: RunConfig, seed: int):
     n = cfg.get("sampler", "n_samples")
     name = cfg.get("experiment", "name")
     h = config_hash({"kind": "gauss", "seed": seed, **cfg.sections})
-    rows, records, snapshot = [], [], None
+    rows, records, extra, snapshot = [], [], {}, None
     if name == "covariance":
         from .thermal import pair_field
 
@@ -146,12 +145,13 @@ def _run_gauss(cfg: RunConfig, seed: int):
         f = np.ones(grid.spatial_shape)
         rec = reweighted_state(params, pert, f, n, seed)
         if rec["estimate"] is None:
-            records.append(ResultRecord(h, "reweighted_state_refused_ess", rec["ess"], None))
+            extra["refused"] = {"reweighted_state": rec["diagnostic"], "ess": rec["ess"]}
+            rows = [rec]
         else:
             records.append(ResultRecord(h, "reweighted_re", rec["re"], rec["re_err"], ess=rec["ess"]))
             records.append(ResultRecord(h, "reweighted_im", rec["im"], rec["im_err"], ess=rec["ess"]))
-        rows = [rec if rec["estimate"] is None else {k: rec[k] for k in ("re", "re_err", "im", "im_err", "ess")}]
-    return rows, records, {}, snapshot
+            rows = [{k: rec[k] for k in ("re", "re_err", "im", "im_err", "ess")}]
+    return rows, records, extra, snapshot
 
 
 def _poly_pert(cfg: RunConfig):
@@ -205,15 +205,9 @@ def _run_expand(cfg: RunConfig, seed: int):
     for c in coeffs:
         for part, val in c.parts.items():
             rows.append({"n": c.order, "sector": part, "value": val, "error": c.error})
-        # b1, and every b_n of a free gas, is closed-form; the others are sampled
-        closed = c.order == 1 or V is None
-        records.append(ResultRecord(h, f"b{c.order}", c.value, None if closed else c.error, ess=float(n_mc)))
+        records.append(ResultRecord(h, f"b{c.order}", c.value, c.error, ess=float(n_mc)))
     bound = convergence_radius(beta, V, n_mc=max(n_mc // 2, 100), seed=derive_seed(seed, "radius"))
-    r = bound.radius_lower_bound
-    # r = e^(-2 beta B - 1) / C carries C's relative error; it is exact only for
-    # V = None, and C = 0 with a V means no sample interacted (error 0)
-    r_err = None if V is None else (r * bound.C_error / bound.C_value if bound.C_value > 0 else 0.0)
-    records.append(ResultRecord(h, "radius_lower_bound", r, r_err))
+    records.append(ResultRecord(h, "radius_lower_bound", bound.radius_lower_bound, bound.radius_error))
     z = cfg.get("physics", "z")
     extra = {"radius": bound.radius_lower_bound, "C": bound.C_value}
     if z is not None:
@@ -261,7 +255,6 @@ def run(config_path: str, seed=None, out=None, threads=1, force=False) -> int:
 
         crit = cfg.get("check", "criteria")
         ids = None if crit in (None, "all") else [int(t) for t in crit.split(",")]
-        threads = cfg.get("check", "threads", threads)
         results = run_acceptance(ids, seed=seed, threads=threads)
         rows = [{"criterion": r.cid, "name": r.name, "passed": r.passed, **r.details} for r in results]
         h = config_hash({"kind": "check", "seed": seed, "criteria": crit})

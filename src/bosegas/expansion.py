@@ -42,22 +42,24 @@ from .rng import derive_seed, generator
 
 @dataclass(frozen=True)
 class MayerCoefficients:
-    """Density-series coefficients b_n with quadrature errors and per-sector parts."""
+    """Density-series coefficients b_n, their quadrature errors (None: closed form) and sector parts."""
 
     order: int
     value: float
-    error: float
+    error: float | None
     parts: dict
 
 
 @dataclass(frozen=True)
 class ConvergenceEstimate:
-    """Lower bound on the activity convergence radius, exp(-2 beta B - 1)/C."""
+    """Lower bound on the activity convergence radius, exp(-2 beta B - 1)/C, with C's
+    relative error as its own (None for the free gas, where it is exact)."""
 
     radius_lower_bound: float
     stability_B: float
     C_value: float
     C_error: float
+    radius_error: float | None
 
 
 def _ball_volume(d: int, R: float) -> float:
@@ -111,11 +113,11 @@ def mayer_coefficient(
         return _fill_loop_paths(_sample_bases(count, j, beta, region, rng), j, beta, region, rng)[0]
 
     if n == 1:
-        return MayerCoefficients(order=1, value=float(kappa(1)), error=0.0, parts={"j1": float(kappa(1))})
+        return MayerCoefficients(order=1, value=float(kappa(1)), error=None, parts={"j1": float(kappa(1))})
 
     if V is None:
         # free gas: only the winding sector survives at each order (b_n = kappa_n)
-        return MayerCoefficients(order=n, value=float(kappa(n)), error=0.0, parts={f"w{n}": float(kappa(n))})
+        return MayerCoefficients(order=n, value=float(kappa(n)), error=None, parts={f"w{n}": float(kappa(n))})
 
     if n == 2:
         w_intra = np.exp(-intra_energies(draw_paths(n_mc, 2), V, beta, geom))
@@ -218,7 +220,7 @@ def series_density(z: float, coeffs, bound: ConvergenceEstimate | None = None) -
         }
     coeffs = sorted(coeffs, key=lambda c: c.order)
     rho = sum(c.value * z**c.order for c in coeffs)
-    stat = np.sqrt(sum((c.error * z**c.order) ** 2 for c in coeffs))
+    stat = np.sqrt(sum((c.error * z**c.order) ** 2 for c in coeffs if c.error is not None))
     last = coeffs[-1]
     trunc = abs(last.value) * z ** last.order * z / max(1 - z, 1e-9)
     return {
@@ -246,7 +248,7 @@ def convergence_radius(
     C degenerates to zero.
     """
     if V is None:
-        return ConvergenceEstimate(1.0, 0.0, 0.0, 0.0)
+        return ConvergenceEstimate(1.0, 0.0, 0.0, 0.0, None)
     d = V.d
     rng = generator(derive_seed(seed, "ks-radius"))
     R = _mayer_ball_radius(V, beta)
@@ -264,6 +266,6 @@ def convergence_radius(
             best, best_err = C_ref, err
     C = best + best_err
     if C <= 0:
-        return ConvergenceEstimate(1.0, V.stability_B, 0.0, 0.0)
-    bound = min(float(np.exp(-2 * beta * V.stability_B - 1.0) / C), 1.0)
-    return ConvergenceEstimate(bound, V.stability_B, float(C), float(best_err))
+        return ConvergenceEstimate(1.0, V.stability_B, 0.0, 0.0, 0.0)  # no sample interacted
+    r = min(float(np.exp(-2 * beta * V.stability_B - 1.0) / C), 1.0)
+    return ConvergenceEstimate(r, V.stability_B, float(C), float(best_err), r * float(best_err) / float(C))

@@ -1,9 +1,9 @@
 """Result records, tabular writers, and binary snapshot formats.
 
-Every emitted number carries either a standard error or an explicit exact
-tag; the writers enforce that.  Binary payloads (field snapshots, chain
-checkpoints) are flat arrays plus a JSON sidecar describing shape, grid, and
-versions, so they remain readable without this package.
+A record is exact when its estimator returned no error, and it refuses a
+non-finite exact value or a NaN or negative error.  Binary payloads (field
+snapshots, chain checkpoints) are flat arrays plus a JSON sidecar describing
+shape, grid, and versions, so they remain readable without this package.
 """
 
 import csv
@@ -26,10 +26,14 @@ class ResultRecord:
     code_version: str = __version__
 
     def __post_init__(self):
-        if self.std_error is None:
-            self.tag = "exact"
-        else:
-            self.tag = "estimated"
+        if self.std_error is None and not np.isfinite(self.value):
+            raise ValueError(f"{self.observable}: exact value {self.value!r} is not finite")
+        if self.std_error is not None and not self.std_error >= 0:
+            raise ValueError(f"{self.observable}: std_error {self.std_error!r} is NaN or negative")
+
+    @property
+    def tag(self) -> str:
+        return "exact" if self.std_error is None else "estimated"
 
 
 def config_hash(payload) -> str:
@@ -94,7 +98,7 @@ def save_loop_checkpoint(
     rng_state: dict,
     path_base: str,
     sweep: int,
-    chain_state: dict | None = None,
+    chain_state: dict,
     N_history=(),
 ):
     """Self-describing chain checkpoint, format version 2.
@@ -118,7 +122,7 @@ def save_loop_checkpoint(
         "sweep": sweep,
         "region": region_meta,
         "rng_state": rng_state,
-        "chain": chain_state or {},
+        "chain": chain_state,
         "code_version": __version__,
     }
     with open(path_base + ".json", "w") as fh:
@@ -134,6 +138,8 @@ def load_loop_checkpoint(path_base: str):
         sidecar = json.load(fh)
     if sidecar.get("version") != 2:
         raise ValueError(f"unsupported loop checkpoint version {sidecar.get('version')!r}")
+    if not {"energy", "attempts", "accepts"} <= set(sidecar.get("chain", {})):
+        raise ValueError(f"loop checkpoint chain {sidecar.get('chain')!r} lacks energy, attempts or accepts")
     with np.load(path_base + ".npz") as blobs:
         config = LoopConfiguration(
             knots=blobs["knots"], offsets=blobs["offsets"],

@@ -150,7 +150,7 @@ SCHEMAS = {
     },
     "check": {
         **_COMMON,
-        "check": {"criteria": (_str, False), "threads": (_int(lo=1), False)},
+        "check": {"criteria": (_str, False)},
     },
 }
 

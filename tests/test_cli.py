@@ -185,6 +185,29 @@ class TestRun:
         slope = np.polyfit(np.log(betas), np.log(rho_cr), 1)[0]
         assert abs(slope + 1.5) < 0.015
 
+    def test_ideal_below_three_dimensions_writes_what_exists(self, tmp_path):
+        # no critical density or condensate fraction at d = 2: no record, and
+        # the reason goes to meta.json
+        cfgp = write(tmp_path, "ideal.ini", IDEAL.replace("d = 3", "d = 2"))
+        assert run(cfgp, out=str(tmp_path / "out")) == 0
+        recs = json.loads((tmp_path / "out" / "results.json").read_text(),
+                          parse_constant=lambda c: pytest.fail(f"{c} in results.json"))
+        assert len(recs) == 8
+        assert {r["observable"].split("@")[0] for r in recs} == {"pressure", "density"}
+        assert all(r["tag"] == "exact" and np.isfinite(r["value"]) for r in recs)
+        refused = json.loads((tmp_path / "out" / "meta.json").read_text())["extra"]["refused"]
+        assert refused == {name: "no condensation in this dimension"
+                           for name in ("rho_cr", "condensate_fraction")}
+
+    def test_refused_reweighting_writes_no_record(self, tmp_path):
+        # 50 samples cannot reach the ESS floor of 100
+        cfgp = write(tmp_path, "rw.ini", ERGODICITY.replace("name = ergodicity", "name = reweight")
+                     .replace("n_samples = 100", "n_samples = 50"))
+        assert run(cfgp, out=str(tmp_path / "out")) == 0
+        assert json.loads((tmp_path / "out" / "results.json").read_text()) == []
+        refused = json.loads((tmp_path / "out" / "meta.json").read_text())["extra"]["refused"]
+        assert refused["ess"] == 50.0 and "effective sample size" in refused["reweighted_state"]
+
     def test_determinism_byte_identical(self, tmp_path):
         cfgp = write(tmp_path, "loops.ini", LOOPS)
         run(cfgp, out=str(tmp_path / "a"))
@@ -354,6 +377,18 @@ class TestGaussSnapshot:
 
 
 class TestCheckKind:
+    def test_threads_come_from_the_flag(self, tmp_path, monkeypatch):
+        # the shipped config carries no worker count to override --threads
+        import bosegas.acceptance as acceptance
+
+        seen = []
+        monkeypatch.setattr(acceptance, "run_acceptance", lambda ids, seed, threads: seen.append(threads) or [])
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "check.ini")
+        assert main(["check", "--config", config, "--threads", "4", "--out", str(tmp_path / "out")]) == 0
+        assert seen == [4]
+        with pytest.raises(ConfigError, match="threads"):
+            parse_run_config(write(tmp_path, "c.ini", "[run]\nkind = check\n\n[check]\nthreads = 1\n"))
+
     def test_check_subset_exit_zero(self, tmp_path):
         cfgp = write(
             tmp_path,

@@ -34,6 +34,11 @@ class TestCoefficients:
         c = mayer_coefficient(1, 1.0, None)
         assert np.isclose(c.value, (4 * np.pi) ** -1.5, rtol=1e-12)
 
+    @pytest.mark.parametrize("n, V", [(1, None), (1, hard_core(3, 1.0)), (2, None), (3, None)])
+    def test_closed_forms_carry_no_error(self, n, V):
+        # b1, and every b_n of a free gas, is exact: error None, not 0.0
+        assert mayer_coefficient(n, 1.0, V, n_mc=50).error is None
+
     def test_free_coefficients_reproduce_density_series(self):
         beta, z = 1.0, 0.3
         coeffs = [mayer_coefficient(n, beta, None) for n in (1, 2, 3)]
@@ -84,7 +89,7 @@ class TestSeriesDensity:
         assert abs(rec["density"] - rho) < rec["truncation_error"] + 5e-5
 
     def test_refuses_above_bound(self):
-        bound = ConvergenceEstimate(0.15, 1.0, 2.0, 0.1)
+        bound = ConvergenceEstimate(0.15, 1.0, 2.0, 0.1, 0.0075)
         coeffs = [mayer_coefficient(1, 1.0, None)]
         rec = series_density(0.5, coeffs, bound=bound)
         assert rec["refused"]
@@ -133,6 +138,7 @@ class TestConvergenceRadius:
         est = convergence_radius(1.0, None)
         assert est.radius_lower_bound == 1.0
         assert est.C_value == 0.0
+        assert est.radius_error is None
 
     def test_doubling_potential_increases_C(self):
         # C grows monotonically with the interaction; the bound formula
@@ -173,6 +179,8 @@ class TestPinnedRecords:
         assert (r.radius_lower_bound, r.C_value, r.C_error) == (
             0.08394574077067063, 4.382347904659552, 1.3415211895997432
         )
+        # the radius carries C's relative error
+        assert r.radius_error == r.radius_lower_bound * r.C_error / r.C_value
 
 
     def test_finite_box_records(self):
@@ -248,5 +256,6 @@ class TestOrderByOrderChainMatch:
         prop = np.abs(np.linalg.inv(A)) @ np.array(errs)
         b1 = mayer_coefficient(1, beta, V, region=region, n_mc=2000, seed=9)
         b2 = mayer_coefficient(2, beta, V, region=region, n_mc=6000, seed=9)
-        assert abs(b1_fit - b1.value) < 3 * prop[0] + 3 * b1.error + 0.15 * abs(b1.value)
+        assert b1.error is None  # b1 is closed-form
+        assert abs(b1_fit - b1.value) < 3 * prop[0] + 0.15 * abs(b1.value)
         assert abs(b2_fit - b2.value) < 3 * prop[1] + 3 * b2.error + 0.3 * abs(b2.value)

@@ -114,22 +114,27 @@ class TestZeroMode:
         assert np.allclose(ratio, np.exp(-beta * mu), atol=1e-10)
 
     def test_repulsion_at_fixed_number(self):
-        # switching on diagonal repulsion at fixed <N>: direction of the variance
-        # change is recorded as an observation, not asserted
+        # switching on diagonal repulsion at fixed <N> = 1.5 narrows n0; the
+        # roots are those of the brute-force <N> over all 41^3 states (brentq
+        # at xtol 1e-15), and at each root brute_force gives <N> and the n0
+        # histogram whose variance the oracle's must match
         M, vol, beta = 3, 1.5, 1.0
         fock = TruncatedFock(energies=np.array([0.0, 0.8, 0.8]), n_max=40)
-        mu_free = solve_mu_for_number(fock, beta, 1.5, bracket=(-1.5, 30.0))
-        inter = uniform_interaction(M, 1.5, vol)
-        mu_int = solve_mu_for_number(fock, beta, 1.5, inter, bracket=(-1.5, 30.0))
         m = np.arange(fock.n_max + 1)
 
         def variance(hist):
             return float((m**2 * hist).sum() - (m * hist).sum() ** 2)
 
-        v_free = variance(exact_zero_mode_statistics(fock, beta, mu_free))
-        v_int = variance(exact_zero_mode_statistics(fock, beta, mu_int, inter))
-        assert np.isfinite(v_free) and np.isfinite(v_int)
-        print(f"n0 variance free={v_free:.4f} interacting={v_int:.4f}")
+        variances = []
+        for inter, root in ((None, 0.7232309923316561),
+                            (uniform_interaction(M, 1.5, vol), -0.8998528070591526)):
+            mu = solve_mu_for_number(fock, beta, 1.5, inter, bracket=(-1.5, 30.0))
+            assert mu == pytest.approx(root, rel=1e-10)
+            _, occ, hist = brute_force(fock.energies, fock.n_max, beta, mu, inter)
+            assert occ.sum() == pytest.approx(1.5, rel=1e-10)
+            variances.append(variance(exact_zero_mode_statistics(fock, beta, mu, inter)))
+            assert variances[-1] == pytest.approx(variance(hist), rel=1e-10)
+        assert variances[1] < variances[0]  # 0.979 against 1.831
 
 
 class TestThermodynamicConsistency:

@@ -18,6 +18,18 @@ from bosegas.records import (
 )
 
 
+@pytest.mark.parametrize("value, std_error", [
+    (float("inf"), None),   # an infinite exact value
+    (float("-inf"), None),
+    (float("nan"), None),   # a NaN exact value
+    (1.0, float("nan")),    # a NaN error
+    (1.0, -0.1),            # a negative error
+])
+def test_record_refuses(value, std_error):
+    with pytest.raises(ValueError, match="rho"):
+        ResultRecord("abc", "rho", value, std_error)
+
+
 def test_exact_tag(tmp_path):
     recs = [
         ResultRecord("abc", "rho", 0.1, std_error=None),
@@ -53,8 +65,11 @@ def test_field_snapshot_roundtrip(tmp_path):
 def test_loop_checkpoint_roundtrip(tmp_path):
     region = BoxRegion(d=2, L=5.0, n_slices=4)
     cfg = sample_free_poisson(0.6, 1.0, region, rng_seed=3)
-    save_loop_checkpoint(cfg, {"d": 2, "L": 5.0}, {"alg": "pcg64", "state": 7}, str(tmp_path / "ck"), sweep=12)
+    chain = {"energy": 0.0, "attempts": {"insert": 3}, "accepts": {"insert": 1}}
+    save_loop_checkpoint(cfg, {"d": 2, "L": 5.0}, {"alg": "pcg64", "state": 7}, str(tmp_path / "ck"), sweep=12,
+                         chain_state=chain)
     back, sidecar = load_loop_checkpoint(str(tmp_path / "ck"))
+    assert sidecar["chain"] == chain
     assert back.loop_count == cfg.loop_count
     assert back.particle_number == cfg.particle_number
     for a, b in zip(cfg.loops, back.loops):
@@ -76,4 +91,18 @@ def test_loop_checkpoint_version_1_refused(tmp_path):
                              for lp in cfg.loops],
                    "rng_state": {}}, fh)
     with pytest.raises(ValueError, match="unsupported loop checkpoint version 1"):
+        load_loop_checkpoint(base)
+
+
+@pytest.mark.parametrize("missing", ["energy", "attempts", "accepts"])
+def test_loop_checkpoint_without_chain_state_refused(tmp_path, missing):
+    # a checkpoint that cannot resume is refused when it is read, not with a
+    # KeyError deep in resume_gibbs
+    region = BoxRegion(d=2, L=5.0, n_slices=4)
+    cfg = sample_free_poisson(0.6, 1.0, region, rng_seed=5)
+    chain = {"energy": 0.0, "attempts": {}, "accepts": {}}
+    del chain[missing]
+    base = str(tmp_path / "ck")
+    save_loop_checkpoint(cfg, {"d": 2, "L": 5.0}, {}, base, sweep=3, chain_state=chain)
+    with pytest.raises(ValueError, match="lacks energy, attempts or accepts"):
         load_loop_checkpoint(base)
