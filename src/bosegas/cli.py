@@ -203,8 +203,8 @@ def _run_expand(cfg: RunConfig, seed: int):
     rows = []
     records = []
     for c in coeffs:
-        for part, val in c.parts.items():
-            rows.append({"n": c.order, "sector": part, "value": val, "error": c.error})
+        for part, (val, err) in c.parts.items():
+            rows.append({"n": c.order, "sector": part, "value": val, "error": err})
         records.append(ResultRecord(h, f"b{c.order}", c.value, c.error, ess=float(n_mc)))
     bound = convergence_radius(beta, V, n_mc=max(n_mc // 2, 100), seed=derive_seed(seed, "radius"))
     records.append(ResultRecord(h, "radius_lower_bound", bound.radius_lower_bound, bound.radius_error))

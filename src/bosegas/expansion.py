@@ -42,7 +42,8 @@ from .rng import derive_seed, generator
 
 @dataclass(frozen=True)
 class MayerCoefficients:
-    """Density-series coefficients b_n, their quadrature errors (None: closed form) and sector parts."""
+    """Density-series coefficient b_n with its quadrature error (None: closed
+    form), and its sector parts, each sector mapped to (value, error)."""
 
     order: int
     value: float
@@ -113,11 +114,11 @@ def mayer_coefficient(
         return _fill_loop_paths(_sample_bases(count, j, beta, region, rng), j, beta, region, rng)[0]
 
     if n == 1:
-        return MayerCoefficients(order=1, value=float(kappa(1)), error=None, parts={"j1": float(kappa(1))})
+        return MayerCoefficients(order=1, value=float(kappa(1)), error=None, parts={"j1": (float(kappa(1)), None)})
 
     if V is None:
         # free gas: only the winding sector survives at each order (b_n = kappa_n)
-        return MayerCoefficients(order=n, value=float(kappa(n)), error=None, parts={f"w{n}": float(kappa(n))})
+        return MayerCoefficients(order=n, value=float(kappa(n)), error=None, parts={f"w{n}": (float(kappa(n)), None)})
 
     if n == 2:
         w_intra = np.exp(-intra_energies(draw_paths(n_mc, 2), V, beta, geom))
@@ -140,8 +141,7 @@ def mayer_coefficient(
         err = 2 * float(np.hypot(c2_w_err, c2_m_err))
         return MayerCoefficients(
             order=2, value=float(b2), error=err,
-            parts={"w2": float(2 * c2_w), "mayer11": float(2 * c2_m),
-                   "w2_err": float(2 * c2_w_err), "mayer11_err": float(2 * c2_m_err)},
+            parts={"w2": (float(2 * c2_w), float(2 * c2_w_err)), "mayer11": (float(2 * c2_m), float(2 * c2_m_err))},
         )
 
     # n == 3
@@ -177,7 +177,8 @@ def mayer_coefficient(
     err = 3 * float(np.sqrt(c3_w_err**2 + c3_21_err**2 + c3_111_err**2))
     return MayerCoefficients(
         order=3, value=float(b3), error=err,
-        parts={"w3": float(3 * c3_w), "mix21": float(3 * c3_21), "mayer111": float(3 * c3_111)},
+        parts={"w3": (float(3 * c3_w), float(3 * c3_w_err)), "mix21": (float(3 * c3_21), float(3 * c3_21_err)),
+               "mayer111": (float(3 * c3_111), float(3 * c3_111_err))},
     )
 
 
@@ -193,17 +194,6 @@ def _random_balls(rng, count: int, d: int, R: float) -> np.ndarray:
         found.append(cand[(cand**2).sum(axis=1) <= R**2][:need])
         need -= len(found[-1])
     return np.concatenate(found)
-
-
-def delta_c2(beta: float, V: PairPotential, n_mc: int = 4000, seed: int = 0, n_slices: int = 16) -> dict:
-    """Interaction part of c_2 (the free winding term subtracted), for the
-    order-z^2 comparison with measured partition-function corrections."""
-    b2_v = mayer_coefficient(2, beta, V, None, n_mc, seed, n_slices)
-    b2_0 = mayer_coefficient(2, beta, None, None, n_mc, seed, n_slices)
-    return {
-        "delta_c2": (b2_v.value - b2_0.value) / 2.0,
-        "delta_c2_err": b2_v.error / 2.0,
-    }
 
 
 def series_density(z: float, coeffs, bound: ConvergenceEstimate | None = None) -> dict:

@@ -13,9 +13,10 @@ the identity is checked at V = 0 and small V with the same machinery.
 
 Trace identity.  At V = 0 the spectral route -sum_k ln(1 - z exp(-beta lam_k))
 and the loop route sum_j (z^j / j) M_j(box) are independent closed forms (mode
-sums versus image sums) that must agree to quadrature tolerance.  At small
-activity with V switched on, the interaction correction to ln Z is compared at
-order z^2 against the second expansion coefficient.
+sums versus image sums) that must agree to quadrature tolerance.  With V
+switched on, the interaction correction ln E_P[e^(-energy)] to ln Z is
+measured and reported with its error; nothing compares it with the
+expansion.
 """
 
 import numpy as np
@@ -34,10 +35,9 @@ from .free import (
     time_integrals,
     time_integrals_of,
     winding_masses,
-    wrap_positions,
 )
 from .potential import PairPotential
-from .regions import DIRICHLET, PERIODIC, BoxRegion
+from .regions import DIRICHLET, PERIODIC, BoxRegion, wrap_knots
 
 
 # -- cylindrical functionals -------------------------------------------------------
@@ -273,11 +273,9 @@ def trace_identity_check(
     n_mc: int = 0,
     V: PairPotential | None = None,
     seed: int = 0,
-    expansion_b2=None,
 ) -> dict:
-    """V = 0: spectral vs loop log-partition closed forms.  V != 0: the measured
-    interaction correction ln E_P[e^(-energy)] against z^2 times the second
-    expansion coefficient (slot provided by the caller)."""
+    """V = 0: spectral vs loop log-partition closed forms.  V != 0: also the
+    measured interaction correction ln E_P[e^(-energy)] with its error."""
     z = float(np.exp(-beta * mu))
     lhs = spectral_log_partition(beta, mu, region)
     rhs = free_log_partition(z, beta, region)
@@ -290,10 +288,6 @@ def trace_identity_check(
     correction = float(np.log(mean_w))
     corr_err = float(w.std(ddof=1) / np.sqrt(n_mc) / mean_w)
     rec.update(interaction_correction=correction, correction_err=corr_err)
-    if expansion_b2 is not None:
-        pred = expansion_b2["delta_c2"] * z**2 * region.volume
-        rec.update(order_z2_prediction=float(pred),
-                   pred_err=float(expansion_b2.get("delta_c2_err", 0.0) * z**2 * region.volume))
     return rec
 
 
@@ -348,7 +342,7 @@ def sigma_independence_check(
                 for cfg in configs:
                     c = 0.0
                     for lp in cfg.loops:
-                        xs = wrap_positions(lp.path[:-1], region)
+                        xs = wrap_knots(lp.path[:-1], region)
                         inside = np.ones(xs.shape[0], dtype=bool)
                         for ax in range(region.d):
                             inside &= (xs[:, ax] >= lo) & (xs[:, ax] < hi)

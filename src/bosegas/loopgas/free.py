@@ -36,15 +36,8 @@ from ..diagnostics import stratified_mean
 from ..errors import ActivityError, TruncationError
 from ..rng import derive_seed, generator
 from .energy import _trapezoid_weights
-from .loops import (
-    LoopBatch,
-    LoopConfiguration,
-    as_batch,
-    draw_images,
-    fill_bridges,
-    segment_survival_log,
-)
-from .regions import PERIODIC, BoxRegion, diagonal_mass, kernel
+from .loops import LoopBatch, LoopConfiguration, as_batch, fill_bridges
+from .regions import PERIODIC, BoxRegion, diagonal_mass, kernel, wall_survival_log, winding_images, wrap_knots
 
 J_MAX_CAP = 400
 TAIL_TOL = 1e-10
@@ -134,17 +127,14 @@ def _fill_loop_paths(bases: np.ndarray, j: int, beta: float, region: BoxRegion, 
     count = bases.shape[0]
     n_int = j * region.n_slices
     dtau = beta / region.n_slices
-    if region.boundary == PERIODIC:
-        images = draw_images(np.zeros(region.d), count, j * beta, region.L, rng)
-        ends = bases + images * region.L
-        paths = fill_bridges(bases, ends, n_int, dtau, rng, knots)
-        return paths, images
-    images = np.zeros((count, region.d), dtype=int)
+    images = winding_images(np.zeros(region.d), count, region, j * beta, rng)
+    if region.boundary == PERIODIC:  # no wall: every bridge is kept
+        return fill_bridges(bases, bases + images * region.L, n_int, dtau, rng, knots), images
     paths = np.empty((count, n_int + 1, region.d))
     todo = np.arange(count)
     while todo.size:
         cand = fill_bridges(bases[todo], bases[todo], n_int, dtau, rng)
-        logs = segment_survival_log(cand, region.L, dtau)
+        logs = wall_survival_log(cand, region, dtau)
         acc = np.log(rng.uniform(size=todo.size)) < logs
         paths[todo[acc]] = cand[acc]
         todo = todo[~acc]
@@ -249,7 +239,7 @@ def time_integrals_of(paths: np.ndarray, fs, beta: float, region: BoxRegion, n_k
     out = np.empty((flat.shape[0], len(fs)))
     rows = max(1, _CHUNK_FLOATS // (max(live, 1) * d))
     for a in range(0, flat.shape[0], rows):
-        wrapped = wrap_positions(flat[a : a + rows, :live], region)
+        wrapped = wrap_knots(flat[a : a + rows, :live], region)
         for k, (f, n) in enumerate(zip(fs, lives)):
             xs = wrapped[:, :n]
             vals = np.broadcast_to(f(ts[:n], xs), xs.shape[:-1])
@@ -296,12 +286,6 @@ def pairing(config: LoopConfiguration, f, beta: float, region: BoxRegion) -> flo
 def loop_time_integral(path: np.ndarray, f, beta: float, region: BoxRegion) -> float:
     """Trapezoid integral of f along one unwrapped path."""
     return float(time_integrals(path, f, beta, region))
-
-
-def wrap_positions(path: np.ndarray, region: BoxRegion) -> np.ndarray:
-    from .regions import wrap
-
-    return wrap(path, region.L) if region.boundary == PERIODIC else path
 
 
 def characteristic_functional(

@@ -21,11 +21,11 @@ their proposal with one function (_reconnection_log_accept): the combinatorial
 factor, the kernel ratio k(p, q') k(q, p') / (k(p, p') k(q, q')) and, in
 Dirichlet boxes, the survival of the two bridges over that of the two legs.
 
-Chain state stores wrapped coordinates (periodic) or in-box coordinates
-(dirichlet); step densities use the minimum-image Gaussian increments, valid
-for sqrt(beta) well below L.  Dirichlet targets include per-segment continuum
-survival weights, handled as explicit acceptance factors so bridge proposals
-stay free.
+Chain state stores knots in the box (regions.wrap_knots), a fresh bridge
+ends at its winding image (winding_images), and each acceptance carries the
+log wall survival of what it adds over what it removes (wall_survival_log),
+so Dirichlet bridge proposals stay free.  Step densities use minimum-image
+Gaussian increments, valid for sqrt(beta) well below L.
 
 Every move's acceptance log-ratio is computed by a standalone function of the
 frozen picks, so detailed balance is unit-testable: the forward and reverse
@@ -71,10 +71,19 @@ from .energy import (
     loops_in_config_energies,
     pair_energy,
 )
-from .free import _fill_loop_paths, _sample_bases, sample_free_poisson, winding_masses
-from .loops import BridgeLoop, LoopConfiguration, draw_images, fill_bridges, segment_survival_log
+from .free import _sample_bases, sample_free_poisson, winding_masses
+from .loops import BridgeLoop, LoopConfiguration, fill_bridges
 from .potential import PairPotential
-from .regions import DIRICHLET, PERIODIC, BoxRegion, free_kernel, kernel, min_image, wrap
+from .regions import (
+    PERIODIC,
+    BoxRegion,
+    free_kernel,
+    kernel,
+    min_image,
+    wall_survival_log,
+    winding_images,
+    wrap_knots,
+)
 
 
 def _choice_table(p) -> list:
@@ -99,28 +108,11 @@ _MOVE_PROBS /= _MOVE_PROBS.sum()
 _MOVE_CDF = _choice_table(_MOVE_PROBS)
 
 
-def _wrap_loop(path: np.ndarray, region: BoxRegion) -> np.ndarray:
-    if region.boundary == PERIODIC:
-        out = wrap(path, region.L)
-        out[-1] = out[0]
-        return out
-    return path
-
-
 def _wrap_config(config: LoopConfiguration, region: BoxRegion) -> LoopConfiguration:
-    """_wrap_loop applied to every loop of a configuration."""
-    if region.boundary != PERIODIC:
-        return config
-    knots = wrap(config.knots, region.L)
+    """Every loop's knots wrapped into the box, each closing onto its own first knot."""
+    knots = np.array(wrap_knots(config.knots, region))
     knots[config.offsets[1:] - 1] = knots[config.offsets[:-1]]
     return LoopConfiguration(knots=knots, offsets=config.offsets, windings=config.windings, images=config.images)
-
-
-def loop_survival_log(loop: BridgeLoop, beta: float, region: BoxRegion) -> float:
-    """Log wall-survival weight of a loop (0 for periodic boxes)."""
-    if region.boundary == PERIODIC:
-        return 0.0
-    return float(segment_survival_log(loop.path, region.L, beta / region.n_slices))
 
 
 def beta_step_kernel(x, y, beta: float, region: BoxRegion) -> np.ndarray:
@@ -132,15 +124,13 @@ def beta_step_kernel(x, y, beta: float, region: BoxRegion) -> np.ndarray:
 
 
 def _draw_beta_bridge(x, y, beta: float, region: BoxRegion, rng) -> np.ndarray:
-    """A one-beta bridge between wrapped knots; periodic targets pick a winding
-    image with the exact kernel weights."""
+    """A one-beta bridge between wrapped knots, to the winding image of y
+    (winding_images: kernel-weighted in a periodic box, none in a Dirichlet one)."""
     n = region.n_slices
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if region.boundary != PERIODIC:
-        return fill_bridges(x[None], y[None], n, beta / n, rng)[0]
-    target = y + draw_images(y - x, 1, beta, region.L, rng)[0] * region.L
-    path = wrap(fill_bridges(x[None], target[None], n, beta / n, rng)[0], region.L)
+    target = y + winding_images(y - x, 1, region, beta, rng)[0] * region.L
+    path = wrap_knots(fill_bridges(x[None], target[None], n, beta / n, rng)[0], region)
     path[0], path[-1] = x, y
     return path
 
@@ -193,6 +183,10 @@ class GibbsChain:
             return [0.0] * len(paths)
         return loops_in_config_energies(paths, self.config, self.V, self.beta, self.region, skip=skip)
 
+    def _survival_log(self, path) -> np.ndarray:
+        """A path's log wall survival at the chain's knot spacing (0.0 in a periodic box)."""
+        return wall_survival_log(path, self.region, self.beta / self.region.n_slices)
+
     # -- proposals -------------------------------------------------------------
 
     def _pick(self) -> int | None:
@@ -203,15 +197,14 @@ class GibbsChain:
     def propose_insert(self) -> Proposal:
         j = 1 + _choice(self._winding_cdf, self.rng)
         base = _sample_bases(1, j, self.beta, self.region, self.rng)
-        if self.region.boundary == PERIODIC:
-            paths, images = _fill_loop_paths(base, j, self.beta, self.region, self.rng)
-            loop = BridgeLoop(base=base[0], winding=j, path=_wrap_loop(paths[0], self.region), image=images[0])
-            return insert_proposal(self, loop, 0.0)
-        # an unconditioned bridge: its wall survival enters the acceptance
+        # a bridge not conditioned on the walls: its wall survival enters the acceptance
         ns = self.region.n_slices
-        path = fill_bridges(base, base, j * ns, self.beta / ns, self.rng)[0]
-        loop = BridgeLoop(base=base[0], winding=j, path=path, image=np.zeros(self.region.d, dtype=int))
-        return insert_proposal(self, loop, loop_survival_log(loop, self.beta, self.region))
+        image = winding_images(np.zeros(self.region.d), 1, self.region, j * self.beta, self.rng)
+        path = fill_bridges(base, base + image * self.region.L, j * ns, self.beta / ns, self.rng)[0]
+        path = wrap_knots(path, self.region)
+        path[-1] = path[0]
+        loop = BridgeLoop(base=base[0], winding=j, path=path, image=image[0])
+        return insert_proposal(self, loop, self._survival_log(path))
 
     def propose_delete(self) -> Proposal:
         idx = self._pick()
@@ -238,14 +231,10 @@ class GibbsChain:
         u = int(self.rng.integers(0, n_knots - arc - 1))
         dtau = self.beta / self.region.n_slices
         a, b = loop.path[u], loop.path[u + arc]
-        if self.region.boundary == PERIODIC:
-            # draw towards the nearest image of b, then wrap back
-            disp = min_image(b - a, self.region.L)
-            new_arc = fill_bridges(a[None], (a + disp)[None], arc, dtau, self.rng)[0]
-            new_arc = wrap(new_arc, self.region.L)
-            new_arc[0], new_arc[-1] = a, b
-        else:
-            new_arc = fill_bridges(a[None], b[None], arc, dtau, self.rng)[0]
+        # a periodic arc heads for the nearest image of b, not a kernel-weighted one
+        end = a + min_image(b - a, self.region.L) if self.region.boundary == PERIODIC else b
+        new_arc = wrap_knots(fill_bridges(a[None], end[None], arc, dtau, self.rng)[0], self.region)
+        new_arc[0], new_arc[-1] = a, b
         return redraw_proposal(self, idx, u, new_arc)
 
     def propose_merge(self) -> Proposal:
@@ -341,7 +330,7 @@ def insert_proposal(chain: GibbsChain, loop: BridgeLoop, log_surv: float) -> Pro
 def delete_proposal(chain: GibbsChain, idx: int) -> Proposal:
     loop = chain.config.loop(idx)
     dE = chain._loop_energy(loop, skip=idx)
-    log_surv = loop_survival_log(loop, chain.beta, chain.region)
+    log_surv = chain._survival_log(loop.path)
     n = chain.config.loop_count
     log_acc = dE + np.log(n / chain.nu_tot) - log_surv
     if np.isinf(dE):  # removing an overlapping loop from an infinite-energy state
@@ -358,13 +347,11 @@ def delete_proposal(chain: GibbsChain, idx: int) -> Proposal:
 
 def shift_proposal(chain: GibbsChain, idx: int, delta: np.ndarray) -> Proposal:
     old = chain.config.loop(idx)
-    new_path = _wrap_loop(old.path + delta, chain.region)
-    new = BridgeLoop(base=new_path[0].copy(), winding=old.winding, path=new_path, image=old.image.copy())
+    new_path = wrap_knots(old.path + delta, chain.region)
+    new_path[-1] = new_path[0]
     e_old, e_new = chain._loop_energies((old.path, new_path), skip=idx)
     log_acc = -(e_new - e_old)
-    log_acc += loop_survival_log(new, chain.beta, chain.region) - loop_survival_log(
-        old, chain.beta, chain.region
-    )
+    log_acc += float(chain._survival_log(new_path) - chain._survival_log(old.path))
     if np.isinf(e_new):
         log_acc = -np.inf
 
@@ -381,12 +368,7 @@ def redraw_proposal(chain: GibbsChain, idx: int, u: int, new_arc: np.ndarray) ->
     new_path[u : u + arc + 1] = new_arc
     e_old, e_new = chain._loop_energies((old.path, new_path), skip=idx)
     log_acc = -(e_new - e_old)
-    if chain.region.boundary == DIRICHLET:
-        dtau = chain.beta / chain.region.n_slices
-        log_acc += float(
-            segment_survival_log(new_arc, chain.region.L, dtau)
-            - segment_survival_log(old.path[u : u + arc + 1], chain.region.L, dtau)
-        )
+    log_acc += float(chain._survival_log(new_arc) - chain._survival_log(old.path[u : u + arc + 1]))
     if np.isinf(e_new):
         log_acc = -np.inf
 
@@ -428,22 +410,17 @@ def _reconnection_log_accept(
     """Log acceptance of merge and cut.  legs = ((loop, leg), (loop, leg)) are
     the beta-legs p -> p' and q -> q' that the move removes, bridges the
     paths p -> q' and q -> p' that replace them: -dE + log_comb plus the log
-    kernel ratio k(p, q') k(q, p') / (k(p, p') k(q, q')) and, in Dirichlet
-    boxes, the survival of the bridges minus that of the legs; -inf when the
+    kernel ratio k(p, q') k(q, p') / (k(p, p') k(q, q')) and the log wall
+    survival of the bridges minus that of the legs; -inf when the
     new state has infinite energy or the ratio is not finite."""
     ns = chain.region.n_slices
     (p, p1), (q, q1) = (_leg_ends(loop, leg, ns) for loop, leg in legs)
     k = np.log(beta_step_kernel(np.array((p, q, p, q)), np.array((q1, p1, p1, q1)), chain.beta, chain.region))
     log_kernels = k[0] + k[1] - k[2] - k[3]
     log_acc = -dE + log_comb + log_kernels
-    if chain.region.boundary == DIRICHLET:
-        survival = lambda path: segment_survival_log(path, chain.region.L, chain.beta / ns)
-        log_acc += float(
-            survival(bridges[0])
-            + survival(bridges[1])
-            - survival(_leg_block(*legs[0], ns))
-            - survival(_leg_block(*legs[1], ns))
-        )
+    survival = chain._survival_log
+    log_acc += float(survival(bridges[0]) + survival(bridges[1])
+                     - survival(_leg_block(*legs[0], ns)) - survival(_leg_block(*legs[1], ns)))
     if np.isinf(e_new) or not np.isfinite(log_acc):
         log_acc = -np.inf
     return float(log_acc)

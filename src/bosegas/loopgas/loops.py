@@ -42,9 +42,8 @@ midpoints whose range starts before knot k - 1: only their normals are
 drawn, and only the map's first k rows over their columns are applied.  The
 k knots have the law of a whole bridge's first k knots, drawn from a
 shorter stream; a whole fill draws every normal, as the recursion does.
-
-Every periodic bridge, closed loop or open path, ends at a winding image of
-its end point, drawn by `draw_images` with the heat-kernel image weights.
+Which image a bridge ends at, and what a wall does to it, is the box's
+business (regions.py).
 """
 
 import operator
@@ -53,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .regions import PERIODIC, BoxRegion, _image_range
+from .regions import PERIODIC, BoxRegion
 
 
 @dataclass
@@ -435,55 +434,3 @@ def fill_bridges(
     out = src.reshape(coef.shape[1], -1).T.dot(coef.T).reshape(batch, d, rows)
     return np.ascontiguousarray(out.swapaxes(1, 2))
 
-
-def draw_images(dx: np.ndarray, count: int, t: float, L: float, rng) -> np.ndarray:
-    """Winding images w (count, d) of periodic bridges over time t whose end
-    lies dx (d,) from their start, up to the image w L (dx = 0 for closed
-    loops): each coordinate k independently, with the heat-kernel weights
-    exp(-(dx_k + w L)^2 / (4 t)).
-
-    One rng.random((count, d)) draw is inverted through each coordinate's
-    cumulative weights, as rng.choice(w, size, p=weights) inverts its draw.
-    Closed loops (dx = 0) share one cached table of weights per (t, L, d).
-    """
-    n = _image_range(L, t, tol=1e-16)
-    cdf = _image_cdf(dx, t, L, n) if np.count_nonzero(dx) else _closed_image_cdf(t, L, n, dx.size)
-    u = rng.random((count, dx.size))
-    images = np.empty((count, dx.size), dtype=int)
-    for k in range(dx.size):
-        images[:, k] = cdf[k].searchsorted(u[:, k], side="right")
-    images -= n
-    return images
-
-
-def _image_cdf(dx: np.ndarray, t: float, L: float, n: int) -> np.ndarray:
-    """(d, 2n + 1) cumulative heat-kernel weights of the images -n .. n of
-    each coordinate of dx (d,), normalised as rng.choice normalises its p."""
-    p = np.exp(-((dx[:, None] + np.arange(-n, n + 1) * L) ** 2) / (4 * t))
-    cdf = (p / p.sum(axis=1, keepdims=True)).cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    return cdf
-
-
-@lru_cache(maxsize=64)
-def _closed_image_cdf(t: float, L: float, n: int, d: int) -> np.ndarray:
-    return _frozen(_image_cdf(np.zeros(d), t, L, n))
-
-
-def segment_survival_log(path: np.ndarray, L: float, dtau: float) -> np.ndarray:
-    """Log-probability that each discrete segment's continuum excursion stays in (0, L).
-
-    Leading two-image bound per coordinate: the chance a bridge from a to b
-    over dtau (variance 2 dtau) hits 0 is exp(-a b / dtau), similarly at L.
-    Knots outside the box give log 0 = -inf.  Shape: path (..., K+1, d) ->
-    (...,) summed log survival.
-    """
-    a = path[..., :-1, :]
-    b = path[..., 1:, :]
-    inside = (path > 0).all(axis=(-1, -2)) & (path < L).all(axis=(-1, -2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hit_low = np.exp(-a * b / dtau)
-        hit_high = np.exp(-(L - a) * (L - b) / dtau)
-        p = np.clip(1.0 - hit_low - hit_high, 1e-300, 1.0)
-        logp = np.log(p).sum(axis=(-1, -2))
-    return np.where(inside, logp, -np.inf)

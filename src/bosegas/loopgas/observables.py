@@ -14,9 +14,9 @@ from ..diagnostics import batch_means, stratified_mean
 from ..rng import derive_seed, generator
 from .energy import added_loop_energies, intra_energies
 from .free import config_pairings, winding_masses
-from .loops import as_batch, draw_images, fill_bridges, segment_survival_log
+from .loops import as_batch, fill_bridges
 from .potential import PairPotential
-from .regions import DIRICHLET, PERIODIC, BoxRegion, kernel, wrap
+from .regions import PERIODIC, BoxRegion, kernel, wall_survival_log, winding_images, wrap_knots
 
 
 @dataclass(frozen=True)
@@ -107,17 +107,12 @@ def reduced_density_matrix(
             mass = z**j * float(kernel(x, y, region, j * beta)[0])
             if mass < 1e-16 * max(abs(seen), 1.0):
                 continue
-            # open bridges x -> y; periodic ones end at a winding image of y
-            if region.boundary == PERIODIC:
-                ends = y + draw_images(y - x, n_mc, j * beta, region.L, rng) * region.L
-            else:
-                ends = np.tile(y, (n_mc, 1))
+            # open bridges x -> y, each ending at a winding image of y
+            ends = y + winding_images(y - x, n_mc, region, j * beta, rng) * region.L
             paths = fill_bridges(np.tile(x, (n_mc, 1)), ends, j * region.n_slices, dtau, rng)
-            logw = np.zeros(n_mc)
-            if region.boundary == DIRICHLET:
-                logw += segment_survival_log(paths, region.L, dtau)
+            logw = wall_survival_log(paths, region, dtau)
             if V is not None:
-                bridges = paths if region.boundary == DIRICHLET else wrap(paths, region.L)
+                bridges = wrap_knots(paths, region)
                 if gibbs_configs is not None:
                     e = added_loop_energies(bridges, partners, V, beta, region)
                 else:

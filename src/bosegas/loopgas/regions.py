@@ -15,9 +15,19 @@ masses:
 The Dirichlet mass also equals the sine-mode trace sum_{n>=1} exp(-t (pi n/L)^2)
 per dimension (Poisson summation); both forms are exposed so identities can be
 checked through genuinely independent routes.
+
+The box owns what its boundary does to a bridge, through three functions
+of the region in the idiom of kernel(x, y, region, t): wrap_knots (np.mod,
+or the knots themselves), winding_images (draw_images, or zeros and no draw)
+and wall_survival_log (segment_survival_log, or exactly 0.0).  A caller
+written once for both boxes thus keeps the streams and bits of one written
+for each.  Every periodic bridge ends at a kernel-weighted winding image of
+its end point, except the chain's redraw arcs, which head for the nearest
+image (gibbs.propose_redraw).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi
 
 import numpy as np
@@ -145,3 +155,82 @@ def min_image(dx, L: float):
     np.rint(out, out=out)
     out *= L
     return np.subtract(dx, out, out=out)
+
+
+def wrap_knots(knots, region: BoxRegion):
+    """Knots (..., d) in the box: wrap(knots, L) in a periodic box; in a
+    Dirichlet box the knots themselves, which stay inside it."""
+    return wrap(knots, region.L) if region.boundary == PERIODIC else knots
+
+
+def winding_images(dx: np.ndarray, count: int, region: BoxRegion, t: float, rng) -> np.ndarray:
+    """Winding images (count, d) of bridges over time t whose end lies dx (d,)
+    from their start: draw_images in a periodic box; zeros in a Dirichlet
+    box, with no draw from rng."""
+    if region.boundary == PERIODIC:
+        return draw_images(dx, count, t, region.L, rng)
+    return np.zeros((count, region.d), dtype=int)
+
+
+def wall_survival_log(path: np.ndarray, region: BoxRegion, dtau: float) -> np.ndarray:
+    """Log wall survival (...,) of paths (..., K + 1, d) with knot spacing
+    dtau: segment_survival_log in a Dirichlet box; exactly 0.0 in a periodic
+    box, which has no wall."""
+    if region.boundary == PERIODIC:
+        return np.zeros(np.shape(path)[:-2])
+    return segment_survival_log(path, region.L, dtau)
+
+
+def draw_images(dx: np.ndarray, count: int, t: float, L: float, rng) -> np.ndarray:
+    """Winding images w (count, d) of periodic bridges over time t whose end
+    lies dx (d,) from their start, up to the image w L (dx = 0 for closed
+    loops): each coordinate k independently, with the heat-kernel weights
+    exp(-(dx_k + w L)^2 / (4 t)).
+
+    One rng.random((count, d)) draw is inverted through each coordinate's
+    cumulative weights, as rng.choice(w, size, p=weights) inverts its draw.
+    Closed loops (dx = 0) share one cached table of weights per (t, L, d).
+    """
+    n = _image_range(L, t, tol=1e-16)
+    cdf = _image_cdf(dx, t, L, n) if np.count_nonzero(dx) else _closed_image_cdf(t, L, n, dx.size)
+    u = rng.random((count, dx.size))
+    images = np.empty((count, dx.size), dtype=int)
+    for k in range(dx.size):
+        images[:, k] = cdf[k].searchsorted(u[:, k], side="right")
+    images -= n
+    return images
+
+
+def _image_cdf(dx: np.ndarray, t: float, L: float, n: int) -> np.ndarray:
+    """(d, 2n + 1) cumulative heat-kernel weights of the images -n .. n of
+    each coordinate of dx (d,), normalised as rng.choice normalises its p."""
+    p = np.exp(-((dx[:, None] + np.arange(-n, n + 1) * L) ** 2) / (4 * t))
+    cdf = (p / p.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf
+
+
+@lru_cache(maxsize=64)
+def _closed_image_cdf(t: float, L: float, n: int, d: int) -> np.ndarray:
+    cdf = _image_cdf(np.zeros(d), t, L, n)
+    cdf.flags.writeable = False
+    return cdf
+
+
+def segment_survival_log(path: np.ndarray, L: float, dtau: float) -> np.ndarray:
+    """Log-probability that each discrete segment's continuum excursion stays in (0, L).
+
+    Leading two-image bound per coordinate: the chance a bridge from a to b
+    over dtau (variance 2 dtau) hits 0 is exp(-a b / dtau), similarly at L.
+    Knots outside the box give log 0 = -inf.  Shape: path (..., K+1, d) ->
+    (...,) summed log survival.
+    """
+    a = path[..., :-1, :]
+    b = path[..., 1:, :]
+    inside = (path > 0).all(axis=(-1, -2)) & (path < L).all(axis=(-1, -2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hit_low = np.exp(-a * b / dtau)
+        hit_high = np.exp(-(L - a) * (L - b) / dtau)
+        p = np.clip(1.0 - hit_low - hit_high, 1e-300, 1.0)
+        logp = np.log(p).sum(axis=(-1, -2))
+    return np.where(inside, logp, -np.inf)

@@ -272,6 +272,26 @@ class TestRun:
         assert run(free, out=str(tmp_path / "free")) == 0
         assert {r["tag"] for r in self.results_csv(tmp_path / "free").values()} == {"exact"}
 
+    def test_expand_table_has_one_row_per_sector(self, tmp_path):
+        # each sector's row carries that sector's own error; in quadrature the
+        # errors make b_n's, and the values sum to b_n
+        import csv
+
+        cfgp = write(tmp_path, "expand.ini", EXPAND.replace("orders = 1, 2", "orders = 1, 2, 3"))
+        assert run(cfgp, out=str(tmp_path / "out")) == 0
+        with open(tmp_path / "out" / "table.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        sectors = {"1": ["j1"], "2": ["w2", "mayer11"], "3": ["w3", "mix21", "mayer111"]}
+        assert {n: [r["sector"] for r in rows if r["n"] == n] for n in sectors} == sectors
+        assert len(rows) == 6 and rows[0]["error"] == ""
+        recs = self.results_csv(tmp_path / "out")
+        for n in ("2", "3"):
+            values = [float(r["value"]) for r in rows if r["n"] == n]
+            errors = [float(r["error"]) for r in rows if r["n"] == n]
+            assert all(e >= 0 for e in errors)
+            assert np.isclose(sum(values), float(recs[f"b{n}"]["value"]), rtol=1e-12)
+            assert np.isclose(np.hypot.reduce(errors), float(recs[f"b{n}"]["std_error"]), rtol=1e-12)
+
     def test_ergodicity_records_carry_errors(self, tmp_path):
         cfgp = write(tmp_path, "erg.ini", ERGODICITY)
         assert run(cfgp, out=str(tmp_path / "out")) == 0

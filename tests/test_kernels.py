@@ -33,7 +33,14 @@ from bosegas.loopgas.free import (
 )
 from bosegas.loopgas import free
 from bosegas.loopgas.checks import gibbs_weights
-from bosegas.loopgas.regions import _image_range
+from bosegas.loopgas.regions import (
+    _image_range,
+    draw_images,
+    segment_survival_log,
+    wall_survival_log,
+    winding_images,
+    wrap_knots,
+)
 from bosegas.loopgas.energy import added_loop_energies, interaction_energies
 from bosegas.loopgas.loops import (
     _CACHED_INTERVALS,
@@ -43,7 +50,6 @@ from bosegas.loopgas.loops import (
     _cached_bridge_map,
     _midpoint_schedule,
     as_batch,
-    draw_images,
     fill_bridges,
 )
 from bosegas.rng import generator
@@ -115,8 +121,8 @@ class TestTimeIntegrals:
         f = TEST_FUNCTIONS[0]  # reads 10 knots of d = 2
         whole = time_integrals(paths, f, BETA, region)  # one chunk
         monkeypatch.setattr(free, "_CHUNK_FLOATS", 1000)  # 50 rows a chunk
-        chunks, wrap = [], free.wrap_positions
-        monkeypatch.setattr(free, "wrap_positions", lambda p, r: chunks.append(len(p)) or wrap(p, r))
+        chunks, wrap = [], free.wrap_knots
+        monkeypatch.setattr(free, "wrap_knots", lambda p, r: chunks.append(len(p)) or wrap(p, r))
         flat = time_integrals(paths, f, BETA, region)
         block = time_integrals(paths.reshape(30, 100, *paths.shape[1:]), f, BETA, region)
         assert chunks == [50] * 120  # 60 chunks a call
@@ -467,6 +473,42 @@ class TestLoopBatch:
             np.testing.assert_array_equal(a, b)
         assert moment_estimate(batch, TEST_FUNCTIONS[:2], BETA, region) == \
             moment_estimate(configs, TEST_FUNCTIONS[:2], BETA, region)
+
+
+class TestRegionFunctions:
+    """The box's boundary functions: a Dirichlet box draws no image, has the
+    knots themselves and survives by segment_survival_log; a periodic box
+    draws draw_images' images from draw_images' stream, wraps by np.mod and
+    survives with 0.0."""
+
+    PER = BoxRegion(d=3, L=4.0, boundary=PERIODIC, n_slices=6)
+    DIR = BoxRegion(d=3, L=4.0, boundary=DIRICHLET, n_slices=6)
+
+    def test_dirichlet_images_are_zero_and_draw_nothing(self):
+        rng = generator(11)
+        before = rng.bit_generator.state
+        for dx in (np.zeros(3), np.array([0.5, -1.0, 2.0])):
+            images = winding_images(dx, 5, self.DIR, 1.5, rng)
+            assert images.shape == (5, 3) and images.dtype.kind == "i" and not images.any()
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("dx", [np.zeros(3), np.array([0.5, -1.0, 2.0])])
+    def test_periodic_images_are_draw_images(self, dx):
+        a, b = generator(12), generator(12)
+        np.testing.assert_array_equal(winding_images(dx, 40, self.PER, 1.5, a), draw_images(dx, 40, 1.5, 4.0, b))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_survival(self):
+        paths = _paths(self.DIR, 2, 7, seed=13)
+        assert np.array_equal(wall_survival_log(paths, self.DIR, 0.25), segment_survival_log(paths, 4.0, 0.25))
+        per = wall_survival_log(paths, self.PER, 0.25)
+        assert per.shape == (7,) and np.all(per == 0.0)
+        assert wall_survival_log(paths[0], self.PER, 0.25) == 0.0
+
+    def test_wrap(self):
+        paths = 3.0 * generator(14).standard_normal((5, 13, 3))
+        assert wrap_knots(paths, self.DIR) is paths
+        np.testing.assert_array_equal(wrap_knots(paths, self.PER), np.mod(paths, 4.0))
 
 
 class TestClosedImages:
