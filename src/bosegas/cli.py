@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .diagnostics import stratified_mean
 from .errors import ConfigError, DivergenceError
 from .records import ResultRecord, config_hash, write_records_csv, write_records_json
 from .rng import derive_seed
@@ -123,10 +124,9 @@ def _run_gauss(cfg: RunConfig, seed: int):
             tau_i = int(rng.integers(grid.n_tau))
             emp = pair_field(phi, grid, f, 0) * pair_field(phi, grid, f, tau_i)
             target = covariance(params, f, f, tau_i * grid.dtau)
-            rows.append({"probe": i, "tau": tau_i * grid.dtau, "empirical": emp.mean(),
-                         "err": emp.std(ddof=1) / np.sqrt(n), "analytic": target})
-            records.append(ResultRecord(h, f"covariance_probe_{i}", float(emp.mean()),
-                                        float(emp.std(ddof=1) / np.sqrt(n)), ess=float(n)))
+            mean, err = stratified_mean([(1.0, emp)])
+            rows.append({"probe": i, "tau": tau_i * grid.dtau, "empirical": mean, "err": err, "analytic": target})
+            records.append(ResultRecord(h, f"covariance_probe_{i}", float(mean), float(err), ess=float(n)))
     elif name == "ergodicity":
         volumes = cfg.get("sampler", "volumes") or [grid.L, 2 * grid.L, 4 * grid.L]
         rep = ergodicity_diagnostic(params, n, volumes, seed)
@@ -311,7 +311,7 @@ def _write_rows_csv(rows, path):
         w = csv.DictWriter(fh, fieldnames=keys)
         w.writeheader()
         for row in rows:
-            w.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+            w.writerow({k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()})
 
 
 def sweep(config_path: str, axis: str, values, seed=None, out=None, threads=1, force=False) -> int:

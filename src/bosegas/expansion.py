@@ -23,7 +23,8 @@ thermodynamic-limit default uses free bridges with no images.
 Each Monte Carlo sector is sampled as one batch: its bridges come from one
 fill_bridges call and its ball displacements from one rejection pass, and
 the sector's energies are one broadcast (a hard-core contact has energy +inf
-and weight exp(-inf) = 0).
+and weight exp(-inf) = 0).  The sectors of an order are independent strata:
+b_n, each part and their errors come from diagnostics.stratified_mean.
 """
 
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from math import pi
 
 import numpy as np
 
+from .diagnostics import stratified_mean
 from .loopgas.energy import intra_energies, pair_energies
 from .loopgas.free import _fill_loop_paths, _sample_bases
 from .loopgas.loops import fill_bridges
@@ -121,10 +123,7 @@ def mayer_coefficient(
         return MayerCoefficients(order=n, value=float(kappa(n)), error=None, parts={f"w{n}": (float(kappa(n)), None)})
 
     if n == 2:
-        w_intra = np.exp(-intra_energies(draw_paths(n_mc, 2), V, beta, geom))
-        c2_w = 0.5 * kappa(2) * w_intra.mean()
-        c2_w_err = 0.5 * kappa(2) * w_intra.std(ddof=1) / np.sqrt(n_mc)
-
+        w2 = np.exp(-intra_energies(draw_paths(n_mc, 2), V, beta, geom))
         a_paths = draw_paths(n_mc, 1)
         b_paths = draw_paths(n_mc, 1)
         if region is None:
@@ -134,51 +133,40 @@ def mayer_coefficient(
         else:
             # independent box bases carry the displacement law; weight = |box|
             vol = region.volume
-        vals = np.exp(-pair_energies(a_paths, b_paths, V, beta, geom)) - 1.0
-        c2_m = 0.5 * kappa(1) ** 2 * vol * vals.mean()
-        c2_m_err = 0.5 * kappa(1) ** 2 * vol * vals.std(ddof=1) / np.sqrt(n_mc)
-        b2 = 2 * (c2_w + c2_m)
-        err = 2 * float(np.hypot(c2_w_err, c2_m_err))
-        return MayerCoefficients(
-            order=2, value=float(b2), error=err,
-            parts={"w2": (float(2 * c2_w), float(2 * c2_w_err)), "mayer11": (float(2 * c2_m), float(2 * c2_m_err))},
-        )
+        mayer11 = np.exp(-pair_energies(a_paths, b_paths, V, beta, geom)) - 1.0
+        table = {"w2": (0.5 * kappa(2), w2), "mayer11": (0.5 * kappa(1) ** 2 * vol, mayer11)}
+    else:
+        w3 = np.exp(-intra_energies(draw_paths(n_mc, 3), V, beta, geom))
+        R = _mayer_ball_radius(V, beta, j_sum=3)
+        vol = _ball_volume(d, R) if region is None else region.volume
+        twos = draw_paths(n_mc, 2)
+        ones = draw_paths(n_mc, 1)
+        if region is None:
+            ones = ones + _random_balls(rng, n_mc, d, R)[:, None]
+        wi = np.exp(-intra_energies(twos, V, beta, geom))
+        mix21 = wi * (np.exp(-pair_energies(twos, ones, V, beta, geom)) - 1.0)
 
-    # n == 3
-    w3 = np.exp(-intra_energies(draw_paths(n_mc, 3), V, beta, geom))
-    c3_w = kappa(3) / 3 * w3.mean()
-    c3_w_err = kappa(3) / 3 * w3.std(ddof=1) / np.sqrt(n_mc)
+        l1 = draw_paths(n_mc, 1)
+        l2 = draw_paths(n_mc, 1)
+        l3 = draw_paths(n_mc, 1)
+        if region is None:
+            x = _random_balls(rng, 2 * n_mc, d, R).reshape(n_mc, 2, 1, d)  # per sample: x2, then x3
+            l2, l3 = l2 + x[:, 0], l3 + x[:, 1]
+        f12 = np.exp(-pair_energies(l1, l2, V, beta, geom)) - 1.0
+        f13 = np.exp(-pair_energies(l1, l3, V, beta, geom)) - 1.0
+        f23 = np.exp(-pair_energies(l2, l3, V, beta, geom)) - 1.0
+        mayer111 = f12 * f13 + f12 * f23 + f13 * f23 + f12 * f13 * f23
+        table = {
+            "w3": (kappa(3) / 3, w3),
+            "mix21": (0.5 * kappa(2) * kappa(1) * vol, mix21),
+            "mayer111": ((1.0 / 6.0) * kappa(1) ** 3 * vol**2, mayer111),
+        }
 
-    R = _mayer_ball_radius(V, beta, j_sum=3)
-    vol = _ball_volume(d, R) if region is None else region.volume
-    twos = draw_paths(n_mc, 2)
-    ones = draw_paths(n_mc, 1)
-    if region is None:
-        ones = ones + _random_balls(rng, n_mc, d, R)[:, None]
-    wi = np.exp(-intra_energies(twos, V, beta, geom))
-    vals21 = wi * (np.exp(-pair_energies(twos, ones, V, beta, geom)) - 1.0)
-    c3_21 = 0.5 * kappa(2) * kappa(1) * vol * vals21.mean()
-    c3_21_err = 0.5 * kappa(2) * kappa(1) * vol * vals21.std(ddof=1) / np.sqrt(n_mc)
-
-    l1 = draw_paths(n_mc, 1)
-    l2 = draw_paths(n_mc, 1)
-    l3 = draw_paths(n_mc, 1)
-    if region is None:
-        x = _random_balls(rng, 2 * n_mc, d, R).reshape(n_mc, 2, 1, d)  # per sample: x2, then x3
-        l2, l3 = l2 + x[:, 0], l3 + x[:, 1]
-    f12 = np.exp(-pair_energies(l1, l2, V, beta, geom)) - 1.0
-    f13 = np.exp(-pair_energies(l1, l3, V, beta, geom)) - 1.0
-    f23 = np.exp(-pair_energies(l2, l3, V, beta, geom)) - 1.0
-    vals111 = f12 * f13 + f12 * f23 + f13 * f23 + f12 * f13 * f23
-    c3_111 = (1.0 / 6.0) * kappa(1) ** 3 * vol**2 * vals111.mean()
-    c3_111_err = (1.0 / 6.0) * kappa(1) ** 3 * vol**2 * vals111.std(ddof=1) / np.sqrt(n_mc)
-
-    b3 = 3 * (c3_w + c3_21 + c3_111)
-    err = 3 * float(np.sqrt(c3_w_err**2 + c3_21_err**2 + c3_111_err**2))
+    # b_n = n c_n, and each part n times its own sector of c_n
+    value, error = stratified_mean(table.values())
     return MayerCoefficients(
-        order=3, value=float(b3), error=err,
-        parts={"w3": (float(3 * c3_w), float(3 * c3_w_err)), "mix21": (float(3 * c3_21), float(3 * c3_21_err)),
-               "mayer111": (float(3 * c3_111), float(3 * c3_111_err))},
+        order=n, value=float(n * value), error=float(n * error),
+        parts={name: tuple(float(n * v) for v in stratified_mean([sector])) for name, sector in table.items()},
     )
 
 
@@ -250,8 +238,7 @@ def convergence_radius(
         ref = _free_paths(1, 1, beta, d, n_slices, rng)
         others = _free_paths(n_mc, 1, beta, d, n_slices, rng) + _random_balls(rng, n_mc, d, R)[:, None]
         vals = np.abs(np.exp(-pair_energies(ref, others, V, beta, geom)) - 1.0)
-        C_ref = kappa1 * vol * vals.mean()
-        err = kappa1 * vol * vals.std(ddof=1) / np.sqrt(n_mc)
+        C_ref, err = stratified_mean([(kappa1 * vol, vals)])
         if C_ref > best:
             best, best_err = C_ref, err
     C = best + best_err

@@ -37,7 +37,8 @@ from .free import (
     winding_masses,
 )
 from .potential import PairPotential
-from .regions import DIRICHLET, PERIODIC, BoxRegion, wrap_knots
+from .observables import LoopTestFunction
+from .regions import DIRICHLET, PERIODIC, BoxRegion, _mode_eigenvalues
 
 
 # -- cylindrical functionals -------------------------------------------------------
@@ -205,13 +206,9 @@ def integration_by_parts_check(
     skor = np.zeros(n_mc, dtype=charlier.dtype)
     np.add.at(skor, owner, charlier)
     f_val, g_val = F.of(p[:, :kf]), G.of(p[:, kf:-1]) * weights
-    lhs_vals = (skor - ef * f_val) * g_val
-    lhs = lhs_vals.mean()
+    lhs, lhs_err = stratified_mean([(1.0, (skor - ef * f_val) * g_val)])
     k = min(200, n_mc)
-    lhs_err = np.sqrt(
-        (lhs_vals.real.var(ddof=1) + lhs_vals.imag.var(ddof=1)) / n_mc
-        + (ef_err * abs(np.mean(f_val[:k] * g_val[:k]))) ** 2
-    )
+    lhs_err = np.hypot(lhs_err, ef_err * abs(np.mean(f_val[:k] * g_val[:k])))
 
     # rhs: sum_j nu_j E_bridge[I_f (F(phi) (G_eff(phi + d_w) - G_eff(phi)))]
     nus, _ = winding_masses(z, beta, region)
@@ -250,16 +247,7 @@ def integration_by_parts_check(
 
 def spectral_log_partition(beta: float, mu: float, region: BoxRegion, tol: float = 1e-16) -> float:
     """-sum_k ln(1 - exp(-beta (lam_k + mu))) over the box modes (mode-sum route)."""
-    from math import pi
-
-    if region.boundary == PERIODIC:
-        m_max = int(np.sqrt(max(-np.log(tol) / beta, 1.0)) * region.L / (2 * pi)) + 2
-        m = np.arange(-m_max, m_max + 1)
-        lam1 = (2 * pi * m / region.L) ** 2
-    else:
-        n_max = int(np.sqrt(max(-np.log(tol) / beta, 1.0)) * region.L / pi) + 2
-        n = np.arange(1, n_max + 1)
-        lam1 = (pi * n / region.L) ** 2
+    lam1 = _mode_eigenvalues(region.boundary, region.L, beta, tol)
     grids = np.meshgrid(*([lam1] * region.d), indexing="ij")
     lam = sum(grids).ravel()
     x = beta * (lam + mu)
@@ -276,6 +264,8 @@ def trace_identity_check(
 ) -> dict:
     """V = 0: spectral vs loop log-partition closed forms.  V != 0: also the
     measured interaction correction ln E_P[e^(-energy)] with its error."""
+    if V is not None and n_mc < 2:
+        raise ValueError(f"the interaction correction needs n_mc >= 2 samples, got {n_mc}")
     z = float(np.exp(-beta * mu))
     lhs = spectral_log_partition(beta, mu, region)
     rhs = free_log_partition(z, beta, region)
@@ -283,11 +273,8 @@ def trace_identity_check(
     if V is None:
         return rec
     configs = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "ti"))
-    w = gibbs_weights(configs, V, beta, region)
-    mean_w = w.mean()
-    correction = float(np.log(mean_w))
-    corr_err = float(w.std(ddof=1) / np.sqrt(n_mc) / mean_w)
-    rec.update(interaction_correction=correction, correction_err=corr_err)
+    mean_w, err = stratified_mean([(1.0, gibbs_weights(configs, V, beta, region))])
+    rec.update(interaction_correction=float(np.log(mean_w)), correction_err=float(err / mean_w))
     return rec
 
 
@@ -336,20 +323,14 @@ def sigma_independence_check(
         else:
             from .gibbs import gibbs_sample
 
+            # the trapezoid time a closed loop spends in the window, over beta,
+            # is its share of knots inside times its winding
+            lo, hi = window
+            inside = LoopTestFunction(fn=lambda ts, xs: 1.0, t_max=np.inf, box=((lo, hi),) * d)
+
             def window_density(configs, region):
-                lo, hi = window
-                counts = []
-                for cfg in configs:
-                    c = 0.0
-                    for lp in cfg.loops:
-                        xs = wrap_knots(lp.path[:-1], region)
-                        inside = np.ones(xs.shape[0], dtype=bool)
-                        for ax in range(region.d):
-                            inside &= (xs[:, ax] >= lo) & (xs[:, ax] < hi)
-                        c += inside.mean() * lp.winding
-                    counts.append(c)
-                arr = np.array(counts) / (hi - lo) ** region.d
-                return arr.mean(), arr.std(ddof=1) / np.sqrt(arr.size)
+                counts = config_pairings(configs, [inside], beta, region)[2][:, 0]
+                return stratified_mean([(1.0 / (beta * (hi - lo) ** d), counts)])
 
             run_a = gibbs_sample(z, beta, per, V, n_mc, derive_seed(seed, "per", i))
             run_b = gibbs_sample(z, beta, dir_, V, n_mc, derive_seed(seed, "dir", i))

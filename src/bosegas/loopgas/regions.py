@@ -127,18 +127,25 @@ def diagonal_mass(region: BoxRegion, t: float) -> float:
     return float(one_dim**region.d)
 
 
+def _mode_eigenvalues(boundary: str, L: float, t: float, tol: float) -> np.ndarray:
+    """Eigenvalues of -d^2/dx^2 on (0, L): (2 pi m / L)^2 for m in Z
+    (periodic) or (pi n / L)^2 for n >= 1 (Dirichlet), up to two modes past
+    the last whose exp(-t lam) reaches tol."""
+    if boundary == PERIODIC:
+        m_max = int(np.sqrt(max(-np.log(tol) / t, 1.0)) * L / (2 * pi)) + 2
+        return (2 * pi * np.arange(-m_max, m_max + 1) / L) ** 2
+    n_max = int(np.sqrt(max(-np.log(tol) / t, 1.0)) * L / pi) + 2
+    return (pi * np.arange(1, n_max + 1) / L) ** 2
+
+
 def dirichlet_mode_trace(region: BoxRegion, t: float, tol: float = 1e-18) -> float:
     """Independent spectral route: [sum_{n>=1} exp(-t (pi n / L)^2)]^d."""
-    n_max = int(np.sqrt(max(-np.log(tol) / t, 1.0)) * region.L / pi) + 2
-    n = np.arange(1, n_max + 1)
-    return float(np.exp(-t * (pi * n / region.L) ** 2).sum() ** region.d)
+    return float(np.exp(-t * _mode_eigenvalues(DIRICHLET, region.L, t, tol)).sum() ** region.d)
 
 
 def periodic_mode_trace(region: BoxRegion, t: float, tol: float = 1e-18) -> float:
     """Independent spectral route: [sum_{m in Z} exp(-t (2 pi m / L)^2)]^d."""
-    m_max = int(np.sqrt(max(-np.log(tol) / t, 1.0)) * region.L / (2 * pi)) + 2
-    m = np.arange(-m_max, m_max + 1)
-    return float(np.exp(-t * (2 * pi * m / region.L) ** 2).sum() ** region.d)
+    return float(np.exp(-t * _mode_eigenvalues(PERIODIC, region.L, t, tol)).sum() ** region.d)
 
 
 def wrap(x, L: float):

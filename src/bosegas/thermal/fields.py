@@ -234,8 +234,7 @@ def sample_fields(params: ThermalFieldParams, n: int, seed: int) -> np.ndarray:
     noise, offset, blocks = _noise_blocks(params, n, seed)
     lead = (-1,) + (1,) * (g.d + 1)
     for rows, spec in blocks:
-        noise[rows] = sfft.irfftn(spec, s=(g.n_tau,) + g.spatial_shape, axes=tuple(range(1, g.d + 2)),
-                                  overwrite_x=True)
+        noise[rows] = sfft.irfftn(spec, s=(g.n_tau,) + g.spatial_shape, axes=tuple(range(1, g.d + 2)))
         if offset is not None:
             noise[rows] += offset[rows].reshape(lead)
     return noise

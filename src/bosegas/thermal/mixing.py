@@ -92,8 +92,7 @@ def renormalized_mixing(
     sums = []
     for _, spec in blocks:
         spec *= filt
-        centered = sfft.irfftn(spec, s=(grid.n_tau,) + grid.spatial_shape,
-                               axes=tuple(range(1, grid.d + 2)), overwrite_x=True)
+        centered = sfft.irfftn(spec, s=(grid.n_tau,) + grid.spatial_shape, axes=tuple(range(1, grid.d + 2)))
         sums.append(_power_sums(centered, grid, pert, kweights))
     log_w_samples = _shifted_actions(grid, pert, m.ravel(), sums).reshape(m.shape + (n_samples,))
     log_znode = logsumexp(log_w_samples, axis=-1) - np.log(n_samples)

@@ -303,8 +303,7 @@ def reweighted_state(
         if offset is not None:
             phi0[rows] += offset[rows].reshape(lead)
         spec *= scale
-        phi_eps = sfft.irfftn(spec, s=grid.spatial_shape, axes=tuple(range(2, grid.d + 2)),
-                              norm="forward", overwrite_x=True)
+        phi_eps = sfft.irfftn(spec, s=grid.spatial_shape, axes=tuple(range(2, grid.d + 2)), norm="forward")
         if offset is not None:
             phi_eps += offset[rows].reshape(lead + (1,))
         logw[rows] = _action(phi_eps, grid, pert, kweights)

@@ -10,6 +10,9 @@ from bosegas.cli import _run_gauss, main, run, sweep
 from bosegas.errors import ConfigError
 from bosegas.runcfg import parse_potential, parse_run_config
 
+# a NaN mean or error of an empty or one-sample estimate fails here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -387,6 +390,18 @@ class TestGaussSnapshot:
         assert values.shape == (8, 16)
         assert sidecar["grid"]["n_x"] == 16
         assert "_snapshot" not in (out / "meta.json").read_text()
+
+    def test_covariance_table_holds_plain_numbers(self, tmp_path):
+        # the probe means are numpy scalars; a cell is repr(float(v)), not np.float64(...)
+        out = tmp_path / "out"
+        assert main(["gauss", "--config", self.CONFIG, "--out", str(out)]) == 0
+        import csv
+
+        assert "np.float64(" not in (out / "table.csv").read_text()
+        with open(out / "table.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert all(np.isfinite(float(v)) for row in rows for v in row.values())
 
     def test_snapshot_travels_in_the_outcome(self):
         cfg = parse_run_config(self.CONFIG)

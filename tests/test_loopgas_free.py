@@ -236,6 +236,13 @@ class TestTraceIdentity:
         rec = trace_identity_check(1.0, 0.5, region)
         assert rec["abs_diff"] < 1e-8
 
+    @pytest.mark.parametrize("n_mc", [0, 1])
+    def test_interaction_correction_needs_two_samples(self, n_mc):
+        # an empty batch has no mean weight, one sample no error: refused, not NaN
+        region = BoxRegion(d=3, L=6.0)
+        with pytest.raises(ValueError, match="n_mc"):
+            trace_identity_check(1.0, 0.5, region, n_mc=n_mc, V=gaussian_repulsion(3, 0.5, 0.5))
+
     def test_dirichlet_box(self):
         region = BoxRegion(d=3, L=6.0, boundary=DIRICHLET)
         rec = trace_identity_check(1.0, 0.5, region)
