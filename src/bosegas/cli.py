@@ -131,7 +131,10 @@ def _run_gauss(cfg: RunConfig, seed: int):
         volumes = cfg.get("sampler", "volumes") or [grid.L, 2 * grid.L, 4 * grid.L]
         rep = ergodicity_diagnostic(params, n, volumes, seed)
         rows = rep["rows"]
-        records.append(ResultRecord(h, "ergodicity_slope", float(rep["slope"]), float(rep["slope_err"])))
+        if np.isnan(rep["slope"]):  # too few samples to fit one
+            extra["refused"] = {"ergodicity_slope": f"no slope from n_samples = {n}: status {rep['status']}"}
+        else:
+            records.append(ResultRecord(h, "ergodicity_slope", float(rep["slope"]), float(rep["slope_err"])))
         records.append(ResultRecord(h, "ergodicity_status:" + rep["status"], float(rep["plateau"]),
                                     float(rows[-1]["var_err"])))
     elif name == "mixing":

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..diagnostics import stratified_mean
 from ..rng import derive_seed, generator
+from ..spectral import box_spectrum, pressure
 from .energy import _trapezoid_weights, added_loop_energies, interaction_energies
 from .free import (
     _CHUNK_FLOATS,
@@ -38,7 +39,7 @@ from .free import (
 )
 from .potential import PairPotential
 from .observables import LoopTestFunction
-from .regions import DIRICHLET, PERIODIC, BoxRegion, _mode_eigenvalues
+from .regions import DIRICHLET, PERIODIC, BoxRegion
 
 
 # -- cylindrical functionals -------------------------------------------------------
@@ -246,12 +247,10 @@ def integration_by_parts_check(
 
 
 def spectral_log_partition(beta: float, mu: float, region: BoxRegion, tol: float = 1e-16) -> float:
-    """-sum_k ln(1 - exp(-beta (lam_k + mu))) over the box modes (mode-sum route)."""
-    lam1 = _mode_eigenvalues(region.boundary, region.L, beta, tol)
-    grids = np.meshgrid(*([lam1] * region.d), indexing="ij")
-    lam = sum(grids).ravel()
-    x = beta * (lam + mu)
-    return float(-np.log(-np.expm1(-x)).sum())
+    """-sum_k ln(1 - exp(-beta (lam_k + mu))) over the box modes (mode-sum route):
+    |box| times the ideal-gas pressure of the box spectrum, which refuses a
+    spectrum past MODE_BUDGET and mu at or below the condensation boundary."""
+    return region.volume * pressure(box_spectrum(region.d, region.L, region.boundary, beta, tol), beta, mu)
 
 
 def trace_identity_check(

@@ -531,8 +531,7 @@ def gibbs_sample(
 
             save_loop_checkpoint(
                 chain.config,
-                {"d": region.d, "L": region.L, "boundary": region.boundary,
-                 "n_slices": region.n_slices, "z": z, "beta": beta},
+                _checkpoint_law(z, beta, region),
                 chain.rng.bit_generator.state,
                 checkpoint_base,
                 sweep=sweep + 1,
@@ -561,6 +560,12 @@ def gibbs_sample(
     }
 
 
+def _checkpoint_law(z: float, beta: float, region: BoxRegion) -> dict:
+    """The sidecar's "region": the fields a resumed chain must share with the written one."""
+    return {"d": region.d, "L": region.L, "boundary": region.boundary,
+            "n_slices": region.n_slices, "z": z, "beta": beta}
+
+
 def resume_gibbs(
     checkpoint_base: str,
     z: float,
@@ -574,10 +579,16 @@ def resume_gibbs(
 ) -> dict:
     """Continue a checkpointed chain; the trajectory matches an uninterrupted
     run exactly (the checkpoint carries the complete RNG state), and so do
-    the move counters and the N estimates."""
+    the move counters and the N estimates.  A checkpoint written for another
+    box, activity or beta is refused with a ValueError naming the first field
+    that differs."""
     from ..records import load_loop_checkpoint
 
     config, sidecar = load_loop_checkpoint(checkpoint_base)
+    for key, value in _checkpoint_law(z, beta, region).items():
+        if sidecar["region"].get(key) != value:
+            raise ValueError(f"checkpoint {checkpoint_base} was written at {key} = "
+                             f"{sidecar['region'].get(key)!r}, not {value!r}")
     chain = GibbsChain(z, beta, region, V, rng_seed=0)
     chain.config = config
     state = sidecar["chain"]

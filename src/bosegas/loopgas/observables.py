@@ -13,7 +13,7 @@ import numpy as np
 from ..diagnostics import batch_means, stratified_mean
 from ..rng import derive_seed, generator
 from .energy import added_loop_energies, intra_energies
-from .free import config_pairings, winding_masses
+from .free import config_pairings, free_rdm, winding_masses
 from .loops import as_batch, fill_bridges
 from .potential import PairPotential
 from .regions import PERIODIC, BoxRegion, kernel, wall_survival_log, winding_images, wrap_knots
@@ -88,8 +88,10 @@ def reduced_density_matrix(
 
     The open bridge of winding j carries j beta-legs; its weight is the
     intra-path distinct-leg Gibbs factor times exp(-energy against a sampled
-    loop configuration) (V = None leaves weight 1).  When the estimate sinks
-    below twice its error the record reports an upper bound instead of a value.
+    loop configuration) (V = None leaves weight 1, so in a periodic box the
+    record is free_rdm's closed form, exact, with no draws).  When the
+    estimate sinks below twice its error the record reports an upper bound
+    instead of a value.
     """
     _, jm = winding_masses(z, beta, region)
     rng = generator(derive_seed(seed, "rdm"))
@@ -122,15 +124,13 @@ def reduced_density_matrix(
             seen += mass * w.mean()
             yield mass, w
 
-    total, err = stratified_mean(sectors())
-    rec = {"x": x, "y": y, "estimate": float(total), "std_error": float(err), "j_max": jm}
-    if V is None and gibbs_configs is None and region.boundary == PERIODIC:
-        rec["std_error"] = 0.0  # weights are identically 1: the mass sum is exact
-    if rec["std_error"] > 0 and abs(rec["estimate"]) < 2 * rec["std_error"]:
-        rec["upper_bound"] = abs(rec["estimate"]) + 3 * rec["std_error"]
-        rec["status"] = "upper-bound"
+    if V is None and region.boundary == PERIODIC:
+        total, err = free_rdm(z, beta, region, x, y), None  # weights are identically 1
     else:
-        rec["status"] = "value"
+        total, err = (float(v) for v in stratified_mean(sectors()))
+    rec = {"x": x, "y": y, "estimate": float(total), "std_error": err, "j_max": jm, "status": "value"}
+    if err and abs(total) < 2 * err:  # an exact (None) or zero error bounds nothing
+        rec.update(upper_bound=abs(total) + 3 * err, status="upper-bound")
     return rec
 
 

@@ -14,7 +14,8 @@ masses:
 
 The Dirichlet mass also equals the sine-mode trace sum_{n>=1} exp(-t (pi n/L)^2)
 per dimension (Poisson summation); both forms are exposed so identities can be
-checked through genuinely independent routes.
+checked through genuinely independent routes.  The mode traces read the
+axis modes from spectral.box_spectrum, the one list of a box's modes.
 
 The box owns what its boundary does to a bridge, through three functions
 of the region in the idiom of kernel(x, y, region, t): wrap_knots (np.mod,
@@ -32,8 +33,7 @@ from math import pi
 
 import numpy as np
 
-PERIODIC = "periodic"
-DIRICHLET = "dirichlet"
+from ..spectral import DIRICHLET, PERIODIC, box_spectrum
 
 
 @dataclass(frozen=True)
@@ -127,25 +127,14 @@ def diagonal_mass(region: BoxRegion, t: float) -> float:
     return float(one_dim**region.d)
 
 
-def _mode_eigenvalues(boundary: str, L: float, t: float, tol: float) -> np.ndarray:
-    """Eigenvalues of -d^2/dx^2 on (0, L): (2 pi m / L)^2 for m in Z
-    (periodic) or (pi n / L)^2 for n >= 1 (Dirichlet), up to two modes past
-    the last whose exp(-t lam) reaches tol."""
-    if boundary == PERIODIC:
-        m_max = int(np.sqrt(max(-np.log(tol) / t, 1.0)) * L / (2 * pi)) + 2
-        return (2 * pi * np.arange(-m_max, m_max + 1) / L) ** 2
-    n_max = int(np.sqrt(max(-np.log(tol) / t, 1.0)) * L / pi) + 2
-    return (pi * np.arange(1, n_max + 1) / L) ** 2
-
-
 def dirichlet_mode_trace(region: BoxRegion, t: float, tol: float = 1e-18) -> float:
     """Independent spectral route: [sum_{n>=1} exp(-t (pi n / L)^2)]^d."""
-    return float(np.exp(-t * _mode_eigenvalues(DIRICHLET, region.L, t, tol)).sum() ** region.d)
+    return float(np.exp(-t * box_spectrum(1, region.L, DIRICHLET, t, tol).eigenvalues).sum() ** region.d)
 
 
 def periodic_mode_trace(region: BoxRegion, t: float, tol: float = 1e-18) -> float:
     """Independent spectral route: [sum_{m in Z} exp(-t (2 pi m / L)^2)]^d."""
-    return float(np.exp(-t * _mode_eigenvalues(PERIODIC, region.L, t, tol)).sum() ** region.d)
+    return float(np.exp(-t * box_spectrum(1, region.L, PERIODIC, t, tol).eigenvalues).sum() ** region.d)
 
 
 def wrap(x, L: float):

@@ -1,9 +1,11 @@
 """Exact thermodynamics of the noninteracting Bose gas.
 
-Finite periodic boxes carry the discrete Laplacian spectrum (2 pi m / L)^2;
-the infinite-volume limit is represented through a density of states.  Units:
-hbar = 2m = 1, so the kinetic dispersion is p^2 and the thermal wavelength
-scale is sqrt(4 pi beta).
+Finite boxes carry the discrete Laplacian spectrum: (2 pi m / L)^2 per axis
+for a periodic box, (pi n / L)^2 for a Dirichlet one.  This module is the only
+code that lists a box's modes: the ideal gas, the loop gas's trace identity
+and its mode traces all read it.  The infinite-volume limit is represented
+through a density of states.  Units: hbar = 2m = 1, so the kinetic dispersion
+is p^2 and the thermal wavelength scale is sqrt(4 pi beta).
 
 Conventions.  The free-energy density is p = ln(Z)/|box| evaluated through the
 mode product, so dp/dmu = -beta * density with the density defined as the
@@ -20,8 +22,9 @@ from scipy import integrate, optimize
 
 from .errors import CondensationBoundaryError, DivergenceError, ResourceBudgetError, TruncationError
 
-MODE_BUDGET = 20_000_000  # max retained eigenvalues before a resource error
-M_CUTOFF_CAP = 4000  # largest symmetric mode cutoff auto_cutoff tries
+PERIODIC = "periodic"
+DIRICHLET = "dirichlet"
+MODE_BUDGET = 20_000_000  # most eigenvalues a spectrum may hold
 J_SERIES_CAP = 100_000  # most terms continuum_density sums
 
 
@@ -41,10 +44,6 @@ class TorusGeometry:
         if self.mode_cutoff < 1:
             raise ValueError("mode_cutoff must be >= 1")
 
-    @property
-    def volume(self) -> float:
-        return self.L**self.d
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -62,49 +61,45 @@ class Spectrum:
             raise ValueError("gaps must start at 0 and be nonnegative")
 
 
-def build_torus_spectrum(geom: TorusGeometry, budget: int = MODE_BUDGET) -> Spectrum:
-    """All eigenvalues (2 pi / L)^2 |m|^2 with |m_i| <= cutoff, sorted with multiplicity."""
-    count = (2 * geom.mode_cutoff + 1) ** geom.d
-    if count > budget:
-        raise ResourceBudgetError(
-            f"{count} modes exceed the budget of {budget}; lower the cutoff"
-        )
-    m = np.arange(-geom.mode_cutoff, geom.mode_cutoff + 1)
-    grids = np.meshgrid(*([m] * geom.d), indexing="ij")
-    lam = (2 * pi / geom.L) ** 2 * sum(g.astype(float) ** 2 for g in grids)
-    ev = np.sort(lam.ravel())
-    return Spectrum(eigenvalues=ev, gaps=ev - ev[0], volume=geom.volume)
+def _spectrum(boundary: str, L: float, n: int, d: int, box: str) -> Spectrum:
+    """Every sum of d axis eigenvalues, (2 pi m / L)^2 for |m| <= n (periodic)
+    or (pi m / L)^2 for 1 <= m <= n (Dirichlet), sorted; a box of more than
+    MODE_BUDGET modes is refused before anything is allocated."""
+    if boundary not in (PERIODIC, DIRICHLET):
+        raise ValueError(f"unknown boundary condition {boundary!r}")
+    size = 2 * n + 1 if boundary == PERIODIC else n
+    if size**d > MODE_BUDGET:
+        raise ResourceBudgetError(f"the {box} holds {size}^{d} = {size**d} modes, over the budget of {MODE_BUDGET}")
+    m = np.arange(-n, n + 1) if boundary == PERIODIC else np.arange(1, n + 1)
+    lam = axis = ((2 * pi if boundary == PERIODIC else pi) * m / L) ** 2
+    for _ in range(d - 1):
+        lam = np.add.outer(lam, axis).ravel()
+    ev = np.sort(lam)
+    return Spectrum(eigenvalues=ev, gaps=ev - ev[0], volume=L**d)
 
 
-def auto_cutoff(d: int, L: float, beta: float, tol: float = 1e-10) -> int:
-    """Smallest symmetric cutoff whose dropped tail of sum(exp(-beta lam)) is < tol.
+def box_spectrum(d: int, L: float, boundary: str, t: float, tol: float) -> Spectrum:
+    """Spectrum of the periodic or Dirichlet box of side L in d dimensions whose
+    axes keep every mode with exp(-t lam) >= tol, and two more.
 
-    Raises TruncationError when the cutoff would pass M_CUTOFF_CAP.
+    Tail bound: with k the axis mode spacing (2 pi / L periodic, pi / L
+    Dirichlet) and s = k sqrt(-t ln tol), the modes an axis drops on each side
+    (one side for Dirichlet, two for periodic) have
+    sum exp(-t lam) <= tol exp(-4 s) / (1 - exp(-2 s)).
     """
-    from scipy.special import erfc
+    n = int(np.sqrt(max(-np.log(tol) / t, 1.0)) * L / (2 * pi if boundary == PERIODIC else pi)) + 2
+    return _spectrum(boundary, L, n, d, f"{boundary} box d={d}, L={L:g} at t={t:g}, tol={tol:g}")
 
-    k2 = (2 * pi / L) ** 2
-    M = 1
-    while True:
-        m = np.arange(-M, M + 1)
-        total1 = np.exp(-beta * k2 * m.astype(float) ** 2).sum()
-        # 1d tail bound: 2 * (integral + endpoint term) beyond M
-        tail1 = 2 * np.exp(-beta * k2 * (M + 1) ** 2) + (L / 2) * (pi / beta) ** 0.5 / pi * erfc(
-            (M + 1) * (beta * k2) ** 0.5
-        )
-        if d * tail1 / total1 < tol:
-            return M
-        if M > M_CUTOFF_CAP:
-            raise TruncationError(
-                f"mode cutoff M = {M} passed the cap {M_CUTOFF_CAP} with relative tail "
-                f"{d * tail1 / total1:.3g} >= tol = {tol:g} (d={d}, L={L}, beta={beta})"
-            )
-        M = max(M + 1, int(1.3 * M))
+
+def build_torus_spectrum(geom: TorusGeometry) -> Spectrum:
+    """All eigenvalues (2 pi / L)^2 |m|^2 with |m_i| <= cutoff, sorted with multiplicity."""
+    box = f"periodic box d={geom.d}, L={geom.L:g} at mode_cutoff={geom.mode_cutoff}"
+    return _spectrum(PERIODIC, geom.L, geom.mode_cutoff, geom.d, box)
 
 
 def auto_torus_spectrum(d: int, L: float, beta: float, tol: float = 1e-10) -> Spectrum:
-    """Torus spectrum with the cutoff chosen programmatically from the tail bound."""
-    return build_torus_spectrum(TorusGeometry(d, L, auto_cutoff(d, L, beta, tol)))
+    """The periodic box_spectrum at t = beta: each axis keeps every mode with exp(-beta lam) >= tol."""
+    return box_spectrum(d, L, PERIODIC, beta, tol)
 
 
 def admissibility_phi(spec: Spectrum, beta: float) -> float:
@@ -138,8 +133,9 @@ def pressure(spec: Spectrum, beta: float, mu: float) -> float:
 def density(spec: Spectrum, beta: float, mu: float) -> float:
     """Bose-Einstein sum (1/|box|) sum_k 1/(exp(beta(lam_k + mu)) - 1); decreasing in mu."""
     _check_domain(spec, beta, mu)
-    x = beta * (spec.eigenvalues + mu)
-    return float((1.0 / np.expm1(x)).sum() / spec.volume)
+    x = spec.eigenvalues + mu  # one buffer: solve_mu calls this dozens of times
+    x *= beta
+    return float(np.divide(1.0, np.expm1(x, out=x), out=x).sum() / spec.volume)
 
 
 def solve_mu(spec: Spectrum, beta: float, rho_target: float, rtol: float = 1e-12) -> float:

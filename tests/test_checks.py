@@ -12,7 +12,6 @@ from bosegas.loopgas import (
     Pairing,
     PairingProduct,
     free_density,
-    free_rdm,
     gibbs_sample,
     hard_core,
     integration_by_parts_check,
@@ -194,7 +193,14 @@ class TestReducedDensityMatrix:
         x = np.array([2.0, 3.0, 3.5])
         y = np.array([2.5, 3.0, 3.5])
         rec = reduced_density_matrix(z, 1.0, region, x, y, V=None, n_mc=400, seed=47)
-        assert np.isclose(rec["estimate"], free_rdm(z, 1.0, region, x, y), rtol=1e-10)
+        # independent route: the Bose-Einstein plane-wave sum
+        # (1/|box|) sum_k cos(k.(x - y)) z e^(-beta k^2) / (1 - z e^(-beta k^2))
+        k1 = 2 * np.pi * np.arange(-20, 21) / region.L
+        k = np.stack(np.meshgrid(k1, k1, k1, indexing="ij"), axis=-1).reshape(-1, 3)
+        q = z * np.exp(-(k**2).sum(axis=1))
+        modes = (np.cos(k @ (x - y)) * q / (1 - q)).sum() / region.volume
+        assert np.isclose(rec["estimate"], modes, rtol=1e-10)
+        assert rec["std_error"] is None and rec["status"] == "value"
 
     def test_free_diagonal_is_density(self):
         region = BoxRegion(d=3, L=7.0, n_slices=8)

@@ -303,6 +303,16 @@ class TestRun:
         for rec in (recs["ergodicity_slope"], status):
             assert rec["tag"] == "estimated" and float(rec["std_error"]) > 0
 
+    def test_inconclusive_ergodicity_writes_no_slope(self, tmp_path):
+        # below the diagnostic's 64 samples there is no slope: no record for
+        # it, the reason in meta.json, and the status record still written
+        cfgp = write(tmp_path, "erg.ini", ERGODICITY.replace("n_samples = 100", "n_samples = 32"))
+        assert run(cfgp, out=str(tmp_path / "out")) == 0
+        recs = self.results_csv(tmp_path / "out")
+        assert list(recs) == ["ergodicity_status:inconclusive"]
+        refused = json.loads((tmp_path / "out" / "meta.json").read_text())["extra"]["refused"]
+        assert refused == {"ergodicity_slope": "no slope from n_samples = 32: status inconclusive"}
+
     def test_kind_mismatch(self, tmp_path):
         cfgp = write(tmp_path, "ideal.ini", IDEAL)
         assert main(["loops", "--config", cfgp]) == 2
@@ -494,3 +504,11 @@ class TestShippedConfigs:
         assert main(["oracle", "--config", os.path.join(CONFIG_DIR, "oracle.ini"), "--out", str(out)]) == 0
         recs = {r["observable"]: r["value"] for r in json.loads((out / "results.json").read_text())}
         assert recs["logZ"] == pytest.approx(0.9274383835652091, rel=1e-13)  # the benchmark's free ln Z
+
+    def test_ideal_sweep_runs(self, tmp_path):
+        # d = 3, L = 8 at four betas: the automatic torus spectrum end to end
+        out = tmp_path / "out"
+        assert run(os.path.join(CONFIG_DIR, "ideal-sweep.ini"), out=str(out)) == 0
+        recs = json.loads((out / "results.json").read_text())
+        assert len(recs) == 16
+        assert all(r["tag"] == "exact" and np.isfinite(r["value"]) for r in recs)

@@ -215,7 +215,7 @@ def test_reduced_density_matrix_pinned():
     region = BoxRegion(d=2, L=4.0, n_slices=4)
     x, y = np.array([0.5, 1.0]), np.array([3.5, 1.5])
     free = reduced_density_matrix(0.5, 1.0, region, x, y, V=None, n_mc=200, seed=14)
-    assert (free["estimate"], free["std_error"], free["j_max"]) == (0.06641022172529994, 0.0, 29)
+    assert (free["estimate"], free["std_error"], free["j_max"]) == (0.06641022172529994, None, 29)
     hc = reduced_density_matrix(0.5, 1.0, region, x, y, V=hard_core(2, 0.3), n_mc=200, seed=15)
     assert (hc["estimate"], hc["std_error"]) == (0.05707250822504091, 0.0005228292871101255)
 

@@ -365,6 +365,26 @@ class TestCheckpointResume:
         assert resumed["mean_N"] == full["mean_N"]
         assert resumed["err_N"] == full["err_N"] and np.isfinite(full["err_N"])
 
+    @pytest.mark.parametrize("field, change", [
+        ("L", {"region": BoxRegion(d=2, L=9.0, n_slices=4)}),
+        ("boundary", {"region": BoxRegion(d=2, L=6.0, boundary="dirichlet", n_slices=4)}),
+        ("n_slices", {"region": BoxRegion(d=2, L=6.0, n_slices=8)}),
+        ("z", {"z": 0.7}),
+        ("beta", {"beta": 2.0}),
+        ("L", {"region": BoxRegion(d=2, L=9.0, n_slices=4), "z": 0.7, "beta": 2.0}),
+    ])
+    def test_resume_refuses_another_law(self, tmp_path, field, change):
+        # a chain written at z = 0.4, beta = 1, L = 6 must not continue under
+        # another law, whose N history would mix with the written one
+        from bosegas.loopgas.gibbs import resume_gibbs
+
+        base = str(tmp_path / "ck")
+        region = BoxRegion(d=2, L=6.0, n_slices=4)
+        gibbs_sample(0.4, 1.0, region, None, n_sweeps=10, rng_seed=79, checkpoint_base=base, checkpoint_every=10)
+        law = {"z": 0.4, "beta": 1.0, "region": region, **change}
+        with pytest.raises(ValueError, match=f"written at {field} = "):
+            resume_gibbs(base, law["z"], law["beta"], law["region"], None, n_sweeps=20)
+
 
 STABILITY_SCRIPT = """
 import sys

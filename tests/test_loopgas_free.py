@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bosegas.errors import ActivityError, TruncationError
+from bosegas import spectral
+from bosegas.errors import ActivityError, CondensationBoundaryError, ResourceBudgetError, TruncationError
 from bosegas.loopgas import (
     BoxRegion,
     DIRICHLET,
@@ -28,7 +29,7 @@ from bosegas.loopgas import (
 )
 from bosegas.loopgas.loops import BridgeLoop, LoopConfiguration
 from bosegas.loopgas.potential import gaussian_repulsion, hard_core
-from bosegas.spectral import auto_torus_spectrum, density
+from bosegas.spectral import TorusGeometry, auto_torus_spectrum, build_torus_spectrum, density, pressure
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -249,16 +250,26 @@ class TestTraceIdentity:
         assert rec["abs_diff"] < 1e-6
 
     def test_spectral_routes_match_spectral_gas(self):
-        # periodic mode sum equals the torus-spectrum pressure route
+        # the automatic cutoff of the periodic mode sum keeps 15 modes per
+        # axis (m = -7 .. 7); an explicit cutoff of 12 changes ln Z by < 1e-10
         region = BoxRegion(d=3, L=6.0)
         beta, mu = 1.0, 0.5
-        spec = auto_torus_spectrum(3, 6.0, beta)
-        from bosegas.spectral import pressure
-
+        spec = build_torus_spectrum(TorusGeometry(3, 6.0, 12))
         assert np.isclose(
             spectral_log_partition(beta, mu, region), spec.volume * pressure(spec, beta, mu),
             rtol=1e-10,
         )
+
+    @pytest.mark.parametrize("boundary, mu", [(PERIODIC, -0.1), (DIRICHLET, -0.9)])
+    def test_spectral_side_refuses_the_condensation_boundary(self, boundary, mu):
+        # mu = -0.9 lies below -lambda(1) = -3 pi^2 / 36 of the absorbing box
+        with pytest.raises(CondensationBoundaryError):
+            spectral_log_partition(1.0, mu, BoxRegion(d=3, L=6.0, boundary=boundary))
+
+    def test_spectral_side_keeps_the_mode_budget(self, monkeypatch):
+        monkeypatch.setattr(spectral, "MODE_BUDGET", 1000)
+        with pytest.raises(ResourceBudgetError, match=r"15\^3 = 3375 modes"):
+            spectral_log_partition(1.0, 0.5, BoxRegion(d=3, L=6.0))
 
 
 class TestFreeRDM:

@@ -5,17 +5,18 @@ import pytest
 from scipy.special import zeta
 
 from bosegas.errors import CondensationBoundaryError, DivergenceError, ResourceBudgetError, TruncationError
+from bosegas import spectral
 from bosegas.spectral import (
     J_SERIES_CAP,
-    M_CUTOFF_CAP,
+    MODE_BUDGET,
     DensityOfStates,
     Spectrum,
     TorusGeometry,
     admissibility_phi,
     admissibility_report,
     analytic_dos,
-    auto_cutoff,
     auto_torus_spectrum,
+    box_spectrum,
     build_torus_spectrum,
     condensate_fraction,
     continuum_density,
@@ -58,26 +59,61 @@ class TestTorusSpectrum:
         spec = build_torus_spectrum(TorusGeometry(d=3, L=10.0, mode_cutoff=20))
         assert spec.eigenvalues.size == 41**3
 
-    def test_budget(self):
-        with pytest.raises(ResourceBudgetError):
-            build_torus_spectrum(TorusGeometry(d=3, L=10.0, mode_cutoff=200), budget=10**6)
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(spectral, "MODE_BUDGET", 10**6)
+        with pytest.raises(ResourceBudgetError, match=r"mode_cutoff=200 holds 401\^3 = 64481201 modes, over the budget of 1000000"):
+            build_torus_spectrum(TorusGeometry(d=3, L=10.0, mode_cutoff=200))
+
+    def test_automatic_cutoff_is_an_explicit_one(self):
+        # the automatic torus is the explicit-cutoff torus at the cutoff its axis reaches
+        n = box_spectrum(1, 6.0, "periodic", 1.0, 1e-10).eigenvalues.size
+        auto = auto_torus_spectrum(3, 6.0, 1.0)
+        explicit = build_torus_spectrum(TorusGeometry(d=3, L=6.0, mode_cutoff=(n - 1) // 2))
+        assert n == 13 and np.array_equal(auto.eigenvalues, explicit.eigenvalues)
+
+    def test_axis_cutoff_keeps_every_mode_above_tol_and_two_more(self):
+        # exactly the last two modes of each side have exp(-t lam) < tol, and
+        # the dropped tail stays inside the docstring's bound
+        for boundary, k, sides in (("periodic", 2 * np.pi / 5.0, 2), ("dirichlet", np.pi / 5.0, 1)):
+            for t, tol in ((1.0, 1e-10), (0.1, 1e-16), (30.0, 1e-18)):
+                lam = box_spectrum(1, 5.0, boundary, t, tol).eigenvalues
+                assert np.count_nonzero(np.exp(-t * lam) < tol) == 2 * sides
+                n = int(round(np.sqrt(lam.max()) / k))
+                s = k * np.sqrt(-t * np.log(tol))
+                dropped = np.exp(-t * (k * np.arange(n + 1, n + 400)) ** 2).sum()
+                assert dropped <= tol * np.exp(-4 * s) / (1 - np.exp(-2 * s))
+
+    def test_dirichlet_box(self):
+        spec = box_spectrum(2, np.pi, "dirichlet", 1.0, 1e-10)
+        assert np.allclose(spec.eigenvalues[:4], [2.0, 5.0, 5.0, 8.0])
+        assert spec.volume == np.pi**2 and spec.gaps[0] == 0.0
+
+    def test_unknown_boundary(self):
+        with pytest.raises(ValueError, match="boundary"):
+            box_spectrum(3, 6.0, "neumann", 1.0, 1e-10)
 
 
 class TestTruncationCaps:
     """Caps that stop a sum short of its tolerance raise instead of returning."""
 
-    def test_cutoff_cap_raises(self):
-        with pytest.raises(TruncationError, match=f"cap {M_CUTOFF_CAP}.*tail"):
-            auto_cutoff(3, 1e5, 1e-6)
+    def test_mode_budget_raises(self):
+        # refused from the per-axis count, before any list is allocated
+        with pytest.raises(ResourceBudgetError, match=r"periodic box d=3, L=100000 .*tol=1e-10 "
+                           r"holds 152741827\^3 = \d+ modes, over the budget of 20000000"):
+            auto_torus_spectrum(3, 1e5, 1e-6)
 
     def test_series_cap_raises(self):
         with pytest.raises(TruncationError, match=f"cap of {J_SERIES_CAP} terms.*tail"):
             continuum_density(3, 1.0, 1e-9)
 
-    def test_shipped_sizes_stay_inside_the_caps(self):
-        # the benchmark's torus, the ideal-sweep config and the acceptance box
-        for d, L, beta in [(3, 24.0, 1.0), (3, 8.0, 0.5), (3, 16.0, 1.0), (3, 40.0, 0.25)]:
-            assert auto_cutoff(d, L, beta) < M_CUTOFF_CAP / 10
+    def test_shipped_sizes_stay_inside_the_budget(self):
+        # the benchmark's torus, the ideal-sweep config and the acceptance
+        # boxes, counted from the axis list without building the spectrum;
+        # the largest, (3, 40, 0.25), holds 127^3 = 2.05e6 modes
+        for (d, L, beta), size in zip([(3, 24.0, 1.0), (3, 8.0, 0.5), (3, 16.0, 1.0), (3, 40.0, 0.25)],
+                                      (41, 21, 29, 127)):
+            assert box_spectrum(1, L, "periodic", beta, 1e-10).eigenvalues.size == size
+            assert size**d < MODE_BUDGET / 5
         assert np.isfinite(continuum_density(3, 1.0, 0.5))
 
 
