@@ -256,6 +256,7 @@ def check_9_gibbs_validity(seed=BASE_SEED) -> CheckResult:
         cut_proposal,
         delete_proposal,
         merge_proposal,
+        redraw_proposal,
         shift_proposal,
     )
     from .rng import generator
@@ -305,6 +306,14 @@ def check_9_gibbs_validity(seed=BASE_SEED) -> CheckResult:
     chain2.config, chain2.energy = Y, eY
     cprop = cut_proposal(chain2, Y.loop_count - 1, 0, jb, _leg_block(A, 0, ns), _leg_block(B, 0, ns))
     residuals.append(mprop.log_accept + cprop.log_accept)
+    # a frozen redraw of A's knots 1 .. 3 and the redraw that puts them back
+    u, arc = 1, 2
+    old_arc = A.path[u : u + arc + 1].copy()
+    new_arc = _draw_beta_bridge(A.path[u], A.path[u + arc], 1.0, region2, rng, arc)
+    rprop = redraw_proposal(chain, 0, u, new_arc)
+    Y, eY = rprop.builder()
+    chain2.config, chain2.energy = Y, eY
+    residuals.append(rprop.log_accept + redraw_proposal(chain2, 0, u, old_arc).log_accept)
     db_resid = max(abs(r) for r in residuals)
     ok = pval > 0.01 and db_resid < 1e-9
     return CheckResult(9, "Gibbs sampler validity", ok,

@@ -89,11 +89,9 @@ def _run_ideal(cfg: RunConfig, seed: int):
 def _run_gauss(cfg: RunConfig, seed: int):
     from .thermal import (
         FieldGrid,
-        PolynomialPerturbation,
         ThermalFieldParams,
         covariance,
         ergodicity_diagnostic,
-        mixing_decomposition_check,
         renormalized_mixing,
         reweighted_state,
         sample_fields,

@@ -22,7 +22,7 @@ loops.py, which covers every winding the identity checks reach.
 A test function with a declared support [0, t_max] reads only the knots
 with t <= t_max.  Where a periodic path serves nothing else, its caller fills
 only that prefix (`_fill_loop_paths(..., knots=k)`, see `_live_knots`):
-fill_bridges draws only the normals those knots read, so the prefix has the
+box_bridges draws only the normals those knots read, so the prefix has the
 law of a whole path's first knots on a shorter generator stream, and
 time_integrals takes the full knot count so the trapezoid weights are those
 of the whole path.  Dirichlet paths are always filled whole: the survival
@@ -36,8 +36,8 @@ from ..diagnostics import stratified_mean
 from ..errors import ActivityError, TruncationError
 from ..rng import derive_seed, generator
 from .energy import _trapezoid_weights
-from .loops import LoopBatch, LoopConfiguration, as_batch, fill_bridges
-from .regions import PERIODIC, BoxRegion, diagonal_mass, kernel, wall_survival_log, winding_images, wrap_knots
+from .loops import LoopBatch, LoopConfiguration, as_batch, box_bridges
+from .regions import PERIODIC, BoxRegion, diagonal_mass, dirichlet_kernel_1d, kernel, wall_survival_log, wrap_knots
 
 J_MAX_CAP = 400
 TAIL_TOL = 1e-10
@@ -92,27 +92,18 @@ def _sample_bases(count: int, j: int, beta: float, region: BoxRegion, rng) -> np
         return np.zeros((0, region.d))
     if region.boundary == PERIODIC:
         return rng.uniform(0, region.L, size=(count, region.d))
-    # rejection from uniform against the diagonal Dirichlet kernel
+    # rejection from uniform, per coordinate, against the diagonal Dirichlet
+    # kernel, which peaks at the box's centre for every t
     t = j * beta
-    xs = np.linspace(region.L * 1e-4, region.L * (1 - 1e-4), 512)
-    probe = np.zeros((512, region.d))
+    gmax = float(dirichlet_kernel_1d(region.L / 2, region.L / 2, region.L, t))
     out = np.empty((count, region.d))
-    # per-coordinate factorized density: reject coordinate-wise
-    from .regions import dirichlet_kernel_1d
-
-    g = dirichlet_kernel_1d(xs, xs, region.L, t)
-    gmax = g.max() * 1.0000001
     for k in range(region.d):
-        need = count
-        got = []
-        while need > 0:
-            cand = rng.uniform(0, region.L, size=max(2 * need, 64))
-            acc = rng.uniform(0, gmax, size=cand.size) < dirichlet_kernel_1d(
-                cand, cand, region.L, t
-            )
-            got.append(cand[acc])
-            need = count - sum(len(gg) for gg in got)
-        out[:, k] = np.concatenate(got)[:count]
+        got = np.empty(0)
+        while got.size < count:
+            cand = rng.uniform(0, region.L, size=max(2 * (count - got.size), 64))
+            acc = rng.uniform(0, gmax, size=cand.size) < dirichlet_kernel_1d(cand, cand, region.L, t)
+            got = np.concatenate([got, cand[acc]])
+        out[:, k] = got[:count]
     return out
 
 
@@ -121,24 +112,23 @@ def _fill_loop_paths(bases: np.ndarray, j: int, beta: float, region: BoxRegion, 
     for Dirichlet walls (resampling rejected paths).
 
     With `knots` given, periodic paths hold only their first `knots` knots,
-    drawn from only the normals those knots read (fill_bridges); Dirichlet
+    drawn from only the normals those knots read (box_bridges); Dirichlet
     paths stay whole.
     """
     count = bases.shape[0]
     n_int = j * region.n_slices
     dtau = beta / region.n_slices
-    images = winding_images(np.zeros(region.d), count, region, j * beta, rng)
     if region.boundary == PERIODIC:  # no wall: every bridge is kept
-        return fill_bridges(bases, bases + images * region.L, n_int, dtau, rng, knots), images
+        return box_bridges(bases, bases, n_int, dtau, region, rng, knots)
     paths = np.empty((count, n_int + 1, region.d))
     todo = np.arange(count)
     while todo.size:
-        cand = fill_bridges(bases[todo], bases[todo], n_int, dtau, rng)
+        cand = box_bridges(bases[todo], bases[todo], n_int, dtau, region, rng)[0]
         logs = wall_survival_log(cand, region, dtau)
         acc = np.log(rng.uniform(size=todo.size)) < logs
         paths[todo[acc]] = cand[acc]
         todo = todo[~acc]
-    return paths, images
+    return paths, np.zeros((count, region.d), dtype=int)
 
 
 def sector_bridges(nus, n_mc: int, beta: float, region: BoxRegion, rng, fs=None):

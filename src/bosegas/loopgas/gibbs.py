@@ -21,11 +21,11 @@ their proposal with one function (_reconnection_log_accept): the combinatorial
 factor, the kernel ratio k(p, q') k(q, p') / (k(p, p') k(q, q')) and, in
 Dirichlet boxes, the survival of the two bridges over that of the two legs.
 
-Chain state stores knots in the box (regions.wrap_knots), a fresh bridge
-ends at its winding image (winding_images), and each acceptance carries the
-log wall survival of what it adds over what it removes (wall_survival_log),
-so Dirichlet bridge proposals stay free.  Step densities use minimum-image
-Gaussian increments, valid for sqrt(beta) well below L.
+Chain state stores knots in the box (regions.wrap_knots).  Every fresh
+bridge (inserted loop, merge/cut bridge, redraw arc) is a loops.box_bridges
+draw, exact in a periodic box at any sqrt(beta) / L, and each acceptance
+carries the log wall survival of what it adds over what it removes
+(wall_survival_log), so Dirichlet bridge proposals stay free.
 
 Every move's acceptance log-ratio is computed by a standalone function of the
 frozen picks, so detailed balance is unit-testable: the forward and reverse
@@ -72,18 +72,9 @@ from .energy import (
     pair_energy,
 )
 from .free import _sample_bases, sample_free_poisson, winding_masses
-from .loops import BridgeLoop, LoopConfiguration, fill_bridges
+from .loops import BridgeLoop, LoopConfiguration, box_bridges
 from .potential import PairPotential
-from .regions import (
-    PERIODIC,
-    BoxRegion,
-    free_kernel,
-    kernel,
-    min_image,
-    wall_survival_log,
-    winding_images,
-    wrap_knots,
-)
+from .regions import BoxRegion, bridge_kernel, wall_survival_log, wrap_knots
 
 
 def _choice_table(p) -> list:
@@ -115,22 +106,12 @@ def _wrap_config(config: LoopConfiguration, region: BoxRegion) -> LoopConfigurat
     return LoopConfiguration(knots=knots, offsets=config.offsets, windings=config.windings, images=config.images)
 
 
-def beta_step_kernel(x, y, beta: float, region: BoxRegion) -> np.ndarray:
-    """Boundary-aware normalizer of one-beta bridge proposals between knots:
-    x, y (n, d) give the kernel of each of the n pairs, (n,)."""
-    if region.boundary == PERIODIC:
-        return kernel(x, y, region, beta)
-    return free_kernel(((np.asarray(x) - np.asarray(y)) ** 2).sum(axis=-1), beta, region.d)
-
-
-def _draw_beta_bridge(x, y, beta: float, region: BoxRegion, rng) -> np.ndarray:
-    """A one-beta bridge between wrapped knots, to the winding image of y
-    (winding_images: kernel-weighted in a periodic box, none in a Dirichlet one)."""
+def _draw_beta_bridge(x, y, beta: float, region: BoxRegion, rng, arc: int | None = None) -> np.ndarray:
+    """A bridge between wrapped knots over arc knot spacings beta / n_slices
+    (one beta-leg by default), to a winding image of y (box_bridges), wrapped
+    into the box with its ends pinned at x and y (knot rows, (d,) each)."""
     n = region.n_slices
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    target = y + winding_images(y - x, 1, region, beta, rng)[0] * region.L
-    path = wrap_knots(fill_bridges(x[None], target[None], n, beta / n, rng)[0], region)
+    path = wrap_knots(box_bridges(x[None], y[None], arc or n, beta / n, region, rng)[0][0], region)
     path[0], path[-1] = x, y
     return path
 
@@ -199,9 +180,8 @@ class GibbsChain:
         base = _sample_bases(1, j, self.beta, self.region, self.rng)
         # a bridge not conditioned on the walls: its wall survival enters the acceptance
         ns = self.region.n_slices
-        image = winding_images(np.zeros(self.region.d), 1, self.region, j * self.beta, self.rng)
-        path = fill_bridges(base, base + image * self.region.L, j * ns, self.beta / ns, self.rng)[0]
-        path = wrap_knots(path, self.region)
+        paths, image = box_bridges(base, base, j * ns, self.beta / ns, self.region, self.rng)
+        path = wrap_knots(paths[0], self.region)
         path[-1] = path[0]
         loop = BridgeLoop(base=base[0], winding=j, path=path, image=image[0])
         return insert_proposal(self, loop, self._survival_log(path))
@@ -229,12 +209,7 @@ class GibbsChain:
         if arc < 2:
             return Proposal("redraw", eligible=False)
         u = int(self.rng.integers(0, n_knots - arc - 1))
-        dtau = self.beta / self.region.n_slices
-        a, b = loop.path[u], loop.path[u + arc]
-        # a periodic arc heads for the nearest image of b, not a kernel-weighted one
-        end = a + min_image(b - a, self.region.L) if self.region.boundary == PERIODIC else b
-        new_arc = wrap_knots(fill_bridges(a[None], end[None], arc, dtau, self.rng)[0], self.region)
-        new_arc[0], new_arc[-1] = a, b
+        new_arc = _draw_beta_bridge(loop.path[u], loop.path[u + arc], self.beta, self.region, self.rng, arc)
         return redraw_proposal(self, idx, u, new_arc)
 
     def propose_merge(self) -> Proposal:
@@ -415,7 +390,7 @@ def _reconnection_log_accept(
     new state has infinite energy or the ratio is not finite."""
     ns = chain.region.n_slices
     (p, p1), (q, q1) = (_leg_ends(loop, leg, ns) for loop, leg in legs)
-    k = np.log(beta_step_kernel(np.array((p, q, p, q)), np.array((q1, p1, p1, q1)), chain.beta, chain.region))
+    k = np.log(bridge_kernel(np.array((p, q, p, q)), np.array((q1, p1, p1, q1)), chain.region, chain.beta))
     log_kernels = k[0] + k[1] - k[2] - k[3]
     log_acc = -dE + log_comb + log_kernels
     survival = chain._survival_log

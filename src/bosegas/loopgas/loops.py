@@ -42,8 +42,9 @@ midpoints whose range starts before knot k - 1: only their normals are
 drawn, and only the map's first k rows over their columns are applied.  The
 k knots have the law of a whole bridge's first k knots, drawn from a
 shorter stream; a whole fill draws every normal, as the recursion does.
-Which image a bridge ends at, and what a wall does to it, is the box's
-business (regions.py).
+Every bridge in a box, in the free sampler, the chain and the density
+matrix, is a box_bridges draw: the box draws its winding image
+(regions.winding_images) and fill_bridges its knots.
 """
 
 import operator
@@ -52,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .regions import PERIODIC, BoxRegion
+from .regions import PERIODIC, BoxRegion, winding_images
 
 
 @dataclass
@@ -434,3 +435,14 @@ def fill_bridges(
     out = src.reshape(coef.shape[1], -1).T.dot(coef.T).reshape(batch, d, rows)
     return np.ascontiguousarray(out.swapaxes(1, 2))
 
+
+def box_bridges(x0: np.ndarray, x1, n_intervals: int, dtau: float, region: BoxRegion, rng, knots: int | None = None):
+    """Bridges over n_intervals knot spacings dtau from x0 (batch, d) to
+    winding images of x1 ((batch, d) or (d,)), all with one displacement x1 -
+    x0: the images (batch, d) from winding_images at time n_intervals * dtau
+    (kernel-weighted periodic; zeros and no draw Dirichlet), then the knots
+    from fill_bridges, `knots` of them as there.  Returns the unwrapped paths
+    and the images."""
+    dx = np.broadcast_to(x1, x0.shape)[0] - x0[0]
+    images = winding_images(dx, x0.shape[0], region, n_intervals * dtau, rng)
+    return fill_bridges(x0, x1 + images * region.L, n_intervals, dtau, rng, knots), images

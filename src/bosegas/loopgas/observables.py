@@ -14,9 +14,9 @@ from ..diagnostics import batch_means, stratified_mean
 from ..rng import derive_seed, generator
 from .energy import added_loop_energies, intra_energies
 from .free import config_pairings, free_rdm, winding_masses
-from .loops import as_batch, fill_bridges
+from .loops import as_batch, box_bridges
 from .potential import PairPotential
-from .regions import PERIODIC, BoxRegion, kernel, wall_survival_log, winding_images, wrap_knots
+from .regions import PERIODIC, BoxRegion, kernel, wall_survival_log, wrap_knots
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,7 @@ def reduced_density_matrix(
             if mass < 1e-16 * max(abs(seen), 1.0):
                 continue
             # open bridges x -> y, each ending at a winding image of y
-            ends = y + winding_images(y - x, n_mc, region, j * beta, rng) * region.L
-            paths = fill_bridges(np.tile(x, (n_mc, 1)), ends, j * region.n_slices, dtau, rng)
+            paths = box_bridges(np.tile(x, (n_mc, 1)), y, j * region.n_slices, dtau, region, rng)[0]
             logw = wall_survival_log(paths, region, dtau)
             if V is not None:
                 bridges = wrap_knots(paths, region)

@@ -23,8 +23,8 @@ or the knots themselves), winding_images (draw_images, or zeros and no draw)
 and wall_survival_log (segment_survival_log, or exactly 0.0).  A caller
 written once for both boxes thus keeps the streams and bits of one written
 for each.  Every periodic bridge ends at a kernel-weighted winding image of
-its end point, except the chain's redraw arcs, which head for the nearest
-image (gibbs.propose_redraw).
+its end point (loops.box_bridges draws every bridge in a box), and
+bridge_kernel is the normaliser of that bridge law.
 """
 
 from dataclasses import dataclass
@@ -86,11 +86,17 @@ def periodic_kernel_1d(dx, L: float, t: float):
 
 
 def dirichlet_kernel_1d(x, y, L: float, t: float):
-    """Absorbing-wall kernel on (0, L): alternating image sum; zero at the walls."""
-    n = _image_range(L, t) + 1
-    w = 2 * L * np.arange(-n, n + 1)
+    """Absorbing-wall kernel on (0, L), zero at the walls: the alternating image
+    sum; for t >= L^2, where its two image sums cancel, the sine-mode sum
+    (2/L) sum_n sin(k_n x) sin(k_n y) exp(-t k_n^2) over box_spectrum's modes
+    k_n = pi n / L (n = 1, 2 at least: the rest sum under 1e-33 of n = 1)."""
     x = np.asarray(x, dtype=float)[..., None]
     y = np.asarray(y, dtype=float)[..., None]
+    if t >= L**2:
+        k = np.sqrt(box_spectrum(1, L, DIRICHLET, t, 1e-18).eigenvalues)
+        return (2 / L) * (np.sin(k * x) * np.sin(k * y) * np.exp(-t * k**2)).sum(axis=-1)
+    n = _image_range(L, t) + 1
+    w = 2 * L * np.arange(-n, n + 1)
     direct = np.exp(-((x - y + w) ** 2) / (4 * t))
     mirror = np.exp(-((x + y + w) ** 2) / (4 * t))
     return (4 * pi * t) ** -0.5 * (direct - mirror).sum(axis=-1)
@@ -125,6 +131,15 @@ def diagonal_mass(region: BoxRegion, t: float) -> float:
         theta = float(np.exp(-((w * region.L) ** 2) / t).sum())
         one_dim = region.L * (4 * pi * t) ** -0.5 * theta - 0.5
     return float(one_dim**region.d)
+
+
+def bridge_kernel(x, y, region: BoxRegion, t: float) -> np.ndarray:
+    """Normaliser (n,) of loops.box_bridges' law over time t from x to y, (n,
+    d) each: the periodic kernel, whose images it samples, or in a Dirichlet
+    box the free kernel (its bridges ignore the walls: wall_survival_log)."""
+    if region.boundary == PERIODIC:
+        return kernel(x, y, region, t)
+    return free_kernel(((np.asarray(x) - np.asarray(y)) ** 2).sum(axis=-1), t, region.d)
 
 
 def dirichlet_mode_trace(region: BoxRegion, t: float, tol: float = 1e-18) -> float:

@@ -9,7 +9,7 @@ shape, grid, and versions, so they remain readable without this package.
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 

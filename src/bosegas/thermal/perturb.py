@@ -29,7 +29,7 @@ measure, guarded by an effective-sample-size floor so a collapsing weight
 distribution cannot produce a silently wrong number.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np

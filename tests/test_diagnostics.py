@@ -238,4 +238,4 @@ def test_gibbs_err_and_tau_pinned():
     # width 5/12: gaussian_repulsion's range, 6 widths, fits half the box
     run = gibbs_sample(0.4, 1.0, region, gaussian_repulsion(2, 0.5, width=5 / 12), n_sweeps=3000, rng_seed=17)
     assert (run["err_N"], run["tau_int_N"], run["mean_N"]) == (
-        0.058940759732927915, 2.3877836545188593, 1.1408333333333334)
+        0.056954249619388386, 2.7119688439394714, 1.0166666666666666)

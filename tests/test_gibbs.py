@@ -6,8 +6,10 @@ from scipy import stats
 
 from bosegas.loopgas import (
     BoxRegion,
+    BridgeLoop,
     DIRICHLET,
     GibbsChain,
+    LoopConfiguration,
     free_density,
     gaussian_repulsion,
     gibbs_sample,
@@ -150,6 +152,32 @@ class TestDetailedBalanceEmpirical:
         assert abs(acc_fwd / max(acc_rev, 1e-12) - ratio_target) < 12 * se / max(a_rev, 1e-6)
 
 
+class TestRedrawImage:
+    """A periodic redraw arc is the exact bridge of the periodic kernel: it
+    ends at a kernel-weighted winding image of its end knot, not at the
+    nearest one."""
+
+    def test_arc_samples_its_winding_image(self):
+        # one winding-1 loop at L = 2, n_slices = 4, beta = 1 whose knots 0 and
+        # 3 coincide: every redraw resamples knots 1, 2 of the arc 0 -> 3
+        region = BoxRegion(d=1, L=2.0, n_slices=4)
+        chain = GibbsChain(0.5, 1.0, region, None, rng_seed=23)
+        path = np.array([[0.3], [0.9], [1.5], [0.3], [0.3]])
+        chain.config = LoopConfiguration([BridgeLoop(base=path[0], winding=1, path=path, image=np.zeros(1, dtype=int))])
+        n = 10_000
+        c = np.empty(n)
+        for i in range(n):
+            knots = chain.propose_redraw().builder()[0].knots
+            c[i] = np.cos(2 * np.pi * (knots[2, 0] - knots[0, 0]) / region.L)
+        # knot 2 sits at time 1/2 of the arc's 3/4 to the image 0.3 + 2w: its
+        # displacement has mean 4w/3 and variance 1/3, and w has weight exp(-4w^2/3)
+        w = np.arange(-6, 7)
+        p = np.exp(-4 * w**2 / 3)
+        exact = np.exp(-np.pi**2 / 6) * (p * np.cos(4 * np.pi * w / 3)).sum() / p.sum()
+        assert exact == pytest.approx(0.0919, abs=1e-4)
+        assert abs(c.mean() - exact) < 3 * c.std() / np.sqrt(n)
+
+
 class TestFreeInvariance:
     def test_loop_count_two_sample(self):
         # V = 0: the chain's stationary loop-count law equals direct Poisson sampling
@@ -283,16 +311,18 @@ class TestTrajectoryPins:
     """Two short chains from fixed seeds, pinned bit for bit to the numbers
     they gave when recorded: move counts, mean_N, the final energy, and the
     log-ratios of a frozen merge on the final state and of its reverse cut.
-    A change to the move layer must leave every one of these bits."""
+    A final state of fewer than two loops is stepped on until it has two,
+    and the merge is built there.  A change to the move layer must leave
+    every one of these bits."""
 
     CASES = {
         "periodic-gauss": dict(
             region=BoxRegion(d=2, L=5.0, n_slices=4), z=0.6,
             V=gaussian_repulsion(2, 0.5, width=5 / 12), seed=101, n_sweeps=300,
-            attempts={"insert": 287, "delete": 208, "shift": 200, "redraw": 202, "merge": 56, "cut": 20},
-            accepts={"insert": 177, "delete": 173, "shift": 200, "redraw": 200, "merge": 20, "cut": 18},
-            mean_N=2.2, energy=0.12630094447001092,
-            merge=-0.7304481951544656, cut=0.730448195154466,
+            attempts={"insert": 276, "delete": 221, "shift": 179, "redraw": 202, "merge": 48, "cut": 19},
+            accepts={"insert": 182, "delete": 184, "shift": 179, "redraw": 201, "merge": 18, "cut": 19},
+            mean_N=2.075, energy=-6.245004513516506e-17,
+            merge=-1.8217052558468319, cut=1.821705255846832,
         ),
         "dirichlet-hard-core": dict(
             region=BoxRegion(d=2, L=7.0, boundary=DIRICHLET, n_slices=4), z=0.8,
@@ -313,6 +343,8 @@ class TestTrajectoryPins:
         assert chain.accepts == c["accepts"]
         assert run["mean_N"] == c["mean_N"]
         assert chain.energy == c["energy"]
+        while chain.config.loop_count < 2:
+            chain.step()
         # a frozen merge of the first two loops and the cut that undoes it
         rng = generator(7)
         A, B = chain.config.loop(0), chain.config.loop(1)

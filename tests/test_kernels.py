@@ -35,6 +35,7 @@ from bosegas.loopgas import free
 from bosegas.loopgas.checks import gibbs_weights
 from bosegas.loopgas.regions import (
     _image_range,
+    dirichlet_kernel_1d,
     draw_images,
     segment_survival_log,
     wall_survival_log,
@@ -50,6 +51,7 @@ from bosegas.loopgas.loops import (
     _cached_bridge_map,
     _midpoint_schedule,
     as_batch,
+    box_bridges,
     fill_bridges,
 )
 from bosegas.rng import generator
@@ -225,6 +227,21 @@ class TestDirichletMassesLargeTime:
         j = np.arange(1, j_max + 1)
         modes = np.array([dirichlet_mode_trace(region, t) for t in j * BETA])
         np.testing.assert_allclose(nus, 0.9**j / j * modes, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("L, t", [(1.0, 5.0), (5.0, 100.0), (5.0, 25.0)])
+    def test_kernel_is_the_sine_mode_sum(self, L, t):
+        # the image form cancels to -2.1e-17 where the kernel is 7.4e-22 (L = 1, t = 5)
+        x = np.array([0.5, 0.1, 0.9, 0.37]) * L
+        y = np.array([0.5, 0.5, 0.2, 0.81]) * L
+        k = np.pi * np.arange(1, 40) / L
+        modes = (2 / L) * (np.sin(k * x[:, None]) * np.sin(k * y[:, None]) * np.exp(-t * k**2)).sum(axis=1)
+        np.testing.assert_allclose(dirichlet_kernel_1d(x, y, L, t), modes, rtol=1e-12, atol=0)
+
+    def test_base_points_follow_the_diagonal_at_large_time(self):
+        # at t = 6, L = 1 the diagonal is 2 sin^2(pi x) to 1e-77, so E cos(2 pi x) = -1/2
+        region = BoxRegion(d=1, L=1.0, boundary=DIRICHLET)
+        c = np.cos(2 * np.pi * _sample_bases(20_000, 1, 6.0, region, generator(21))[:, 0])
+        assert abs(c.mean() + 0.5) < 3 * c.std() / np.sqrt(c.size)
 
     def test_sampler_runs_at_high_activity(self):
         region = BoxRegion(d=3, L=5.0, boundary=DIRICHLET, n_slices=8)
@@ -509,6 +526,31 @@ class TestRegionFunctions:
         paths = 3.0 * generator(14).standard_normal((5, 13, 3))
         assert wrap_knots(paths, self.DIR) is paths
         np.testing.assert_array_equal(wrap_knots(paths, self.PER), np.mod(paths, 4.0))
+
+    X0 = np.array([[0.5, 1.0, 3.5], [2.0, 0.25, 1.5]])
+
+    @pytest.mark.parametrize("dx", [np.zeros(3), np.array([0.5, -1.0, 2.0])])
+    @pytest.mark.parametrize("knots", [None, 1, 7])
+    def test_box_bridges_are_images_then_fill(self, dx, knots):
+        # closed (dx = 0) and open bridges, whole and prefix fills: the
+        # winding_images + fill_bridges composition, on the same stream
+        a, b = generator(15), generator(15)
+        x1 = self.X0 + dx
+        paths, images = box_bridges(self.X0, x1, 12, 0.125, self.PER, a, knots)
+        want_images = winding_images(dx, 2, self.PER, 1.5, b)
+        want = fill_bridges(self.X0, x1 + want_images * 4.0, 12, 0.125, b, knots)
+        np.testing.assert_array_equal(images, want_images)
+        np.testing.assert_array_equal(paths, want)
+        assert paths.shape == (2, 13 if knots is None else knots, 3)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_box_bridges_draw_no_dirichlet_image(self):
+        a, b = generator(16), generator(16)
+        x1 = self.X0 + np.array([0.5, -1.0, 2.0])
+        paths, images = box_bridges(self.X0, x1, 12, 0.125, self.DIR, a)
+        np.testing.assert_array_equal(paths, fill_bridges(self.X0, x1, 12, 0.125, b))
+        assert images.shape == (2, 3) and not images.any()
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestClosedImages:
