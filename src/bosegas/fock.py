@@ -298,15 +298,17 @@ def solve_mu_for_number(
     The root is sought on the truncated model as it stands, cutoff weight and
     all, and then refused (TruncationError) if its cutoff states carry more
     than the default tail_tol.  For a free gas the bracket starts no lower
-    than just above the condensation boundary, at -min(energies) + 1e-14 as
-    in spectral.solve_mu; a target above the <N> that the truncated free gas
-    holds there raises CondensationBoundaryError.
+    than just above the condensation boundary, at -min(energies) + 1e-14 or
+    the next double above -min(energies), as in spectral.solve_mu; a target
+    above the <N> that the truncated free gas holds there raises
+    CondensationBoundaryError.
     """
     from scipy.optimize import brentq
 
     number = lambda mu: float(_traces(fock, beta, mu, interaction, inf)[2].sum())
     lo, hi = bracket
-    edge = -float(np.min(fock.energies)) + 1e-14
+    pole = -float(np.min(fock.energies))
+    edge = max(pole + 1e-14, float(np.nextafter(pole, inf)))
     if interaction is None and lo < edge:
         lo = edge
         n_edge = number(lo)

@@ -5,7 +5,8 @@ continuous away from the origin, stable (sum of pair energies bounded below by
 -B n over every finite point set), and absolutely integrable outside its hard
 core.  Every potential states one finite range beyond which it is negligible.
 Stability is probed on random point sets at construction; the tail
-integrability and the range are checked by quadrature.
+integrability and the range are checked by quadrature, and for the built-in
+kinds (`hard_core`, `gaussian_repulsion`) in closed form.
 
 The energy kernel prices squared distances: `PairPotential.of_squared(r2)`
 returns V at sqrt(r2) elementwise and may overwrite r2.  Its default takes
@@ -17,12 +18,12 @@ whose square root reaches the core radius, so it takes no square root, and
 kind returns, element by element, the bits of `V(r)`.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from ..rng import generator
 
@@ -69,6 +70,18 @@ class PairPotential:
     def check_integrability(self) -> float:
         """integral of |V(r)| r^(d-1) from the hard core out must be finite,
         with at most TAIL_TOL of it beyond the range; returns the integral."""
+        inside, beyond = self._abs_integrals()
+        total = inside + beyond
+        if beyond > TAIL_TOL * total:
+            raise ValueError(f"{beyond / total:.3g} of the integral of |V| r^(d-1) lies beyond "
+                             f"the range {self.range:g} (at most {TAIL_TOL:g})")
+        return total
+
+    def _abs_integrals(self) -> tuple:
+        """The integral of |V(r)| r^(d-1) from the hard core to the range and
+        from the range out, by quadrature; refuses one that does not converge."""
+        from scipy import integrate
+
         f = lambda r: abs(float(self.v_of_r(r))) * r ** (self.d - 1)
         lo = max(self.hard_core, 1e-12)
         cut = max(self.range, lo)
@@ -83,11 +96,7 @@ class PairPotential:
                 if not np.isfinite(val) or (err > 1e-4 * max(abs(val), 1.0) and err > 1e-6):
                     raise ValueError(f"tail integral of |V| r^(d-1) did not converge: {val} +- {err}")
                 parts.append(val)
-        total, beyond = sum(parts), parts[1]
-        if beyond > TAIL_TOL * total:
-            raise ValueError(f"{beyond / total:.3g} of the integral of |V| r^(d-1) lies beyond "
-                             f"the range {self.range:g} (at most {TAIL_TOL:g})")
-        return total
+        return tuple(parts)
 
     def check_stability(self, n_sets: int = 200, max_points: int = 8, seed: int = 1234):
         """Property test of sum_{i<j} V(x_i - x_j) >= -B n on random point sets."""
@@ -133,6 +142,9 @@ class _HardCore(PairPotential):
             t = np.nextafter(t, np.inf)
         return float(t)
 
+    def _abs_integrals(self):
+        return 0.0, 0.0  # V is zero outside the core
+
     def of_squared(self, r2):
         inside = r2 < self.core_r2
         return np.multiply(inside, _INF_BITS, out=r2.view(np.uint64)).view(np.float64)
@@ -151,6 +163,20 @@ class _Bump:
 
 class _GaussianRepulsion(PairPotential):
     """gaussian_repulsion's kind: the bump's operations, in order, in place on r2."""
+
+    def _abs_integrals(self):
+        """(A w^d / 2) (Gamma(d/2) - Gamma(d/2, x)) and (A w^d / 2) Gamma(d/2, x),
+        x = (range / w)^2: the substitution u = (r / w)^2 makes each integral an
+        incomplete gamma function."""
+        a, w = self.v_of_r.amplitude, self.v_of_r.width
+        x = (self.range / w) ** 2
+        # Gamma(s, x) from s = 1/2 or 1 up to d/2 by Gamma(s + 1, x) = s Gamma(s, x) + x^s e^-x
+        s, upper = (0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))) if self.d % 2 else (1.0, math.exp(-x))
+        while s < self.d / 2:
+            upper = s * upper + x**s * math.exp(-x)
+            s += 1
+        scale = a * w**self.d / 2
+        return scale * (math.gamma(self.d / 2) - upper), scale * upper
 
     def of_squared(self, r2):
         r = np.sqrt(r2, out=r2)

@@ -18,7 +18,6 @@ from math import gamma as gamma_fn
 from math import pi
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import CondensationBoundaryError, DivergenceError, ResourceBudgetError, TruncationError
 
@@ -135,18 +134,25 @@ def density(spec: Spectrum, beta: float, mu: float) -> float:
     _check_domain(spec, beta, mu)
     x = spec.eigenvalues + mu  # one buffer: solve_mu calls this dozens of times
     x *= beta
-    return float(np.divide(1.0, np.expm1(x, out=x), out=x).sum() / spec.volume)
+    with np.errstate(over="ignore"):  # a mode whose expm1 overflows adds 1/inf = 0, exactly
+        return float(np.divide(1.0, np.expm1(x, out=x), out=x).sum() / spec.volume)
 
 
 def solve_mu(spec: Spectrum, beta: float, rho_target: float, rtol: float = 1e-12) -> float:
     """Unique mu in (-lambda(1), inf) with density(spec, beta, mu) = rho_target.
 
     The finite-volume density is a strictly decreasing bijection onto (0, inf),
-    so a bracketed root always exists; the low bracket sits just above the pole.
+    so a bracketed root always exists; the low bracket sits just above the pole,
+    at -lambda(1) + 1e-14, or at the next double above -lambda(1) where that
+    sum rounds back onto the pole (lambda(1) of 128 or more).
     """
+    # Here and across the package scipy is imported in the calls that use it:
+    # its import is most of the start-up time of a run that never calls it.
+    from scipy import optimize
+
     if rho_target <= 0:
         raise ValueError("rho_target must be positive")
-    lo = -spec.eigenvalues[0] + 1e-14
+    lo = max(-spec.eigenvalues[0] + 1e-14, np.nextafter(-spec.eigenvalues[0], np.inf))
     hi = max(lo + 1.0, 1.0)
     while density(spec, beta, hi) > rho_target:
         hi = 2 * hi + 1.0
@@ -221,6 +227,8 @@ def critical_density(beta: float, dos: DensityOfStates) -> float:
     For the analytic continuum this equals zeta(d/2) (4 pi beta)^(-d/2); the
     integral diverges for d <= 2 (no condensation in low dimension).
     """
+    from scipy import integrate
+
     if beta <= 0:
         raise ValueError("beta must be positive")
     if dos.kind == "analytic-continuum":

@@ -33,7 +33,6 @@ the documented factor of two in the exponent and are not forced to coincide.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from ..rng import generator
 
@@ -206,6 +205,8 @@ def _noise_blocks(params: ThermalFieldParams, n: int, seed: int):
     one sample at a time, so a sample's spectrum is bitwise the same in any
     block.
     """
+    from scipy import fft as sfft
+
     g = params.grid
     rng = generator(seed)
     noise = rng.standard_normal((n, g.n_tau) + g.spatial_shape)
@@ -230,6 +231,8 @@ def sample_fields(params: ThermalFieldParams, n: int, seed: int) -> np.ndarray:
     Each block of samples is inverted back into its own rows of the noise, so
     the output is the only array of the batch's size.
     """
+    from scipy import fft as sfft
+
     g = params.grid
     noise, offset, blocks = _noise_blocks(params, n, seed)
     lead = (-1,) + (1,) * (g.d + 1)

@@ -25,8 +25,6 @@ so the samples are centered with no mean subtracted.
 """
 
 import numpy as np
-from scipy import fft as sfft
-from scipy.special import logsumexp
 
 from ..diagnostics import jackknife_error
 from .fields import ThermalFieldParams, _noise_blocks
@@ -77,6 +75,9 @@ def renormalized_mixing(
     Returns the normalized weight table, the variance of r under it, and a
     delete-one jackknife error for that variance.
     """
+    from scipy import fft as sfft
+    from scipy.special import logsumexp
+
     if not params.critical:
         raise ValueError("renormalized mixing requires critical parameters")
     if n_samples < 2:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy import fft as sfft
 
 from ..diagnostics import jackknife_error
 from .fields import FieldGrid, FieldSample, ThermalFieldParams, _noise_blocks, pair_field
@@ -97,6 +96,8 @@ def mollify(values: np.ndarray, grid: FieldGrid, eps: float) -> np.ndarray:
     eps must resolve on the grid (>= 2 spacings); constants pass through
     unchanged, so the condensate offset is preserved.
     """
+    from scipy import fft as sfft
+
     filt = _mollifier(grid, eps)
     axes = tuple(range(-grid.d, 0))
     spec = sfft.rfftn(values, axes=axes)
@@ -140,6 +141,8 @@ def _parseval_kernel(grid: FieldGrid, kernel) -> np.ndarray:
     bin of the last axis but the DC bin and (for even n_x) the Nyquist bin.  In
     any form symmetric in a and b only Re F^ survives, so K is real.
     """
+    from scipy import fft as sfft
+
     hermitian = np.full(grid.n_x // 2 + 1, 2.0)
     hermitian[0] = 1.0
     if grid.n_x % 2 == 0:
@@ -193,6 +196,8 @@ def _action(phi: np.ndarray, grid: FieldGrid, pert: PolynomialPerturbation, kwei
     if kweights is None:
         dens = P.sum(axis=spatial) * grid.cell
         return -pert.lam * grid.dtau * dens.sum(axis=-1)
+    from scipy import fft as sfft
+
     spec = sfft.rfftn(P, axes=spatial)
     # |P^_k|^2 K_k summed over k, reading each (re, im) pair in place
     pairs = spec.view(np.float64).reshape(spec.shape[: -grid.d] + (-1, 2))
@@ -235,6 +240,8 @@ def _power_sums(values: np.ndarray, grid: FieldGrid, pert: PolynomialPerturbatio
         np.multiply(powers[p - 1], values, out=powers[p])
     if kweights is None:
         return powers.reshape(deg + 1, n, -1).sum(axis=-1) * grid.cell
+    from scipy import fft as sfft
+
     spec = sfft.rfftn(powers, axes=tuple(range(-grid.d, 0)))
     filtered = (spec * kweights).reshape(deg + 1, n, -1)
     spec = spec.reshape(deg + 1, n, -1).conj()
@@ -278,6 +285,8 @@ def reweighted_state(
     ESS < 100.  At lambda = 0 the weights are identically 1 and the estimate
     is the plain free-measure characteristic functional.
     """
+    from scipy import fft as sfft
+
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples}: a jackknife error needs at least 2 samples")
     grid = params.grid

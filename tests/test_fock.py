@@ -327,6 +327,13 @@ class TestBelowLowestMode:
         deep = TruncatedFock(energies=fock.energies, n_max=60)  # <N> = 2 is refused at n_max = 3
         assert mean_particle_number(deep, 1.0, solve_mu_for_number(deep, 1.0, 2.0)) == pytest.approx(2.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_free_solve_mu_above_a_high_lowest_mode(self):
+        # -200 + 1e-14 rounds back onto the boundary; the bracket starts one double above it
+        fock = TruncatedFock(energies=np.array([200.0, 201.0]), n_max=80)
+        mu = solve_mu_for_number(fock, 1.0, 2.0, bracket=(-250.0, 50.0))
+        assert mean_particle_number(fock, 1.0, mu) == pytest.approx(2.0, rel=1e-10)
+
     def test_interacting_occupations_at_the_cutoff_refused(self):
         # n_0 = 39.99997 here is the cutoff itself, not the gas's occupation
         inter = uniform_interaction(2, 0.5, 1.0)

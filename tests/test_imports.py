@@ -1,4 +1,5 @@
-"""Every name a module of bosegas imports is read somewhere.
+"""Every name a module of bosegas imports is read somewhere, and the loop
+gas, the expansion and Fock run without loading scipy.
 
 A module-level import must be read in its module, a function's import in
 that function (nested scopes included).  Package __init__.py files are
@@ -7,6 +8,10 @@ count as reads of the names they hold.
 """
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -80,3 +85,28 @@ def test_finds_unread_names():
         "    return dataclass\n"
     )
     assert unread_imports(source) == [("os", 1), ("field", 2), ("Mapping", 4)]
+
+
+# Imports every module a run starts from and makes the numpy-only calls of the
+# loop gas (the gibbs-chain benchmark's chain), the expansion and Fock.
+NUMPY_ONLY_RUN = textwrap.dedent("""
+    import sys
+
+    import bosegas.cli, bosegas.expansion, bosegas.fock, bosegas.loopgas, bosegas.spectral, bosegas.thermal
+    from bosegas.expansion import mayer_coefficient
+    from bosegas.fock import TruncatedFock, exact_traces
+    from bosegas.loopgas import PERIODIC, BoxRegion, GibbsChain, gaussian_repulsion, hard_core
+
+    V = gaussian_repulsion(3, 0.5, 0.5)
+    GibbsChain(0.6, 1.0, BoxRegion(d=3, L=12.0, boundary=PERIODIC, n_slices=8), V, 1)
+    mayer_coefficient(2, 1.0, hard_core(3, 1.0), None, n_mc=100)
+    exact_traces(TruncatedFock(energies=[1.0, 2.0, 3.0], n_max=15), 1.0, 1.0)
+    print(sorted(m for m in sys.modules if m.startswith("scipy")))
+""")
+
+
+def test_loop_gas_expansion_and_fock_load_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosegas.loopgas.potential import PairPotential, gaussian_repulsion, hard_core
+from bosegas.loopgas.potential import PairPotential, _Bump, gaussian_repulsion, hard_core
 
 
 class TestAdmission:
@@ -61,6 +61,28 @@ class TestAdmission:
     def test_negative_radii_rejected(self):
         with pytest.raises(ValueError):
             PairPotential(v_of_r=lambda r: np.zeros_like(np.asarray(r)), d=3, range=1.0, hard_core=-1.0)
+
+
+class TestClosedFormAdmission:
+    """The built-in kinds admit themselves in closed form; the base class's
+    quadrature, called on the same potential, is the reference."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gaussian_equals_quadrature(self, d):
+        V = gaussian_repulsion(d, 2.0, 0.7)
+        assert V.check_integrability() == pytest.approx(sum(PairPotential._abs_integrals(V)), rel=1e-10)
+
+    def test_tail_share_at_the_tolerance(self):
+        # at range 6 widths the tail share is 5.1e-11 at d = 11 and 1.35e-10 at d = 12
+        gaussian_repulsion(11, 2.0, 0.7)
+        with pytest.raises(ValueError, match="beyond the range") as kind:
+            gaussian_repulsion(12, 2.0, 0.7)
+        with pytest.raises(ValueError, match="beyond the range") as general:
+            PairPotential(v_of_r=_Bump(2.0, 0.7), d=12, range=4.2)
+        assert str(kind.value) == str(general.value)
+
+    def test_hard_core_integral_is_zero(self):
+        assert hard_core(3, 1.0).check_integrability() == 0.0
 
 
 class TestStabilityProperty:

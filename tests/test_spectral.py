@@ -251,6 +251,16 @@ class TestSolveMu:
         scaled = [mu * L**3 for mu, L in zip(mus, (10.0, 20.0, 40.0))]
         assert max(scaled) < 5 * min(scaled)  # mu L^d stays bounded
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("L", [0.3, 0.2])
+    def test_large_lowest_eigenvalue(self, L):
+        # lambda(1) = 329 and 740: -lambda(1) + 1e-14 rounds back onto the pole,
+        # and the upper modes' expm1 overflows to a term of exactly 0
+        spec = box_spectrum(3, L, spectral.DIRICHLET, 1.0, 1e-16)
+        assert spec.eigenvalues[0] > 128
+        mu = solve_mu(spec, 1.0, 1.0)
+        assert density(spec, 1.0, mu) == pytest.approx(1.0, rel=1e-12)
+
     def test_dilute_regime_converges_to_positive_mu(self):
         rho = 0.5 * critical_density(1.0, analytic_dos(3))
         mus = [solve_mu(auto_torus_spectrum(3, L, 1.0), 1.0, rho) for L in (10.0, 16.0, 24.0)]
