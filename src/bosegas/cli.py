@@ -67,11 +67,8 @@ def _run_ideal(cfg: RunConfig, seed: int):
         spec = auto_torus_spectrum(d, L, beta)
         dos = analytic_dos(d)
         mu = cfg.get("physics", "mu")
-        rho_target = cfg.get("physics", "rho")
-        if mu is None and rho_target is not None:
-            mu = solve_mu(spec, beta, rho_target)
-        if mu is None:
-            mu = 1.0
+        if mu is None:  # the config sets exactly one of mu and rho
+            mu = solve_mu(spec, beta, cfg.get("physics", "rho"))
         rho = density(spec, beta, mu)
         values = {"pressure": pressure(spec, beta, mu), "density": rho}
         try:

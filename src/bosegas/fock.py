@@ -301,7 +301,8 @@ def solve_mu_for_number(
     than just above the condensation boundary, at -min(energies) + 1e-14 or
     the next double above -min(energies), as in spectral.solve_mu; a target
     above the <N> that the truncated free gas holds there raises
-    CondensationBoundaryError.
+    CondensationBoundaryError, and a bracket whose ends hold <N> on one side
+    of n_target raises ValueError.
     """
     from scipy.optimize import brentq
 
@@ -309,13 +310,19 @@ def solve_mu_for_number(
     lo, hi = bracket
     pole = -float(np.min(fock.energies))
     edge = max(pole + 1e-14, float(np.nextafter(pole, inf)))
-    if interaction is None and lo < edge:
+    clamped = interaction is None and lo < edge
+    if clamped:
         lo = edge
-        n_edge = number(lo)
-        if n_edge < n_target:
-            raise CondensationBoundaryError(
-                f"n_target = {n_target} exceeds <N> = {n_edge:.6g} at the condensation boundary"
-            )
+    n_lo, n_hi = number(lo), number(hi)
+    if clamped and n_lo < n_target:
+        raise CondensationBoundaryError(
+            f"n_target = {n_target} exceeds <N> = {n_lo:.6g} at the condensation boundary"
+        )
+    if (n_lo - n_target) * (n_hi - n_target) > 0:
+        raise ValueError(
+            f"the bracket mu in [{lo:.6g}, {hi:.6g}] does not hold n_target = {n_target}: "
+            f"<N> = {n_lo:.6g} at mu = {lo:.6g} and {n_hi:.6g} at mu = {hi:.6g}"
+        )
     mu = float(brentq(lambda mu: number(mu) - n_target, lo, hi, rtol=1e-12))
     _traces(fock, beta, mu, interaction)  # refuses a root heavy at the cutoff
     return mu

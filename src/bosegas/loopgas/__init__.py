@@ -29,8 +29,6 @@ from .gibbs import GibbsChain, gibbs_sample
 from .loops import BridgeLoop, LoopBatch, LoopConfiguration, fill_bridges
 from .observables import (
     LoopTestFunction,
-    density_from_configs,
-    moment_estimate,
     reduced_density_matrix,
 )
 from .potential import PairPotential, gaussian_repulsion, hard_core
@@ -60,7 +58,6 @@ __all__ = [
     "PairingProduct",
     "PairPotential",
     "characteristic_functional",
-    "density_from_configs",
     "diagonal_mass",
     "dirichlet_mode_trace",
     "free_density",
@@ -74,7 +71,6 @@ __all__ = [
     "intra_energy",
     "kernel",
     "mean_pairing",
-    "moment_estimate",
     "pair_energy",
     "pairing",
     "periodic_mode_trace",

@@ -1,19 +1,19 @@
-"""Moment estimation and reduced density matrices for the loop gas.
+"""Test functions and reduced density matrices for the loop gas.
 
 Test functions on R+ x box are callables f(ts, xs) -> values over knot
 times ts (K,) and positions xs (..., K, d), broadcasting over the leading
-axes of xs (paths come in blocks), wrapped in LoopTestFunction with declared
-supports so disjoint-support products can be flagged.
+axes of xs (paths come in blocks), wrapped in LoopTestFunction with a time
+cut and an optional spatial box.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..diagnostics import batch_means, stratified_mean
+from ..diagnostics import stratified_mean
 from ..rng import derive_seed, generator
 from .energy import added_loop_energies, intra_energies
-from .free import config_pairings, free_rdm, winding_masses
+from .free import free_rdm, winding_masses
 from .loops import as_batch, box_bridges
 from .potential import PairPotential
 from .regions import PERIODIC, BoxRegion, kernel, wall_survival_log, wrap_knots
@@ -41,36 +41,6 @@ class LoopTestFunction:
                 inside &= (xs[..., ax] >= lo) & (xs[..., ax] < hi)
             vals = np.where(inside, vals, 0.0)
         return vals
-
-    def overlaps(self, other: "LoopTestFunction") -> bool:
-        if self.box is None or other.box is None:
-            return True
-        for (a_lo, a_hi), (b_lo, b_hi) in zip(self.box, other.box):
-            if a_hi <= b_lo or b_hi <= a_lo:
-                return False
-        return True
-
-
-def moment_estimate(configs, fs, beta: float, region: BoxRegion) -> dict:
-    """E[prod_i (phi, f_i)] over a configuration stream with batch-means errors.
-
-    Pairwise-disjoint declared supports are flagged (the product then
-    factorizes for the free measure) but still estimated.
-    """
-    vals = config_pairings(configs, fs, beta, region)[2].prod(axis=1)
-    err, _ = batch_means(vals, 16)
-    disjoint = all(
-        not fi.overlaps(fj)
-        for i, fi in enumerate(fs)
-        for fj in fs[i + 1 :]
-        if isinstance(fi, LoopTestFunction) and isinstance(fj, LoopTestFunction)
-    ) and len(fs) > 1
-    return {
-        "estimate": float(vals.mean()),
-        "std_error": float(err),
-        "n": vals.size,
-        "disjoint_supports": bool(disjoint),
-    }
 
 
 def reduced_density_matrix(
@@ -131,10 +101,3 @@ def reduced_density_matrix(
     if err and abs(total) < 2 * err:  # an exact (None) or zero error bounds nothing
         rec.update(upper_bound=abs(total) + 3 * err, status="upper-bound")
     return rec
-
-
-def density_from_configs(configs, region: BoxRegion) -> tuple:
-    """Mean particle density over a configuration stream, with the batch error."""
-    N = as_batch(configs).particle_numbers.astype(float)
-    err, _ = batch_means(N, 16)
-    return float(N.mean() / region.volume), float(err / region.volume)

@@ -194,6 +194,10 @@ def parse_run_config(path: str) -> RunConfig:
         for key, (_, required) in keys.items():
             if required and (sec not in sections or key not in sections[sec]):
                 raise ConfigError(f"{path}: missing required key [{sec}] {key}")
+    physics = sections.get("physics", {})
+    if kind == "ideal" and ("mu" in physics) == ("rho" in physics):
+        found = "both are set" if "mu" in physics else "neither is set"
+        raise ConfigError(f"{path} [physics] mu, rho: set exactly one of them ({found})")
     run = sections.get("run", {})
     return RunConfig(kind=kind, seed=int(run.get("seed", 0)), out=run.get("out"), sections=sections)
 

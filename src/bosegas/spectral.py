@@ -13,7 +13,7 @@ mode product, so dp/dmu = -beta * density with the density defined as the
 as |dp/dmu| = beta * rho; at beta = 1 this is the plain -density relation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gamma as gamma_fn
 from math import pi
 
@@ -101,20 +101,6 @@ def auto_torus_spectrum(d: int, L: float, beta: float, tol: float = 1e-10) -> Sp
     return box_spectrum(d, L, PERIODIC, beta, tol)
 
 
-def admissibility_phi(spec: Spectrum, beta: float) -> float:
-    """(1/|box|) sum_k exp(-beta gap_k); converges to (4 pi beta)^(-d/2) on growing tori."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    return float(np.exp(-beta * spec.gaps).sum() / spec.volume)
-
-
-def admissibility_report(d: int, beta: float, L_list, tol: float = 1e-10) -> dict:
-    """phi per volume over a growing family, with Cauchy increments as the diagnostic."""
-    values = [admissibility_phi(auto_torus_spectrum(d, L, beta, tol), beta) for L in L_list]
-    increments = [abs(b - a) for a, b in zip(values, values[1:])]
-    return {"L": list(L_list), "phi": values, "cauchy_increments": increments}
-
-
 def _check_domain(spec: Spectrum, beta: float, mu: float):
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -167,79 +153,36 @@ _SPHERE_VOL = {  # unit-ball volume v_d
 
 @dataclass(frozen=True)
 class DensityOfStates:
-    """Integrated density of states F(lam) of the one-particle spectrum, per volume.
+    """Integrated density of states of the free Laplacian in R^d, per volume:
+    F(lam) = v_d lam^(d/2) / (2 pi)^d."""
 
-    kind 'analytic-continuum' means F(lam) = v_d lam^(d/2) / (2 pi)^d, the free
-    Laplacian in R^d; 'tabulated' carries explicit (lam, F) pairs on a strictly
-    increasing grid with F nondecreasing and F(0) = 0.
-    """
-
-    kind: str
     d: int
-    table: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        if self.kind not in ("analytic-continuum", "tabulated"):
-            raise ValueError(f"unknown density-of-states kind {self.kind!r}")
-        if self.kind == "tabulated":
-            t = np.asarray(self.table, dtype=float)
-            if t.ndim != 2 or t.shape[1] != 2:
-                raise ValueError("table must be (n, 2) pairs (lam, F)")
-            lam, F = t[:, 0], t[:, 1]
-            if np.any(np.diff(lam) <= 0):
-                raise ValueError("lambda grid must be strictly increasing")
-            if np.any(np.diff(F) < 0) or F[0] < 0:
-                raise ValueError("F must be nondecreasing with F(0) = 0")
 
     def prefactor(self) -> float:
         return _SPHERE_VOL[self.d] / (2 * pi) ** self.d
 
 
 def analytic_dos(d: int) -> DensityOfStates:
-    return DensityOfStates(kind="analytic-continuum", d=d)
-
-
-def tabulated_dos(d: int, lam_grid: np.ndarray) -> DensityOfStates:
-    """Tabulate the analytic continuum F on an explicit grid (testing aid)."""
-    lam = np.asarray(lam_grid, dtype=float)
-    c = _SPHERE_VOL[d] / (2 * pi) ** d
-    return DensityOfStates(kind="tabulated", d=d, table=np.column_stack([lam, c * lam ** (d / 2)]))
-
-
-def _stieltjes(dos: DensityOfStates, g) -> float:
-    """Trapezoid-rule Stieltjes integral of g against dF over the table."""
-    t = dos.table
-    lam, F = t[:, 0], t[:, 1]
-    gv = g(lam)
-    return float((0.5 * (gv[:-1] + gv[1:]) * np.diff(F)).sum())
-
-
-def laplace_transform_dos(dos: DensityOfStates, beta: float) -> float:
-    """integral exp(-beta lam) dF(lam); equals phi_infinity(beta) for a consistent dF."""
-    if dos.kind == "analytic-continuum":
-        return (4 * pi * beta) ** (-dos.d / 2)
-    return _stieltjes(dos, lambda lam: np.exp(-beta * lam))
+    return DensityOfStates(d=d)
 
 
 def critical_density(beta: float, dos: DensityOfStates) -> float:
     """rho_cr(beta) = integral (exp(beta lam) - 1)^(-1) dF(lam).
 
-    For the analytic continuum this equals zeta(d/2) (4 pi beta)^(-d/2); the
-    integral diverges for d <= 2 (no condensation in low dimension).
+    This equals zeta(d/2) (4 pi beta)^(-d/2); the integral diverges for
+    d <= 2 (no condensation in low dimension).
     """
     from scipy import integrate
 
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if dos.kind == "analytic-continuum":
-        if dos.d <= 2:
-            raise DivergenceError("no condensation in this dimension")
-        c, d = dos.prefactor(), dos.d
-        # substitute lam = u^2 to regularize the endpoint: integrand ~ u^(d-3)
-        f = lambda u: d * c * u ** (d - 1) * np.exp(-beta * u**2) / (-np.expm1(-beta * u**2))
-        val, _ = integrate.quad(f, 0, np.inf, limit=200)
-        return float(val)
-    return _stieltjes(dos, lambda lam: 1.0 / np.expm1(beta * lam))
+    if dos.d <= 2:
+        raise DivergenceError("no condensation in this dimension")
+    c, d = dos.prefactor(), dos.d
+    # substitute lam = u^2 to regularize the endpoint: integrand ~ u^(d-3)
+    f = lambda u: d * c * u ** (d - 1) * np.exp(-beta * u**2) / (-np.expm1(-beta * u**2))
+    val, _ = integrate.quad(f, 0, np.inf, limit=200)
+    return float(val)
 
 
 def condensate_fraction(beta: float, rho: float, dos: DensityOfStates) -> float:

@@ -2,19 +2,16 @@
 
 from .fields import (
     FieldGrid,
-    FieldSample,
     ThermalFieldParams,
     char_functional,
     covariance,
     ergodicity_diagnostic,
     loop_kernel,
     pair_field,
-    sample_field,
     sample_fields,
     weyl_expectation,
 )
 from .mixing import (
-    mixing_convergence_diagnostic,
     mixing_decomposition_check,
     mixing_nodes,
     renormalized_mixing,
@@ -22,28 +19,23 @@ from .mixing import (
 from .perturb import (
     PolynomialPerturbation,
     mollify,
-    perturbation_action,
     reweighted_state,
 )
 
 __all__ = [
     "FieldGrid",
-    "FieldSample",
     "ThermalFieldParams",
     "char_functional",
     "covariance",
     "ergodicity_diagnostic",
     "loop_kernel",
     "pair_field",
-    "sample_field",
     "sample_fields",
     "weyl_expectation",
-    "mixing_convergence_diagnostic",
     "mixing_decomposition_check",
     "mixing_nodes",
     "renormalized_mixing",
     "PolynomialPerturbation",
     "mollify",
-    "perturbation_action",
     "reweighted_state",
 ]

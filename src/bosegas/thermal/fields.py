@@ -108,18 +108,6 @@ class ThermalFieldParams:
                 raise ValueError("noncritical covariance requires mu > 0 (zero-mode pole)")
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """One field realization, values indexed (tau slice, spatial point)."""
-
-    values: np.ndarray
-    params: ThermalFieldParams
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
-
-
 def loop_kernel(eps, beta: float, tau) -> np.ndarray:
     """Thermal mode kernel K_eps(tau); symmetric about beta/2, K(0) = coth(beta eps / 2)."""
     e = np.asarray(eps, dtype=float)
@@ -241,11 +229,6 @@ def sample_fields(params: ThermalFieldParams, n: int, seed: int) -> np.ndarray:
         if offset is not None:
             noise[rows] += offset[rows].reshape(lead)
     return noise
-
-
-def sample_field(params: ThermalFieldParams, rng_seed: int) -> FieldSample:
-    """One field draw; seed reuse replays the identical sample."""
-    return FieldSample(values=sample_fields(params, 1, rng_seed)[0], params=params)
 
 
 def pair_field(values: np.ndarray, grid: FieldGrid, f, tau_index: int = 0) -> np.ndarray:

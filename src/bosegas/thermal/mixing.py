@@ -121,23 +121,3 @@ def renormalized_mixing(
         "var_r_jackknife_err": jk_err,
         "n_samples": n_samples,
     }
-
-
-def mixing_convergence_diagnostic(
-    params_list,
-    pert: PolynomialPerturbation,
-    n_grid_r: int = 8,
-    n_grid_theta: int = 8,
-    n_samples: int = 2000,
-    seed: int = 0,
-) -> dict:
-    """Total-variation distance between renormalized weight tables across volumes.
-
-    Shrinking increments indicate the reweighted mixture converging along the
-    volume family (the small-coupling cluster-expansion regime)."""
-    tables = [
-        renormalized_mixing(p, pert, n_grid_r, n_grid_theta, n_samples, seed + i)["weights"]
-        for i, p in enumerate(params_list)
-    ]
-    tv = [0.5 * np.abs(a - b).sum() for a, b in zip(tables, tables[1:])]
-    return {"tv_increments": tv, "converging": all(b <= a + 1e-3 for a, b in zip(tv, tv[1:]))}

@@ -35,7 +35,7 @@ from math import factorial
 import numpy as np
 
 from ..diagnostics import jackknife_error
-from .fields import FieldGrid, FieldSample, ThermalFieldParams, _noise_blocks, pair_field
+from .fields import FieldGrid, ThermalFieldParams, _noise_blocks, pair_field
 
 ESS_FLOOR = 100.0
 
@@ -257,12 +257,6 @@ def _shifted_actions(grid: FieldGrid, pert: PolynomialPerturbation, shifts: np.n
     if pert.kernel is None:
         return -pert.lam * grid.dtau * (C @ np.concatenate(blocks, axis=1))
     return -pert.lam * grid.dtau * np.einsum("sp,npq,sq->sn", C, np.concatenate(blocks), C)
-
-
-def perturbation_action(sample: FieldSample, pert: PolynomialPerturbation) -> float:
-    """Log Gibbs weight of one sample; 0 at lambda = 0, <= 0 for P >= 0."""
-    grid = sample.params.grid
-    return float(perturbation_action_batch(sample.values[None], grid, pert)[0])
 
 
 def _jackknife_ratio(num: np.ndarray, den: np.ndarray):

@@ -155,6 +155,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="beta_values"):
             parse_run_config(path)
 
+    @pytest.mark.parametrize("physics, found", [("mu = 0.5\nrho = 0.1", "both are set"),
+                                                ("", "neither is set")], ids=["both", "neither"])
+    def test_ideal_takes_exactly_one_of_mu_and_rho(self, tmp_path, physics, found):
+        path = write(tmp_path, "bad.ini", IDEAL.replace("mu = 0.5", physics))
+        with pytest.raises(ConfigError, match=rf"\[physics\] mu, rho: set exactly one of them \({found}\)"):
+            parse_run_config(path)
+        assert main(["ideal", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("orders, message", [("1.7, 2", "expected an integer"),
                                                  ("1, 4", "above the allowed range")])
     def test_expand_orders_are_integers_up_to_three(self, tmp_path, capsys, orders, message):

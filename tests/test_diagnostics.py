@@ -15,11 +15,11 @@ from bosegas.loopgas import (
     gaussian_repulsion,
     gibbs_sample,
     hard_core,
-    moment_estimate,
     reduced_density_matrix,
     sample_free_poisson_batch,
 )
 from bosegas.loopgas.checks import Pairing, integration_by_parts_check, mean_pairing
+from bosegas.loopgas.free import config_pairings
 from bosegas.thermal.perturb import _jackknife_ratio
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -53,7 +53,8 @@ def chain_tau_reference(x, n_batches=20):
 
 
 def observables_err_reference(vals, n_batches=16):
-    """moment_estimate's and density_from_configs' batch-means error."""
+    """The loop observables' batch-means error before the diagnostics module:
+    every full batch of b = max(n // n_batches, 1) values."""
     n = vals.size
     b = max(n // n_batches, 1)
     means = vals[: b * (n // b)].reshape(-1, b).mean(axis=1)
@@ -228,9 +229,10 @@ def test_reduced_density_matrix_pinned():
     (400, (0.37231381265190483, 0.029564342642306847)),
 ])
 def test_moment_estimate_pinned(n, want):
+    # the first moment E[(phi, F)] over n free configurations, with its 16-batch error
     batch = sample_free_poisson_batch(400, 0.4, 1.0, REGION, 16)
-    rec = moment_estimate(batch[:n], [F], 1.0, REGION)
-    assert (rec["estimate"], rec["std_error"], rec["n"]) == (*want, n)
+    vals = config_pairings(batch[:n], [F], 1.0, REGION)[2].prod(axis=1)
+    assert (vals.mean(), batch_means(vals, 16)[0], vals.size) == (*want, n)
 
 
 def test_gibbs_err_and_tau_pinned():

@@ -13,7 +13,6 @@ from bosegas.thermal import (
     ergodicity_diagnostic,
     loop_kernel,
     pair_field,
-    sample_field,
     sample_fields,
     weyl_expectation,
 )
@@ -115,8 +114,8 @@ class TestSampler:
 
     def test_seed_replay(self):
         p = small_params()
-        a = sample_field(p, rng_seed=42).values
-        b = sample_field(p, rng_seed=42).values
+        a = sample_fields(p, 1, 42)[0]
+        b = sample_fields(p, 1, 42)[0]
         assert np.array_equal(a, b)
 
     def test_wick_fourth_moment(self):

@@ -334,6 +334,14 @@ class TestBelowLowestMode:
         mu = solve_mu_for_number(fock, 1.0, 2.0, bracket=(-250.0, 50.0))
         assert mean_particle_number(fock, 1.0, mu) == pytest.approx(2.0, rel=1e-10)
 
+    def test_bracket_above_the_root_refused(self):
+        # mu in [-50, 50] keeps every mode at 150 or more: <N> is far below 2 at both ends
+        fock = TruncatedFock(energies=np.array([200.0, 201.0, 203.0]), n_max=40)
+        msg = (r"bracket mu in \[-50, 50\] does not hold n_target = 2.0: "
+               r"<N> = 1.01719e-65 at mu = -50 and 3.78402e-109 at mu = 50")
+        with pytest.raises(ValueError, match=msg):
+            solve_mu_for_number(fock, 1.0, 2.0)
+
     def test_interacting_occupations_at_the_cutoff_refused(self):
         # n_0 = 39.99997 here is the cutoff itself, not the gas's occupation
         inter = uniform_interaction(2, 0.5, 1.0)

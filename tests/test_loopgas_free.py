@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bosegas import spectral
+from bosegas.diagnostics import batch_means
 from bosegas.errors import ActivityError, CondensationBoundaryError, ResourceBudgetError, TruncationError
 from bosegas.loopgas import (
     BoxRegion,
@@ -17,7 +18,6 @@ from bosegas.loopgas import (
     free_log_partition,
     free_rdm,
     interaction_energy,
-    moment_estimate,
     pair_energy,
     pairing,
     periodic_mode_trace,
@@ -27,6 +27,7 @@ from bosegas.loopgas import (
     trace_identity_check,
     winding_masses,
 )
+from bosegas.loopgas.free import config_pairings
 from bosegas.loopgas.loops import BridgeLoop, LoopConfiguration
 from bosegas.loopgas.potential import gaussian_repulsion, hard_core
 from bosegas.spectral import TorusGeometry, auto_torus_spectrum, build_torus_spectrum, density, pressure
@@ -320,26 +321,31 @@ class TestFreeRDM:
         assert isinstance(free_rdm(0.6, 1.0, region, xs[0, 0], ys[0]), float)
 
 
+def moment(configs, fs, region):
+    """E[prod_i (phi, f_i)] over the configurations at beta = 1, with its batch-means error."""
+    vals = config_pairings(configs, fs, 1.0, region)[2].prod(axis=1)
+    return float(vals.mean()), float(batch_means(vals, 16)[0])
+
+
 class TestMoments:
     def test_positive_function_positive_moment(self):
         region = BoxRegion(d=1, L=4.0, n_slices=8)
         configs = sample_free_poisson_batch(500, 0.5, 1.0, region, rng_seed=10)
         f = LoopTestFunction(fn=lambda ts, xs: np.ones_like(ts), t_max=1.0)
-        rec = moment_estimate(configs, [f], 1.0, region)
-        assert rec["estimate"] >= 0
+        assert moment(configs, [f], region)[0] >= 0
 
     def test_first_moment_matches_intensity(self):
         region = BoxRegion(d=1, L=4.0, n_slices=8)
         z = 0.4
         configs = sample_free_poisson_batch(4000, z, 1.0, region, rng_seed=11)
         f = LoopTestFunction(fn=lambda ts, xs: np.ones_like(ts), t_max=0.5)
-        rec = moment_estimate(configs, [f], 1.0, region)
+        est, err = moment(configs, [f], region)
         nus, jm = winding_masses(z, 1.0, region)
         target = sum(
             nus[j - 1] * discrete_time_mass(0.5, j, 1.0, region.n_slices)
             for j in range(1, jm + 1)
         )
-        assert abs(rec["estimate"] - target) < 3 * rec["std_error"]
+        assert abs(est - target) < 3 * err
 
     def test_disjoint_supports_factorize(self):
         region = BoxRegion(d=1, L=16.0, n_slices=8)
@@ -347,10 +353,5 @@ class TestMoments:
         configs = sample_free_poisson_batch(6000, z, 1.0, region, rng_seed=12)
         f1 = LoopTestFunction(fn=lambda ts, xs: np.ones_like(ts), t_max=1.0, box=((1.0, 3.0),))
         f2 = LoopTestFunction(fn=lambda ts, xs: np.ones_like(ts), t_max=1.0, box=((9.0, 11.0),))
-        rec12 = moment_estimate(configs, [f1, f2], 1.0, region)
-        r1 = moment_estimate(configs, [f1], 1.0, region)
-        r2 = moment_estimate(configs, [f2], 1.0, region)
-        assert rec12["disjoint_supports"]
-        prod = r1["estimate"] * r2["estimate"]
-        err = rec12["std_error"] + abs(r1["estimate"]) * r2["std_error"] + abs(r2["estimate"]) * r1["std_error"]
-        assert abs(rec12["estimate"] - prod) < 3.5 * err
+        (m12, e12), (m1, e1), (m2, e2) = (moment(configs, fs, region) for fs in ([f1, f2], [f1], [f2]))
+        assert abs(m12 - m1 * m2) < 3.5 * (e12 + abs(m1) * e2 + abs(m2) * e1)

@@ -11,7 +11,6 @@ from bosegas.thermal import (
     FieldGrid,
     PolynomialPerturbation,
     ThermalFieldParams,
-    mixing_convergence_diagnostic,
     mixing_decomposition_check,
     renormalized_mixing,
     sample_fields,
@@ -169,15 +168,6 @@ class TestPinnedMixing:
         rep = renormalized_mixing(critical_params(), pert, 6, 6, n_samples=800, seed=9)
         assert rep["var_r"] == pytest.approx(pinned[0], rel=1e-10)
         assert rep["var_r_jackknife_err"] == pytest.approx(pinned[1], rel=1e-10)
-
-
-class TestConvergenceDiagnostic:
-    def test_volume_family(self):
-        pert = PolynomialPerturbation(coeffs=(0.0, 0.0, 1.0), lam=1e-3, mollifier_width=0.5)
-        ps = [critical_params(n_x=8 * k, L=2.0 * k) for k in (1, 2, 3)]
-        rep = mixing_convergence_diagnostic(ps, pert, 6, 6, n_samples=800, seed=5)
-        assert len(rep["tv_increments"]) == 2
-        assert all(v >= 0 for v in rep["tv_increments"])
 
 
 def reference_mixing(params, pert, n_r, n_theta, n_samples, seed):

@@ -14,14 +14,12 @@ from bosegas.thermal import (
     mollify,
     pair_field,
     reweighted_state,
-    sample_field,
     sample_fields,
 )
 from bosegas.thermal import fields
 from bosegas.thermal.perturb import (
     _kernel_matrix,
     _region_mask,
-    perturbation_action,
     perturbation_action_batch,
     shifted_action_batch,
 )
@@ -71,9 +69,9 @@ class TestConstruction:
             # sign-alternating kernel: not positive definite on the grid
             kernel=lambda r: np.cos(8 * np.pi * r / 4.0) - 0.5,
         )
-        s = sample_field(p, 1)
+        phi = sample_fields(p, 1, 1)
         with pytest.raises(ValueError):
-            perturbation_action(s, pert)
+            perturbation_action_batch(phi, p.grid, pert)[0]
 
     def test_min_value(self):
         pert = PolynomialPerturbation(coeffs=(2.0, 0.0, 1.0), lam=0.1)
@@ -103,42 +101,42 @@ class TestMollifier:
 class TestAction:
     def test_zero_coupling(self):
         p = params_1d()
-        s = sample_field(p, 5)
-        assert perturbation_action(s, quadratic(0.0)) == 0.0
+        phi = sample_fields(p, 1, 5)
+        assert perturbation_action_batch(phi, p.grid, quadratic(0.0))[0] == 0.0
 
     def test_quadratic_sign(self):
         p = params_1d()
-        s = sample_field(p, 6)
-        assert perturbation_action(s, quadratic(0.3)) <= 0.0
+        phi = sample_fields(p, 1, 6)
+        assert perturbation_action_batch(phi, p.grid, quadratic(0.3))[0] <= 0.0
 
     def test_matches_direct_sum(self):
         p = params_1d()
-        s = sample_field(p, 7)
+        phi = sample_fields(p, 1, 7)
         pert = quadratic(0.3, width=0.5)
-        phi_eps = mollify(s.values[None], p.grid, 0.5)[0]
+        phi_eps = mollify(phi, p.grid, 0.5)[0]
         direct = -0.3 * p.grid.dtau * p.grid.cell * (phi_eps**2).sum()
-        assert np.isclose(perturbation_action(s, pert), direct, rtol=1e-12)
+        assert np.isclose(perturbation_action_batch(phi, p.grid, pert)[0], direct, rtol=1e-12)
 
     def test_subregion_smaller_than_full(self):
         p = params_1d()
-        s = sample_field(p, 8)
-        full = perturbation_action(s, quadratic(0.3))
-        sub = perturbation_action(s, quadratic(0.3, region=((1.0, 3.0),)))
+        phi = sample_fields(p, 1, 8)
+        full = perturbation_action_batch(phi, p.grid, quadratic(0.3))[0]
+        sub = perturbation_action_batch(phi, p.grid, quadratic(0.3, region=((1.0, 3.0),)))[0]
         assert 0 >= sub >= full
 
     def test_nonlocal_action_nonpositive(self):
         p = params_1d()
-        s = sample_field(p, 9)
+        phi = sample_fields(p, 1, 9)
         pert = PolynomialPerturbation(
             coeffs=(0.5, 0.0, 1.0), lam=0.2, mollifier_width=0.5,
             kernel=lambda r: np.exp(-(r**2)),
         )
-        assert perturbation_action(s, pert) < 0.0
+        assert perturbation_action_batch(phi, p.grid, pert)[0] < 0.0
 
     def test_nonlocal_subregion_matches_full_direct(self):
         # direct double sum against the FFT convolution on the full torus
         p = params_1d(n_x=8)
-        s = sample_field(p, 10)
+        phi = sample_fields(p, 1, 10)
         kern = lambda r: np.exp(-(r**2))
         full = PolynomialPerturbation(
             coeffs=(0.5, 0.0, 1.0), lam=0.2, mollifier_width=1.0, kernel=kern
@@ -147,7 +145,8 @@ class TestAction:
             coeffs=(0.5, 0.0, 1.0), lam=0.2, mollifier_width=1.0, kernel=kern,
             region=((0.0, 4.0),),
         )
-        assert np.isclose(perturbation_action(s, full), perturbation_action(s, boxed), rtol=1e-10)
+        on_torus, on_box = (perturbation_action_batch(phi, p.grid, q)[0] for q in (full, boxed))
+        assert np.isclose(on_torus, on_box, rtol=1e-10)
 
 
 class TestReweighting:
