@@ -113,7 +113,7 @@ def mayer_coefficient(
     def draw_paths(count, j):
         if region is None:
             return _free_paths(count, j, beta, d, n_slices, rng)
-        return _fill_loop_paths(_sample_bases(count, j, beta, region, rng), j, beta, region, rng)[0]
+        return _fill_loop_paths(_sample_bases(count, j, beta, region, rng), j, beta, region, rng)
 
     if n == 1:
         return MayerCoefficients(order=1, value=float(kappa(1)), error=None, parts={"j1": (float(kappa(1)), None)})

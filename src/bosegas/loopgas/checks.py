@@ -57,8 +57,6 @@ class CylindricalFunctional:
 
 
 class One(CylindricalFunctional):
-    label = "1"
-
     def of(self, p):
         return np.ones(p.shape[:-1])
 
@@ -66,8 +64,8 @@ class One(CylindricalFunctional):
 class Pairing(CylindricalFunctional):
     """(phi, g)"""
 
-    def __init__(self, g, label="(phi,g)"):
-        self.g, self.gs, self.label = g, (g,), label
+    def __init__(self, g):
+        self.gs = (g,)
 
     def of(self, p):
         return p[..., 0]
@@ -76,8 +74,8 @@ class Pairing(CylindricalFunctional):
 class PairingProduct(CylindricalFunctional):
     """(phi, g1)(phi, g2)"""
 
-    def __init__(self, g1, g2, label="(phi,g1)(phi,g2)"):
-        self.g1, self.g2, self.gs, self.label = g1, g2, (g1, g2), label
+    def __init__(self, g1, g2):
+        self.gs = (g1, g2)
 
     def of(self, p):
         return p[..., 0] * p[..., 1]
@@ -86,8 +84,8 @@ class PairingProduct(CylindricalFunctional):
 class ExpPairing(CylindricalFunctional):
     """exp(i (phi, g)); complex-valued."""
 
-    def __init__(self, g, label="e^{i(phi,g)}"):
-        self.g, self.gs, self.label = g, (g,), label
+    def __init__(self, g):
+        self.gs = (g,)
 
     def of(self, p):
         return np.exp(1j * p[..., 0])

@@ -108,8 +108,8 @@ def _sample_bases(count: int, j: int, beta: float, region: BoxRegion, rng) -> np
 
 
 def _fill_loop_paths(bases: np.ndarray, j: int, beta: float, region: BoxRegion, rng, knots: int | None = None):
-    """Paths for a batch of j-loops; returns (paths, images) with survival applied
-    for Dirichlet walls (resampling rejected paths).
+    """Paths for a batch of j-loops, with survival applied for Dirichlet walls
+    (resampling rejected paths).
 
     With `knots` given, periodic paths hold only their first `knots` knots,
     drawn from only the normals those knots read (box_bridges); Dirichlet
@@ -123,12 +123,12 @@ def _fill_loop_paths(bases: np.ndarray, j: int, beta: float, region: BoxRegion, 
     paths = np.empty((count, n_int + 1, region.d))
     todo = np.arange(count)
     while todo.size:
-        cand = box_bridges(bases[todo], bases[todo], n_int, dtau, region, rng)[0]
+        cand = box_bridges(bases[todo], bases[todo], n_int, dtau, region, rng)
         logs = wall_survival_log(cand, region, dtau)
         acc = np.log(rng.uniform(size=todo.size)) < logs
         paths[todo[acc]] = cand[acc]
         todo = todo[~acc]
-    return paths, np.zeros((count, region.d), dtype=int)
+    return paths
 
 
 def sector_bridges(nus, n_mc: int, beta: float, region: BoxRegion, rng, fs=None):
@@ -144,7 +144,7 @@ def sector_bridges(nus, n_mc: int, beta: float, region: BoxRegion, rng, fs=None)
         n_knots = j * region.n_slices + 1
         knots = None if fs is None else _live_knots(fs, n_knots, beta / region.n_slices)
         bases = _sample_bases(n_mc, j, beta, region, rng)
-        yield nu, _fill_loop_paths(bases, j, beta, region, rng, knots)[0], n_knots
+        yield nu, _fill_loop_paths(bases, j, beta, region, rng, knots), n_knots
 
 
 def sample_free_poisson(z: float, beta: float, region: BoxRegion, rng_seed: int) -> LoopConfiguration:
@@ -165,27 +165,24 @@ def sample_free_poisson_batch(
     nus, _ = winding_masses(z, beta, region)
     rng = generator(rng_seed)
     counts = np.zeros((n_configs, nus.size), dtype=int)  # loops per sample and winding
-    blocks = []  # (j, paths, images) of each winding that has loops, rows in sample order
+    blocks = []  # (j, paths) of each winding that has loops, rows in sample order
     for j in range(1, nus.size + 1):
         counts[:, j - 1] = rng.poisson(nus[j - 1], size=n_configs)
         total = int(counts[:, j - 1].sum())
         if total == 0:
             continue
         bases = _sample_bases(total, j, beta, region, rng)
-        blocks.append((j, *_fill_loop_paths(bases, j, beta, region, rng)))
+        blocks.append((j, _fill_loop_paths(bases, j, beta, region, rng)))
     windings = np.repeat(np.tile(np.arange(1, nus.size + 1), n_configs), counts.ravel())
     offsets = np.concatenate([[0], np.cumsum(windings * region.n_slices + 1)])
     knots = np.empty((offsets[-1], region.d))
-    images = np.empty((windings.size, region.d), dtype=int)
-    for j, paths, imgs in blocks:
+    for j, paths in blocks:
         rows = np.flatnonzero(windings == j)
         knots[offsets[rows, None] + np.arange(paths.shape[1])] = paths
-        images[rows] = imgs
     return LoopBatch(
         knots=knots,
         offsets=offsets,
         windings=windings,
-        images=images,
         loop_starts=np.concatenate([[0], np.cumsum(counts.sum(axis=1))]),
     )
 

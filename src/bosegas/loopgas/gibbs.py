@@ -103,7 +103,7 @@ def _wrap_config(config: LoopConfiguration, region: BoxRegion) -> LoopConfigurat
     """Every loop's knots wrapped into the box, each closing onto its own first knot."""
     knots = np.array(wrap_knots(config.knots, region))
     knots[config.offsets[1:] - 1] = knots[config.offsets[:-1]]
-    return LoopConfiguration(knots=knots, offsets=config.offsets, windings=config.windings, images=config.images)
+    return LoopConfiguration(knots=knots, offsets=config.offsets, windings=config.windings)
 
 
 def _draw_beta_bridge(x, y, beta: float, region: BoxRegion, rng, arc: int | None = None) -> np.ndarray:
@@ -111,7 +111,7 @@ def _draw_beta_bridge(x, y, beta: float, region: BoxRegion, rng, arc: int | None
     (one beta-leg by default), to a winding image of y (box_bridges), wrapped
     into the box with its ends pinned at x and y (knot rows, (d,) each)."""
     n = region.n_slices
-    path = wrap_knots(box_bridges(x[None], y[None], arc or n, beta / n, region, rng)[0][0], region)
+    path = wrap_knots(box_bridges(x[None], y[None], arc or n, beta / n, region, rng)[0], region)
     path[0], path[-1] = x, y
     return path
 
@@ -179,12 +179,8 @@ class GibbsChain:
         j = 1 + _choice(self._winding_cdf, self.rng)
         base = _sample_bases(1, j, self.beta, self.region, self.rng)
         # a bridge not conditioned on the walls: its wall survival enters the acceptance
-        ns = self.region.n_slices
-        paths, image = box_bridges(base, base, j * ns, self.beta / ns, self.region, self.rng)
-        path = wrap_knots(paths[0], self.region)
-        path[-1] = path[0]
-        loop = BridgeLoop(base=base[0], winding=j, path=path, image=image[0])
-        return insert_proposal(self, loop, self._survival_log(path))
+        path = _draw_beta_bridge(base[0], base[0], self.beta, self.region, self.rng, j * self.region.n_slices)
+        return insert_proposal(self, BridgeLoop(winding=j, path=path), self._survival_log(path))
 
     def propose_delete(self) -> Proposal:
         idx = self._pick()
@@ -370,13 +366,11 @@ def _leg_ends(loop: BridgeLoop, leg: int, ns: int):
     return loop.path[leg * ns], loop.path[((leg + 1) % loop.winding) * ns]
 
 
-def _closed_loop(parts, winding: int, d: int) -> BridgeLoop:
+def _closed_loop(parts, winding: int) -> BridgeLoop:
     """The loop whose body is the knot blocks `parts` in order, closed onto its
-    first knot.  A reconnected loop keeps its knots wrapped, so it carries no
-    image."""
+    first knot; its knots stay wrapped."""
     body = np.concatenate(parts, axis=0)
-    path = np.concatenate([body, body[:1]], axis=0)
-    return BridgeLoop(base=path[0].copy(), winding=winding, path=path, image=np.zeros(d, dtype=int))
+    return BridgeLoop(winding=winding, path=np.concatenate([body, body[:1]], axis=0))
 
 
 def _reconnection_log_accept(
@@ -411,7 +405,7 @@ def merge_proposal(
     # C = T1 + B's remaining legs + T2 + A's remaining legs
     rest_B = _cyclic_knots(B, ((gamma + 1) % jb) * ns, (jb - 1) * ns)
     rest_A = _cyclic_knots(A, ((alpha + 1) % ja) * ns, (ja - 1) * ns)
-    C = _closed_loop([T1[:-1], rest_B, T2[:-1], rest_A], jc, chain.region.d)
+    C = _closed_loop([T1[:-1], rest_B, T2[:-1], rest_A], jc)
 
     # A against everything but itself, then B (and C) against everything but A and B
     e_b, e_new = chain._loop_energies((B.path, C.path), skip=(ia, ib))
@@ -437,8 +431,8 @@ def cut_proposal(
     # loop 1: U1 (cs -> ct1) followed by legs t+1 .. s-1; loop 2: U2 (ct -> cs1), legs s+1 .. t-1
     rest1 = _cyclic_knots(C, ((t + 1) % jc) * ns, (j1 - 1) * ns)
     rest2 = _cyclic_knots(C, ((s + 1) % jc) * ns, (j2 - 1) * ns)
-    loop1 = _closed_loop([U1[:-1], rest1], j1, chain.region.d)
-    loop2 = _closed_loop([U2[:-1], rest2], j2, chain.region.d)
+    loop1 = _closed_loop([U1[:-1], rest1], j1)
+    loop2 = _closed_loop([U2[:-1], rest2], j2)
 
     e_old, e_1, e_2 = chain._loop_energies((C.path, loop1.path, loop2.path), skip=idx)
     e_new = e_1 + e_2 + (pair_energy(loop1, loop2, chain.V, chain.beta, chain.region) if chain.V is not None else 0.0)

@@ -1,15 +1,17 @@
 """Closed discretized Brownian bridges and packed loop configurations.
 
-A winding-j loop carries j particles: its path visits j beta-legs on a common
+A loop is its winding number and its path of knots, nothing more.  A
+winding-j loop carries j particles: its path visits j beta-legs on a common
 time grid of n_slices knots per leg, so it has j * n_slices + 1 knots and leg
-a is knots a * n_slices .. (a + 1) * n_slices.  Paths are stored unwrapped;
-periodic loops may close onto a lattice image of their base point (spatial
-winding), in which case the wrapped view satisfies the closure identity
-modulo L.
+a is knots a * n_slices .. (a + 1) * n_slices.  Its base is the first knot
+and its image the closure vector, last knot minus first: a periodic loop
+drawn unwrapped may close onto a lattice image of its base (spatial
+winding), while the chain's loops are wrapped into the box and close onto
+their base.  Both are read from the path, never stored beside it.
 
 A LoopConfiguration is packed as a struct of arrays: the paths of all its
 loops back to back in one (K, d) `knots` array, loop i occupying knots
-offsets[i] .. offsets[i + 1] - 1, with `windings` (n,) and `images` (n, d).
+offsets[i] .. offsets[i + 1] - 1, with `windings` (n,).
 Every beta-leg of every loop is read from `knots` through one index array
 (`leg_index`), so the energy layer sees the configuration as a single
 (n_legs, n_slices + 1, d) array of legs, which `legs` builds on first use
@@ -53,40 +55,29 @@ from functools import lru_cache
 
 import numpy as np
 
-from .regions import PERIODIC, BoxRegion, winding_images
+from .regions import BoxRegion, winding_images
 
 
 @dataclass
 class BridgeLoop:
-    """One closed bridge: base point, winding number, unwrapped path of knots.
+    """One closed bridge: winding number and unwrapped path of knots.
 
-    path has shape (winding * n_slices + 1, d) with path[0] = base and
-    path[-1] = base + image * L (image is the spatial winding vector; zero for
-    Dirichlet loops, whose knots all lie strictly inside the box).
+    path has shape (winding * n_slices + 1, d).  Its base is path[0], and its
+    image path[-1] - path[0] is the closure vector: a lattice vector of L
+    for a periodic loop, zero for a Dirichlet loop (whose knots all lie
+    strictly inside the box).
     """
 
-    base: np.ndarray
     winding: int
     path: np.ndarray
-    image: np.ndarray
 
-    def validate(self, region: BoxRegion):
-        if self.winding < 1:
-            raise ValueError("winding must be >= 1")
-        expect = self.winding * region.n_slices + 1
-        if self.path.shape != (expect, region.d):
-            raise ValueError(f"path must have shape ({expect}, {region.d})")
-        if region.boundary == PERIODIC:
-            if not np.allclose(self.path[-1], self.path[0] + self.image * region.L):
-                raise ValueError("periodic loop must close onto an image of its base")
-        else:
-            if np.any(self.image != 0):
-                raise ValueError("dirichlet loops carry no spatial winding")
-            if not np.allclose(self.path[-1], self.path[0]):
-                raise ValueError("loop must close")
-            inner = self.path
-            if inner.min() <= 0 or inner.max() >= region.L:
-                raise ValueError("dirichlet loop knots must stay strictly inside the box")
+    @property
+    def base(self) -> np.ndarray:
+        return self.path[0]
+
+    @property
+    def image(self) -> np.ndarray:
+        return self.path[-1] - self.path[0]
 
 
 def leg_index(windings, n_slices: int) -> np.ndarray:
@@ -134,29 +125,22 @@ def _stack(blocks, like: np.ndarray) -> np.ndarray:
 class LoopConfiguration:
     """Multiset of loops, packed; the particle number is the total winding.
 
-    Built either from BridgeLoops, LoopConfiguration(loops=[...]) (each
-    loop's base is taken to be path[0]), or from the packed arrays
-    LoopConfiguration(knots=..., offsets=..., windings=..., images=...).  The
-    arrays are adopted, not copied, and made read-only.
+    Built either from BridgeLoops, LoopConfiguration(loops=[...]), or from
+    the packed arrays LoopConfiguration(knots=..., offsets=..., windings=...).
+    The arrays are adopted, not copied, and made read-only.
     """
 
-    __slots__ = ("knots", "offsets", "windings", "images", "_legs")
+    __slots__ = ("knots", "offsets", "windings", "_legs")
 
-    def __init__(self, loops=(), *, knots=None, offsets=None, windings=None, images=None):
+    def __init__(self, loops=(), *, knots=None, offsets=None, windings=None):
         if knots is None:
             loops = list(loops)
             windings = np.array([lp.winding for lp in loops], dtype=int)
-            if loops:
-                knots = np.concatenate([lp.path for lp in loops]).astype(float, copy=False)
-                images = np.array([lp.image for lp in loops], dtype=int)
-            else:
-                knots = np.empty((0, 0))
-                images = np.empty((0, 0), dtype=int)
+            knots = np.concatenate([lp.path for lp in loops]).astype(float, copy=False) if loops else np.empty((0, 0))
             offsets = np.concatenate([[0], np.cumsum([lp.path.shape[0] for lp in loops], dtype=int)])
         self.knots = _frozen(knots)
         self.offsets = _frozen(offsets)
         self.windings = _frozen(windings)
-        self.images = _frozen(images)
         self._legs = None
 
     def legs(self, n_slices: int, skip=()) -> np.ndarray:
@@ -193,23 +177,18 @@ class LoopConfiguration:
     def loop(self, i: int) -> BridgeLoop:
         """Read-only view of loop i."""
         path = self.knots[self.offsets[i] : self.offsets[i + 1]]
-        return BridgeLoop(base=path[0], winding=int(self.windings[i]), path=path, image=self.images[i])
+        return BridgeLoop(winding=int(self.windings[i]), path=path)
 
     @property
     def loops(self) -> tuple:
         """Read-only views of every loop, in order."""
         return tuple(self.loop(i) for i in range(self.loop_count))
 
-    def winding_histogram(self, top: int) -> np.ndarray:
-        """Loop counts of windings 0..top (a winding above top is not counted)."""
-        return np.bincount(self.windings, minlength=top + 1)[: top + 1]
-
     def copy(self) -> "LoopConfiguration":
         return LoopConfiguration(
             knots=self.knots.copy(),
             offsets=self.offsets.copy(),
             windings=self.windings.copy(),
-            images=self.images.copy(),
         )
 
     def spliced(self, drop=(), add=()) -> "LoopConfiguration":
@@ -226,8 +205,6 @@ class LoopConfiguration:
                                              + [np.array([lp.path.shape[0] for lp in add], dtype=int)])),
             windings=np.concatenate([self.windings[a:b] for a, b in runs]
                                     + [np.array([lp.winding for lp in add], dtype=int)]),
-            images=_stack([self.images[a:b] for a, b in runs] + [np.asarray(lp.image, dtype=int)[None] for lp in add],
-                          self.images),
         )
         if self._legs is not None:  # built legs carry over: the kept loops', then the added ones'
             ns = self._legs.shape[1] - 1
@@ -239,10 +216,10 @@ class LoopConfiguration:
 
     def replaced(self, i: int, path: np.ndarray) -> "LoopConfiguration":
         """A new configuration with loop i's path replaced by one of the same
-        length (same winding and image); the other arrays are shared."""
+        length (same winding); the other arrays are shared."""
         knots = self.knots.copy()
         knots[self.offsets[i] : self.offsets[i + 1]] = path
-        out = LoopConfiguration(knots=knots, offsets=self.offsets, windings=self.windings, images=self.images)
+        out = LoopConfiguration(knots=knots, offsets=self.offsets, windings=self.windings)
         if self._legs is not None:  # built legs carry over, with loop i's rows replaced
             ns = self._legs.shape[1] - 1
             first, winding = self._first_leg(i, ns), int(self.windings[i])
@@ -256,8 +233,8 @@ class LoopBatch:
     """Read-only packed batch of configurations (samples).
 
     The LoopConfiguration arrays of every sample back to back, sample after
-    sample: `knots` (K, d), `offsets` (n_loops + 1,), `windings` (n_loops,)
-    and `images` (n_loops, d), plus `loop_starts` (n_samples + 1,), so that
+    sample: `knots` (K, d), `offsets` (n_loops + 1,) and `windings`
+    (n_loops,), plus `loop_starts` (n_samples + 1,), so that
     sample s holds loops loop_starts[s] .. loop_starts[s + 1] - 1.  The
     arrays are adopted, not copied, and made read-only.
 
@@ -266,13 +243,12 @@ class LoopBatch:
     LoopBatch, and iteration gives configurations.
     """
 
-    __slots__ = ("knots", "offsets", "windings", "images", "loop_starts")
+    __slots__ = ("knots", "offsets", "windings", "loop_starts")
 
-    def __init__(self, *, knots, offsets, windings, images, loop_starts):
+    def __init__(self, *, knots, offsets, windings, loop_starts):
         self.knots = _frozen(knots)
         self.offsets = _frozen(offsets)
         self.windings = _frozen(windings)
-        self.images = _frozen(images)
         self.loop_starts = _frozen(loop_starts)
 
     def __len__(self) -> int:
@@ -301,7 +277,6 @@ class LoopBatch:
             knots=self.knots[k0 : self.offsets[b]],
             offsets=self.offsets[a : b + 1] - k0,
             windings=self.windings[a:b],
-            images=self.images[a:b],
         )
 
     def __getitem__(self, s):
@@ -335,14 +310,12 @@ def as_batch(configs) -> LoopBatch:
     full = [c for c in configs if c.loop_count]
     if not full:
         empty = LoopConfiguration()
-        return LoopBatch(knots=empty.knots, offsets=empty.offsets, windings=empty.windings,
-                         images=empty.images, loop_starts=loop_starts)
+        return LoopBatch(knots=empty.knots, offsets=empty.offsets, windings=empty.windings, loop_starts=loop_starts)
     lengths = np.concatenate([np.diff(c.offsets) for c in full])
     return LoopBatch(
         knots=np.concatenate([c.knots for c in full]),
         offsets=np.concatenate([[0], np.cumsum(lengths)]),
         windings=np.concatenate([c.windings for c in full]),
-        images=np.concatenate([c.images for c in full]),
         loop_starts=loop_starts,
     )
 
@@ -441,8 +414,8 @@ def box_bridges(x0: np.ndarray, x1, n_intervals: int, dtau: float, region: BoxRe
     winding images of x1 ((batch, d) or (d,)), all with one displacement x1 -
     x0: the images (batch, d) from winding_images at time n_intervals * dtau
     (kernel-weighted periodic; zeros and no draw Dirichlet), then the knots
-    from fill_bridges, `knots` of them as there.  Returns the unwrapped paths
-    and the images."""
+    from fill_bridges, `knots` of them as there.  Returns the unwrapped
+    paths."""
     dx = np.broadcast_to(x1, x0.shape)[0] - x0[0]
     images = winding_images(dx, x0.shape[0], region, n_intervals * dtau, rng)
-    return fill_bridges(x0, x1 + images * region.L, n_intervals, dtau, rng, knots), images
+    return fill_bridges(x0, x1 + images * region.L, n_intervals, dtau, rng, knots)

@@ -27,7 +27,6 @@ class LoopTestFunction:
     fn: object
     t_max: float
     box: tuple | None = None
-    label: str = "f"
 
     def __call__(self, ts, xs):
         """Values at knot times ts (K,) and positions xs (..., K, d), shaped
@@ -80,7 +79,7 @@ def reduced_density_matrix(
             if mass < 1e-16 * max(abs(seen), 1.0):
                 continue
             # open bridges x -> y, each ending at a winding image of y
-            paths = box_bridges(np.tile(x, (n_mc, 1)), y, j * region.n_slices, dtau, region, rng)[0]
+            paths = box_bridges(np.tile(x, (n_mc, 1)), y, j * region.n_slices, dtau, region, rng)
             logw = wall_survival_log(paths, region, dtau)
             if V is not None:
                 bridges = wrap_knots(paths, region)

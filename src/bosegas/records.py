@@ -101,10 +101,10 @@ def save_loop_checkpoint(
     chain_state: dict,
     N_history=(),
 ):
-    """Self-describing chain checkpoint, format version 2.
+    """Self-describing chain checkpoint, format version 3.
 
-    The npz blob holds the packed configuration (knots, offsets, windings,
-    images) and the particle number after each recorded sweep (N_history, the
+    The npz blob holds the packed configuration (knots, offsets, windings)
+    and the particle number after each recorded sweep (N_history, the
     last entry being sweep - 1); the JSON sidecar holds the sweep count, the
     region, the RNG state and chain_state (energy and move counters).
     """
@@ -113,12 +113,11 @@ def save_loop_checkpoint(
         knots=config.knots,
         offsets=config.offsets,
         windings=config.windings,
-        images=config.images,
         N_history=np.asarray(N_history, dtype=np.int64),
     )
     sidecar = {
         "format": "bosegas-loop-checkpoint",
-        "version": 2,
+        "version": 3,
         "sweep": sweep,
         "region": region_meta,
         "rng_state": rng_state,
@@ -130,20 +129,18 @@ def save_loop_checkpoint(
 
 
 def load_loop_checkpoint(path_base: str):
-    """(configuration, sidecar) of a version 2 checkpoint; the sidecar's
-    "N_history" is the array from the blob."""
+    """(configuration, sidecar) of a version 2 or 3 checkpoint; the sidecar's
+    "N_history" is the array from the blob.  Version 2 differs only by an
+    images array in the blob, which is not read."""
     from .loopgas.loops import LoopConfiguration
 
     with open(path_base + ".json") as fh:
         sidecar = json.load(fh)
-    if sidecar.get("version") != 2:
+    if sidecar.get("version") not in (2, 3):
         raise ValueError(f"unsupported loop checkpoint version {sidecar.get('version')!r}")
     if not {"energy", "attempts", "accepts"} <= set(sidecar.get("chain", {})):
         raise ValueError(f"loop checkpoint chain {sidecar.get('chain')!r} lacks energy, attempts or accepts")
     with np.load(path_base + ".npz") as blobs:
-        config = LoopConfiguration(
-            knots=blobs["knots"], offsets=blobs["offsets"],
-            windings=blobs["windings"], images=blobs["images"],
-        )
+        config = LoopConfiguration(knots=blobs["knots"], offsets=blobs["offsets"], windings=blobs["windings"])
         sidecar["N_history"] = blobs["N_history"]
     return config, sidecar

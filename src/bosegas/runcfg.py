@@ -6,6 +6,7 @@ README; values are scalars or comma-separated lists.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -19,6 +20,8 @@ def _float(lo=None, hi=None, lo_open=False):
             v = float(s)
         except ValueError:
             raise ConfigError(f"{where}: expected a number, got {s!r}")
+        if not math.isfinite(v):
+            raise ConfigError(f"{where}: expected a finite number, got {s!r}")
         if lo is not None and (v <= lo if lo_open else v < lo):
             raise ConfigError(f"{where}: {v} below the allowed range")
         if hi is not None and v > hi:
@@ -73,6 +76,18 @@ def _str(s, where):
     return s
 
 
+def _potential(spec, where):
+    """A potential spec, none | hardcore:a | gauss:A,w with every parameter a
+    positive number, as it is; a ConfigError naming `where` otherwise."""
+    name, colon, args = spec.partition(":")
+    params = args.split(",") if colon else []
+    if {"none": 0, "hardcore": 1, "gauss": 2}.get(name) != len(params):
+        raise ConfigError(f"{where}: expected none | hardcore:a | gauss:A,w, got {spec!r}")
+    for tok in params:
+        _float(lo=0, lo_open=True)(tok, where)
+    return spec
+
+
 # section -> key -> (converter, required)
 _COMMON = {
     "run": {
@@ -118,7 +133,7 @@ SCHEMAS = {
         "physics": {
             "beta": (_float(lo=0, lo_open=True), True),
             "z": (_float(lo=0), True),
-            "potential": (_str, False),
+            "potential": (_potential, False),
         },
         "geometry": {
             "d": (_int(lo=1, hi=3), True),
@@ -134,7 +149,7 @@ SCHEMAS = {
         "physics": {
             "beta": (_float(lo=0, lo_open=True), True),
             "z": (_float(lo=0), False),
-            "potential": (_str, False),
+            "potential": (_potential, False),
         },
         "sampler": {"n_mc": (_int(lo=10), True), "orders": (_list(_int(lo=1, hi=3)), False)},
     },
@@ -198,20 +213,23 @@ def parse_run_config(path: str) -> RunConfig:
     if kind == "ideal" and ("mu" in physics) == ("rho" in physics):
         found = "both are set" if "mu" in physics else "neither is set"
         raise ConfigError(f"{path} [physics] mu, rho: set exactly one of them ({found})")
+    if kind == "gauss":  # critical: mu = 0 and c > 0; noncritical: mu > 0 and no c
+        critical = physics.get("critical", False)
+        key, unread = ("c", "mu") if critical else ("mu", "c")
+        if unread in physics or not physics.get(key, 1.0) > 0:
+            raise ConfigError(f"{path} [physics] mu, c, critical: critical = {str(critical).lower()} "
+                              f"takes {key} > 0 and no {unread}")
     run = sections.get("run", {})
     return RunConfig(kind=kind, seed=int(run.get("seed", 0)), out=run.get("out"), sections=sections)
 
 
 def parse_potential(spec: str | None, d: int):
-    """'none' | 'hardcore:a' | 'gauss:A,w' -> PairPotential or None."""
+    """'none' | 'hardcore:a' | 'gauss:A,w' -> PairPotential or None; any
+    other spec is a ConfigError naming [physics] potential."""
     from .loopgas.potential import gaussian_repulsion, hard_core
 
-    if spec is None or spec == "none":
+    if spec is None or _potential(spec, "[physics] potential") == "none":
         return None
     name, _, args = spec.partition(":")
-    if name == "hardcore":
-        return hard_core(d, float(args))
-    if name == "gauss":
-        amp, width = (float(t) for t in args.split(","))
-        return gaussian_repulsion(d, amp, width)
-    raise ConfigError(f"unknown potential spec {spec!r}")
+    make = hard_core if name == "hardcore" else gaussian_repulsion
+    return make(d, *map(float, args.split(",")))

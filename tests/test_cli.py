@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,44 @@ class TestConfigParsing:
         assert np.isclose(float(V(0.8)), 1.5 * np.exp(-1.0))
         with pytest.raises(ConfigError):
             parse_potential("what:1", 3)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("gauss:1", "expected none | hardcore:a | gauss:A,w"),
+        ("gauss:1,0.5,2", "expected none | hardcore:a | gauss:A,w"),
+        ("hardcore", "expected none | hardcore:a | gauss:A,w"),
+        ("none:1", "expected none | hardcore:a | gauss:A,w"),
+        ("hardcore:abc", "expected a number"),
+        ("hardcore:-0.8", "below the allowed range"),
+        ("gauss:1.5,0", "below the allowed range"),
+        ("gauss:nan,0.5", "expected a finite number"),
+    ])
+    @pytest.mark.parametrize("kind, text", [("loops", LOOPS), ("expand", EXPAND)], ids=["loops", "expand"])
+    def test_potential_spec_refused_at_parse_time(self, tmp_path, capsys, spec, message, kind, text):
+        # each exited 1 on a bare ValueError deep in the run before
+        path = write(tmp_path, "bad.ini", text.replace("potential = hardcore:0.8", f"potential = {spec}"))
+        with pytest.raises(ConfigError, match=rf"\[physics\] potential: .*{re.escape(message)}"):
+            parse_run_config(path)
+        with pytest.raises(ConfigError, match=r"\[physics\] potential"):
+            parse_potential(spec, 3)
+        assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "[physics] potential" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("physics", [
+        "mu = 0",                      # the critical point without critical = true
+        "critical = true\nmu = 0.7",   # critical ignores mu
+        "critical = true\nc = 0",      # the critical covariance needs c > 0
+        "mu = 0.7\nc = 0.5",           # c weighs the condensate of critical = true only
+    ], ids=["zero-mu", "critical-mu", "critical-zero-c", "noncritical-c"])
+    def test_gauss_covariance_keys_refused_at_parse_time(self, tmp_path, capsys, physics):
+        path = write(tmp_path, "bad.ini", ERGODICITY.replace("mu = 0.7", physics))
+        with pytest.raises(ConfigError, match=r"\[physics\] mu, c, critical: critical = "):
+            parse_run_config(path)
+        assert main(["gauss", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "[physics] mu, c, critical" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        for ok in ("mu = 0.7", "critical = true", "critical = true\nc = 0.5", "critical = false\nmu = 0.2"):
+            parse_run_config(write(tmp_path, "ok.ini", ERGODICITY.replace("mu = 0.7", ok)))
 
 
 class TestRun:

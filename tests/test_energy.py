@@ -55,7 +55,7 @@ def random_config(region, seed, windings=(1, 2, 3, 1, 3, 2, 1)):
             base = rng.uniform(0.3 * L, 0.7 * L, size=d)
             image = np.zeros(d, dtype=int)
         path = fill_bridges(base[None], (base + image * L)[None], j * ns, BETA / ns, rng)[0]
-        loops.append(BridgeLoop(base=base, winding=j, path=path, image=image))
+        loops.append(BridgeLoop(winding=j, path=path))
     return LoopConfiguration(loops=loops)
 
 
@@ -222,7 +222,7 @@ def static_loop(point, region, winding=1, second=None):
     path = np.tile(np.asarray(point, dtype=float), (winding * ns + 1, 1))
     if second is not None:
         path[ns:-1] = second
-    return BridgeLoop(base=path[0].copy(), winding=winding, path=path, image=np.zeros(region.d, dtype=int))
+    return BridgeLoop(winding=winding, path=path)
 
 
 def test_hard_core_contact_is_infinite():
@@ -314,7 +314,7 @@ def test_fused_pricing_has_the_bits_of_single_calls(boundary, V):
             want = [rowwise_loop_energy(p, config, V, region, skip) for p in paths]
             assert got == want
             for p, w in zip(paths, want):
-                lp = BridgeLoop(base=p[0], winding=(len(p) - 1) // region.n_slices, path=p, image=np.zeros(3, int))
+                lp = BridgeLoop(winding=(len(p) - 1) // region.n_slices, path=p)
                 assert loop_in_config_energy(lp, config, V, BETA, region, skip=skip) == w
             pair = loops_in_config_energies(paths[1::-1], config, V, BETA, region, skip=skip)
             assert pair == want[1::-1]
@@ -349,8 +349,8 @@ def test_carried_legs_equal_fresh_legs():
 
 
 def snapshot(config):
-    return [a.tobytes() for a in (config.knots, config.offsets, config.windings, config.images)] + [
-        a.shape for a in (config.knots, config.offsets, config.windings, config.images)
+    return [a.tobytes() for a in (config.knots, config.offsets, config.windings)] + [
+        a.shape for a in (config.knots, config.offsets, config.windings)
     ]
 
 

@@ -1,5 +1,7 @@
 """Gibbs chain: per-move detailed balance, free-case invariance, interaction effects."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -163,7 +165,7 @@ class TestRedrawImage:
         region = BoxRegion(d=1, L=2.0, n_slices=4)
         chain = GibbsChain(0.5, 1.0, region, None, rng_seed=23)
         path = np.array([[0.3], [0.9], [1.5], [0.3], [0.3]])
-        chain.config = LoopConfiguration([BridgeLoop(base=path[0], winding=1, path=path, image=np.zeros(1, dtype=int))])
+        chain.config = LoopConfiguration([BridgeLoop(winding=1, path=path)])
         n = 10_000
         c = np.empty(n)
         for i in range(n):
@@ -201,7 +203,7 @@ class TestFreeInvariance:
         region = BoxRegion(d=3, L=5.0, n_slices=4)
         z = 0.6
         run = gibbs_sample(z, 1.0, region, None, n_sweeps=6000, rng_seed=18, thin=6)
-        h = np.sum([c.winding_histogram(3) for c in run["configs"]], axis=0).astype(float)
+        h = np.bincount(np.concatenate([c.windings for c in run["configs"]]), minlength=4).astype(float)
         nus, _ = winding_masses(z, 1.0, region)
         expect = nus[1] / nus[0]
         seen = h[2] / h[1]
@@ -396,6 +398,34 @@ class TestCheckpointResume:
         assert resumed["acceptance"] == full["acceptance"]
         assert resumed["mean_N"] == full["mean_N"]
         assert resumed["err_N"] == full["err_N"] and np.isfinite(full["err_N"])
+
+    def test_resume_reads_version_2_checkpoint(self, tmp_path):
+        # a version-2 checkpoint, as written before the images field went (an
+        # images blob beside the knots), resumes bit for bit; its images are
+        # not read, so arbitrary ones change nothing
+        from bosegas.loopgas.gibbs import resume_gibbs
+
+        region = BoxRegion(d=2, L=5.0, n_slices=4)
+        V = gaussian_repulsion(2, 0.5, width=5 / 12)
+        base = str(tmp_path / "ck")
+        full = gibbs_sample(0.4, 1.0, region, V, n_sweeps=100, rng_seed=78)
+        gibbs_sample(0.4, 1.0, region, V, n_sweeps=50, rng_seed=78, checkpoint_base=base, checkpoint_every=50)
+        with np.load(base + ".npz") as blobs:
+            arrays = dict(blobs)
+        arrays["images"] = generator(5).integers(-2, 3, size=(arrays["windings"].size, region.d))
+        np.savez_compressed(base + ".npz", **arrays)
+        with open(base + ".json") as fh:
+            sidecar = json.load(fh)
+        sidecar["version"] = 2
+        with open(base + ".json", "w") as fh:
+            json.dump(sidecar, fh, indent=1, sort_keys=True)
+        resumed = resume_gibbs(base, 0.4, 1.0, region, V, n_sweeps=100)
+        assert resumed["rows"] == full["rows"][50:]
+        assert resumed["attempts"] == full["attempts"]
+        assert resumed["acceptance"] == full["acceptance"]
+        assert resumed["mean_N"] == full["mean_N"] and resumed["err_N"] == full["err_N"]
+        for a, b in zip(resumed["configs"], full["configs"][-len(resumed["configs"]):]):
+            assert a.knots.tobytes() == b.knots.tobytes() and np.array_equal(a.windings, b.windings)
 
     @pytest.mark.parametrize("field, change", [
         ("L", {"region": BoxRegion(d=2, L=9.0, n_slices=4)}),

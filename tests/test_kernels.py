@@ -99,7 +99,7 @@ TEST_FUNCTIONS = [
 def _paths(region, j, count, seed):
     rng = generator(seed)
     bases = _sample_bases(count, j, BETA, region, rng)
-    return _fill_loop_paths(bases, j, BETA, region, rng)[0]
+    return _fill_loop_paths(bases, j, BETA, region, rng)
 
 
 class TestTimeIntegrals:
@@ -392,28 +392,27 @@ def packed_per_sample(n_configs, z, beta, region, seed):
         if not counts.sum():
             continue
         bases = _sample_bases(int(counts.sum()), j, beta, region, rng)
-        paths, images = _fill_loop_paths(bases, j, beta, region, rng)
+        paths = _fill_loop_paths(bases, j, beta, region, rng)
         ends = np.cumsum(counts)
         for c in np.flatnonzero(counts):
             rows = slice(ends[c] - counts[c], ends[c])
-            blocks[c].append((j, paths[rows], images[rows]))
+            blocks[c].append((j, paths[rows]))
     out = []
     for b in blocks:
         if not b:
             out.append(LoopConfiguration())
             continue
-        windings = np.concatenate([np.full(len(p), j) for j, p, _ in b])
+        windings = np.concatenate([np.full(len(p), j) for j, p in b])
         out.append(LoopConfiguration(
-            knots=np.concatenate([p.reshape(-1, region.d) for _, p, _ in b]),
+            knots=np.concatenate([p.reshape(-1, region.d) for _, p in b]),
             offsets=np.concatenate([[0], np.cumsum(windings * region.n_slices + 1)]),
             windings=windings,
-            images=np.concatenate([im for _, _, im in b]),
         ))
     return out
 
 
 def assert_same_arrays(a, b):
-    for name in ("knots", "offsets", "windings", "images"):
+    for name in ("knots", "offsets", "windings"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         np.testing.assert_array_equal(x, y)
@@ -434,7 +433,7 @@ class TestLoopBatch:
         np.testing.assert_array_equal(batch.loop_starts, as_batch(want).loop_starts)
         np.testing.assert_array_equal(batch.particle_numbers, [c.particle_number for c in want])
         np.testing.assert_array_equal(batch.loop_counts, [c.loop_count for c in want])
-        for name in ("knots", "offsets", "windings", "images", "loop_starts"):
+        for name in ("knots", "offsets", "windings", "loop_starts"):
             assert not getattr(batch, name).flags.writeable
 
     def test_empty_samples(self):
@@ -533,10 +532,9 @@ class TestRegionFunctions:
         # winding_images + fill_bridges composition, on the same stream
         a, b = generator(15), generator(15)
         x1 = self.X0 + dx
-        paths, images = box_bridges(self.X0, x1, 12, 0.125, self.PER, a, knots)
+        paths = box_bridges(self.X0, x1, 12, 0.125, self.PER, a, knots)
         want_images = winding_images(dx, 2, self.PER, 1.5, b)
         want = fill_bridges(self.X0, x1 + want_images * 4.0, 12, 0.125, b, knots)
-        np.testing.assert_array_equal(images, want_images)
         np.testing.assert_array_equal(paths, want)
         assert paths.shape == (2, 13 if knots is None else knots, 3)
         assert a.bit_generator.state == b.bit_generator.state
@@ -544,9 +542,9 @@ class TestRegionFunctions:
     def test_box_bridges_draw_no_dirichlet_image(self):
         a, b = generator(16), generator(16)
         x1 = self.X0 + np.array([0.5, -1.0, 2.0])
-        paths, images = box_bridges(self.X0, x1, 12, 0.125, self.DIR, a)
+        paths = box_bridges(self.X0, x1, 12, 0.125, self.DIR, a)
         np.testing.assert_array_equal(paths, fill_bridges(self.X0, x1, 12, 0.125, b))
-        assert images.shape == (2, 3) and not images.any()
+        np.testing.assert_allclose(paths[:, -1], x1)
         assert a.bit_generator.state == b.bit_generator.state
 
 

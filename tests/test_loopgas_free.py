@@ -89,14 +89,14 @@ class TestFreeSampler:
         region = BoxRegion(d=3, L=8.0, n_slices=8)
         nus, _ = winding_masses(0.3, 1.0, region)
         configs = sample_free_poisson_batch(3000, 0.3, 1.0, region, rng_seed=2)
-        ones = np.array([c.winding_histogram(4)[1] for c in configs])
+        ones = np.array([np.count_nonzero(c.windings == 1) for c in configs])
         se = ones.std(ddof=1) / np.sqrt(len(ones))
         assert abs(ones.mean() - nus[0]) < 3 * se
 
     def test_poisson_dispersion_and_independence(self):
         region = BoxRegion(d=3, L=6.0, n_slices=4)
         configs = sample_free_poisson_batch(4000, 0.5, 1.0, region, rng_seed=3)
-        h = np.array([c.winding_histogram(3)[1:4] for c in configs])  # counts for j=1,2,3
+        h = np.array([np.bincount(c.windings, minlength=4)[1:4] for c in configs])  # counts for j=1,2,3
         for col in range(2):
             counts = h[:, col]
             disp = counts.var(ddof=1) / counts.mean()
@@ -105,10 +105,21 @@ class TestFreeSampler:
         assert abs(c12) < 3 / np.sqrt(len(configs))
 
     def test_loop_geometry(self):
-        region = BoxRegion(d=2, L=5.0, n_slices=8)
-        cfg = sample_free_poisson(0.6, 1.0, region, rng_seed=4)
-        for lp in cfg.loops:
-            lp.validate(region)
+        # a loop is its winding and knots: a periodic loop closes onto a
+        # lattice image of its base; a Dirichlet loop closes onto its base,
+        # with every knot strictly inside the box
+        for boundary in (PERIODIC, DIRICHLET):
+            region = BoxRegion(d=2, L=5.0, boundary=boundary, n_slices=8)
+            cfg = sample_free_poisson(0.6, 1.0, region, rng_seed=4)
+            assert cfg.loop_count > 0
+            for lp in cfg.loops:
+                assert lp.winding >= 1 and lp.path.shape == (lp.winding * region.n_slices + 1, region.d)
+                assert np.array_equal(lp.base, lp.path[0])
+                if boundary == PERIODIC:
+                    np.testing.assert_allclose(lp.image / region.L, np.rint(lp.image / region.L), atol=1e-12)
+                else:
+                    np.testing.assert_allclose(lp.image, 0.0, atol=1e-12)
+                    assert lp.path.min() > 0 and lp.path.max() < region.L
 
     def test_dirichlet_stays_inside(self):
         region = BoxRegion(d=2, L=5.0, boundary=DIRICHLET, n_slices=8)
@@ -177,8 +188,7 @@ class TestInteractionEnergy:
     def static_loop(point, region, winding=1):
         n = winding * region.n_slices + 1
         path = np.tile(np.asarray(point, dtype=float), (n, 1))
-        return BridgeLoop(base=np.asarray(point, dtype=float), winding=winding, path=path,
-                          image=np.zeros(region.d, dtype=int))
+        return BridgeLoop(winding=winding, path=path)
 
     def test_single_one_loop_is_free(self):
         region = BoxRegion(d=3, L=12.0)
@@ -218,7 +228,7 @@ class TestInteractionEnergy:
         path = np.concatenate([np.full((n, 1), 3.0), np.full((n + 1, 1), 5.0)])
         # force closure: last knot equals first
         path[-1, 0] = 3.0
-        lp = BridgeLoop(base=np.array([3.0]), winding=2, path=path, image=np.zeros(1, dtype=int))
+        lp = BridgeLoop(winding=2, path=path)
         from bosegas.loopgas import intra_energy
 
         e = intra_energy(lp, V, 1.0, region)

@@ -79,6 +79,17 @@ def test_loop_checkpoint_roundtrip(tmp_path):
     assert sidecar["rng_state"]["state"] == 7
 
 
+def test_loop_checkpoint_version_3_holds_no_images(tmp_path):
+    # a loop is its windings and knots: the blob stores nothing else of it
+    region = BoxRegion(d=2, L=5.0, n_slices=4)
+    cfg = sample_free_poisson(0.6, 1.0, region, rng_seed=3)
+    base = str(tmp_path / "ck")
+    save_loop_checkpoint(cfg, {}, {}, base, sweep=1, chain_state={"energy": 0.0, "attempts": {}, "accepts": {}})
+    with np.load(base + ".npz") as blobs:
+        assert sorted(blobs.files) == ["N_history", "knots", "offsets", "windings"]
+    assert json.loads(open(base + ".json").read())["version"] == 3
+
+
 def test_loop_checkpoint_version_1_refused(tmp_path):
     # version 1 (one path_i array per loop, no history) is no longer read
     region = BoxRegion(d=2, L=5.0, n_slices=4)
@@ -87,7 +98,7 @@ def test_loop_checkpoint_version_1_refused(tmp_path):
     np.savez_compressed(base + ".npz", **{f"path_{i}": lp.path for i, lp in enumerate(cfg.loops)})
     with open(base + ".json", "w") as fh:
         json.dump({"format": "bosegas-loop-checkpoint", "version": 1, "sweep": 7, "region": {},
-                   "loops": [{"winding": int(lp.winding), "image": [int(v) for v in lp.image]}
+                   "loops": [{"winding": int(lp.winding), "image": np.rint(lp.image / region.L).astype(int).tolist()}
                              for lp in cfg.loops],
                    "rng_state": {}}, fh)
     with pytest.raises(ValueError, match="unsupported loop checkpoint version 1"):
