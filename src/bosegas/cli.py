@@ -261,8 +261,9 @@ def run(config_path: str, seed=None, out=None, threads=1, force=False) -> int:
             for r in results
         ]
         status = 0 if all(r.passed for r in results) else 1
-        # timings are diagnostics, not results: they go to meta.json only
-        extra = {"criterion_wall_s": {str(r.cid): r.wall_s for r in results}}
+        # timings are diagnostics, not results: they go to meta.json only;
+        # beside other workers a criterion's time includes their contention
+        extra = {"criterion_wall_s": {str(r.cid): r.wall_s for r in results}, "workers": max(threads, 1)}
     else:
         runner = {"ideal": _run_ideal, "gauss": _run_gauss, "loops": _run_loops,
                   "expand": _run_expand, "oracle": _run_oracle}[cfg.kind]

@@ -88,22 +88,22 @@ def mayer_coefficient(
     region: BoxRegion | None = None,
     n_mc: int = 4000,
     seed: int = 0,
-    n_slices: int = 16,
+    n_slices: int | None = None,
 ) -> MayerCoefficients:
     """b_n of the density series, n in {1, 2, 3}.
 
-    region = None gives the thermodynamic-limit coefficients; a finite box
-    (periodic or absorbing) evaluates the same clusters with boundary-aware
-    masses and bridges, for sigma-independence comparisons.
+    region = None gives the thermodynamic-limit coefficients at n_slices
+    (16 by default); a finite box (periodic or absorbing) evaluates the same
+    clusters with boundary-aware masses and bridges at its own n_slices, for
+    sigma-independence comparisons, and refuses one passed beside it.
     """
     if n not in (1, 2, 3):
         raise ValueError("orders 1..3 are implemented")
     d = region.d if region is not None else (V.d if V is not None else 3)
-    if region is not None:
-        n_slices = region.n_slices
+    if region is not None and n_slices is not None:
+        raise ValueError(f"n_slices = {n_slices} beside a box, which brings its own ({region.n_slices})")
+    geom = region or BoxRegion(d=d, L=1e9, boundary=PERIODIC, n_slices=16 if n_slices is None else n_slices)
     rng = generator(derive_seed(seed, "mayer", n))
-    free_geom = BoxRegion(d=d, L=1e9, boundary=PERIODIC, n_slices=n_slices)
-    geom = region if region is not None else free_geom
 
     def kappa(j):
         if region is None:
@@ -112,7 +112,7 @@ def mayer_coefficient(
 
     def draw_paths(count, j):
         if region is None:
-            return _free_paths(count, j, beta, d, n_slices, rng)
+            return _free_paths(count, j, beta, d, geom.n_slices, rng)
         return _fill_loop_paths(_sample_bases(count, j, beta, region, rng), j, beta, region, rng)
 
     if n == 1:

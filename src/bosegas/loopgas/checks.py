@@ -244,11 +244,12 @@ def integration_by_parts_check(
 # -- trace identity ---------------------------------------------------------------
 
 
-def spectral_log_partition(beta: float, mu: float, region: BoxRegion, tol: float = 1e-16) -> float:
-    """-sum_k ln(1 - exp(-beta (lam_k + mu))) over the box modes (mode-sum route):
+def spectral_log_partition(beta: float, mu: float, region: BoxRegion) -> float:
+    """-sum_k ln(1 - exp(-beta (lam_k + mu))) over the box modes with
+    exp(-beta lam_k) >= 1e-16 (mode-sum route):
     |box| times the ideal-gas pressure of the box spectrum, which refuses a
     spectrum past MODE_BUDGET and mu at or below the condensation boundary."""
-    return region.volume * pressure(box_spectrum(region.d, region.L, region.boundary, beta, tol), beta, mu)
+    return region.volume * pressure(box_spectrum(region.d, region.L, region.boundary, beta, 1e-16), beta, mu)
 
 
 def trace_identity_check(
@@ -271,6 +272,9 @@ def trace_identity_check(
         return rec
     configs = sample_free_poisson_batch(n_mc, z, beta, region, derive_seed(seed, "ti"))
     mean_w, err = stratified_mean([(1.0, gibbs_weights(configs, V, beta, region))])
+    if mean_w == 0:
+        raise ValueError(f"none of the n_mc = {n_mc} sampled configurations is free of contacts: "
+                         f"the interaction correction has no estimate; raise n_mc")
     rec.update(interaction_correction=float(np.log(mean_w)), correction_err=float(err / mean_w))
     return rec
 
@@ -291,15 +295,14 @@ def sigma_independence_check(
     beta: float,
     V: PairPotential | None,
     L_list,
-    window_frac: float = 0.2,
     boundary_window: bool = False,
     n_mc: int = 2000,
     n_slices: int = 16,
     seed: int = 0,
-    d: int = 3,
 ) -> dict:
-    """Gap between periodic and absorbing-wall window densities over growing
-    boxes: exact for V = None, from two Gibbs chains otherwise.
+    """Gap between periodic and absorbing-wall densities in a window of side
+    0.2 L (centred, or 0.02 L from the walls) over growing boxes of d = 3:
+    exact for V = None, from two Gibbs chains otherwise.
 
     Pass: the relative gap shrinks monotonically (within error) and ends below
     1 percent.  A window touching the wall is the negative control: its gap
@@ -307,12 +310,12 @@ def sigma_independence_check(
     """
     rows = []
     for i, L in enumerate(L_list):
-        per = BoxRegion(d=d, L=float(L), boundary=PERIODIC, n_slices=n_slices)
-        dir_ = BoxRegion(d=d, L=float(L), boundary=DIRICHLET, n_slices=n_slices)
+        per = BoxRegion(d=3, L=float(L), boundary=PERIODIC, n_slices=n_slices)
+        dir_ = BoxRegion(d=3, L=float(L), boundary=DIRICHLET, n_slices=n_slices)
         if boundary_window:
-            window = (0.02 * L, 0.02 * L + window_frac * L)
+            window = (0.02 * L, 0.02 * L + 0.2 * L)
         else:
-            window = (L * (0.5 - window_frac / 2), L * (0.5 + window_frac / 2))
+            window = (L * 0.4, L * 0.6)
         if V is None:
             a = _window_density_exact(z, beta, per, window)
             b = _window_density_exact(z, beta, dir_, window)
@@ -323,11 +326,11 @@ def sigma_independence_check(
             # the trapezoid time a closed loop spends in the window, over beta,
             # is its share of knots inside times its winding
             lo, hi = window
-            inside = LoopTestFunction(fn=lambda ts, xs: 1.0, t_max=np.inf, box=((lo, hi),) * d)
+            inside = LoopTestFunction(fn=lambda ts, xs: 1.0, t_max=np.inf, box=((lo, hi),) * 3)
 
             def window_density(configs, region):
                 counts = config_pairings(configs, [inside], beta, region)[2][:, 0]
-                return stratified_mean([(1.0 / (beta * (hi - lo) ** d), counts)])
+                return stratified_mean([(1.0 / (beta * (hi - lo) ** 3), counts)])
 
             run_a = gibbs_sample(z, beta, per, V, n_mc, derive_seed(seed, "per", i))
             run_b = gibbs_sample(z, beta, dir_, V, n_mc, derive_seed(seed, "dir", i))

@@ -31,9 +31,8 @@ Every move's acceptance log-ratio is computed by a standalone function of the
 frozen picks, so detailed balance is unit-testable: the forward and reverse
 log-ratios of any proposal pair are exact negatives.  Each move prices only
 the loops it touches against the rest (loop_in_config_energy), and an
-accepted move adds that difference to the chain energy, delete included; the
-full energy is recomputed only when a delete leaves an infinite-energy
-state.  A proposal's builder returns a new packed configuration and never
+accepted move adds that difference to the chain energy, delete included.
+A proposal's builder returns a new packed configuration and never
 edits the current one, so a rejected proposal costs no copy.
 
 A step is mostly fixed costs at the sizes the chain runs (tens of loops), so
@@ -57,7 +56,7 @@ the move layer keeps them few without moving a bit of the trajectory:
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -251,7 +250,7 @@ class GibbsChain:
         if np.log(self.rng.random()) < prop.log_accept:
             self.config, self.energy = prop.builder()
             self.accepts[name] += 1
-            if self.V is not None and np.isfinite(self.energy):
+            if self.V is not None:
                 floor = -self.beta * self.V.stability_B * self.config.particle_number - 1e-9
                 if self.energy < floor:
                     raise StabilityError(
@@ -271,9 +270,9 @@ class GibbsChain:
             for m in MOVES
         }
 
-    def check_tuning(self, min_attempts: int = 500):
+    def check_tuning(self):
         for m in MOVES:
-            if self.attempts[m] >= min_attempts:
+            if self.attempts[m] >= 500:
                 rate = self.accepts[m] / self.attempts[m]
                 if rate < 0.01:
                     raise TuningError(
@@ -304,14 +303,9 @@ def delete_proposal(chain: GibbsChain, idx: int) -> Proposal:
     log_surv = chain._survival_log(loop.path)
     n = chain.config.loop_count
     log_acc = dE + np.log(n / chain.nu_tot) - log_surv
-    if np.isinf(dE):  # removing an overlapping loop from an infinite-energy state
-        log_acc = np.inf
 
     def build():
-        cfg = chain.config.spliced(drop=[idx])
-        if np.isinf(chain.energy):  # leaving an infinite-energy state: no finite difference
-            return cfg, chain._total_energy(cfg)
-        return cfg, chain.energy - dE
+        return chain.config.spliced(drop=[idx]), chain.energy - dE
 
     return Proposal("delete", True, float(log_acc), build)
 
@@ -475,8 +469,10 @@ def gibbs_sample(
     per-sweep particle numbers) is written every checkpoint_every sweeps, and
     `resume_gibbs` continues the identical trajectory.  N_history holds the
     particle numbers after the sweeps just before first_sweep, so the N
-    estimates of a resumed run cover the sweeps before the resume too.
+    estimates of a resumed run cover the sweeps before the resume too.  A
+    checkpoint holds z, beta, the box, thin, burn as given and checkpoint_every.
     """
+    schedule = {"thin": thin, "burn": burn, "checkpoint_every": checkpoint_every}
     burn = n_sweeps // 5 if burn is None else burn
     chain = resume_chain if resume_chain is not None else GibbsChain(z, beta, region, V, rng_seed)
     configs, rows = [], []
@@ -500,11 +496,12 @@ def gibbs_sample(
 
             save_loop_checkpoint(
                 chain.config,
-                _checkpoint_law(z, beta, region),
+                {**asdict(region), "z": z, "beta": beta},
                 chain.rng.bit_generator.state,
                 checkpoint_base,
                 sweep=sweep + 1,
-                chain_state={"energy": chain.energy, "attempts": chain.attempts, "accepts": chain.accepts},
+                chain_state={"energy": chain.energy, "attempts": chain.attempts, "accepts": chain.accepts,
+                             "schedule": schedule},
                 N_history=N_hist,
             )
         if sweep == max(burn, 50):
@@ -529,45 +526,34 @@ def gibbs_sample(
     }
 
 
-def _checkpoint_law(z: float, beta: float, region: BoxRegion) -> dict:
-    """The sidecar's "region": the fields a resumed chain must share with the written one."""
-    return {"d": region.d, "L": region.L, "boundary": region.boundary,
-            "n_slices": region.n_slices, "z": z, "beta": beta}
-
-
-def resume_gibbs(
-    checkpoint_base: str,
-    z: float,
-    beta: float,
-    region: BoxRegion,
-    V: PairPotential | None,
-    n_sweeps: int,
-    thin: int = 5,
-    burn: int | None = None,
-    checkpoint_every: int = 0,
-) -> dict:
-    """Continue a checkpointed chain; the trajectory matches an uninterrupted
-    run exactly (the checkpoint carries the complete RNG state), and so do
-    the move counters and the N estimates.  A checkpoint written for another
-    box, activity or beta is refused with a ValueError naming the first field
-    that differs."""
+def resume_gibbs(checkpoint_base: str, V: PairPotential | None, n_sweeps: int) -> dict:
+    """Continue a checkpointed chain to n_sweeps under its stored law and
+    schedule (thin 5, burn None, checkpoint_every 0 if it holds none), exactly
+    as the uninterrupted run: rows, configurations, counters, N estimates and
+    checkpoints.  V, which no checkpoint holds, is refused with a ValueError
+    when the stored configuration's energy under it (0.0 for None) is off the
+    stored energy by more than 1e-9 max(|E|, 1); a change of hard core that
+    leaves that configuration free of contacts passes unseen."""
     from ..records import load_loop_checkpoint
 
     config, sidecar = load_loop_checkpoint(checkpoint_base)
-    for key, value in _checkpoint_law(z, beta, region).items():
-        if sidecar["region"].get(key) != value:
-            raise ValueError(f"checkpoint {checkpoint_base} was written at {key} = "
-                             f"{sidecar['region'].get(key)!r}, not {value!r}")
+    law = dict(sidecar["region"])
+    z, beta = law.pop("z"), law.pop("beta")
+    region = BoxRegion(**law)
     chain = GibbsChain(z, beta, region, V, rng_seed=0)
-    chain.config = config
     state = sidecar["chain"]
-    chain.energy = state["energy"]
+    stored, energy = state["energy"], chain._total_energy(config)
+    if not abs(energy - stored) <= 1e-9 * max(abs(stored), 1.0):
+        raise ValueError(f"checkpoint {checkpoint_base} stores energy {stored!r}, but its configuration has "
+                         f"energy {energy!r} under the given V: it was written under another potential")
+    schedule = {"thin": 5, "burn": None, "checkpoint_every": 0, **state.get("schedule", {})}
+    chain.config = config
+    chain.energy = stored
     chain.attempts.update(state["attempts"])
     chain.accepts.update(state["accepts"])
     chain.rng.bit_generator.state = sidecar["rng_state"]
     return gibbs_sample(
-        z, beta, region, V, n_sweeps, rng_seed=0, thin=thin, burn=burn,
-        checkpoint_base=checkpoint_base if checkpoint_every else None,
-        checkpoint_every=checkpoint_every,
+        z, beta, region, V, n_sweeps, rng_seed=0, **schedule,
+        checkpoint_base=checkpoint_base if schedule["checkpoint_every"] else None,
         resume_chain=chain, first_sweep=sidecar["sweep"], N_history=sidecar["N_history"],
     )

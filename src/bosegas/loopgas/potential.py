@@ -98,11 +98,12 @@ class PairPotential:
                 parts.append(val)
         return tuple(parts)
 
-    def check_stability(self, n_sets: int = 200, max_points: int = 8, seed: int = 1234):
-        """Property test of sum_{i<j} V(x_i - x_j) >= -B n on random point sets."""
-        rng = generator(seed)
-        for _ in range(n_sets):
-            n = int(rng.integers(2, max_points + 1))
+    def check_stability(self):
+        """Property test of sum_{i<j} V(x_i - x_j) >= -B n on 200 random sets
+        of 2 to 8 points, drawn from a fixed seed."""
+        rng = generator(1234)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
             scale = float(rng.uniform(0.5, 4.0))
             pts = rng.uniform(0, scale, size=(n, self.d))
             r = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)

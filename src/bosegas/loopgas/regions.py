@@ -35,6 +35,8 @@ import numpy as np
 
 from ..spectral import DIRICHLET, PERIODIC, box_spectrum
 
+_MODE_TOL = 1e-18  # the mode sums keep every box_spectrum mode with exp(-t lam) >= _MODE_TOL
+
 
 @dataclass(frozen=True)
 class BoxRegion:
@@ -93,7 +95,7 @@ def dirichlet_kernel_1d(x, y, L: float, t: float):
     x = np.asarray(x, dtype=float)[..., None]
     y = np.asarray(y, dtype=float)[..., None]
     if t >= L**2:
-        k = np.sqrt(box_spectrum(1, L, DIRICHLET, t, 1e-18).eigenvalues)
+        k = np.sqrt(box_spectrum(1, L, DIRICHLET, t, _MODE_TOL).eigenvalues)
         return (2 / L) * (np.sin(k * x) * np.sin(k * y) * np.exp(-t * k**2)).sum(axis=-1)
     n = _image_range(L, t) + 1
     w = 2 * L * np.arange(-n, n + 1)
@@ -142,14 +144,14 @@ def bridge_kernel(x, y, region: BoxRegion, t: float) -> np.ndarray:
     return free_kernel(((np.asarray(x) - np.asarray(y)) ** 2).sum(axis=-1), t, region.d)
 
 
-def dirichlet_mode_trace(region: BoxRegion, t: float, tol: float = 1e-18) -> float:
+def dirichlet_mode_trace(region: BoxRegion, t: float) -> float:
     """Independent spectral route: [sum_{n>=1} exp(-t (pi n / L)^2)]^d."""
-    return float(np.exp(-t * box_spectrum(1, region.L, DIRICHLET, t, tol).eigenvalues).sum() ** region.d)
+    return float(np.exp(-t * box_spectrum(1, region.L, DIRICHLET, t, _MODE_TOL).eigenvalues).sum() ** region.d)
 
 
-def periodic_mode_trace(region: BoxRegion, t: float, tol: float = 1e-18) -> float:
+def periodic_mode_trace(region: BoxRegion, t: float) -> float:
     """Independent spectral route: [sum_{m in Z} exp(-t (2 pi m / L)^2)]^d."""
-    return float(np.exp(-t * box_spectrum(1, region.L, PERIODIC, t, tol).eigenvalues).sum() ** region.d)
+    return float(np.exp(-t * box_spectrum(1, region.L, PERIODIC, t, _MODE_TOL).eigenvalues).sum() ** region.d)
 
 
 def wrap(x, L: float):

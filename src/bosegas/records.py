@@ -106,7 +106,7 @@ def save_loop_checkpoint(
     The npz blob holds the packed configuration (knots, offsets, windings)
     and the particle number after each recorded sweep (N_history, the
     last entry being sweep - 1); the JSON sidecar holds the sweep count, the
-    region, the RNG state and chain_state (energy and move counters).
+    region, the RNG state and chain_state (energy, move counters, schedule).
     """
     np.savez_compressed(
         path_base + ".npz",

@@ -96,9 +96,9 @@ def build_torus_spectrum(geom: TorusGeometry) -> Spectrum:
     return _spectrum(PERIODIC, geom.L, geom.mode_cutoff, geom.d, box)
 
 
-def auto_torus_spectrum(d: int, L: float, beta: float, tol: float = 1e-10) -> Spectrum:
-    """The periodic box_spectrum at t = beta: each axis keeps every mode with exp(-beta lam) >= tol."""
-    return box_spectrum(d, L, PERIODIC, beta, tol)
+def auto_torus_spectrum(d: int, L: float, beta: float) -> Spectrum:
+    """The periodic box_spectrum at t = beta: each axis keeps every mode with exp(-beta lam) >= 1e-10."""
+    return box_spectrum(d, L, PERIODIC, beta, 1e-10)
 
 
 def _check_domain(spec: Spectrum, beta: float, mu: float):
@@ -124,7 +124,7 @@ def density(spec: Spectrum, beta: float, mu: float) -> float:
         return float(np.divide(1.0, np.expm1(x, out=x), out=x).sum() / spec.volume)
 
 
-def solve_mu(spec: Spectrum, beta: float, rho_target: float, rtol: float = 1e-12) -> float:
+def solve_mu(spec: Spectrum, beta: float, rho_target: float) -> float:
     """Unique mu in (-lambda(1), inf) with density(spec, beta, mu) = rho_target.
 
     The finite-volume density is a strictly decreasing bijection onto (0, inf),
@@ -143,7 +143,7 @@ def solve_mu(spec: Spectrum, beta: float, rho_target: float, rtol: float = 1e-12
     while density(spec, beta, hi) > rho_target:
         hi = 2 * hi + 1.0
     f = lambda mu: density(spec, beta, mu) - rho_target
-    return float(optimize.brentq(f, lo, hi, rtol=rtol, maxiter=200))
+    return float(optimize.brentq(f, lo, hi, rtol=1e-12, maxiter=200))
 
 
 _SPHERE_VOL = {  # unit-ball volume v_d
@@ -192,10 +192,11 @@ def condensate_fraction(beta: float, rho: float, dos: DensityOfStates) -> float:
     return max(0.0, rho - critical_density(beta, dos)) / rho
 
 
-def continuum_density(d: int, beta: float, mu: float, tol: float = 1e-16) -> float:
+def continuum_density(d: int, beta: float, mu: float) -> float:
     """Infinite-volume density sum_j exp(-j beta mu) (4 pi j beta)^(-d/2), mu > 0.
 
-    Raises TruncationError when the series needs more than J_SERIES_CAP terms.
+    Summed until the geometric tail bound is below 1e-16 of the sum; raises
+    TruncationError when that needs more than J_SERIES_CAP terms.
     """
     if mu <= 0:
         raise ValueError("mu must be positive for the convergent series")
@@ -206,11 +207,11 @@ def continuum_density(d: int, beta: float, mu: float, tol: float = 1e-16) -> flo
         total += term
         # geometric tail bound for the remaining terms
         tail = term * z / (1 - z)
-        if tail < tol * max(total, 1e-300):
+        if tail < 1e-16 * max(total, 1e-300):
             return total
         if j > J_SERIES_CAP:
             raise TruncationError(
                 f"density series passed the cap of {J_SERIES_CAP} terms with tail bound "
-                f"{tail:.3g} = {tail / total:.3g} of the sum >= tol = {tol:g} (d={d}, beta={beta}, mu={mu})"
+                f"{tail:.3g} = {tail / total:.3g} of the sum >= 1e-16 (d={d}, beta={beta}, mu={mu})"
             )
         j += 1

@@ -273,12 +273,12 @@ def ergodicity_diagnostic(
     n_samples: int,
     volumes,
     seed: int = 0,
-    min_samples: int = 64,
 ) -> dict:
     """Variance of the space-and-time averaged field across growing volumes.
 
     Ergodic: the variance decays like 1/|box| (log-log slope within 0.2 of -1).
     Non-ergodic: it plateaus above c/2, the condensate-offset signature.
+    Inconclusive below 64 samples per volume.
     """
     if len(volumes) < 2:
         raise ValueError("need at least two volumes")
@@ -295,7 +295,7 @@ def ergodicity_diagnostic(
                      "var_err": var * np.sqrt(2.0 / (n_samples - 1))})
     status = "inconclusive"
     slope = slope_err = np.nan
-    if n_samples >= min_samples:
+    if n_samples >= 64:
         lv = np.log([r["volume"] for r in rows])
         lvar = np.log([max(r["var"], 1e-300) for r in rows])
         slope = float(np.polyfit(lv, lvar, 1)[0])

@@ -43,12 +43,13 @@ def mixing_nodes(n_r: int, n_theta: int):
     return r, theta, weights
 
 
-def mixing_decomposition_check(c: float, f0: float, n_quadrature: int = 96, n_theta: int = 256):
-    """Integrate the (r, theta) phase factor against dlambda_0 and compare it with
-    the zero-mode factor exp(-c f0^2); returns (lhs, rhs)."""
+def mixing_decomposition_check(c: float, f0: float):
+    """Integrate the (r, theta) phase factor against dlambda_0, on 96 r by 256
+    theta nodes, and compare it with the zero-mode factor exp(-c f0^2);
+    returns (lhs, rhs)."""
     if c <= 0:
         raise ValueError("c must be positive")
-    r, theta, w = mixing_nodes(n_quadrature, n_theta)
+    r, theta, w = mixing_nodes(96, 256)
     phase = np.exp(1j * np.sqrt(c * r)[:, None] * np.cos(theta)[None, :] * f0)
     lhs = complex((w * phase).sum())
     rhs = float(np.exp(-c * f0**2))

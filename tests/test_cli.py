@@ -494,13 +494,14 @@ class TestCheckKind:
         assert all(r["value"] == 1.0 for r in recs)
 
     def test_criterion_times_go_to_meta_only(self, tmp_path):
+        # a criterion's time is its own only at one worker, so the worker count goes beside it
         cfgp = write(tmp_path, "check.ini", "[run]\nkind = check\nseed = 1\n\n[check]\ncriteria = 3,5,12\n")
-        for out in ("a", "b"):
-            assert run(cfgp, out=str(tmp_path / out)) == 0
-        for out in ("a", "b"):
-            times = json.loads((tmp_path / out / "meta.json").read_text())["extra"]["criterion_wall_s"]
-            assert sorted(times) == ["12", "3", "5"]
-            assert all(isinstance(t, float) and t > 0 for t in times.values())
+        for out, threads in (("a", 1), ("b", 2)):
+            assert run(cfgp, out=str(tmp_path / out), threads=threads) == 0
+        for out, threads in (("a", 1), ("b", 2)):
+            extra = json.loads((tmp_path / out / "meta.json").read_text())["extra"]
+            assert sorted(extra["criterion_wall_s"]) == ["12", "3", "5"] and extra["workers"] == threads
+            assert all(isinstance(t, float) and t > 0 for t in extra["criterion_wall_s"].values())
         for name in ("table.csv", "results.csv", "results.json"):
             text = (tmp_path / "a" / name).read_bytes()
             assert text == (tmp_path / "b" / name).read_bytes()

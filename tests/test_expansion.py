@@ -210,6 +210,12 @@ class TestRange:
         assert _mayer_ball_radius(V, 0.7) == 16.0 + 6.0 * np.sqrt(2 * 0.7)
         assert _mayer_ball_radius(V, 0.7, j_sum=3) == 16.0 + 6.0 * np.sqrt(3 * 0.7)
 
+    def test_n_slices_beside_a_box_refused(self):
+        # the box brings its own n_slices; one passed beside it was ignored
+        region = BoxRegion(d=3, L=6.0, n_slices=8)
+        with pytest.raises(ValueError, match="n_slices = 4 beside a box, which brings its own \\(8\\)"):
+            mayer_coefficient(2, 1.0, hard_core(3, 0.4), region=region, n_mc=50, n_slices=4)
+
     def test_potential_of_another_dimension_refused(self):
         with pytest.raises(ValueError, match="d = 3"):
             mayer_coefficient(2, 1.0, hard_core(3, 0.4), region=BoxRegion(d=1, L=6.0, n_slices=8), n_mc=50)

@@ -378,7 +378,7 @@ class TestCheckpointResume:
         # rerunning the first half only
         half = gibbs_sample(0.4, 1.0, region, V, n_sweeps=30, rng_seed=77,
                             checkpoint_base=base, checkpoint_every=30)
-        resumed = resume_gibbs(base, 0.4, 1.0, region, V, n_sweeps=60)
+        resumed = resume_gibbs(base, V, n_sweeps=60)
         full_N = [r["N"] for r in full["rows"]]
         res_N = [r["N"] for r in resumed["rows"]]
         assert res_N == full_N[30:]
@@ -391,7 +391,7 @@ class TestCheckpointResume:
         base = str(tmp_path / "ck")
         full = gibbs_sample(0.4, 1.0, region, V, n_sweeps=100, rng_seed=78)
         gibbs_sample(0.4, 1.0, region, V, n_sweeps=50, rng_seed=78, checkpoint_base=base, checkpoint_every=50)
-        resumed = resume_gibbs(base, 0.4, 1.0, region, V, n_sweeps=100)
+        resumed = resume_gibbs(base, V, n_sweeps=100)
         assert [r["N"] for r in resumed["rows"]] == [r["N"] for r in full["rows"][50:]]
         assert resumed["rows"][-1]["energy"] == full["rows"][-1]["energy"]
         assert resumed["attempts"] == full["attempts"]
@@ -419,13 +419,36 @@ class TestCheckpointResume:
         sidecar["version"] = 2
         with open(base + ".json", "w") as fh:
             json.dump(sidecar, fh, indent=1, sort_keys=True)
-        resumed = resume_gibbs(base, 0.4, 1.0, region, V, n_sweeps=100)
+        resumed = resume_gibbs(base, V, n_sweeps=100)
         assert resumed["rows"] == full["rows"][50:]
         assert resumed["attempts"] == full["attempts"]
         assert resumed["acceptance"] == full["acceptance"]
         assert resumed["mean_N"] == full["mean_N"] and resumed["err_N"] == full["err_N"]
         for a, b in zip(resumed["configs"], full["configs"][-len(resumed["configs"]):]):
             assert a.knots.tobytes() == b.knots.tobytes() and np.array_equal(a.windings, b.windings)
+
+    def test_resume_keeps_the_written_schedule(self, tmp_path):
+        # a thin-3 run checkpointed every 25 sweeps and resumed at sweep 50
+        # emits the uninterrupted run's configurations from sweep 50 on, and
+        # its checkpoints go on to sweep 100
+        from bosegas.loopgas.gibbs import resume_gibbs
+
+        region = BoxRegion(d=2, L=5.0, n_slices=4)
+        V = gaussian_repulsion(2, 0.5, width=5 / 12)
+        base, full_base = str(tmp_path / "ck"), str(tmp_path / "full")
+        full = gibbs_sample(0.4, 1.0, region, V, n_sweeps=100, rng_seed=81, thin=3,
+                            checkpoint_base=full_base, checkpoint_every=25)
+        gibbs_sample(0.4, 1.0, region, V, n_sweeps=50, rng_seed=81, thin=3, checkpoint_base=base, checkpoint_every=25)
+        resumed = resume_gibbs(base, V, n_sweeps=100)
+        assert len(full["configs"]) == 27 and len(resumed["configs"]) == 17
+        for a, b in zip(resumed["configs"], full["configs"][10:]):
+            assert a.knots.tobytes() == b.knots.tobytes() and np.array_equal(a.windings, b.windings)
+        assert resumed["rows"] == full["rows"][50:]
+        for b in (base, full_base):
+            with open(b + ".json") as fh:
+                assert json.load(fh)["sweep"] == 100
+        with open(base + ".json") as fh:
+            assert json.load(fh)["chain"]["schedule"] == {"thin": 3, "burn": None, "checkpoint_every": 25}
 
     @pytest.mark.parametrize("field, change", [
         ("L", {"region": BoxRegion(d=2, L=9.0, n_slices=4)}),
@@ -435,17 +458,36 @@ class TestCheckpointResume:
         ("beta", {"beta": 2.0}),
         ("L", {"region": BoxRegion(d=2, L=9.0, n_slices=4), "z": 0.7, "beta": 2.0}),
     ])
-    def test_resume_refuses_another_law(self, tmp_path, field, change):
-        # a chain written at z = 0.4, beta = 1, L = 6 must not continue under
-        # another law, whose N history would mix with the written one
+    def test_resume_runs_under_the_written_law(self, tmp_path, field, change):
+        # z, beta and the box come from the checkpoint, so a chain written
+        # away from z = 0.4, beta = 1, L = 6 continues under its own law
         from bosegas.loopgas.gibbs import resume_gibbs
 
         base = str(tmp_path / "ck")
-        region = BoxRegion(d=2, L=6.0, n_slices=4)
-        gibbs_sample(0.4, 1.0, region, None, n_sweeps=10, rng_seed=79, checkpoint_base=base, checkpoint_every=10)
-        law = {"z": 0.4, "beta": 1.0, "region": region, **change}
-        with pytest.raises(ValueError, match=f"written at {field} = "):
-            resume_gibbs(base, law["z"], law["beta"], law["region"], None, n_sweeps=20)
+        law = {"z": 0.4, "beta": 1.0, "region": BoxRegion(d=2, L=6.0, n_slices=4), **change}
+        full = gibbs_sample(law["z"], law["beta"], law["region"], None, n_sweeps=20, rng_seed=79)
+        gibbs_sample(law["z"], law["beta"], law["region"], None, n_sweeps=10, rng_seed=79,
+                     checkpoint_base=base, checkpoint_every=10)
+        resumed = resume_gibbs(base, None, n_sweeps=20)
+        chain = resumed["chain"]
+        assert (chain.z, chain.beta, chain.region) == (law["z"], law["beta"], law["region"])
+        assert resumed["rows"] == full["rows"][10:] and resumed["attempts"] == full["attempts"]
+
+    @pytest.mark.parametrize("V", [None, gaussian_repulsion(1, 3.0, 0.5)], ids=["none", "gauss-3"])
+    def test_resume_refuses_another_potential(self, tmp_path, V):
+        # a checkpoint written under gaussian_repulsion(1, 0.5, 0.5) stores
+        # energy 0.2605; under V = None its rows kept that energy, and under
+        # an amplitude of 3 the chain ended below the stability floor
+        from bosegas.loopgas.gibbs import resume_gibbs
+
+        base = str(tmp_path / "ck")
+        region = BoxRegion(d=1, L=6.0, n_slices=4)
+        gibbs_sample(0.8, 1.0, region, gaussian_repulsion(1, 0.5, 0.5), n_sweeps=20, rng_seed=4,
+                     checkpoint_base=base, checkpoint_every=20)
+        with open(base + ".json") as fh:
+            assert json.load(fh)["chain"]["energy"] == pytest.approx(0.2605, abs=1e-4)
+        with pytest.raises(ValueError, match="stores energy 0.2605.* under the given V"):
+            resume_gibbs(base, V, n_sweeps=40)
 
 
 STABILITY_SCRIPT = """

@@ -255,6 +255,13 @@ class TestTraceIdentity:
         with pytest.raises(ValueError, match="n_mc"):
             trace_identity_check(1.0, 0.5, region, n_mc=n_mc, V=gaussian_repulsion(3, 0.5, 0.5))
 
+    def test_interaction_correction_needs_a_free_sample(self):
+        # no sampled configuration is free of contacts: the mean weight is 0,
+        # whose log was written as -inf with a NaN error; refused instead
+        region = BoxRegion(d=1, L=3.0)
+        with pytest.raises(ValueError, match="none of the n_mc = 3 sampled configurations"):
+            trace_identity_check(1.0, 0.1, region, n_mc=3, V=hard_core(1, 1.5), seed=1)
+
     def test_dirichlet_box(self):
         region = BoxRegion(d=3, L=6.0, boundary=DIRICHLET)
         rec = trace_identity_check(1.0, 0.5, region)

@@ -1,15 +1,22 @@
-"""Every public top-level name of bosegas, and every member of a public
-class, is reached by what the toolkit runs or reports, or is kept on purpose
-with its reason.
+"""Every public top-level name of bosegas, every member of a public class
+and every defaulted parameter of a public function or method is reached by
+what the toolkit runs or reports, or is kept on purpose with its reason.
 
 A name is reached when code in src/bosegas outside the package __init__.py
 files reads it (as a name, an attribute or an imported name), or when it is a
 word of perfbench/*.py or configs/*.  A member (a method, property or
 annotated dataclass field of a public class) is reached when that code reads
-it as an attribute, or when it is such a word.  The names kept without such a
-caller are the entries of KEEP, the members those of KEEP_MEMBERS; an entry
-that is now reached, or no longer defined, fails the check too, so neither
-list can go stale.  The scan is static: it imports nothing.
+it as an attribute, or when it is such a word.  A defaulted parameter is
+reached when some call in src/bosegas (outside __init__.py), perfbench/*.py
+or tests/*.py passes it, by keyword, by position or through * or **: a call
+matches by the callee's last name, a class call is a call of its __init__,
+perfbench's ops.call(name, fn, ...) is a call of fn, and a function stored as
+a dict value in src/bosegas (a dispatch table) is passed every argument.  A
+setting that no caller varies is a value written where it is used.  The
+names kept without such a caller are the entries of KEEP, the members those
+of KEEP_MEMBERS, the parameters those of KEEP_PARAMS; an entry that is now
+reached, or no longer defined, fails the check too, so no list can go stale.
+The scan is static: it imports nothing.
 """
 
 import ast
@@ -40,6 +47,9 @@ KEEP_MEMBERS = {
     "ResultRecord.code_version": "written to results.csv and results.json through asdict",
     "ConvergenceEstimate.C_error": "the error of C_value, from which radius_error is derived",
 }
+
+# function.param or Class.method.param -> why it keeps a default that no call passes
+KEEP_PARAMS = {}
 
 
 def public_names(tree) -> set:
@@ -88,6 +98,90 @@ def attribute_reads(tree) -> set:
     return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
 
 
+def _last_name(node):
+    """The last name of a callee expression: f for f, obj.f and pkg.mod.f."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def defaulted_params(tree) -> dict:
+    """'function.param' or 'Class.method.param' -> (callee name, positional
+    parameter names) for each defaulted parameter of the public functions and
+    the __init__ and public methods of the public classes a module defines at
+    top level.  A method's positional names leave out self (or cls); a class
+    is called by its own name for its __init__."""
+    params = {}
+
+    def add(fn, owner):
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        if owner and not any(_last_name(d) == "staticmethod" for d in fn.decorator_list):
+            positional = positional[1:]
+        names = positional[len(positional) - len(args.defaults):] if args.defaults else []
+        names += [a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        qual = f"{owner}.{fn.name}" if owner else fn.name
+        for name in names:
+            params[f"{qual}.{name}"] = (owner if fn.name == "__init__" else fn.name, positional)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            add(node, None)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (item.name == "__init__" or not item.name.startswith("_")):
+                    add(item, node.name)
+    return params
+
+
+def calls(tree, tables: bool) -> list:
+    """(callee name, passed) for each call under tree, passed being (number of
+    positional arguments, keyword names), or None when the call passes every
+    argument: through * or **, or, with tables, as a function stored as a
+    dict value.  ops.call(name, fn, *args, **kwargs) is a call of fn."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name, args = _last_name(node.func), node.args
+            if name == "call" and len(args) >= 2:
+                name, args = _last_name(args[1]), args[2:]
+            if any(isinstance(a, ast.Starred) for a in args) or any(k.arg is None for k in node.keywords):
+                found.append((name, None))
+            else:
+                found.append((name, (len(args), {k.arg for k in node.keywords})))
+        elif tables and isinstance(node, ast.Dict):
+            found += [(_last_name(v), None) for v in node.values if _last_name(v)]
+    return found
+
+
+def unpassed_params(root: Path) -> tuple:
+    """(defaulted parameters, those that no call passes) under root."""
+    params, found = {}, []
+    for path in (root / "src" / "bosegas").rglob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        params.update(defaulted_params(tree))
+        found += calls(tree, tables=True)
+    for path in sorted((root / "perfbench").glob("*.py")) + sorted((root / "tests").glob("*.py")):
+        found += calls(ast.parse(path.read_text()), tables=False)
+    by_callee = {}
+    for name, passed in found:
+        by_callee.setdefault(name, []).append(passed)
+
+    def is_passed(param, callee, positional):
+        for passed in by_callee.get(callee, ()):
+            if passed is None or param in passed[1]:
+                return True
+            if param in positional and positional.index(param) < passed[0]:
+                return True
+        return False
+
+    unpassed = {p for p, (callee, positional) in params.items()
+                if not is_passed(p.rsplit(".", 1)[1], callee, positional)}
+    return set(params), unpassed
+
+
 def scan(root: Path) -> tuple:
     """(defined, reached, members, read) over the package under
     root/src/bosegas: public names and the names reached, public members and
@@ -127,6 +221,44 @@ def test_every_public_member_is_read_or_kept():
 def test_keep_members_list_is_not_stale():
     _, _, members, read = scan(ROOT)
     assert sorted(m for m in KEEP_MEMBERS if m.split(".")[1] in read or m not in members) == []
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    _, unpassed = unpassed_params(ROOT)
+    assert sorted(unpassed - KEEP_PARAMS.keys()) == []
+
+
+def test_keep_params_list_is_not_stale():
+    params, unpassed = unpassed_params(ROOT)
+    assert sorted(p for p in KEEP_PARAMS if p not in unpassed or p not in params) == []
+
+
+def test_scan_finds_defaulted_params_and_calls():
+    tree = ast.parse(
+        "class Box:\n"
+        "    def __init__(self, L, d=3):\n"
+        "        pass\n"
+        "    def area(self, scale=1.0, *, unit=None):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def make(n=2):\n"
+        "        pass\n"
+        "    def _hidden(self, x=0):\n"
+        "        pass\n"
+        "def helper(x, tol=1e-9):\n"
+        "    return Box(x, 2).area(unit='m') + helper(x, *extra) + ops.call('op', mod.helper, x, tol=1)\n"
+        "TABLE = {'h': helper}\n"
+    )
+    assert defaulted_params(tree) == {
+        "Box.__init__.d": ("Box", ["L", "d"]),
+        "Box.area.scale": ("area", ["scale"]),
+        "Box.area.unit": ("area", ["scale"]),
+        "Box.make.n": ("make", ["n"]),
+        "helper.tol": ("helper", ["x", "tol"]),
+    }
+    assert sorted(calls(tree, tables=False), key=str) == sorted(
+        [("Box", (2, set())), ("area", (0, {"unit"})), ("helper", None), ("helper", (1, {"tol"}))], key=str)
+    assert ("helper", None) in calls(ast.parse("TABLE = {'h': helper}"), tables=True)
 
 
 def test_scan_finds_public_names_and_reads():
