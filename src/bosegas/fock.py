@@ -8,12 +8,19 @@ gauge-invariant interaction enters only through its occupation-diagonal part
           + (1/(2|box|)) sum_{k != k'} Vhat(k - k') n_k n_k'.
 
 Enumeration is exhaustive and lexicographic, and one pass (`_fock_sums`)
-yields every sum the three traces need.  Its one caller, `_traces`, refuses
-a cutoff that carries weight, and every trace is a view of it, so they all
-share that refusal; `exact_traces` returns all three.  The state space is a
-product: every head row (n_1..n_{M-1}) is enumerated, in blocks of whole runs
-of the last head mode, and the last mode is an axis t = 0..n_max, so a
-block's energies are
+yields every sum the three traces need.  Every trace is a view of
+`_traces`, which refuses a cutoff that carries weight, so they all share
+that refusal; `exact_traces` returns all three.  `_traces` remembers the
+last pass, keyed by the state's values (energies, n_max, beta, mu and, with
+an interaction, vhat and the volume), so the views of one state asked for
+one after another share one pass; every call applies the refusals and the
+normalisation to the sums anew.  The memo holds one entry: a caller asks
+for one state's views together, and a state asked for again after another
+is enumerated again.
+
+The state space is a product: every head row (n_1..n_{M-1}) is enumerated,
+in blocks of whole runs of the last head mode, and the last mode is an axis
+t = 0..n_max, so a block's energies are
 
     E = A_h + B_t + C_h t,   C_h = 2 sum_{k in head} (Vhat(0) + Vhat(k, M)) n_k / (2|box|),
 
@@ -91,9 +98,11 @@ class DiagonalInteraction:
         v = np.asarray(self.vhat, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("vhat must be a square matrix")
-        if not np.allclose(v, v.T):
+        # exactly: the kernel reads the head-tail pairs from the last column
+        # only, so a nearly symmetric vhat and its transpose give different traces
+        if not np.array_equal(v, v.T):
             raise ValueError("vhat must be symmetric (central potential)")
-        if not np.allclose(np.diag(v), v[0, 0]):
+        if not np.all(np.diag(v) == v[0, 0]):
             raise ValueError("diagonal of vhat must be the constant Vhat(0)")
         if self.volume <= 0:
             raise ValueError("volume must be positive")
@@ -221,6 +230,35 @@ def _fock_sums(
     return fsum(z_parts), boundary, num, hist, shift
 
 
+# the last pass, as one (key, sums) tuple, assigned once and read once: a
+# thread racing another may recompute, but never reads another state's sums
+_last = None
+
+
+def _remembered_sums(
+    fock: TruncatedFock,
+    beta: float,
+    mu: float,
+    interaction: DiagonalInteraction | None,
+):
+    """_fock_sums of the state, taken from the last pass when that was this state.
+
+    Keyed by value, not by object: a TruncatedFock's energies are a mutable
+    array.  The sums are never handed out; _traces derives fresh arrays.
+    """
+    global _last
+    key = (np.asarray(fock.energies, dtype=float).tobytes(), fock.n_max,
+           np.array([beta, mu], dtype=float).tobytes())
+    if interaction is not None:
+        key += (np.asarray(interaction.vhat, dtype=float).tobytes(), float(interaction.volume))
+    last = _last
+    if last is not None and last[0] == key:
+        return last[1]
+    sums = _fock_sums(fock, beta, mu, interaction)
+    _last = (key, sums)
+    return sums
+
+
 def _traces(
     fock: TruncatedFock,
     beta: float,
@@ -230,12 +268,17 @@ def _traces(
 ) -> tuple:
     """(Z, log Z, <n_k>, P(n_0 = m)) from one pass, refused when the cutoff bites.
 
-    Raises CondensationBoundaryError (from _fock_sums) and TruncationError when
-    states with any occupation at the cutoff carry more than tail_tol of the
-    total weight.  Z is inf when it exceeds the double range; log Z and the
-    ratios (occupations, histogram) stay finite.
+    Raises ValueError for a vhat that is not M x M, CondensationBoundaryError
+    (from _fock_sums) and TruncationError when states with any occupation at
+    the cutoff carry more than tail_tol of the total weight.  Z is inf when it
+    exceeds the double range; log Z and the ratios (occupations, histogram)
+    stay finite.
     """
-    Z, boundary, num, hist, shift = _fock_sums(fock, beta, mu, interaction)
+    M = fock.n_modes
+    if interaction is not None and np.shape(interaction.vhat) != (M, M):
+        rows, cols = np.shape(interaction.vhat)
+        raise ValueError(f"vhat is {rows}x{cols} for M = {M} modes; it must be M x M")
+    Z, boundary, num, hist, shift = _remembered_sums(fock, beta, mu, interaction)
     if boundary > tail_tol * Z:
         raise TruncationError(
             f"boundary states carry relative weight {boundary / Z:.3e} > {tail_tol:.1e}; raise n_max"
