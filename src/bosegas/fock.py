@@ -8,19 +8,13 @@ gauge-invariant interaction enters only through its occupation-diagonal part
           + (1/(2|box|)) sum_{k != k'} Vhat(k - k') n_k n_k'.
 
 Enumeration is exhaustive and lexicographic, and one pass (`_fock_sums`)
-yields every sum the three traces need.  Every trace is a view of
-`_traces`, which refuses a cutoff that carries weight, so they all share
-that refusal; `exact_traces` returns all three.  `_traces` remembers the
-last pass, keyed by the state's values (energies, n_max, beta, mu and, with
-an interaction, vhat and the volume), so the views of one state asked for
-one after another share one pass; every call applies the refusals and the
-normalisation to the sums anew.  The memo holds one entry: a caller asks
-for one state's views together, and a state asked for again after another
-is enumerated again.
-
-The state space is a product: every head row (n_1..n_{M-1}) is enumerated,
-in blocks of whole runs of the last head mode, and the last mode is an axis
-t = 0..n_max, so a block's energies are
+yields every sum the three traces need.  Its one caller, `_traces`, refuses
+a cutoff that carries weight, and every trace is a view of it, so they all
+share that refusal; `exact_traces` returns all three from one pass, while
+each other view makes a pass of its own.  The state space is a product:
+every head row (n_1..n_{M-1}) is enumerated, in blocks of whole runs of the
+last head mode, and the last mode is an axis t = 0..n_max, so a block's
+energies are
 
     E = A_h + B_t + C_h t,   C_h = 2 sum_{k in head} (Vhat(0) + Vhat(k, M)) n_k / (2|box|),
 
@@ -154,7 +148,8 @@ def _fock_sums(
     """One pass over every head row: the weight sums behind Z, <n_k> and P(n_0).
 
     Raises CondensationBoundaryError for a free gas with mu <= -min(energies),
-    so every trace shares the domain of the spectral pressure.
+    so every trace shares the domain of the spectral pressure, and ValueError
+    for a vhat that is not M x M.
 
     Returns (Z, boundary, num, hist, shift).  Every weight is taken relative to
     the lowest energy met so far (a streaming log-sum-exp), so all four sums
@@ -169,6 +164,9 @@ def _fock_sums(
     if beta <= 0:
         raise ValueError("beta must be positive")
     M, n_max = fock.n_modes, fock.n_max
+    if interaction is not None and np.shape(interaction.vhat) != (M, M):
+        rows, cols = np.shape(interaction.vhat)
+        raise ValueError(f"vhat is {rows}x{cols} for M = {M} modes; it must be M x M")
     base = n_max + 1
     lam = np.asarray(fock.energies, dtype=float)
     k0 = int(np.argmin(lam))
@@ -186,14 +184,17 @@ def _fock_sums(
         sum_b = fsum(b.tolist())
         rows = _CHUNK
     else:
-        v, v0, vol2 = interaction.vhat, interaction.vhat0, 2.0 * interaction.volume
+        v = np.asarray(interaction.vhat, dtype=float)
+        v0, vol2 = interaction.vhat0, 2.0 * interaction.volume
         head_v = v[:-1, :-1] - v0 * np.eye(M - 1)  # off-diagonal head-head pairs
         head_tail = (2.0 * (v0 + v[:-1, -1]) / vol2)[:, None]
         xb = -beta * (B + v0 * (t**2 - t) / vol2)
         # a block holds about _CHUNK weights, in fixed tail-major (t, h)
         # buffers: fresh arrays of this size cost a page fault per use
         rows = max(1, _CHUNK // base)
-        x_buf, tc_buf = np.empty(base * max(rows, base)), np.empty(base * max(rows, base))
+        size = base * max(rows, base)
+        x_buf, tc_buf = np.empty(size), np.empty(size)
+        xb_rows = t_rows = np.empty((base, 0))
     for occ, cut in _head_blocks(M, base, rows):
         occf = occ.astype(float)
         A = (occf * head_lam).sum(axis=0)
@@ -206,10 +207,19 @@ def _fock_sums(
             N = occf.sum(axis=0)
             A += (v0 * (N**2 - N) + ((head_v @ occf) * occf).sum(axis=0)) / vol2
             C = (occf * head_tail).sum(axis=0)
-            # x = -beta (E - shift)
-            x = x_buf[: base * A.size].reshape(base, -1)
-            np.add(xb[:, None], -beta * (A - shift), out=x)
-            x += np.multiply(t[:, None], -beta * C, out=tc_buf[: x.size].reshape(x.shape))
+            # x = -beta (E - shift) = (-beta (A - shift) + xb) + (-beta C) t.  Each
+            # head term is copied down the t rows and then combined in place
+            # with xb and t spread to the block's shape: numpy combines a
+            # broadcast operand at several times the cost of a contiguous one
+            h = A.size
+            if xb_rows.shape[1] != h:  # the first block, and a shorter last one
+                xb_rows, t_rows = np.repeat(xb, h).reshape(base, h), np.repeat(t, h).reshape(base, h)
+            x, tc = x_buf[: base * h].reshape(base, h), tc_buf[: base * h].reshape(base, h)
+            np.copyto(x, -beta * (A - shift))
+            x += xb_rows
+            np.copyto(tc, -beta * C)
+            tc *= t_rows
+            x += tc
             x_max = float(x.max())
             if x_max > 0:  # a state below the running shift: it becomes the shift
                 scale = exp(-x_max)
@@ -230,35 +240,6 @@ def _fock_sums(
     return fsum(z_parts), boundary, num, hist, shift
 
 
-# the last pass, as one (key, sums) tuple, assigned once and read once: a
-# thread racing another may recompute, but never reads another state's sums
-_last = None
-
-
-def _remembered_sums(
-    fock: TruncatedFock,
-    beta: float,
-    mu: float,
-    interaction: DiagonalInteraction | None,
-):
-    """_fock_sums of the state, taken from the last pass when that was this state.
-
-    Keyed by value, not by object: a TruncatedFock's energies are a mutable
-    array.  The sums are never handed out; _traces derives fresh arrays.
-    """
-    global _last
-    key = (np.asarray(fock.energies, dtype=float).tobytes(), fock.n_max,
-           np.array([beta, mu], dtype=float).tobytes())
-    if interaction is not None:
-        key += (np.asarray(interaction.vhat, dtype=float).tobytes(), float(interaction.volume))
-    last = _last
-    if last is not None and last[0] == key:
-        return last[1]
-    sums = _fock_sums(fock, beta, mu, interaction)
-    _last = (key, sums)
-    return sums
-
-
 def _traces(
     fock: TruncatedFock,
     beta: float,
@@ -268,17 +249,13 @@ def _traces(
 ) -> tuple:
     """(Z, log Z, <n_k>, P(n_0 = m)) from one pass, refused when the cutoff bites.
 
-    Raises ValueError for a vhat that is not M x M, CondensationBoundaryError
-    (from _fock_sums) and TruncationError when states with any occupation at
-    the cutoff carry more than tail_tol of the total weight.  Z is inf when it
+    Raises ValueError for a vhat that is not M x M and CondensationBoundaryError
+    (both from _fock_sums), and TruncationError when states with any occupation
+    at the cutoff carry more than tail_tol of the total weight.  Z is inf when it
     exceeds the double range; log Z and the ratios (occupations, histogram)
     stay finite.
     """
-    M = fock.n_modes
-    if interaction is not None and np.shape(interaction.vhat) != (M, M):
-        rows, cols = np.shape(interaction.vhat)
-        raise ValueError(f"vhat is {rows}x{cols} for M = {M} modes; it must be M x M")
-    Z, boundary, num, hist, shift = _remembered_sums(fock, beta, mu, interaction)
+    Z, boundary, num, hist, shift = _fock_sums(fock, beta, mu, interaction)
     if boundary > tail_tol * Z:
         raise TruncationError(
             f"boundary states carry relative weight {boundary / Z:.3e} > {tail_tol:.1e}; raise n_max"

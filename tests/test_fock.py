@@ -226,6 +226,16 @@ class TestInteractionValidation:
         with pytest.raises(ValueError, match="vhat is 2x2"):
             solve_mu_for_number(fock, 1.0, 1.0, inter)
 
+    def test_single_precision_vhat_is_read_in_double(self):
+        # numpy keeps float32 + float in float32, so the head-tail couplings
+        # of a float32 vhat were rounded to single precision
+        v = random_interaction(3, 2, TestAgainstBruteForce.REPULSIVE).vhat.astype(np.float32)
+        fock = TruncatedFock(energies=np.array([0.0, 0.5, 1.0]), n_max=30)
+        single, double = (exact_traces(fock, 1.0, 0.5, DiagonalInteraction(vhat=vhat, volume=2.0))
+                          for vhat in (v, v.astype(float)))
+        assert single[0] == double[0]
+        assert np.array_equal(single[1], double[1]) and np.array_equal(single[2], double[2])
+
 
 class TestSharedModeSetWithSpectralGas:
     def test_d3_truncated_mode_set(self):
@@ -295,7 +305,6 @@ class TestAgainstBruteForce:
         blocks = []  # head blocks per call
         if chunk is not None:  # several blocks, so the running shift moves
             monkeypatch.setattr(fock_module, "_CHUNK", chunk)
-            monkeypatch.setattr(fock_module, "_last", None)  # a pass of its own, not a remembered one
             heads = fock_module._head_blocks
 
             def counted(*args):
@@ -440,14 +449,10 @@ class TestExactTraces:
     def test_bitwise_equal_to_the_three_calls(self, interacting, monkeypatch):
         inter = uniform_interaction(3, 0.3, 2.0) if interacting else None
         args = (self.fock, 1.0, 1.0, inter)
-        sums = fock_module._fock_sums
-        separate_calls, calls = [], []
-        monkeypatch.setattr(fock_module, "_fock_sums", lambda *a: separate_calls.append(a) or sums(*a))
-        monkeypatch.setattr(fock_module, "_last", None)
         separate = (exact_partition(*args), exact_occupations(*args), exact_zero_mode_statistics(*args))
-        assert len(separate_calls) == 1  # the three views share one pass
+        calls = []
+        sums = fock_module._fock_sums
         monkeypatch.setattr(fock_module, "_fock_sums", lambda *a: calls.append(a) or sums(*a))
-        monkeypatch.setattr(fock_module, "_last", None)  # a fresh pass to compare against
         Z, occ, hist = exact_traces(*args)
         assert len(calls) == 1
         assert Z == separate[0]
@@ -466,154 +471,6 @@ class TestExactTraces:
             exact_traces(fock, 1.0, -30.0, inter)
         with pytest.raises(OverflowError):
             exact_traces(fock, 1.0, -30.0, inter, tail_tol=1.0)
-
-
-class TestRememberedPass:
-    """The views of one state share one pass; the memo holds the last pass only."""
-
-    fock = TruncatedFock(energies=np.array([0.0, 0.4, 0.9]), n_max=40)
-    views = (exact_partition, exact_occupations, exact_zero_mode_statistics, mean_particle_number)
-
-    @pytest.fixture
-    def passes(self, monkeypatch):
-        """The number of passes made since the memo was emptied, as a list's length."""
-        counted = []
-        heads = fock_module._head_blocks
-
-        def counting(*args):
-            counted.append(args)
-            return heads(*args)
-
-        monkeypatch.setattr(fock_module, "_head_blocks", counting)
-        monkeypatch.setattr(fock_module, "_last", None)
-        return counted
-
-    @pytest.mark.parametrize("interacting", [False, True])
-    def test_views_of_one_state_share_one_pass(self, passes, interacting):
-        inter = uniform_interaction(3, 0.3, 2.0) if interacting else None
-        got = [view(self.fock, 1.0, 1.0, inter) for view in self.views]
-        got.append(exact_traces(self.fock, 1.0, 1.0, inter))
-        assert len(passes) == 1
-        assert got[0] == got[-1][0]
-        assert np.array_equal(got[1], got[-1][1]) and np.array_equal(got[2], got[-1][2])
-
-    def test_a_new_state_makes_a_new_pass(self, passes):
-        inter = uniform_interaction(3, 0.3, 2.0)
-        states = [
-            (self.fock, 1.0, 1.0, None),
-            (self.fock, 1.2, 1.0, None),  # beta
-            (self.fock, 1.2, 0.9, None),  # mu
-            (self.fock, 1.2, 0.9, inter),  # an interaction
-            (self.fock, 1.2, 0.9, uniform_interaction(3, 0.4, 2.0)),  # another vhat
-            (self.fock, 1.2, 0.9, uniform_interaction(3, 0.4, 3.0)),  # another volume
-            (TruncatedFock(energies=self.fock.energies, n_max=41), 1.2, 0.9, None),  # n_max
-        ]
-        for i, state in enumerate(states):
-            exact_traces(*state)
-            exact_traces(*state)
-            assert len(passes) == i + 1
-        exact_traces(*states[0])  # the memo holds the last pass only
-        assert len(passes) == len(states) + 1
-
-    def test_energies_changed_in_place_make_a_new_pass(self, passes):
-        fock = TruncatedFock(energies=np.array([0.0, 0.4, 0.9]), n_max=40)
-        before = exact_occupations(fock, 1.0, 1.0)
-        fock.energies[1] = 0.5
-        after = exact_occupations(fock, 1.0, 1.0)
-        assert len(passes) == 2
-        assert after[1] < before[1]
-        fresh = exact_occupations(TruncatedFock(energies=np.array([0.0, 0.5, 0.9]), n_max=40), 1.0, 1.0)
-        assert np.array_equal(after, fresh)
-
-    def test_vhat_changed_in_place_makes_a_new_pass(self, passes):
-        inter = uniform_interaction(3, 0.3, 2.0)
-        before = exact_partition(self.fock, 1.0, 1.0, inter)
-        inter.vhat[:] = 0.4
-        after = exact_partition(self.fock, 1.0, 1.0, inter)
-        assert len(passes) == 2 and after < before
-        assert after == exact_partition(self.fock, 1.0, 1.0, uniform_interaction(3, 0.4, 2.0))
-
-    @pytest.mark.parametrize("interacting", [False, True])
-    def test_returned_arrays_are_fresh(self, passes, interacting):
-        inter = uniform_interaction(3, 0.3, 2.0) if interacting else None
-        _, occ, hist = exact_traces(self.fock, 1.0, 1.0, inter)
-        keep = occ.copy(), hist.copy()
-        for got in (occ, hist, exact_occupations(self.fock, 1.0, 1.0, inter),
-                    exact_zero_mode_statistics(self.fock, 1.0, 1.0, inter)):
-            got[:] = -1.0
-        _, occ2, hist2 = exact_traces(self.fock, 1.0, 1.0, inter)
-        assert len(passes) == 1
-        assert np.array_equal(occ2, keep[0]) and np.array_equal(hist2, keep[1])
-        assert np.array_equal(exact_occupations(self.fock, 1.0, 1.0, inter), keep[0])
-        assert np.array_equal(exact_zero_mode_statistics(self.fock, 1.0, 1.0, inter), keep[1])
-
-    def test_a_remembered_pass_is_refused_as_a_fresh_one(self, passes):
-        # TestCutoffRefusal's heavy cutoff: its sums are remembered unrefused
-        heavy = TestCutoffRefusal.fock
-        exact_traces(heavy, 1.0, 0.05, tail_tol=1.0)
-        for trace in (exact_traces, *self.views):
-            with pytest.raises(TruncationError, match="boundary states carry relative weight 3.215e-01 > 1.0e-12"):
-                trace(heavy, 1.0, 0.05)
-        assert len(passes) == 1
-        # beyond the condensation boundary nothing is enumerated or remembered
-        for _ in range(2):
-            for trace in (exact_traces, *self.views):
-                with pytest.raises(CondensationBoundaryError, match="mu <= -min"):
-                    trace(heavy, 1.0, -0.2)
-        exact_traces(heavy, 1.0, 0.05, tail_tol=1.0)
-        assert len(passes) == 1
-
-    def test_a_remembered_overflow_is_refused(self, passes):
-        # TestBelowLowestMode's ln Z = 916.3: exact_partition refuses every
-        # time, the ratios come from the same pass
-        inter = uniform_interaction(2, 0.5, 1.0)
-        fock = TruncatedFock(energies=np.array([0.0, 0.5]), n_max=150)
-        for _ in range(2):
-            with pytest.raises(OverflowError, match="exp\\(916.328"):
-                exact_partition(fock, 1.0, -30.0, inter)
-            exact_occupations(fock, 1.0, -30.0, inter)
-        assert len(passes) == 1
-
-    def test_threads_alternating_two_states_read_the_serial_bits(self):
-        # each thread asks for state A's views, then B's, then A's, so the one
-        # entry changes hands between threads all the time
-        import threading
-
-        inter = random_interaction(3, 5, TestAgainstBruteForce.REPULSIVE)
-        fock = TruncatedFock(energies=np.array([0.3, 0.0, 0.5]), n_max=25)
-        states = [(fock, 1.3, 1.0, None), (fock, 1.3, 1.0, inter)]
-
-        def views(state):
-            Z, occ, hist = exact_traces(*state)
-            return [Z, occ.tobytes(), hist.tobytes(), exact_partition(*state),
-                    exact_occupations(*state).tobytes(), exact_zero_mode_statistics(*state).tobytes()]
-
-        fock_module._last = None
-        serial = [views(state) for state in states]
-        results, errors = [], []
-
-        def work(first):
-            try:
-                for i in range(40):
-                    state = (first + i) % 2
-                    results.append((state, views(states[state])))
-            except Exception as exc:  # reported below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k % 2,)) for k in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads) and not errors
-        assert len(results) == 4 * 40
-        for state, got in results:
-            assert got == serial[state]
 
 
 THREADS_SCRIPT = """
