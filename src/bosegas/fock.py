@@ -40,6 +40,7 @@ from math import exp, fsum, inf, isfinite, log
 import numpy as np
 
 from .errors import CondensationBoundaryError, ResourceBudgetError, TruncationError
+from .spectral import _bracketed_root
 
 STATE_BUDGET = 10_000_000
 _CHUNK = 1 << 16
@@ -147,9 +148,11 @@ def _fock_sums(
 ):
     """One pass over every head row: the weight sums behind Z, <n_k> and P(n_0).
 
-    Raises CondensationBoundaryError for a free gas with mu <= -min(energies),
-    so every trace shares the domain of the spectral pressure, and ValueError
-    for a vhat that is not M x M.
+    Raises ValueError for a beta that is not positive and finite or a mu that
+    is not finite (NaN included), before any state is enumerated;
+    CondensationBoundaryError for a free gas with mu <= -min(energies), so
+    every trace shares the domain of the spectral pressure; and ValueError for
+    a vhat that is not M x M.
 
     Returns (Z, boundary, num, hist, shift).  Every weight is taken relative to
     the lowest energy met so far (a streaming log-sum-exp), so all four sums
@@ -159,10 +162,12 @@ def _fock_sums(
     occupation at the cutoff, num[k] the numerator of <n_k> and hist[m] the
     weight of n_k0 = m for the lowest mode k0.
     """
+    if not 0 < beta < inf:
+        raise ValueError(f"beta must be positive and finite, not {beta}")
+    if not isfinite(mu):
+        raise ValueError(f"mu must be finite, not {mu}")
     if interaction is None and mu <= -float(np.min(fock.energies)):
         raise CondensationBoundaryError("condensation boundary crossed: mu <= -min(energies)")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     M, n_max = fock.n_modes, fock.n_max
     if interaction is not None and np.shape(interaction.vhat) != (M, M):
         rows, cols = np.shape(interaction.vhat)
@@ -275,8 +280,9 @@ def exact_traces(
 ) -> tuple:
     """(Z, <n_k>, P(n_0 = m)) from one enumeration.
 
-    Raises CondensationBoundaryError for a free gas with mu <= -min(energies)
-    (the same domain as the spectral pressure), TruncationError when states
+    Raises ValueError for a NaN or infinite beta or mu, CondensationBoundaryError
+    for a free gas with mu <= -min(energies) (the same domain as the spectral
+    pressure), TruncationError when states
     with any occupation at the cutoff carry more than tail_tol of the total
     weight (cutoff too small), and OverflowError when Z exceeds the double
     range, in that order.
@@ -322,10 +328,12 @@ def solve_mu_for_number(
     the next double above -min(energies), as in spectral.solve_mu; a target
     above the <N> that the truncated free gas holds there raises
     CondensationBoundaryError, and a bracket whose ends hold <N> on one side
-    of n_target raises ValueError.
+    of n_target raises ValueError, as does a NaN or infinite n_target before
+    any pass.  The root is spectral's Brent root, given the <N> already found
+    at the bracket's ends.
     """
-    from scipy.optimize import brentq
-
+    if not isfinite(n_target):
+        raise ValueError(f"n_target must be finite, not {n_target}")
     number = lambda mu: float(_traces(fock, beta, mu, interaction, inf)[2].sum())
     lo, hi = bracket
     pole = -float(np.min(fock.energies))
@@ -343,6 +351,6 @@ def solve_mu_for_number(
             f"the bracket mu in [{lo:.6g}, {hi:.6g}] does not hold n_target = {n_target}: "
             f"<N> = {n_lo:.6g} at mu = {lo:.6g} and {n_hi:.6g} at mu = {hi:.6g}"
         )
-    mu = float(brentq(lambda mu: number(mu) - n_target, lo, hi, rtol=1e-12))
+    mu = _bracketed_root(lambda mu: number(mu) - n_target, lo, hi, n_lo - n_target, n_hi - n_target)
     _traces(fock, beta, mu, interaction)  # refuses a root heavy at the cutoff
     return mu

@@ -14,7 +14,6 @@ as |dp/dmu| = beta * rho; at beta = 1 this is the plain -density relation.
 """
 
 from dataclasses import dataclass
-from math import gamma as gamma_fn
 from math import pi
 
 import numpy as np
@@ -102,8 +101,10 @@ def auto_torus_spectrum(d: int, L: float, beta: float) -> Spectrum:
 
 
 def _check_domain(spec: Spectrum, beta: float, mu: float):
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, not {beta}")
+    if np.isnan(mu):
+        raise ValueError("mu must be a number, not nan")
     if mu <= -spec.eigenvalues[0]:
         raise CondensationBoundaryError("condensation boundary crossed: mu <= -lambda(1)")
 
@@ -132,34 +133,69 @@ def solve_mu(spec: Spectrum, beta: float, rho_target: float) -> float:
     at -lambda(1) + 1e-14, or at the next double above -lambda(1) where that
     sum rounds back onto the pole (lambda(1) of 128 or more).
     """
-    # Here and across the package scipy is imported in the calls that use it:
-    # its import is most of the start-up time of a run that never calls it.
-    from scipy import optimize
-
-    if rho_target <= 0:
-        raise ValueError("rho_target must be positive")
-    lo = max(-spec.eigenvalues[0] + 1e-14, np.nextafter(-spec.eigenvalues[0], np.inf))
+    if not 0 < rho_target < np.inf:
+        raise ValueError(f"rho_target must be positive and finite, not {rho_target}")
+    lo = float(max(-spec.eigenvalues[0] + 1e-14, np.nextafter(-spec.eigenvalues[0], np.inf)))
     hi = max(lo + 1.0, 1.0)
-    while density(spec, beta, hi) > rho_target:
+    while (rho_hi := density(spec, beta, hi)) > rho_target:
         hi = 2 * hi + 1.0
     f = lambda mu: density(spec, beta, mu) - rho_target
-    return float(optimize.brentq(f, lo, hi, rtol=1e-12, maxiter=200))
+    return _bracketed_root(f, lo, hi, f(lo), rho_hi - rho_target)
 
 
-_SPHERE_VOL = {  # unit-ball volume v_d
-    d: pi ** (d / 2) / gamma_fn(d / 2 + 1) for d in range(1, 12)
-}
+def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """The root of f between a and b, given fa = f(a) and fb = f(b).
+
+    Brent's zeroin (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) as scipy.optimize.brentq takes its steps, with
+    brentq's stopping rule: a step below (2e-12 + 1e-12 |x|) / 2, at most 200
+    iterations.  An end where f is 0 is the root; ends of one sign (or NaN)
+    raise ValueError, and a bracket not closed in 200 iterations RuntimeError.
+    """
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    if not (fa < 0 < fb or fb < 0 < fa):
+        raise ValueError(f"f = {fa:.6g} at {a:.6g} and {fb:.6g} at {b:.6g}: the bracket holds no sign change")
+    # cur is the best point, pre the one before it, blk the end that keeps the root bracketed
+    pre, fpre, cur, fcur = a, fa, b, fb
+    blk = fblk = step = prev_step = 0.0
+    for _ in range(200):
+        if fpre < 0 < fcur or fcur < 0 < fpre:
+            blk, fblk = pre, fpre
+            step = prev_step = cur - pre
+        if abs(fblk) < abs(fcur):
+            pre, cur, blk = cur, blk, cur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (2e-12 + 1e-12 * abs(cur)) / 2
+        half = (blk - cur) / 2
+        if fcur == 0 or abs(half) < delta:
+            return cur
+        trial = None
+        if abs(prev_step) > delta and abs(fcur) < abs(fpre):
+            if pre == blk:  # secant
+                trial = -fcur * (cur - pre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (pre - cur)
+                dblk = (fblk - fcur) / (blk - cur)
+                trial = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if trial is not None and 2 * abs(trial) < min(abs(prev_step), 3 * abs(half) - delta):
+            prev_step, step = step, trial
+        else:  # bisect
+            prev_step = step = half
+        pre, fpre = cur, fcur
+        cur += step if abs(step) > delta else (delta if half > 0 else -delta)
+        fcur = f(cur)
+    raise RuntimeError(f"the bracketed root did not converge in 200 iterations; last x = {cur!r}")
 
 
 @dataclass(frozen=True)
 class DensityOfStates:
     """Integrated density of states of the free Laplacian in R^d, per volume:
-    F(lam) = v_d lam^(d/2) / (2 pi)^d."""
+    F(lam) = v_d lam^(d/2) / (2 pi)^d, with v_d the unit ball's volume."""
 
     d: int
-
-    def prefactor(self) -> float:
-        return _SPHERE_VOL[self.d] / (2 * pi) ** self.d
 
 
 def analytic_dos(d: int) -> DensityOfStates:
@@ -167,28 +203,25 @@ def analytic_dos(d: int) -> DensityOfStates:
 
 
 def critical_density(beta: float, dos: DensityOfStates) -> float:
-    """rho_cr(beta) = integral (exp(beta lam) - 1)^(-1) dF(lam).
+    """rho_cr(beta) = integral (exp(beta lam) - 1)^(-1) dF(lam) = zeta(d/2) (4 pi beta)^(-d/2).
 
-    This equals zeta(d/2) (4 pi beta)^(-d/2); the integral diverges for
-    d <= 2 (no condensation in low dimension).
+    The integral diverges for d <= 2 (no condensation in low dimension).
     """
-    from scipy import integrate
-
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, not {beta}")
     if dos.d <= 2:
         raise DivergenceError("no condensation in this dimension")
-    c, d = dos.prefactor(), dos.d
-    # substitute lam = u^2 to regularize the endpoint: integrand ~ u^(d-3)
-    f = lambda u: d * c * u ** (d - 1) * np.exp(-beta * u**2) / (-np.expm1(-beta * u**2))
-    val, _ = integrate.quad(f, 0, np.inf, limit=200)
-    return float(val)
+    # Here and across the package scipy is imported in the calls that use it:
+    # its import is most of the start-up time of a run that never calls it.
+    from scipy.special import zeta
+
+    return float(zeta(dos.d / 2) * (4 * pi * beta) ** (-dos.d / 2))
 
 
 def condensate_fraction(beta: float, rho: float, dos: DensityOfStates) -> float:
     """Infinite-volume condensate fraction max(0, rho - rho_cr)/rho."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < np.inf:
+        raise ValueError(f"rho must be positive and finite, not {rho}")
     return max(0.0, rho - critical_density(beta, dos)) / rho
 
 
@@ -198,8 +231,10 @@ def continuum_density(d: int, beta: float, mu: float) -> float:
     Summed until the geometric tail bound is below 1e-16 of the sum; raises
     TruncationError when that needs more than J_SERIES_CAP terms.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive for the convergent series")
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, not {beta}")
+    if not mu > 0:
+        raise ValueError(f"mu must be positive for the convergent series, not {mu}")
     z = np.exp(-beta * mu)
     total, j = 0.0, 1
     while True:

@@ -473,6 +473,61 @@ class TestExactTraces:
             exact_traces(fock, 1.0, -30.0, inter, tail_tol=1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestRefusesNaN:
+    """A NaN or infinite beta or mu, or target <N>, is refused before any
+    state is enumerated; each of these enumerated every state and then
+    returned nan or raised OverflowError for Z = exp(nan)."""
+
+    fock = TruncatedFock(energies=np.array([0.0, 0.4, 0.9]), n_max=40)
+
+    @pytest.fixture
+    def no_pass(self, monkeypatch):
+        monkeypatch.setattr(fock_module, "_head_blocks", lambda *a: pytest.fail("a state was enumerated"))
+
+    @pytest.mark.parametrize("interacting", [False, True])
+    @pytest.mark.parametrize(
+        "beta, mu, name",
+        [(NAN, 0.5, "beta"), (INF, 0.5, "beta"), (1.0, NAN, "mu"), (1.0, INF, "mu")],
+    )
+    def test_every_view_refuses(self, beta, mu, name, interacting, no_pass):
+        inter = uniform_interaction(3, 0.3, 2.0) if interacting else None
+        for trace in (exact_traces, exact_partition, exact_occupations, exact_zero_mode_statistics):
+            with pytest.raises(ValueError, match=rf"^{name} must be "):
+                trace(self.fock, beta, mu, inter)
+
+    @pytest.mark.parametrize("n_target", [NAN, INF, -INF])
+    def test_solve_mu_for_number_refuses_the_target(self, n_target, no_pass):
+        with pytest.raises(ValueError, match=r"^n_target must be finite"):
+            solve_mu_for_number(self.fock, 1.0, n_target)
+
+
+class TestSharedRoot:
+    """solve_mu_for_number's root is spectral's Brent root, fed the <N> found at
+    the bracket's ends: it matches scipy.optimize.brentq in two fewer passes."""
+
+    fock = TruncatedFock(energies=np.array([200.0, 201.0]), n_max=80)
+
+    def test_matches_brentq_next_to_the_boundary(self, monkeypatch):
+        # test_free_solve_mu_above_a_high_lowest_mode's bracket: -200 + 1e-14
+        # rounds onto the boundary, so the low end is the next double above it
+        from scipy.optimize import brentq
+
+        sums = fock_module._fock_sums
+        calls = []
+        monkeypatch.setattr(fock_module, "_fock_sums", lambda *a: calls.append(a[2]) or sums(*a))
+        mu = solve_mu_for_number(self.fock, 1.0, 2.0, bracket=(-250.0, 50.0))
+        search = calls[:-1]  # the last pass refuses a root heavy at the cutoff
+        monkeypatch.setattr(fock_module, "_fock_sums", sums)
+        lo = float(np.nextafter(-200.0, np.inf))
+        number = lambda m: float(fock_module._traces(self.fock, 1.0, m, None, np.inf)[2].sum()) - 2.0
+        ref = brentq(number, lo, 50.0, xtol=2e-12, rtol=1e-12, maxiter=200)
+        assert abs(mu - ref) <= 2 * (2e-12 + 1e-12 * abs(ref))
+        assert search[:2] == [lo, 50.0] and len(set(search)) == len(search)
+
+
 THREADS_SCRIPT = """
 import numpy as np
 from bosegas.fock import DiagonalInteraction, TruncatedFock, exact_traces

@@ -1,5 +1,6 @@
-"""Every name a module of bosegas imports is read somewhere, and the loop
-gas, the expansion and Fock run without loading scipy.
+"""Every name a module of bosegas imports is read somewhere, the loop gas,
+the expansion and Fock run without loading scipy, and the ideal gas's roots
+and critical density load neither scipy.optimize nor scipy.integrate.
 
 A module-level import must be read in its module, a function's import in
 that function (nested scopes included).  Package __init__.py files are
@@ -108,5 +109,28 @@ NUMPY_ONLY_RUN = textwrap.dedent("""
 def test_loop_gas_expansion_and_fock_load_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     run = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+# The ideal-gas calls and the Fock root: scipy.special at most, never scipy's
+# root finders or quadrature.
+IDEAL_GAS_RUN = textwrap.dedent("""
+    import sys
+
+    from bosegas.fock import TruncatedFock, solve_mu_for_number
+    from bosegas.spectral import analytic_dos, auto_torus_spectrum, condensate_fraction, critical_density, solve_mu
+
+    solve_mu(auto_torus_spectrum(3, 8.0, 1.0), 1.0, 0.05)
+    critical_density(1.0, analytic_dos(3))
+    condensate_fraction(1.0, 0.1, analytic_dos(3))
+    solve_mu_for_number(TruncatedFock(energies=[0.0, 0.5, 1.0], n_max=60), 1.0, 2.0)
+    print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
+""")
+
+
+def test_ideal_gas_roots_and_critical_density_load_no_optimize_or_integrate():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", IDEAL_GAS_RUN], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"

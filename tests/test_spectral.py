@@ -1,8 +1,11 @@
 """Ideal-gas module against closed-form and quadrature oracles."""
 
+from math import gamma
+
 import numpy as np
 import pytest
-from scipy.special import zeta
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from bosegas.errors import CondensationBoundaryError, DivergenceError, ResourceBudgetError, TruncationError
 from bosegas import spectral
@@ -11,6 +14,7 @@ from bosegas.spectral import (
     MODE_BUDGET,
     Spectrum,
     TorusGeometry,
+    _bracketed_root,
     analytic_dos,
     auto_torus_spectrum,
     box_spectrum,
@@ -179,11 +183,24 @@ class TestPressureDensity:
         assert np.isclose(density(spec, beta, mu), target, rtol=5e-3)
 
 
+def dos_quadrature_rho_cr(d, beta):
+    """Independent oracle: integral (exp(beta lam) - 1)^(-1) dF(lam) over the
+    density of states F(lam) = v_d lam^(d/2) / (2 pi)^d, by quadrature."""
+    c = np.pi ** (d / 2) / gamma(d / 2 + 1) / (2 * np.pi) ** d
+    # substitute lam = u^2 to regularize the endpoint: integrand ~ u^(d-3)
+    f = lambda u: d * c * u ** (d - 1) * np.exp(-beta * u**2) / (-np.expm1(-beta * u**2))
+    return quad(f, 0, np.inf, limit=200)[0]
+
+
 class TestCriticalDensity:
     def test_oracle_value(self):
         rho = critical_density(1.0, analytic_dos(3))
         assert np.isclose(rho, series_rho_cr(3, 1.0), rtol=5e-3)
-        assert np.isclose(rho, zeta(1.5) * (4 * np.pi) ** -1.5, rtol=1e-9)
+        assert np.isclose(rho, dos_quadrature_rho_cr(3, 1.0), rtol=1e-9)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_dos_quadrature_across_dimensions(self, d):
+        assert np.isclose(critical_density(0.7, analytic_dos(d)), dos_quadrature_rho_cr(d, 0.7), rtol=1e-9)
 
     def test_beta_scaling(self):
         assert np.isclose(
@@ -263,3 +280,81 @@ class TestSolveMuProperty:
         mu = solve_mu(spec, beta, rho)
         assert mu > -spec.eigenvalues[0]
         assert np.isclose(density(spec, beta, mu), rho, rtol=1e-8)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestRefusesNaN:
+    """A NaN (or, for a target, infinite) argument is refused by name before
+    any sum is taken; each of these returned nan or summed to the term cap."""
+
+    spec = auto_torus_spectrum(3, 8.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda s: pressure(s, NAN, 0.5), "beta"),
+            (lambda s: pressure(s, 1.0, NAN), "mu"),
+            (lambda s: density(s, NAN, 0.5), "beta"),
+            (lambda s: density(s, 1.0, NAN), "mu"),
+            (lambda s: critical_density(NAN, analytic_dos(3)), "beta"),
+            (lambda s: condensate_fraction(1.0, NAN, analytic_dos(3)), "rho"),
+            (lambda s: condensate_fraction(1.0, INF, analytic_dos(3)), "rho"),
+            (lambda s: condensate_fraction(NAN, 0.1, analytic_dos(3)), "beta"),
+            (lambda s: continuum_density(3, NAN, 0.5), "beta"),
+            (lambda s: continuum_density(3, 1.0, NAN), "mu"),
+            (lambda s: solve_mu(s, 1.0, NAN), "rho_target"),
+            (lambda s: solve_mu(s, 1.0, INF), "rho_target"),
+            (lambda s: solve_mu(s, NAN, 0.05), "beta"),
+        ],
+        ids=[
+            "pressure-beta", "pressure-mu", "density-beta", "density-mu", "critical_density-beta",
+            "condensate_fraction-rho", "condensate_fraction-rho-inf", "condensate_fraction-beta",
+            "continuum_density-beta", "continuum_density-mu", "solve_mu-rho_target",
+            "solve_mu-rho_target-inf", "solve_mu-beta",
+        ],
+    )
+    def test_refused_by_name(self, call, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            call(self.spec)
+
+
+class TestBracketedRoot:
+    """The Brent root that solve_mu and fock.solve_mu_for_number share, against
+    scipy.optimize.brentq at the same stopping rule.  On every bracket here
+    the two roots are equal to the bit; the test asks only brentq's tolerance."""
+
+    @staticmethod
+    def assert_brentq_root(f, a, b):
+        got = _bracketed_root(f, a, b, f(a), f(b))
+        ref = brentq(f, a, b, xtol=2e-12, rtol=1e-12, maxiter=200)
+        assert abs(got - ref) <= 2 * (2e-12 + 1e-12 * abs(ref))
+
+    @pytest.mark.parametrize("L", [0.3, 0.2])
+    def test_bracket_next_to_the_pole(self, L):
+        # test_large_lowest_eigenvalue's boxes: the low end is one double above -lambda(1)
+        spec = box_spectrum(3, L, spectral.DIRICHLET, 1.0, 1e-16)
+        lo = float(np.nextafter(-spec.eigenvalues[0], np.inf))
+        self.assert_brentq_root(lambda mu: density(spec, 1.0, mu) - 1.0, lo, 1.0)
+
+    def test_workload_solve(self):
+        spec = auto_torus_spectrum(3, 24.0, 1.0)
+        self.assert_brentq_root(lambda mu: density(spec, 1.0, mu) - 0.05, 1e-14, 1.0 + 1e-14)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_smooth_functions(self, seed):
+        rng = np.random.default_rng(seed)
+        c, r = rng.normal(size=3), rng.uniform(-3.0, 3.0)
+        f = lambda x: (1 + c[0] ** 2) * (x - r) + c[1] ** 2 * (x - r) ** 3 + 0.3 * c[2] * np.sin(x - r)
+        self.assert_brentq_root(f, r - rng.uniform(0.01, 10.0), r + rng.uniform(0.01, 10.0))
+
+    def test_an_end_at_zero_is_the_root(self):
+        f = lambda x: x - 1.0
+        assert _bracketed_root(f, 1.0, 3.0, 0.0, 2.0) == 1.0
+        assert _bracketed_root(f, -1.0, 1.0, -2.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("fa, fb", [(1.0, 2.0), (-1.0, -2.0), (NAN, -1.0), (1.0, NAN)])
+    def test_no_sign_change_refused(self, fa, fb):
+        with pytest.raises(ValueError, match="the bracket holds no sign change"):
+            _bracketed_root(lambda x: pytest.fail("no evaluation inside a refused bracket"), 0.0, 1.0, fa, fb)
